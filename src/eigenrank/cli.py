@@ -220,17 +220,23 @@ def _apply_config(argv: list[str], by_name: dict[str, _Parser]) -> None:
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _parse_file(parse, path: str):
+    """``parse`` an input CSV streamed from ``path``.
+
+    ``utf-8-sig`` drops the byte-order mark spreadsheet exports start with;
+    ``newline=""`` hands CRLF line ends to the csv module.
+    """
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        return parse(fh)
 
 
 def _load_scores(path: str) -> metrics.ScoreTable:
-    return metrics.read_scores_csv(_read_text(path))
+    return _parse_file(metrics.read_scores_csv, path)
 
 
 def _cmd_compute(args) -> int:
-    table = corpus.parse_journal_metadata(_read_text(args.journals))
-    ledger = corpus.parse_citation_edges(_read_text(args.citations))
+    table = _parse_file(corpus.parse_journal_metadata, args.journals)
+    ledger = _parse_file(corpus.parse_citation_edges, args.citations)
     scores, solver = metrics.compute_metrics(
         table, ledger, args.census_year, window=args.window, alpha=args.alpha,
         tol=args.tol, max_iter=args.max_iter,
@@ -262,7 +268,7 @@ def _cmd_correlate(args) -> int:
     if args.by_field:
         if not args.journals:
             raise _UsageError("--by-field requires --journals")
-        table = corpus.parse_journal_metadata(_read_text(args.journals))
+        table = _parse_file(corpus.parse_journal_metadata, args.journals)
         fc = stats.per_field_correlations(score_table, table, x_metric, y_metric,
                                           log=args.log)
         if fc.skipped:
@@ -293,7 +299,7 @@ def _cmd_ratio(args) -> int:
 
     if not args.journals:
         raise _UsageError("--group-by requires --journals")
-    table = corpus.parse_journal_metadata(_read_text(args.journals))
+    table = _parse_file(corpus.parse_journal_metadata, args.journals)
     members = set(table.members_of(args.group_by))
     in_group = [r for label, r in zip(ra.labels, ra.raw_ratios) if label in members]
     out_group = [r for label, r in zip(ra.labels, ra.raw_ratios) if label not in members]
@@ -347,7 +353,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _read_value_column(path: str, column: str) -> list[float]:
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         rdr = csv.DictReader(fh)
         if rdr.fieldnames is None or column not in rdr.fieldnames:
             raise CsvFormatError(f"{path}: no column {column!r}")

@@ -16,7 +16,7 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 from scipy import sparse
@@ -106,24 +106,85 @@ class CitationRecord:
     count: int
 
 
-@dataclass(frozen=True)
+_LEDGER_COLUMNS = ("citing", "cited", "citing_year", "cited_year", "count")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class CitationLedger:
-    """Raw dated citation counts, preserved in input order."""
+    """Raw dated citation counts, preserved in input order, stored as columns.
 
-    records: tuple[CitationRecord, ...]
+    ``ids`` holds each journal id once, in first-seen order (citing id, then
+    cited id, row by row); ``citing`` and ``cited`` are int64 codes into it,
+    and ``citing_year``, ``cited_year`` and ``count`` are int64.  Every column
+    is read-only and has one entry per record.  ``CitationLedger(records)``
+    builds the columns from ``CitationRecord`` objects, and iterating a
+    ledger yields them again.
+    """
 
-    def __post_init__(self):
-        for r in self.records:
-            if r.count <= 0:
-                raise ValidationError(f"citation count must be positive, got {r.count}")
-            if not r.citing_id or not r.cited_id:
-                raise ValidationError("citation record with empty journal id")
+    ids: tuple[str, ...]
+    citing: np.ndarray
+    cited: np.ndarray
+    citing_year: np.ndarray
+    cited_year: np.ndarray
+    count: np.ndarray
+
+    def __init__(self, records: Iterable[CitationRecord]):
+        codes: dict[str, int] = {}
+        rows = [(codes.setdefault(r.citing_id, len(codes)), codes.setdefault(r.cited_id, len(codes)),
+                 r.citing_year, r.cited_year, r.count) for r in records]
+        columns = np.array(rows, dtype=np.int64).reshape(-1, len(_LEDGER_COLUMNS)).T
+        self._set_columns(tuple(codes), *columns)
+
+    @classmethod
+    def _from_columns(cls, ids: tuple[str, ...], *columns) -> CitationLedger:
+        ledger = cls.__new__(cls)
+        ledger._set_columns(ids, *columns)
+        return ledger
+
+    def _set_columns(self, ids: tuple[str, ...], *columns) -> None:
+        object.__setattr__(self, "ids", ids)
+        for name, values in zip(_LEDGER_COLUMNS, columns):
+            object.__setattr__(self, name, readonly(values, dtype=np.int64))
+        bad = np.flatnonzero(self.count <= 0)
+        if bad.size:
+            raise ValidationError(f"citation count must be positive, got {self.count[bad[0]]}")
+        if "" in ids:
+            raise ValidationError("citation record with empty journal id")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.count)
 
     def __iter__(self) -> Iterator[CitationRecord]:
-        return iter(self.records)
+        return self._records(slice(None))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CitationLedger):
+            return NotImplemented
+        # ids are in first-seen order, so equal record sequences give equal codes
+        return self.ids == other.ids and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _LEDGER_COLUMNS)
+
+    @property
+    def records(self) -> tuple[CitationRecord, ...]:
+        return tuple(self)
+
+    def _records(self, rows) -> Iterator[CitationRecord]:
+        ids = self.ids
+        columns = (getattr(self, name)[rows].tolist() for name in _LEDGER_COLUMNS)
+        for citing, cited, citing_year, cited_year, count in zip(*columns):
+            yield CitationRecord(ids[citing], ids[cited], citing_year, cited_year, count)
+
+    def _table_positions(self, table: JournalTable) -> np.ndarray:
+        """Map each ledger code to its journal's position in ``table``.
+
+        Unknown journal ids raise ``ValidationError`` listing all offenders.
+        """
+        index = table.index
+        positions = np.array([index.get(jid, -1) for jid in self.ids], dtype=np.intp)
+        unknown = sorted(jid for jid, pos in zip(self.ids, positions.tolist()) if pos < 0)
+        if unknown:
+            raise ValidationError("unknown journal ids in ledger: " + ", ".join(unknown))
+        return positions
 
     def validate(self, table: JournalTable) -> tuple[CitationRecord, ...]:
         """Check every id against ``table``; return the suspicious records.
@@ -132,12 +193,25 @@ class CitationLedger:
         Records whose cited_year lies after their citing_year are legal (data
         may be noisy) but are returned so callers can flag them.
         """
-        known = set(table.ids)
-        unknown = sorted({jid for r in self.records for jid in (r.citing_id, r.cited_id)
-                          if jid not in known})
-        if unknown:
-            raise ValidationError("unknown journal ids in ledger: " + ", ".join(unknown))
-        return tuple(r for r in self.records if r.cited_year > r.citing_year)
+        self._table_positions(table)
+        return tuple(self._records(self.cited_year > self.citing_year))
+
+    def windowed(self, table: JournalTable, census_year: int, window: int | None,
+                 exclude_self: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(cited, citing, count)`` of the citations given in ``census_year``.
+
+        Only articles published in the ``window`` years before the census
+        year count (any year when ``window`` is None); ``exclude_self`` drops
+        self-citations.  ``cited`` and ``citing`` are positions in ``table``;
+        unknown journal ids raise ``ValidationError`` listing all offenders.
+        """
+        positions = self._table_positions(table)
+        keep = self.citing_year == census_year
+        if window is not None:
+            keep &= (self.cited_year >= census_year - window) & (self.cited_year < census_year)
+        if exclude_self:
+            keep &= self.citing != self.cited
+        return positions[self.cited[keep]], positions[self.citing[keep]], self.count[keep]
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,6 +294,20 @@ def _int_field(value: str, what: str, line: int, minimum: int | None = None) -> 
         raise CsvFormatError(f"line {line}: {what} must be >= {minimum}, got {n}")
     return n
 
+def _citation_numbers(row: list[str], line: int, cache: dict[str, int]) -> list[int]:
+    """The year and count cells of a citations.csv row as ints, each cell's text
+    parsed once and kept in ``cache``; a value outside int64 is a format error."""
+    values = []
+    for name, cell in zip(CITATIONS_HEADER[2:], row[2:]):
+        if cell not in cache:
+            value = _int_field(cell.strip(), name, line)
+            if not -2**63 <= value < 2**63:
+                raise CsvFormatError(f"line {line}: {name} {value} out of range "
+                                     "(not a 64-bit integer)")
+            cache[cell] = value
+        values.append(cache[cell])
+    return values
+
 
 def parse_journal_metadata(source: str | TextIO) -> JournalTable:
     """Parse ``journals.csv`` content into a JournalTable.
@@ -261,26 +349,39 @@ def parse_journal_metadata(source: str | TextIO) -> JournalTable:
 
 
 def parse_citation_edges(source: str | TextIO) -> CitationLedger:
-    """Parse ``citations.csv`` content into a CitationLedger (input order kept)."""
+    """Parse ``citations.csv`` content into a CitationLedger (input order kept).
+
+    Fills the ledger's columns in one pass, interning ids as they appear.
+    A year or count outside the signed 64-bit range is a format error.
+    """
     rdr = _reader(source)
     _check_header(next(rdr, None), CITATIONS_HEADER, "citations.csv")
-    records = []
+    codes: dict[str, int] = {}
+    numbers: dict[str, int] = {}  # year and count cells repeat, so each text is parsed once
+    columns: tuple[list[int], ...] = tuple([] for _ in CITATIONS_HEADER)
+    citing_col, cited_col, citing_year_col, cited_year_col, count_col = columns
     for row in rdr:
         if not row:
             continue
-        line = rdr.line_num
         if len(row) != len(CITATIONS_HEADER):
-            raise CsvFormatError(f"line {line}: expected {len(CITATIONS_HEADER)} columns, got {len(row)}")
-        citing, cited, citing_year_s, cited_year_s, count_s = (c.strip() for c in row)
+            raise CsvFormatError(f"line {rdr.line_num}: expected {len(CITATIONS_HEADER)} "
+                                 f"columns, got {len(row)}")
+        citing, cited, citing_year, cited_year, count = row
+        citing, cited = citing.strip(), cited.strip()
         if not citing or not cited:
-            raise CsvFormatError(f"line {line}: empty journal id")
-        records.append(CitationRecord(
-            citing, cited,
-            _int_field(citing_year_s, "citing_year", line),
-            _int_field(cited_year_s, "cited_year", line),
-            _int_field(count_s, "count", line, minimum=1),
-        ))
-    return CitationLedger(tuple(records))
+            raise CsvFormatError(f"line {rdr.line_num}: empty journal id")
+        try:
+            citing_year, cited_year, count = numbers[citing_year], numbers[cited_year], numbers[count]
+        except KeyError:
+            citing_year, cited_year, count = _citation_numbers(row, rdr.line_num, numbers)
+        if count < 1:
+            raise CsvFormatError(f"line {rdr.line_num}: count must be >= 1, got {count}")
+        citing_col.append(codes.setdefault(citing, len(codes)))
+        cited_col.append(codes.setdefault(cited, len(codes)))
+        citing_year_col.append(citing_year)
+        cited_year_col.append(cited_year)
+        count_col.append(count)
+    return CitationLedger._from_columns(tuple(codes), *columns)
 
 
 def write_journal_metadata(table: JournalTable) -> str:
@@ -319,20 +420,9 @@ def build_citation_matrix(ledger: CitationLedger, table: JournalTable, census_ye
     """
     if window <= 0:
         raise ValueError("window must be positive")
-    ledger.validate(table)
-    idx = table.index
-    lo = census_year - window
-    rows, cols, vals = [], [], []
-    for r in ledger:
-        if r.citing_year != census_year or not (lo <= r.cited_year < census_year):
-            continue
-        if exclude_self and r.citing_id == r.cited_id:
-            continue
-        rows.append(idx[r.cited_id])
-        cols.append(idx[r.citing_id])
-        vals.append(float(r.count))
+    cited, citing, count = ledger.windowed(table, census_year, window, exclude_self)
     n = len(table)
-    matrix = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+    matrix = sparse.coo_matrix((count.astype(float), (cited, citing)), shape=(n, n)).tocsc()
     matrix.sum_duplicates()
     return CitationMatrix(census_year, window, table.ids, matrix, exclude_self)
 

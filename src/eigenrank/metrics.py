@@ -258,16 +258,8 @@ def impact_factor(ledger: CitationLedger, table: JournalTable, census_year: int,
     years, divided by the article count of those two years.  Self-citations
     are included by default (the convention this metric imitates).
     """
-    ledger.validate(table)
-    idx = table.index
-    cites = np.zeros(len(table))
-    recent = (census_year - 1, census_year - 2)
-    for r in ledger:
-        if r.citing_year != census_year or r.cited_year not in recent:
-            continue
-        if exclude_self and r.citing_id == r.cited_id:
-            continue
-        cites[idx[r.cited_id]] += r.count
+    cited, _, count = ledger.windowed(table, census_year, 2, exclude_self)
+    cites = np.bincount(cited, weights=count, minlength=len(table))
     n2 = table.article_counts(census_year, 2).astype(float)
     result = np.full(len(table), np.nan)
     has_articles = n2 > 0
@@ -278,15 +270,8 @@ def impact_factor(ledger: CitationLedger, table: JournalTable, census_year: int,
 def total_citations(ledger: CitationLedger, table: JournalTable, census_year: int,
                     exclude_self: bool = False) -> np.ndarray:
     """Citations received in the census year, regardless of cited article age."""
-    ledger.validate(table)
-    idx = table.index
-    totals = np.zeros(len(table), dtype=np.int64)
-    for r in ledger:
-        if r.citing_year != census_year:
-            continue
-        if exclude_self and r.citing_id == r.cited_id:
-            continue
-        totals[idx[r.cited_id]] += r.count
+    cited, _, count = ledger.windowed(table, census_year, None, exclude_self)
+    totals = np.bincount(cited, weights=count, minlength=len(table))
     return readonly(totals, dtype=np.int64)
 
 

@@ -44,6 +44,34 @@ def dense_reference_scores(table, ledger, census_year, window=5, alpha=0.85,
     return pi, ef, ai
 
 
+def reference_counts(ledger, table, census_year, window=5, exclude_self=True):
+    """Windowed matrix entries, IF and TC from one plain loop over the records.
+
+    Returns ``(matrix, impact_factor, total_citations)``: ``matrix`` maps
+    (cited_id, citing_id) to the summed in-window count, as
+    ``CitationMatrix.to_dict`` does; the two arrays follow table order.
+    """
+    pos = {j: i for i, j in enumerate(table.ids)}
+    n = len(pos)
+    matrix = {}
+    cites = np.zeros(n)
+    totals = np.zeros(n, dtype=np.int64)
+    lo = census_year - window
+    for r in ledger:
+        if r.citing_year != census_year or (exclude_self and r.citing_id == r.cited_id):
+            continue
+        totals[pos[r.cited_id]] += r.count
+        if r.cited_year in (census_year - 1, census_year - 2):
+            cites[pos[r.cited_id]] += r.count
+        if lo <= r.cited_year < census_year:
+            key = (r.cited_id, r.citing_id)
+            matrix[key] = matrix.get(key, 0.0) + float(r.count)
+    n2 = np.array([e.articles_in_window(census_year, 2) for e in table], float)
+    impact = np.full(n, np.nan)
+    impact[n2 > 0] = cites[n2 > 0] / n2[n2 > 0]
+    return matrix, impact, totals
+
+
 def random_corpus(rng, n_journals=None, census_year=2006, window=5):
     """Small random corpus; every journal publishes, network non-empty."""
     n = int(n_journals) if n_journals is not None else int(rng.integers(2, 7))

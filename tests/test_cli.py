@@ -220,6 +220,39 @@ def test_exit_codes_data_errors(tmp_path, capsys):
                  "--census-year", "2006"]) == 2
 
 
+def test_out_of_range_year_exits_with_data_error(capsys):
+    Path("huge.csv").write_text("citing_id,cited_id,citing_year,cited_year,count\n"
+                                "A,B,2006,99999999999999999999999,3\n")
+    assert main(["compute", "--journals", JOURNALS, "--citations", "huge.csv",
+                 "--census-year", "2006"]) == 2
+    assert "line 2: cited_year 99999999999999999999999 out of range" in capsys.readouterr().err
+
+
+def test_bom_and_crlf_inputs_give_identical_outputs(capsys):
+    for name, src in (("j.csv", JOURNALS), ("c.csv", CITATIONS)):
+        text = Path(src).read_text(encoding="utf-8")
+        assert "\r" not in text and not text.startswith("\ufeff")
+        Path(name).write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode("utf-8"))
+    assert main(["compute", "--journals", "j.csv", "--citations", "c.csv",
+                 "--census-year", "2006", "--out", "bom.csv"]) == 0
+    compute_scores("plain.csv")
+    assert Path("bom.csv").read_bytes() == Path("plain.csv").read_bytes()
+    # scores.csv and journals.csv are read the same way downstream
+    Path("s.csv").write_bytes(b"\xef\xbb\xbf" + Path("plain.csv").read_bytes())
+    for scores, out in (("s.csv", "r_bom.csv"), ("plain.csv", "r_plain.csv")):
+        assert main(["ratio", "--scores", scores, "--out", out, "--group-by", "public-health",
+                     "--journals", "j.csv", "--test", "mann-whitney",
+                     "--report", out + ".txt"]) == 0
+    assert Path("r_bom.csv").read_bytes() == Path("r_plain.csv").read_bytes()
+    assert Path("r_bom.csv.txt").read_bytes() == Path("r_plain.csv.txt").read_bytes()
+    Path("v.csv").write_bytes(b"\xef\xbb\xbfrho\r\n0.5\r\n-0.25\r\n")
+    Path("v_plain.csv").write_bytes(b"rho\n0.5\n-0.25\n")
+    for values in ("v.csv", "v_plain.csv"):
+        assert main(["plot", "histogram", "--values", values, "--out", values + ".svg"]) == 0
+    assert Path("v.csv.svg").read_bytes() == Path("v_plain.csv.svg").read_bytes()
+    capsys.readouterr()
+
+
 def test_exit_codes_numerical_errors(tmp_path, capsys):
     assert main(["compute", "--journals", JOURNALS, "--citations", CITATIONS,
                  "--census-year", "2006", "--max-iter", "1"]) == 3

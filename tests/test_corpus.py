@@ -96,6 +96,72 @@ def test_ledger_preserves_input_order():
     assert [r.citing_id for r in ledger] == ["B", "A"]
 
 
+def test_parse_citations_malformed_year_reports_its_line():
+    text = CITATIONS_HEADER + "A,B,2006,2005,1\nA,B,20x6,2005,1\n"
+    with pytest.raises(CsvFormatError, match="^line 3: malformed citing_year '20x6'$"):
+        parse_citation_edges(text)
+
+
+def test_parse_citations_zero_count_after_blank_line_reports_physical_line():
+    text = CITATIONS_HEADER + "A,B,2006,2005,1\n\nA,B,2006,2005,0\n"
+    with pytest.raises(CsvFormatError, match="^line 4: count must be >= 1, got 0$"):
+        parse_citation_edges(text)
+
+
+def test_parse_citations_out_of_range_integer_is_format_error():
+    text = CITATIONS_HEADER + "A,B,2006,2005,1\nA,B,2006,99999999999999999999999,1\n"
+    with pytest.raises(CsvFormatError,
+                       match="^line 3: cited_year 99999999999999999999999 out of range"):
+        parse_citation_edges(text)
+    with pytest.raises(CsvFormatError, match="^line 2: count 9223372036854775808 out of range"):
+        parse_citation_edges(CITATIONS_HEADER + "A,B,2006,2005,9223372036854775808\n")
+    edge = parse_citation_edges(CITATIONS_HEADER + "A,B,-9223372036854775808,2005,"
+                                "9223372036854775807\n")
+    assert (edge.citing_year[0], edge.count[0]) == (-2**63, 2**63 - 1)
+
+
+def test_parse_citations_quoted_id_with_comma():
+    ledger = parse_citation_edges(CITATIONS_HEADER + '"A,1",B,2006,2005,3\n')
+    assert list(ledger) == [CitationRecord("A,1", "B", 2006, 2005, 3)]
+    assert ledger.ids == ("A,1", "B")
+
+
+def test_parse_citations_from_open_file_equals_text(tmp_path):
+    text = CITATIONS_HEADER + "B,A,2006,2005,1\n A ,B,2006,2004,2\nC,C,2005,2007,4\n"
+    path = tmp_path / "citations.csv"
+    path.write_text(text, encoding="utf-8")
+    with open(path, encoding="utf-8", newline="") as fh:
+        from_file = parse_citation_edges(fh)
+    assert from_file == parse_citation_edges(text)
+    assert [r.citing_id for r in from_file] == ["B", "A", "C"]
+
+
+def test_record_built_ledger_round_trips_and_matches_parsed_columns():
+    records = (CitationRecord("B", "C", 2006, 2005, 2),
+               CitationRecord("A", "B", 2005, 2007, 1),
+               CitationRecord("C", "C", 2006, 2004, 9))
+    ledger = CitationLedger(records)
+    assert ledger.records == records
+    assert ledger.ids == ("B", "C", "A")
+    assert ledger.citing.tolist() == [0, 2, 1]
+    assert ledger.cited.tolist() == [1, 0, 1]
+    parsed = parse_citation_edges(write_citation_edges(ledger))
+    assert parsed == ledger
+    assert parsed != CitationLedger(records[:2])
+
+
+def test_ledger_columns_are_read_only():
+    for ledger in (CitationLedger((CitationRecord("A", "B", 2006, 2005, 2),)),
+                   parse_citation_edges(CITATIONS_HEADER + "A,B,2006,2005,2\n")):
+        for column in (ledger.citing, ledger.cited, ledger.citing_year, ledger.cited_year,
+                       ledger.count):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 5
+        with pytest.raises(AttributeError):
+            ledger.count = ledger.count.copy()
+        assert ledger.count.tolist() == [2]
+
+
 def test_validate_rejects_unknown_ids_and_flags_noisy_records():
     table = parse_journal_metadata(JOURNALS_HEADER + "A,Alpha,,2005,10\nB,Beta,,2005,3\n")
     ledger = parse_citation_edges(CITATIONS_HEADER + "A,X,2006,2005,1\nY,B,2006,2005,2\n")

@@ -3,13 +3,13 @@ import pytest
 
 from eigenrank import (CitationLedger, CitationRecord, ConvergenceError,
                        DegenerateDataError, InconsistencyError, JournalEntry,
-                       JournalTable, article_influence, article_vector,
+                       JournalTable, ValidationError, article_influence, article_vector,
                        build_citation_matrix, compute_metrics, decomposition_check,
                        impact_factor, normalize_columns, parse_citation_edges,
                        parse_journal_metadata, power_iterate, read_scores_csv,
                        resolve_metric, total_citations, write_scores_csv)
 from eigenrank.metrics import MetricScores
-from helpers import dense_reference_scores, random_corpus
+from helpers import dense_reference_scores, random_corpus, reference_counts
 
 
 def make_table(article_counts, year=2005):
@@ -304,6 +304,51 @@ def test_total_citations_counts_census_year_only():
     tc = total_citations(ledger, table, 2006)
     assert tc.tolist() == [37, 2, 0]  # A: 20+5+9+3(self); the 2005 record is ignored
     assert total_citations(ledger, table, 2006, exclude_self=True).tolist() == [34, 2, 0]
+
+
+def _noisy_corpus(rng, census_year=2006):
+    """random_corpus plus a journal with no two-year articles, and rows that are
+    future-dated, from other citing years, current-year and self-citations."""
+    table, ledger = random_corpus(rng, census_year=census_year)
+    old = JournalEntry("JOLD", "Old Journal", frozenset(), {census_year - 5: 4})
+    table = JournalTable(table.entries + (old,))
+    ids = table.ids
+    extra = []
+    for _ in range(12):
+        citing, cited = (ids[k] for k in rng.integers(0, len(ids), size=2))
+        citing_year = census_year + int(rng.integers(-2, 2))
+        cited_year = citing_year + int(rng.integers(-7, 3))
+        extra.append(CitationRecord(citing, cited, citing_year, cited_year,
+                                    int(rng.integers(1, 9))))
+    extra += [CitationRecord("JOLD", "JOLD", census_year, census_year - 5, 2),
+              CitationRecord(ids[0], "JOLD", census_year, census_year - 4, 3),
+              CitationRecord(ids[0], ids[0], census_year, census_year + 1, 6)]
+    return table, CitationLedger(tuple(ledger) + tuple(extra))
+
+
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_aggregations_equal_per_record_oracle(exclude_self):
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        table, ledger = _noisy_corpus(rng)
+        assert any(r.cited_year > r.citing_year for r in ledger)
+        matrix, iff, tc = reference_counts(ledger, table, 2006, 5, exclude_self)
+        z = build_citation_matrix(ledger, table, 2006, 5, exclude_self=exclude_self)
+        assert z.to_dict() == matrix
+        np.testing.assert_array_equal(
+            impact_factor(ledger, table, 2006, exclude_self=exclude_self), iff)
+        np.testing.assert_array_equal(
+            total_citations(ledger, table, 2006, exclude_self=exclude_self), tc)
+        assert np.isnan(iff[-1])
+
+
+def test_aggregations_list_every_unknown_id():
+    table = make_table([3, 4])
+    ledger = CitationLedger((CitationRecord("J00", "Y", 2006, 2005, 1),
+                             CitationRecord("X", "J01", 2001, 2000, 1)))
+    for aggregate in (impact_factor, total_citations):
+        with pytest.raises(ValidationError, match="unknown journal ids in ledger: X, Y$"):
+            aggregate(ledger, table, 2006)
 
 
 # ---------------------------------------------------------------------------
