@@ -16,13 +16,15 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
 import numpy as np
-from scipy import sparse
 
 from ._util import readonly
 from .errors import CsvFormatError, ValidationError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 JOURNALS_HEADER = ("journal_id", "name", "fields", "year", "articles")
 CITATIONS_HEADER = ("citing_id", "cited_id", "citing_year", "cited_year", "count")
@@ -132,7 +134,14 @@ class CitationLedger:
         codes: dict[str, int] = {}
         rows = [(codes.setdefault(r.citing_id, len(codes)), codes.setdefault(r.cited_id, len(codes)),
                  r.citing_year, r.cited_year, r.count) for r in records]
-        columns = np.array(rows, dtype=np.int64).reshape(-1, len(_LEDGER_COLUMNS)).T
+        try:
+            columns = np.array(rows, dtype=np.int64).reshape(-1, len(_LEDGER_COLUMNS)).T
+        except OverflowError:
+            for i, row in enumerate(rows):
+                for name, value in zip(CITATIONS_HEADER[2:], row[2:]):
+                    if not _fits_int64(value):
+                        raise ValidationError(_out_of_range(f"record {i}", name, value)) from None
+            raise
         self._set_columns(tuple(codes), *columns)
 
     @classmethod
@@ -294,6 +303,12 @@ def _int_field(value: str, what: str, line: int, minimum: int | None = None) -> 
         raise CsvFormatError(f"line {line}: {what} must be >= {minimum}, got {n}")
     return n
 
+def _fits_int64(value: int) -> bool:
+    return -2**63 <= value < 2**63
+
+def _out_of_range(where: str, name: str, value: int) -> str:
+    return f"{where}: {name} {value} out of range (not a 64-bit integer)"
+
 def _citation_numbers(row: list[str], line: int, cache: dict[str, int]) -> list[int]:
     """The year and count cells of a citations.csv row as ints, each cell's text
     parsed once and kept in ``cache``; a value outside int64 is a format error."""
@@ -301,9 +316,8 @@ def _citation_numbers(row: list[str], line: int, cache: dict[str, int]) -> list[
     for name, cell in zip(CITATIONS_HEADER[2:], row[2:]):
         if cell not in cache:
             value = _int_field(cell.strip(), name, line)
-            if not -2**63 <= value < 2**63:
-                raise CsvFormatError(f"line {line}: {name} {value} out of range "
-                                     "(not a 64-bit integer)")
+            if not _fits_int64(value):
+                raise CsvFormatError(_out_of_range(f"line {line}", name, value))
             cache[cell] = value
         values.append(cache[cell])
     return values
@@ -418,6 +432,8 @@ def build_citation_matrix(ledger: CitationLedger, table: JournalTable, census_ye
     is silently ignored (ledgers legitimately span many years).  Journals
     with no in-window activity keep their all-zero rows and columns.
     """
+    from scipy import sparse
+
     if window <= 0:
         raise ValueError("window must be positive")
     cited, citing, count = ledger.windowed(table, census_year, window, exclude_self)

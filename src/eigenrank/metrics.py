@@ -16,15 +16,17 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
-from scipy import sparse
 
 from ._util import readonly
 from .corpus import CitationLedger, CitationMatrix, JournalTable, build_citation_matrix
 from .errors import (ConvergenceError, CsvFormatError, DegenerateDataError,
                      InconsistencyError)
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-12
@@ -166,6 +168,8 @@ def normalize_columns(z: CitationMatrix) -> tuple[sparse.csc_matrix, np.ndarray]
     and ``dangling`` lists the indices of all-zero columns (journals that
     gave no in-window citations), which are left empty.
     """
+    from scipy import sparse
+
     col_sums = np.asarray(z.matrix.sum(axis=0)).ravel()
     dangling = np.flatnonzero(col_sums == 0)
     inv = np.divide(1.0, col_sums, out=np.zeros_like(col_sums), where=col_sums > 0)
@@ -215,7 +219,7 @@ def power_iterate(h: sparse.csc_matrix, dangling: np.ndarray, a: np.ndarray,
         residual=residuals[-1])
 
 
-def eigenfactor_scores(h: sparse.csc_matrix, dangling: np.ndarray, pi: np.ndarray) -> np.ndarray:
+def eigenfactor_scores(h: sparse.csc_matrix, pi: np.ndarray) -> np.ndarray:
     """EF vector: in-window citation influence H @ pi, scaled to sum to 100.
 
     Dangling columns are empty in H, so they contribute nothing here.
@@ -318,7 +322,7 @@ def compute_metrics(table: JournalTable, ledger: CitationLedger, census_year: in
     a = article_vector(table, census_year, window)
     h, dangling = normalize_columns(z)
     pi, report = power_iterate(h, dangling, a, alpha=alpha, tol=tol, max_iter=max_iter)
-    ef = eigenfactor_scores(h, dangling, pi)
+    ef = eigenfactor_scores(h, pi)
     ai = article_influence(ef, a)
     scores = MetricScores(
         census_year=census_year,

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
-from scipy.stats import rankdata
 
 from ._util import readonly
 from .corpus import JournalTable, PairedObservations
@@ -102,10 +100,30 @@ def pearson_r(x, y) -> float:
     yc = y - y.mean()
     sxx = float(xc @ xc)
     syy = float(yc @ yc)
+    if not (math.isfinite(sxx) and math.isfinite(syy)):
+        raise DomainError("a series holds a NaN or infinite value, or its variance overflows")
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError("a series has zero variance")
     # clamp: rounding can push |rho| a few ulp past 1
     return float(min(1.0, max(-1.0, (xc @ yc) / math.sqrt(sxx * syy))))
+
+
+def midranks(values) -> np.ndarray:
+    """1-based ranks of ``values``; each run of ties gets the mean of its rank range.
+
+    An empty input gives an empty array; any NaN makes every rank NaN.
+    """
+    values = np.asarray(values)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    n = len(ordered)
+    if n and np.isnan(ordered[-1]):  # argsort puts NaN last
+        return np.full(n, np.nan)
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], n]
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def pearson(obs: PairedObservations) -> CorrelationResult:
@@ -114,8 +132,7 @@ def pearson(obs: PairedObservations) -> CorrelationResult:
 
 def spearman(obs: PairedObservations) -> CorrelationResult:
     """Pearson over mid-ranks; ties get the average of their rank range."""
-    rho = pearson_r(rankdata(obs.x, method="average"),
-                    rankdata(obs.y, method="average"))
+    rho = pearson_r(midranks(obs.x), midranks(obs.y))
     return CorrelationResult(rho, len(obs), "spearman")
 
 
@@ -146,15 +163,21 @@ def mann_whitney_u(group_a, group_b) -> UTestResult:
     0.0375, at 3 vs 3, over all sizes up to 8).  With smaller groups it can
     be off by more: up to 0.129 when one group is a singleton (1 vs 3 at
     U=0, exact 0.5 against 0.371), and 0.088 at 2 vs 2.
+
+    A NaN or infinite observation raises DomainError.
     """
+    from scipy.special import log_ndtr, ndtr
+
     a = np.asarray(group_a, dtype=float)
     b = np.asarray(group_b, dtype=float)
     n1, n2 = len(a), len(b)
     if n1 < 1 or n2 < 1:
         raise ValueError("both groups need at least one observation")
     pooled = np.concatenate([a, b])
+    if not np.isfinite(pooled).all():
+        raise DomainError("Mann-Whitney U needs finite observations")
     n = n1 + n2
-    ranks = rankdata(pooled, method="average")
+    ranks = midranks(pooled)
     u = float(ranks[:n1].sum() - n1 * (n1 + 1) / 2.0)
     _, counts = np.unique(pooled, return_counts=True)
     tie_groups = int((counts > 1).sum())

@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +12,7 @@ from eigenrank.cli import main
 from helpers import dense_reference_scores
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 JOURNALS = str(DATA / "journals.csv")
 CITATIONS = str(DATA / "citations.csv")
@@ -271,3 +276,27 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["compute", "--help"]) == 0
     capsys.readouterr()
+
+
+_STARTUP_PROBE = """
+import json, sys
+import eigenrank.cli
+heavy = ("scipy.stats", "scipy.sparse", "scipy.special")
+at_import = [m for m in heavy if m in sys.modules]
+status = eigenrank.cli.main(["compute", "--journals", sys.argv[1], "--citations", sys.argv[2],
+                             "--census-year", "2006", "--out", "scores.csv"])
+print(json.dumps({"at_import": at_import, "status": status,
+                  "after_compute": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+def test_cli_import_loads_no_scipy_until_compute_needs_sparse():
+    # importing scipy.stats alone costs about a second per CLI call
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, JOURNALS, CITATIONS],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["at_import"] == []
+    assert probe["status"] == 0
+    assert "scipy.sparse" in probe["after_compute"]
+    assert "scipy.stats" not in probe["after_compute"]

@@ -120,6 +120,17 @@ def test_parse_citations_out_of_range_integer_is_format_error():
     assert (edge.citing_year[0], edge.count[0]) == (-2**63, 2**63 - 1)
 
 
+def test_record_built_ledger_out_of_range_integer_is_validation_error():
+    with pytest.raises(ValidationError,
+                       match=r"^record 1: count 9223372036854775808 out of range \(not a 64-bit"):
+        CitationLedger([CitationRecord("A", "B", 2006, 2004, 1),
+                        CitationRecord("A", "B", 2006, 2004, 2**63)])
+    with pytest.raises(ValidationError, match="^record 0: citing_year 9223372036854775808 out"):
+        CitationLedger([CitationRecord("A", "B", 2**63, 2004, 1)])
+    with pytest.raises(ValidationError, match="^record 0: cited_year -9223372036854775809 out"):
+        CitationLedger([CitationRecord("A", "B", 2006, -2**63 - 1, 1)])
+
+
 def test_parse_citations_quoted_id_with_comma():
     ledger = parse_citation_edges(CITATIONS_HEADER + '"A,1",B,2006,2005,3\n')
     assert list(ledger) == [CitationRecord("A,1", "B", 2006, 2005, 3)]

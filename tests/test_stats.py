@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from eigenrank import (DegenerateDataError, DomainError, JournalEntry, JournalTable,
                        PairedObservations, UndefinedCorrelationError, bigmac_fixture,
                        coefficient_of_variation, log_pearson, mann_whitney_u, pearson,
                        pearson_r, per_field_correlations, ratio_analysis, spearman,
                        tercile_median_ratio)
-from eigenrank.stats import format_utest_report, write_correlations_csv
+from eigenrank.stats import format_utest_report, midranks, write_correlations_csv
 from helpers import exact_mwu_two_sided_p, score_table
 
 
@@ -38,6 +39,16 @@ def test_pearson_zero_variance_is_undefined():
         pearson(obs([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
     with pytest.raises(UndefinedCorrelationError):
         pearson_r([1.0], [2.0])
+
+
+def test_pearson_and_spearman_reject_nan_instead_of_clamping_it():
+    # min(1, max(-1, nan)) is -1, so unchecked a NaN reads as rho = -1
+    with pytest.raises(DomainError):
+        pearson_r([1.0, math.nan, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(DomainError), np.errstate(invalid="ignore"):
+        pearson_r([1.0, 2.0, 3.0], [1.0, math.inf, 3.0])
+    with pytest.raises(DomainError):
+        spearman(obs([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]))
 
 
 def test_pearson_symmetry_and_affine_invariance():
@@ -71,6 +82,20 @@ def test_spearman_tied_values_use_mid_ranks():
 def test_spearman_all_tied_is_undefined():
     with pytest.raises(UndefinedCorrelationError):
         spearman(obs([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
+
+
+def test_midranks_equal_scipy_average_ranks_exactly():
+    rng = np.random.default_rng(21)
+    cases = [rng.normal(size=n) for n in (2, 7, 200)]  # untied
+    cases += [rng.integers(0, k, size=n) for k, n in ((2, 9), (3, 50), (5, 1000))]  # heavily tied
+    cases += [rng.integers(0, 4, size=60).astype(float) * 0.1]
+    cases += [np.full(6, 2.5), np.array([4.0]), np.array([]), np.array([3.0, math.nan, 1.0])]
+    for values in cases:
+        expected = rankdata(values, method="average")
+        got = midranks(values)
+        assert got.dtype == np.float64 and got.shape == values.shape
+        # mid-ranks are exact halves, so no tolerance
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_log_pearson_power_law_is_exactly_linear():
@@ -151,6 +176,14 @@ def test_mwu_normal_approximation_envelope():
                 assert abs(approx - exact_mwu_two_sided_p(a, b)) <= 0.08
     a, b = [1.0, 2.0], [3.0, 4.0]
     assert abs(mann_whitney_u(a, b).p - exact_mwu_two_sided_p(a, b)) <= 0.1
+
+
+def test_mwu_rejects_non_finite_observations():
+    # unchecked, a NaN gives U=nan with p=1.0
+    with pytest.raises(DomainError):
+        mann_whitney_u([1.0, math.nan, 2.0], [3.0, 4.0, 5.0])
+    with pytest.raises(DomainError):
+        mann_whitney_u([1.0, 2.0], [3.0, -math.inf])
 
 
 def test_mwu_all_identical_is_degenerate():
