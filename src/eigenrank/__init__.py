@@ -15,11 +15,10 @@ from .corpus import (CitationLedger, CitationMatrix, CitationRecord, JournalEntr
 from .errors import (ConvergenceError, CsvFormatError, DataError, DegenerateDataError,
                      DomainError, EigenrankError, InconsistencyError, NumericalError,
                      UndefinedCorrelationError, ValidationError)
-from .metrics import (DecompositionReport, MetricScores, ScoreTable, SolverReport,
-                      article_influence, article_vector, compute_metrics,
-                      decomposition_check, eigenfactor_scores, impact_factor,
-                      normalize_columns, power_iterate, read_scores_csv,
-                      resolve_metric, total_citations, write_scores_csv)
+from .metrics import (DecompositionReport, MetricScores, SolverReport, article_influence,
+                      article_vector, compute_metrics, decomposition_check,
+                      eigenfactor_scores, impact_factor, normalize_columns, power_iterate,
+                      read_scores_csv, resolve_metric, total_citations, write_scores_csv)
 from .report import (FigureSpec, RankComparison, RankedItem, rank_comparison,
                      rank_items, render_cardinal_plot, render_histogram,
                      render_ratio_plot, render_slopegraph)

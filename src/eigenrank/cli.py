@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -230,7 +229,7 @@ def _parse_file(parse, path: str):
         return parse(fh)
 
 
-def _load_scores(path: str) -> metrics.ScoreTable:
+def _load_scores(path: str) -> metrics.MetricScores:
     return _parse_file(metrics.read_scores_csv, path)
 
 
@@ -248,46 +247,33 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _pooled_correlation(score_table: metrics.ScoreTable, x_metric: str, y_metric: str,
-                        log: bool) -> stats.CorrelationResult:
-    x = score_table.metric(x_metric)
-    y = score_table.metric(y_metric)
-    usable = np.isfinite(x) & np.isfinite(y)
-    if log:
-        usable &= (x > 0) & (y > 0)
-    labels = tuple(jid for jid, ok in zip(score_table.journal_ids, usable) if ok)
-    obs = corpus.PairedObservations(labels, x[usable], y[usable], x_metric, y_metric)
-    result = stats.log_pearson(obs) if log else stats.pearson(obs)
-    return dataclasses.replace(result, excluded=int((~usable).sum()))
-
-
 def _cmd_correlate(args) -> int:
-    score_table = _load_scores(args.scores)
+    scores = _load_scores(args.scores)
     x_metric = metrics.resolve_metric(args.x)
     y_metric = metrics.resolve_metric(args.y)
+    table = corpus.JournalTable(())  # no fields: only the pooled correlation
     if args.by_field:
         if not args.journals:
             raise _UsageError("--by-field requires --journals")
         table = _parse_file(corpus.parse_journal_metadata, args.journals)
-        fc = stats.per_field_correlations(score_table, table, x_metric, y_metric,
-                                          log=args.log)
-        if fc.skipped:
-            print("skipped fields (fewer than 3 usable journals): "
-                  + ", ".join(fc.skipped))
-    else:
-        pooled = _pooled_correlation(score_table, x_metric, y_metric, args.log)
-        fc = stats.FieldCorrelations(by_field={}, pooled=pooled, skipped=())
+    fc = stats.per_field_correlations(scores, table, x_metric, y_metric, log=args.log)
+    if fc.skipped:
+        print("skipped fields (fewer than 3 usable journals): " + ", ".join(fc.skipped))
     write_text(args.out, stats.write_correlations_csv(fc))
     print(f"pooled rho={fc.pooled.rho:.4f} n={fc.pooled.n}; wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_ratio(args) -> int:
-    score_table = _load_scores(args.scores)
+    if args.test and not args.group_by:
+        raise _UsageError(f"--test {args.test} requires --group-by")
+    if args.group_by and not args.journals:
+        raise _UsageError("--group-by requires --journals")
+    scores = _load_scores(args.scores)
     num_metric = metrics.resolve_metric(args.numerator)
     den_metric = metrics.resolve_metric(args.denominator)
-    ra = stats.ratio_analysis(score_table.metric(num_metric),
-                              score_table.metric(den_metric), score_table.journal_ids)
+    ra = stats.ratio_analysis(scores.metric(num_metric), scores.metric(den_metric),
+                              scores.journal_ids)
     lines = ["label,raw_ratio,normalized"]
     for label, raw, norm in zip(ra.labels, ra.raw_ratios, ra.normalized):
         lines.append(f"{label},{raw:.8g},{norm:.8g}")
@@ -297,8 +283,6 @@ def _cmd_ratio(args) -> int:
     if not args.group_by:
         return EXIT_OK
 
-    if not args.journals:
-        raise _UsageError("--group-by requires --journals")
     table = _parse_file(corpus.parse_journal_metadata, args.journals)
     members = set(table.members_of(args.group_by))
     in_group = [r for label, r in zip(ra.labels, ra.raw_ratios) if label in members]
@@ -367,6 +351,8 @@ def _read_value_column(path: str, column: str) -> list[float]:
             except ValueError:
                 raise CsvFormatError(f"{path}: malformed value {cell!r} "
                                      f"in column {column!r}") from None
+    if not values:
+        raise CsvFormatError(f"{path}: no values in column {column!r}")
     return values
 
 
@@ -387,10 +373,9 @@ def _cmd_plot(args) -> int:
         svg = report.render_histogram(_read_value_column(args.values, args.column),
                                       args.bins, spec)
     else:
-        score_table = _load_scores(args.scores)
-        ra = stats.ratio_analysis(score_table.metric(args.numerator),
-                                  score_table.metric(args.denominator),
-                                  score_table.journal_ids)
+        scores = _load_scores(args.scores)
+        ra = stats.ratio_analysis(scores.metric(args.numerator),
+                                  scores.metric(args.denominator), scores.journal_ids)
         svg = report.render_ratio_plot(ra, spec)
     write_text(args.out, svg)
     print(f"wrote {args.out}")

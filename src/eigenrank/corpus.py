@@ -295,10 +295,13 @@ def _check_header(row: list[str] | None, expected: tuple[str, ...], what: str) -
         raise CsvFormatError(f"{what}: expected header {','.join(expected)}, got {','.join(row)}")
 
 def _int_field(value: str, what: str, line: int, minimum: int | None = None) -> int:
+    """``value`` as an int; malformed text or a value outside int64 is a format error."""
     try:
         n = int(value)
     except ValueError:
         raise CsvFormatError(f"line {line}: malformed {what} {value!r}") from None
+    if not _fits_int64(n):
+        raise CsvFormatError(_out_of_range(f"line {line}", what, n))
     if minimum is not None and n < minimum:
         raise CsvFormatError(f"line {line}: {what} must be >= {minimum}, got {n}")
     return n
@@ -311,14 +314,11 @@ def _out_of_range(where: str, name: str, value: int) -> str:
 
 def _citation_numbers(row: list[str], line: int, cache: dict[str, int]) -> list[int]:
     """The year and count cells of a citations.csv row as ints, each cell's text
-    parsed once and kept in ``cache``; a value outside int64 is a format error."""
+    parsed once and kept in ``cache``."""
     values = []
     for name, cell in zip(CITATIONS_HEADER[2:], row[2:]):
         if cell not in cache:
-            value = _int_field(cell.strip(), name, line)
-            if not _fits_int64(value):
-                raise CsvFormatError(_out_of_range(f"line {line}", name, value))
-            cache[cell] = value
+            cache[cell] = _int_field(cell.strip(), name, line)
         values.append(cache[cell])
     return values
 

@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, TextIO
 import numpy as np
 
 from ._util import readonly
-from .corpus import CitationLedger, CitationMatrix, JournalTable, build_citation_matrix
+from .corpus import (CitationLedger, CitationMatrix, JournalTable, _int_field,
+                     build_citation_matrix)
 from .errors import (ConvergenceError, CsvFormatError, DegenerateDataError,
                      InconsistencyError)
 
@@ -70,14 +71,18 @@ class SolverReport:
 
 @dataclass(frozen=True, eq=False)
 class MetricScores:
-    """Per-journal metric vectors for one census year.
+    """Per-journal metric vectors.
 
-    Undefined values (AI or IF of a journal with no articles in the
-    relevant window) are stored as NaN and excluded from correlations
-    downstream.
+    ``census_year`` is the year the scores were computed for, or None for
+    scores read back from scores.csv, which records no year.  Undefined
+    values (AI or IF of a journal with no articles in the relevant window)
+    are stored as NaN and excluded from correlations downstream.
+
+    The exact metric invariants are checked only when ``census_year`` is
+    set: values printed to six decimals cannot meet them.
     """
 
-    census_year: int
+    census_year: int | None
     journal_ids: tuple[str, ...]
     ef: np.ndarray
     ai: np.ndarray
@@ -98,6 +103,8 @@ class MetricScores:
         for name in ("ef", "ai", "impact_factor", "total_citations", "n5", "n2"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} has wrong length")
+        if self.census_year is None:
+            return
         if abs(self.ef.sum() - 100.0) > 1e-9:
             raise ValueError(f"EF must sum to 100, got {self.ef.sum()!r}")
         defined = ~np.isnan(self.ai)
@@ -113,20 +120,6 @@ class MetricScores:
 
     def metric(self, name: str) -> np.ndarray:
         return getattr(self, resolve_metric(name))
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreTable:
-    """Loose, re-read view of a scores.csv file (no recomputation implied)."""
-
-    journal_ids: tuple[str, ...]
-    columns: dict[str, np.ndarray]
-
-    def __len__(self) -> int:
-        return len(self.journal_ids)
-
-    def metric(self, name: str) -> np.ndarray:
-        return self.columns[resolve_metric(name)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,11 +351,12 @@ def write_scores_csv(scores: MetricScores) -> str:
     return out.getvalue()
 
 
-def read_scores_csv(source: str | TextIO) -> ScoreTable:
-    """Read a scores.csv file back as a loose column table.
+def read_scores_csv(source: str | TextIO) -> MetricScores:
+    """Read a scores.csv file back as MetricScores with ``census_year`` None.
 
-    The printed values are rounded, so this does not re-validate the exact
-    metric invariants; empty AI/IF fields become NaN.
+    The printed values are rounded, so the exact metric invariants are not
+    re-checked; empty EF/AI/IF fields become NaN.  The count columns must
+    hold integers, and a journal_id may appear only once.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -370,18 +364,23 @@ def read_scores_csv(source: str | TextIO) -> ScoreTable:
     header = next(rdr, None)
     if header is None or tuple(h.strip() for h in header) != SCORES_HEADER:
         raise CsvFormatError(f"scores.csv: expected header {','.join(SCORES_HEADER)}")
-    ids: list[str] = []
-    cols: dict[str, list[float]] = {name: [] for name in SCORES_HEADER[1:]}
+    ids: dict[str, None] = {}  # insertion-ordered, so a repeat is found in O(1)
+    cols: dict[str, list[float | int]] = {name: [] for name in SCORES_HEADER[1:]}
     for row in rdr:
         if not row:
             continue
+        line = rdr.line_num
         if len(row) != len(SCORES_HEADER):
-            raise CsvFormatError(f"line {rdr.line_num}: expected {len(SCORES_HEADER)} columns")
-        ids.append(row[0])
-        for name, cell in zip(SCORES_HEADER[1:], row[1:]):
+            raise CsvFormatError(f"line {line}: expected {len(SCORES_HEADER)} columns")
+        if row[0] in ids:
+            raise CsvFormatError(f"line {line}: duplicate journal_id {row[0]!r}")
+        ids[row[0]] = None
+        for name, cell in zip(SCORES_HEADER[1:4], row[1:4]):
             cell = cell.strip()
             try:
                 cols[name].append(float(cell) if cell else float("nan"))
             except ValueError:
-                raise CsvFormatError(f"line {rdr.line_num}: malformed {name} {cell!r}") from None
-    return ScoreTable(tuple(ids), {name: readonly(vals) for name, vals in cols.items()})
+                raise CsvFormatError(f"line {line}: malformed {name} {cell!r}") from None
+        for name, cell in zip(SCORES_HEADER[4:], row[4:]):
+            cols[name].append(_int_field(cell.strip(), name, line))
+    return MetricScores(None, tuple(ids), **cols)

@@ -7,8 +7,10 @@ journal-size metrics where article count multiplies both sides.  A fourth
 demonstrates the converse trap: logistic-map iterates that are perfectly
 dependent yet uncorrelated.
 
-Each trial runs on its own RNG stream derived from (seed, trial index), so
-results are reproducible regardless of execution order.
+Each trial runs on its own RNG stream, ``SeedSequence([seed, trial])``, so
+results are reproducible regardless of execution order.  A trial draws its
+variables from that stream in the order the simulator's signature lists
+them (yule's z2 draw is skipped when ``share_z_draws`` reuses z1).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import io
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -120,20 +122,20 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def _gather(rhos: list[float], seed: int, params: dict) -> SimulationResult:
-    arr = np.asarray(rhos)
-    sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-    return SimulationResult(trials=len(arr), rho=arr, mean_rho=float(arr.mean()),
-                            sd_rho=sd, seed=seed, params=params)
-
-
-def _check_counts(n: int, trials: int, seed: int, n_min: int, what: str) -> None:
-    if n < n_min:
-        raise ValueError(f"{what} needs at least {n_min} draws per trial, got {n}")
+def _run_trials(trial_rho: Callable[[np.random.Generator], float], n: int, trials: int,
+                seed: int, what: str, params: dict) -> SimulationResult:
+    """Check the shared arguments, then call ``trial_rho`` once per trial on
+    that trial's own stream and collect the correlations."""
+    if n < 10:
+        raise ValueError(f"{what} needs at least 10 draws per trial, got {n}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+    rho = np.array([trial_rho(_trial_rng(seed, t)) for t in range(trials)])
+    sd = float(rho.std(ddof=1)) if trials > 1 else 0.0
+    return SimulationResult(trials=trials, rho=rho, mean_rho=float(rho.mean()),
+                            sd_rho=sd, seed=seed, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +151,13 @@ def simulate_ossuary(femur: DistributionSpec, tibia: DistributionSpec,
     With roughly equal coefficients of variation the indices correlate near
     0.5 even though all three lengths are drawn independently.
     """
-    _check_counts(n_bones, trials, seed, 10, "ossuary simulation")
-    rhos = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
+    def trial_rho(rng):
         f = femur.sample(rng, n_bones)
         ti = tibia.sample(rng, n_bones)
         h = humerus.sample(rng, n_bones)
-        rhos.append(pearson_r(f / h, ti / h))
-    return _gather(rhos, seed, {
+        return pearson_r(f / h, ti / h)
+
+    return _run_trials(trial_rho, n_bones, trials, seed, "ossuary simulation", {
         "simulation": "ossuary", "n_bones": n_bones,
         "femur": femur, "tibia": tibia, "humerus": humerus})
 
@@ -170,15 +170,13 @@ def simulate_yule_products(z1: DistributionSpec, z2: DistributionSpec,
     ``share_z_draws`` is a diagnostic mode that reuses the z1 draws for z2,
     making the numerators identical; it can only push the correlation up.
     """
-    _check_counts(n, trials, seed, 10, "product simulation")
-    rhos = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
+    def trial_rho(rng):
         a = z1.sample(rng, n)
         b = a if share_z_draws else z2.sample(rng, n)
         c = x3.sample(rng, n)
-        rhos.append(pearson_r(a * c, b * c))
-    return _gather(rhos, seed, {
+        return pearson_r(a * c, b * c)
+
+    return _run_trials(trial_rho, n, trials, seed, "product simulation", {
         "simulation": "yule", "n": n, "share_z_draws": share_z_draws,
         "z1": z1, "z2": z2, "x3": x3})
 
@@ -194,19 +192,17 @@ def simulate_journal_sizes(ai_cv: float, if_cv: float, n5_cv: float,
     The expected value is the article-count share of the log variance:
     sigma_N^2 / sqrt((sigma_AI^2 + sigma_N^2)(sigma_IF^2 + sigma_N^2)).
     """
-    _check_counts(n_journals, trials, seed, 10, "journal-size simulation")
     ai_spec = lognormal_from_cv(ai_cv)
     if_spec = lognormal_from_cv(if_cv)
     n5_spec = lognormal_from_cv(n5_cv)
-    rhos = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
+
+    def trial_rho(rng):
         ai = ai_spec.sample(rng, n_journals)
         impact = if_spec.sample(rng, n_journals)
-        n5 = n5_spec.sample(rng, n_journals)
-        log_n5 = np.log(n5)
-        rhos.append(pearson_r(np.log(ai) + log_n5, np.log(impact) + log_n5))
-    return _gather(rhos, seed, {
+        log_n5 = np.log(n5_spec.sample(rng, n_journals))
+        return pearson_r(np.log(ai) + log_n5, np.log(impact) + log_n5)
+
+    return _run_trials(trial_rho, n_journals, trials, seed, "journal-size simulation", {
         "simulation": "journal-size", "n_journals": n_journals,
         "ai_cv": ai_cv, "if_cv": if_cv, "n5_cv": n5_cv})
 

@@ -13,8 +13,8 @@ from itertools import combinations
 import numpy as np
 from scipy.stats import rankdata
 
-from eigenrank import CitationLedger, CitationRecord, JournalEntry, JournalTable
-from eigenrank.metrics import ScoreTable
+from eigenrank import (CitationLedger, CitationRecord, JournalEntry, JournalTable,
+                       MetricScores)
 
 
 def dense_reference_scores(table, ledger, census_year, window=5, alpha=0.85,
@@ -119,10 +119,16 @@ def exact_mwu_two_sided_p(a, b) -> float:
     return hits / total
 
 
-def score_table(journal_ids, **columns) -> ScoreTable:
-    """Loose ScoreTable out of raw columns (canonical metric names only)."""
-    return ScoreTable(tuple(journal_ids),
-                      {name: np.asarray(vals, float) for name, vals in columns.items()})
+def score_table(journal_ids, **columns) -> MetricScores:
+    """Read-back style MetricScores (no census year) out of raw columns.
+
+    Columns use canonical metric names; a missing float column is all NaN,
+    a missing count column all 0.
+    """
+    n = len(journal_ids)
+    filled = {name: np.full(n, np.nan) for name in ("ef", "ai", "impact_factor")}
+    filled.update({name: np.zeros(n, np.int64) for name in ("total_citations", "n5", "n2")})
+    return MetricScores(None, tuple(journal_ids), **{**filled, **columns})
 
 
 def log_variance_share(cv1: float, cv2: float, cv3: float) -> float:

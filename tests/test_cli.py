@@ -225,6 +225,36 @@ def test_exit_codes_data_errors(tmp_path, capsys):
                  "--census-year", "2006"]) == 2
 
 
+def test_duplicate_journal_id_in_scores_is_a_data_error(capsys):
+    Path("dup.csv").write_text(
+        "journal_id,ef,ai,impact_factor,total_citations,n5,n2\n"
+        "A,50.000000,1.000000,2.000000,10,5,2\n"
+        "A,30.000000,0.500000,1.000000,8,5,2\n"
+        "B,20.000000,0.400000,3.000000,6,5,2\n")
+    for args in (["correlate", "--scores", "dup.csv"],
+                 ["correlate", "--scores", "dup.csv", "--by-field", "--journals", JOURNALS],
+                 ["plot", "slopegraph", "--scores", "dup.csv", "--out", "dup.svg"]):
+        assert main(args) == 2
+        assert "line 3: duplicate journal_id 'A'" in capsys.readouterr().err
+    assert not Path("correlations.csv").exists() and not Path("dup.svg").exists()
+
+
+def test_ratio_usage_errors_write_nothing(capsys):
+    compute_scores()
+    assert main(["ratio", "--scores", "scores.csv", "--test", "mann-whitney"]) == 1
+    assert "--test mann-whitney requires --group-by" in capsys.readouterr().err
+    assert main(["ratio", "--scores", "scores.csv", "--group-by", "medicine"]) == 1
+    assert "--group-by requires --journals" in capsys.readouterr().err
+    assert not Path("ratio.csv").exists() and not Path("utest.txt").exists()
+
+
+def test_empty_histogram_input_is_a_data_error(capsys):
+    Path("empty.csv").write_text("trial,rho\n0,\n")
+    assert main(["plot", "histogram", "--values", "empty.csv", "--out", "h.svg"]) == 2
+    assert "empty.csv: no values in column 'rho'" in capsys.readouterr().err
+    assert not Path("h.svg").exists()
+
+
 def test_out_of_range_year_exits_with_data_error(capsys):
     Path("huge.csv").write_text("citing_id,cited_id,citing_year,cited_year,count\n"
                                 "A,B,2006,99999999999999999999999,3\n")

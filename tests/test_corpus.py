@@ -38,6 +38,13 @@ def test_parse_journals_negative_articles_is_format_error():
         parse_journal_metadata(text)
 
 
+def test_parse_journals_out_of_range_integer_is_format_error():
+    text = JOURNALS_HEADER + "A,Alpha,,2005,10\nB,Beta,,2005,9223372036854775808\n"
+    with pytest.raises(CsvFormatError,
+                       match="^line 3: articles 9223372036854775808 out of range"):
+        parse_journal_metadata(text)
+
+
 def test_parse_journals_duplicate_journal_year_is_format_error():
     text = JOURNALS_HEADER + "A,Alpha,,2005,10\nA,Alpha,,2005,11\n"
     with pytest.raises(CsvFormatError, match="line 3.*'A'"):

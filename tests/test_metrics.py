@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eigenrank import (CitationLedger, CitationRecord, ConvergenceError,
+from eigenrank import (CitationLedger, CitationRecord, ConvergenceError, CsvFormatError,
                        DegenerateDataError, InconsistencyError, JournalEntry,
                        JournalTable, ValidationError, article_influence, article_vector,
                        build_citation_matrix, compute_metrics, decomposition_check,
@@ -420,8 +420,13 @@ def test_scores_csv_round_trip_and_formatting():
         whole, frac = cell.split(".")
         assert len(frac) == 6  # six decimal places
     reread = read_scores_csv(text)
+    assert isinstance(reread, MetricScores) and reread.census_year is None
+    assert reread.ef is reread.metric("ef")
     assert reread.journal_ids == scores.journal_ids
     assert np.allclose(reread.metric("ef"), scores.ef, atol=5e-7)
+    for name in ("total_citations", "n5", "n2"):
+        assert reread.metric(name).dtype == np.int64
+        assert np.array_equal(reread.metric(name), scores.metric(name))
 
 
 def test_scores_csv_undefined_printed_empty():
@@ -432,3 +437,10 @@ def test_scores_csv_undefined_printed_empty():
     assert row_b[2] == "" and row_b[3] == ""
     reread = read_scores_csv(text)
     assert np.isnan(reread.metric("ai")[1])
+    # an empty count cell is malformed, not undefined
+    for cell in ("3.5", "x", ""):
+        bad = text.replace("\nB,0.000000,,,0,0,0\n", f"\nB,0.000000,,,0,{cell},0\n")
+        with pytest.raises(CsvFormatError, match=f"^line 3: malformed n5 '{cell}'$"):
+            read_scores_csv(bad)
+    with pytest.raises(CsvFormatError, match="^line 3: n5 9223372036854775808 out of range"):
+        read_scores_csv(text.replace(",0,0,0\n", ",0,9223372036854775808,0\n"))

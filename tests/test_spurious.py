@@ -5,6 +5,7 @@ from eigenrank import (DistributionSpec, UndefinedCorrelationError, lognormal_fr
                        logistic_map_correlation, simulate_journal_sizes,
                        simulate_ossuary, simulate_yule_products, spec_from_cv)
 from eigenrank.spurious import format_summary, write_simulation_csv
+from eigenrank.stats import pearson_r
 from helpers import log_variance_share
 
 
@@ -165,6 +166,49 @@ def test_results_invariant_under_common_rescaling():
     c = simulate_yule_products(*([lognormal_from_cv(0.3)] * 3), n=500, trials=100, seed=17)
     d = simulate_yule_products(*shift, n=500, trials=100, seed=17)
     assert abs(c.mean_rho - d.mean_rho) <= 2.0 * c.sd_rho
+
+
+def test_trial_streams_follow_the_documented_layout():
+    # rebuild every trial from its own SeedSequence([seed, t]) stream, drawing
+    # in signature order; distinct specs make a swapped draw order show
+    seed, n, trials = 11, 40, 6
+    specs = [lognormal_from_cv(cv) for cv in (0.2, 0.5, 0.9)]
+
+    def draws(t):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+        return [rng.lognormal(s.location, s.scale, n) for s in specs]
+
+    def ossuary_rho(t):
+        f, ti, h = draws(t)
+        return pearson_r(f / h, ti / h)
+
+    def yule_rho(t):
+        a, b, c = draws(t)
+        return pearson_r(a * c, b * c)
+
+    def shared_yule_rho(t):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+        a = rng.lognormal(specs[0].location, specs[0].scale, n)
+        c = rng.lognormal(specs[2].location, specs[2].scale, n)
+        return pearson_r(a * c, a * c)
+
+    def size_rho(t):
+        ai, impact, n5 = draws(t)
+        return pearson_r(np.log(ai) + np.log(n5), np.log(impact) + np.log(n5))
+
+    cases = [
+        (simulate_ossuary(*specs, n_bones=n, trials=trials, seed=seed), ossuary_rho),
+        (simulate_yule_products(*specs, n=n, trials=trials, seed=seed), yule_rho),
+        (simulate_yule_products(*specs, n=n, trials=trials, seed=seed, share_z_draws=True),
+         shared_yule_rho),
+        (simulate_journal_sizes(0.2, 0.5, 0.9, n_journals=n, trials=trials, seed=seed),
+         size_rho),
+    ]
+    for result, rho_of in cases:
+        want = np.array([rho_of(t) for t in range(trials)])
+        assert np.array_equal(result.rho, want)
+        assert result.mean_rho == float(want.mean())
+        assert result.sd_rho == float(want.std(ddof=1))
 
 
 def test_simulation_csv_and_summary_are_deterministic():
