@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from pathlib import Path
@@ -347,10 +348,13 @@ def _read_value_column(path: str, column: str) -> list[float]:
             if not cell:
                 continue
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise CsvFormatError(f"{path}: malformed value {cell!r} "
                                      f"in column {column!r}") from None
+            if not math.isfinite(value):
+                raise CsvFormatError(f"{path}: non-finite value {cell!r} in column {column!r}")
+            values.append(value)
     if not values:
         raise CsvFormatError(f"{path}: no values in column {column!r}")
     return values

@@ -16,15 +16,12 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 from ._util import readonly
 from .errors import CsvFormatError, ValidationError
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 JOURNALS_HEADER = ("journal_id", "name", "fields", "year", "articles")
 CITATIONS_HEADER = ("citing_id", "cited_id", "citing_year", "cited_year", "count")
@@ -225,35 +222,53 @@ class CitationLedger:
 
 @dataclass(frozen=True, eq=False)
 class CitationMatrix:
-    """Windowed citation matrix for one census year.
+    """Windowed citation matrix for one census year, stored as triplets.
 
-    ``matrix[i, j]`` holds citations given in ``census_year`` by journal ``j``
-    (column) to articles journal ``i`` (row) published during the ``window``
-    years before the census year.  Stored sparse; zeros are absent.
+    Entry ``k`` says that journal ``col[k]`` gave ``value[k]`` citations in
+    ``census_year`` to articles journal ``row[k]`` published during the
+    ``window`` years before the census year.  ``row`` and ``col`` index
+    ``ids``; each position appears once, entries are sorted by column, then
+    row, and zeros are absent.  ``matrix @ x`` is the matrix-vector product.
     """
 
     census_year: int
     window: int
     ids: tuple[str, ...]
-    matrix: sparse.csc_matrix
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
     self_cites_excluded: bool
 
     def __post_init__(self):
+        object.__setattr__(self, "row", readonly(self.row, dtype=np.intp))
+        object.__setattr__(self, "col", readonly(self.col, dtype=np.intp))
+        object.__setattr__(self, "value", readonly(self.value))
         n = len(self.ids)
-        if self.matrix.shape != (n, n):
-            raise ValidationError(f"matrix shape {self.matrix.shape} does not match {n} journals")
+        if not len(self.row) == len(self.col) == len(self.value):
+            raise ValidationError("row, col and value must have equal lengths")
+        if ((self.row < 0) | (self.row >= n) | (self.col < 0) | (self.col >= n)).any():
+            raise ValidationError(f"matrix entry outside the {n} journals")
+        # column-major order is what makes __matmul__ add up each row in a fixed order
+        if (np.diff(self.col * n + self.row) <= 0).any():
+            raise ValidationError("matrix entries must be unique and sorted by column, then row")
         if self.window <= 0:
             raise ValidationError("window must be positive")
-        if self.matrix.nnz and not (self.matrix.data > 0).all():
+        if not (self.value > 0).all():
             raise ValidationError("stored citation entries must be strictly positive")
-        if self.self_cites_excluded and self.matrix.diagonal().any():
+        if self.self_cites_excluded and (self.row == self.col).any():
             raise ValidationError("self-citations present despite exclusion flag")
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        n = len(self.ids)
+        if x.shape != (n,):
+            raise ValueError(f"vector of shape {x.shape} does not match {n} journals")
+        return np.bincount(self.row, weights=self.value * x[self.col], minlength=n)
 
     def to_dict(self) -> dict[tuple[str, str], float]:
         """(cited_id, citing_id) -> count view, mainly for tests and export."""
-        coo = self.matrix.tocoo()
-        return {(self.ids[i], self.ids[j]): float(v)
-                for i, j, v in zip(coo.row, coo.col, coo.data)}
+        return {(self.ids[i], self.ids[j]): v for i, j, v in
+                zip(self.row.tolist(), self.col.tolist(), self.value.tolist())}
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,15 +447,15 @@ def build_citation_matrix(ledger: CitationLedger, table: JournalTable, census_ye
     is silently ignored (ledgers legitimately span many years).  Journals
     with no in-window activity keep their all-zero rows and columns.
     """
-    from scipy import sparse
-
     if window <= 0:
         raise ValueError("window must be positive")
     cited, citing, count = ledger.windowed(table, census_year, window, exclude_self)
     n = len(table)
-    matrix = sparse.coo_matrix((count.astype(float), (cited, citing)), shape=(n, n)).tocsc()
-    matrix.sum_duplicates()
-    return CitationMatrix(census_year, window, table.ids, matrix, exclude_self)
+    # keys in column-major order; the inverse sums repeated (cited, citing) pairs
+    keys, inverse = np.unique(citing * n + cited, return_inverse=True)
+    value = np.bincount(inverse, weights=count, minlength=len(keys))
+    col, row = np.divmod(keys, n)
+    return CitationMatrix(census_year, window, table.ids, row, col, value, exclude_self)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, TextIO
+from dataclasses import dataclass, replace
+from typing import TextIO
 
 import numpy as np
 
@@ -25,9 +25,6 @@ from .corpus import (CitationLedger, CitationMatrix, JournalTable, _int_field,
                      build_citation_matrix)
 from .errors import (ConvergenceError, CsvFormatError, DegenerateDataError,
                      InconsistencyError)
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-12
@@ -154,24 +151,21 @@ def article_vector(table: JournalTable, census_year: int, window: int) -> np.nda
     return readonly(counts / total)
 
 
-def normalize_columns(z: CitationMatrix) -> tuple[sparse.csc_matrix, np.ndarray]:
+def normalize_columns(z: CitationMatrix) -> tuple[CitationMatrix, np.ndarray]:
     """Column-normalize a citation matrix.
 
     Returns ``(H, dangling)`` where each non-empty column of ``H`` sums to 1
     and ``dangling`` lists the indices of all-zero columns (journals that
     gave no in-window citations), which are left empty.
     """
-    from scipy import sparse
-
-    col_sums = np.asarray(z.matrix.sum(axis=0)).ravel()
+    col_sums = np.bincount(z.col, weights=z.value, minlength=len(z.ids))
     dangling = np.flatnonzero(col_sums == 0)
-    inv = np.divide(1.0, col_sums, out=np.zeros_like(col_sums), where=col_sums > 0)
-    h = (z.matrix @ sparse.diags(inv)).tocsc()
-    h.eliminate_zeros()
-    return h, dangling
+    inv = np.zeros(len(z.ids))
+    np.divide(1.0, col_sums, out=inv, where=col_sums > 0)
+    return replace(z, value=z.value * inv[z.col]), dangling
 
 
-def power_iterate(h: sparse.csc_matrix, dangling: np.ndarray, a: np.ndarray,
+def power_iterate(h: CitationMatrix, dangling: np.ndarray, a: np.ndarray,
                   alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> tuple[np.ndarray, SolverReport]:
     """Damped fixed-point iteration for the journal weight vector.
@@ -193,7 +187,8 @@ def power_iterate(h: sparse.csc_matrix, dangling: np.ndarray, a: np.ndarray,
     a = np.asarray(a, dtype=float)
     if abs(a.sum() - 1.0) > 1e-9:
         raise ValueError("article vector must sum to 1")
-    is_dangling = np.zeros(len(a), dtype=bool)
+    # sized by h, so an ``a`` of the wrong length fails in ``h @ pi`` with ValueError
+    is_dangling = np.zeros(len(h.ids), dtype=bool)
     is_dangling[dangling] = True
     pi = a.copy()
     residuals: list[float] = []
@@ -212,14 +207,12 @@ def power_iterate(h: sparse.csc_matrix, dangling: np.ndarray, a: np.ndarray,
         residual=residuals[-1])
 
 
-def eigenfactor_scores(h: sparse.csc_matrix, pi: np.ndarray) -> np.ndarray:
+def eigenfactor_scores(h: CitationMatrix, pi: np.ndarray) -> np.ndarray:
     """EF vector: in-window citation influence H @ pi, scaled to sum to 100.
 
     Dangling columns are empty in H, so they contribute nothing here.
     """
-    if h.shape[0] != len(pi):
-        raise ValueError("pi does not match the matrix dimension")
-    s = h @ np.asarray(pi, dtype=float)
+    s = h @ pi
     total = s.sum()
     if total <= 0:
         raise DegenerateDataError("corpus has no in-window citations at all")

@@ -21,6 +21,7 @@ from .errors import (DegenerateDataError, DomainError, UndefinedCorrelationError
 
 _LN2 = math.log(2.0)
 _LN10 = math.log(10.0)
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 CORRELATIONS_HEADER = ("field", "n", "rho", "kind", "log_transformed")
 POOLED_FIELD = "(pooled)"
@@ -149,14 +150,34 @@ def log_pearson(obs: PairedObservations) -> CorrelationResult:
 # Mann-Whitney U
 # ---------------------------------------------------------------------------
 
+def _log_normal_tail(z: float) -> float:
+    """ln P(Z > z) for a standard normal Z, for z >= 0.
+
+    Below z = 20 this is ``ln(erfc(z / sqrt 2) / 2)``.  From z = 20 on, where
+    erfc heads for underflow (it reaches 0 near z = 38.5), it is the
+    asymptotic Mills-ratio series ``-z^2/2 - ln z - ln(2 pi)/2 + ln(1 - w +
+    3w^2 - 15w^3 + 105w^4 - 945w^5)`` with ``w = 1/z^2``, whose first omitted
+    term is below 3e-12 of the bracket at z = 20.  The relative error
+    against scipy's ``log_ndtr(-z)`` is about 1e-14 over [0, 1e6].
+    """
+    if z < 20.0:
+        return math.log(0.5 * math.erfc(z / math.sqrt(2.0)))
+    w = 1.0 / (z * z)
+    series = 1.0 - w * (1.0 - w * (3.0 - w * (15.0 - w * (105.0 - 945.0 * w))))
+    return -0.5 * z * z - math.log(z) - _HALF_LN_2PI + math.log(series)
+
+
 def mann_whitney_u(group_a, group_b) -> UTestResult:
     """Two-sided Mann-Whitney U test via the normal approximation.
 
     U is computed from mid-rank sums for ``group_a``; the variance is
     tie-corrected and the z-score carries a 0.5 continuity correction toward
-    the mean.  ``log10_p`` is evaluated from the normal tail in log space,
-    so separations far beyond the underflow point (|z| around 27 and above)
-    still report a finite magnitude.
+    the mean.  ``p`` is ``erfc(|z| / sqrt 2)``, which is subnormal for |z|
+    from about 37.7 to 38.5 and 0 beyond.  ``log10_p`` is evaluated from the
+    normal tail in log space, so separations far beyond the underflow point
+    still report a finite magnitude; printed to 4 decimals, it can differ
+    from the value scipy's ``log_ndtr`` gives only in the last digit, and
+    only where the two round either side of a tie.
 
     Accuracy: for untied samples the p stays within 0.08 of the exact
     permutation p once both groups have at least 3 observations (worst gap
@@ -166,8 +187,6 @@ def mann_whitney_u(group_a, group_b) -> UTestResult:
 
     A NaN or infinite observation raises DomainError.
     """
-    from scipy.special import log_ndtr, ndtr
-
     a = np.asarray(group_a, dtype=float)
     b = np.asarray(group_b, dtype=float)
     n1, n2 = len(a), len(b)
@@ -192,8 +211,8 @@ def mann_whitney_u(group_a, group_b) -> UTestResult:
     elif centered < 0:
         centered += 0.5
     z = centered / sigma
-    p = min(1.0, 2.0 * float(ndtr(-abs(z))))
-    log10_p = min(0.0, (_LN2 + float(log_ndtr(-abs(z)))) / _LN10)
+    p = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
+    log10_p = min(0.0, (_LN2 + _log_normal_tail(abs(z))) / _LN10)
     return UTestResult(U=u, n1=n1, n2=n2, z=z, log10_p=log10_p, p=p, tie_groups=tie_groups)
 
 

@@ -250,9 +250,14 @@ def test_ratio_usage_errors_write_nothing(capsys):
 
 def test_empty_histogram_input_is_a_data_error(capsys):
     Path("empty.csv").write_text("trial,rho\n0,\n")
-    assert main(["plot", "histogram", "--values", "empty.csv", "--out", "h.svg"]) == 2
-    assert "empty.csv: no values in column 'rho'" in capsys.readouterr().err
-    assert not Path("h.svg").exists()
+    Path("nan.csv").write_text("trial,rho\n0,0.5\n1,nan\n")
+    Path("inf.csv").write_text("trial,rho\n0,inf\n1,0.5\n")
+    for name, message in (("empty.csv", "no values in column 'rho'"),
+                          ("nan.csv", "non-finite value 'nan' in column 'rho'"),
+                          ("inf.csv", "non-finite value 'inf' in column 'rho'")):
+        assert main(["plot", "histogram", "--values", name, "--out", "h.svg"]) == 2
+        assert f"{name}: {message}" in capsys.readouterr().err
+        assert not Path("h.svg").exists()
 
 
 def test_out_of_range_year_exits_with_data_error(capsys):
@@ -311,22 +316,33 @@ def test_help_exits_zero(capsys):
 _STARTUP_PROBE = """
 import json, sys
 import eigenrank.cli
-heavy = ("scipy.stats", "scipy.sparse", "scipy.special")
-at_import = [m for m in heavy if m in sys.modules]
-status = eigenrank.cli.main(["compute", "--journals", sys.argv[1], "--citations", sys.argv[2],
-                             "--census-year", "2006", "--out", "scores.csv"])
-print(json.dumps({"at_import": at_import, "status": status,
-                  "after_compute": [m for m in heavy if m in sys.modules]}))
+journals, citations = sys.argv[1:3]
+calls = {
+    "compute": ["compute", "--journals", journals, "--citations", citations,
+                "--census-year", "2006", "--out", "scores.csv"],
+    "ratio": ["ratio", "--scores", "scores.csv", "--group-by", "public-health",
+              "--journals", journals, "--test", "mann-whitney"],
+    "correlate": ["correlate", "--scores", "scores.csv", "--by-field", "--journals", journals],
+    "simulate": ["simulate", "yule", "--trials", "5"],
+    "plot": ["plot", "histogram", "--values", "simulation.csv", "--out", "h.svg"],
+    "bigmac": ["bigmac"],
+}
+probe = {"import": [m for m in sys.modules if m.split(".")[0] == "scipy"]}
+for name, argv in calls.items():
+    probe[name] = eigenrank.cli.main(argv)
+    probe["after_" + name] = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+print(json.dumps(probe))
 """
 
 
-def test_cli_import_loads_no_scipy_until_compute_needs_sparse():
-    # importing scipy.stats alone costs about a second per CLI call
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; importing scipy.sparse alone
+    # would add about 0.2 s to every call
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, JOURNALS, CITATIONS],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     probe = json.loads(proc.stdout.splitlines()[-1])
-    assert probe["at_import"] == []
-    assert probe["status"] == 0
-    assert "scipy.sparse" in probe["after_compute"]
-    assert "scipy.stats" not in probe["after_compute"]
+    assert probe["import"] == []
+    for name in ("compute", "ratio", "correlate", "simulate", "plot", "bigmac"):
+        assert probe[name] == 0, name
+        assert probe["after_" + name] == [], name

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from eigenrank import (CitationLedger, CitationRecord, CsvFormatError, JournalEntry,
-                       JournalTable, PairedObservations, ValidationError, bigmac_csv,
-                       bigmac_fixture, build_citation_matrix, parse_citation_edges,
-                       parse_journal_metadata, write_citation_edges,
+from eigenrank import (CitationLedger, CitationMatrix, CitationRecord, CsvFormatError,
+                       JournalEntry, JournalTable, PairedObservations, ValidationError,
+                       bigmac_csv, bigmac_fixture, build_citation_matrix,
+                       parse_citation_edges, parse_journal_metadata, write_citation_edges,
                        write_journal_metadata)
 from helpers import random_corpus
 
@@ -205,7 +205,36 @@ def test_build_matrix_single_record():
     z = build_citation_matrix(ledger, table, 2006, 5, exclude_self=False)
     assert z.to_dict() == {("B", "A"): 7.0}
     assert z.ids == ("A", "B")
-    assert z.matrix.shape == (2, 2)
+    assert (z.row.tolist(), z.col.tolist(), z.value.tolist()) == ([1], [0], [7.0])
+
+
+def test_citation_matrix_checks_its_triplets():
+    ids = ("A", "B", "C")
+
+    def matrix(row, col, value, window=5, exclude_self=False):
+        return CitationMatrix(2006, window, ids, row, col, value, exclude_self)
+
+    z = matrix([1, 2, 0], [0, 0, 2], [2.0, 3.0, 5.0])
+    assert not (z.row.flags.writeable or z.col.flags.writeable or z.value.flags.writeable)
+    dense = np.zeros((3, 3))
+    dense[z.row, z.col] = z.value
+    x = np.array([0.5, 0.25, 0.125])
+    assert np.allclose(z @ x, dense @ x)
+    for wrong in (np.ones(2), np.ones(4), np.ones((3, 1))):
+        with pytest.raises(ValueError, match="does not match 3 journals"):
+            z @ wrong
+    for args, message in ((([0, 3], [0, 1], [1.0, 1.0]), "outside the 3 journals"),
+                          (([1], [-1], [1.0]), "outside the 3 journals"),
+                          (([1, 2], [0], [1.0, 1.0]), "lengths"),
+                          (([2, 1], [0, 0], [1.0, 1.0]), "sorted"),
+                          (([1, 1], [0, 0], [1.0, 1.0]), "unique"),
+                          (([1], [0], [0.0]), "strictly positive")):
+        with pytest.raises(ValidationError, match=message):
+            matrix(*args)
+    with pytest.raises(ValidationError, match="window"):
+        matrix([1], [0], [1.0], window=0)
+    with pytest.raises(ValidationError, match="self-citations"):
+        matrix([1], [1], [1.0], exclude_self=True)
 
 
 def test_build_matrix_excludes_census_year_citations():

@@ -50,7 +50,8 @@ def test_normalize_columns_simple():
     z = _matrix_from_records([CitationRecord("J01", "J00", 2006, 2005, 2),
                               CitationRecord("J01", "J02", 2006, 2005, 3)], n=3)
     h, dangling = normalize_columns(z)
-    col = np.asarray(h[:, 1].todense()).ravel()
+    col = np.zeros(3)
+    col[h.row[h.col == 1]] = h.value[h.col == 1]
     assert np.allclose(sorted(col), [0.0, 0.4, 0.6])
     assert dangling.tolist() == [0, 2]  # only J01 gives citations
 
@@ -70,7 +71,7 @@ def test_normalize_columns_random_matrix_sums_to_one():
         if not records:
             continue
         h, dangling = normalize_columns(_matrix_from_records(records, n=3))
-        sums = np.asarray(h.sum(axis=0)).ravel()
+        sums = np.bincount(h.col, weights=h.value, minlength=3)
         for j in range(3):
             expected = 0.0 if j in dangling else 1.0
             assert sums[j] == pytest.approx(expected, abs=1e-12)
@@ -136,6 +137,9 @@ def test_power_iterate_validates_inputs():
         power_iterate(h, dangling, np.array([0.5, 0.5]), alpha=1.0)
     with pytest.raises(ValueError, match="sum"):
         power_iterate(h, dangling, np.array([0.5, 0.4]))
+    for a in ([1.0], [0.25, 0.25, 0.5]):
+        with pytest.raises(ValueError, match="does not match 2 journals"):
+            power_iterate(h, dangling, np.array(a))
 
 
 def test_residual_log_is_monotone_after_first_iteration():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 from scipy.stats import rankdata
 
 from eigenrank import (DegenerateDataError, DomainError, JournalEntry, JournalTable,
@@ -9,7 +10,8 @@ from eigenrank import (DegenerateDataError, DomainError, JournalEntry, JournalTa
                        coefficient_of_variation, log_pearson, mann_whitney_u, pearson,
                        pearson_r, per_field_correlations, ratio_analysis, spearman,
                        tercile_median_ratio)
-from eigenrank.stats import format_utest_report, midranks, write_correlations_csv
+from eigenrank.stats import (_log_normal_tail, format_utest_report, midranks,
+                             write_correlations_csv)
 from helpers import exact_mwu_two_sided_p, score_table
 
 
@@ -152,11 +154,22 @@ def test_mwu_extreme_separation_reports_log_scale_p():
     rng = np.random.default_rng(12)
     a = 1.42 + rng.normal(0.0, 0.01, 500)
     b = 2.12 + rng.normal(0.0, 0.01, 500)
-    result = mann_whitney_u(a, b)
-    assert result.log10_p < -100.0
-    assert math.isfinite(result.log10_p)
-    # the log-space value agrees with the linear one while that still exists
-    assert result.log10_p == pytest.approx(math.log10(result.p), abs=1e-9)
+    # 957 vs 957 untied gives z = -37.878, where the linear p is subnormal
+    for a, b in ((a, b), (np.arange(957.0), np.arange(957.0, 1914.0))):
+        result = mann_whitney_u(a, b)
+        assert result.log10_p < -100.0
+        assert math.isfinite(result.log10_p)
+        # the log-space value agrees with the linear one while that still exists
+        assert result.p > 0.0
+        assert result.log10_p == pytest.approx(math.log10(result.p), abs=1e-9)
+
+
+def test_log_normal_tail_matches_scipy_log_ndtr():
+    # scipy is the independent oracle; 20 is where the helper switches from
+    # erfc to the asymptotic series, and erfc underflows near 38.5
+    for z in (0.0, 1.0, 19.999, 20.0, 20.001, 27.0, 37.7, 40.0, 1e3, 1e5):
+        expected = float(log_ndtr(-z))
+        assert _log_normal_tail(z) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_mwu_normal_approximation_envelope():
