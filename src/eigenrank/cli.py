@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, metrics, report, spurious, stats
-from ._util import write_text
+from ._util import csv_text, write_text
 from .errors import CsvFormatError, DataError, NumericalError, ValidationError
 
 EXIT_OK = 0
@@ -275,10 +275,9 @@ def _cmd_ratio(args) -> int:
     den_metric = metrics.resolve_metric(args.denominator)
     ra = stats.ratio_analysis(scores.metric(num_metric), scores.metric(den_metric),
                               scores.journal_ids)
-    lines = ["label,raw_ratio,normalized"]
-    for label, raw, norm in zip(ra.labels, ra.raw_ratios, ra.normalized):
-        lines.append(f"{label},{raw:.8g},{norm:.8g}")
-    write_text(args.out, "\n".join(lines) + "\n")
+    write_text(args.out, csv_text(("label", "raw_ratio", "normalized"), (
+        [label, f"{raw:.8g}", f"{norm:.8g}"]
+        for label, raw, norm in zip(ra.labels, ra.raw_ratios, ra.normalized))))
     print(f"{num_metric}/{den_metric}: mean={ra.mean:.6g} sd={ra.std_dev:.6g} "
           f"cv={ra.cv:.4f} excluded={len(ra.excluded)}; wrote {args.out}")
     if not args.group_by:

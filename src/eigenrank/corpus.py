@@ -12,15 +12,13 @@ File formats (UTF-8, comma-delimited, required header row):
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from ._util import readonly
+from ._util import csv_reader, csv_text, readonly
 from .errors import CsvFormatError, ValidationError
 
 JOURNALS_HEADER = ("journal_id", "name", "fields", "year", "articles")
@@ -298,17 +296,6 @@ class PairedObservations:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _reader(source: str | TextIO) -> csv.reader:
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    return csv.reader(source)
-
-def _check_header(row: list[str] | None, expected: tuple[str, ...], what: str) -> None:
-    if row is None:
-        raise CsvFormatError(f"{what}: missing header row")
-    if tuple(h.strip() for h in row) != expected:
-        raise CsvFormatError(f"{what}: expected header {','.join(expected)}, got {','.join(row)}")
-
 def _int_field(value: str, what: str, line: int, minimum: int | None = None) -> int:
     """``value`` as an int; malformed text or a value outside int64 is a format error."""
     try:
@@ -345,8 +332,7 @@ def parse_journal_metadata(source: str | TextIO) -> JournalTable:
     field memberships are unioned across rows.  A repeated (journal, year)
     pair or a conflicting name is a format error.
     """
-    rdr = _reader(source)
-    _check_header(next(rdr, None), JOURNALS_HEADER, "journals.csv")
+    rdr = csv_reader(source, JOURNALS_HEADER, "journals.csv")
     order: list[str] = []
     names: dict[str, str] = {}
     fields: dict[str, set[str]] = {}
@@ -383,8 +369,7 @@ def parse_citation_edges(source: str | TextIO) -> CitationLedger:
     Fills the ledger's columns in one pass, interning ids as they appear.
     A year or count outside the signed 64-bit range is a format error.
     """
-    rdr = _reader(source)
-    _check_header(next(rdr, None), CITATIONS_HEADER, "citations.csv")
+    rdr = csv_reader(source, CITATIONS_HEADER, "citations.csv")
     codes: dict[str, int] = {}
     numbers: dict[str, int] = {}  # year and count cells repeat, so each text is parsed once
     columns: tuple[list[int], ...] = tuple([] for _ in CITATIONS_HEADER)
@@ -415,23 +400,17 @@ def parse_citation_edges(source: str | TextIO) -> CitationLedger:
 
 def write_journal_metadata(table: JournalTable) -> str:
     """Serialize a JournalTable back to journals.csv text (round-trip safe)."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(JOURNALS_HEADER)
-    for e in table:
-        field_list = ";".join(sorted(e.fields))
-        for year in sorted(e.articles_by_year):
-            w.writerow([e.journal_id, e.name, field_list, year, e.articles_by_year[year]])
-    return out.getvalue()
+    def rows():
+        for e in table:
+            field_list = ";".join(sorted(e.fields))
+            for year in sorted(e.articles_by_year):
+                yield [e.journal_id, e.name, field_list, year, e.articles_by_year[year]]
+    return csv_text(JOURNALS_HEADER, rows())
 
 
 def write_citation_edges(ledger: CitationLedger) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(CITATIONS_HEADER)
-    for r in ledger:
-        w.writerow([r.citing_id, r.cited_id, r.citing_year, r.cited_year, r.count])
-    return out.getvalue()
+    return csv_text(CITATIONS_HEADER, (
+        [r.citing_id, r.cited_id, r.citing_year, r.cited_year, r.count] for r in ledger))
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +482,5 @@ def bigmac_fixture() -> PairedObservations:
 
 def bigmac_csv() -> str:
     """The fixture as CSV text with header ``country,burger_price,hourly_wage``."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["country", "burger_price", "hourly_wage"])
-    for country, price, wage in _BIGMAC_ROWS:
-        w.writerow([country, f"{price:.2f}", f"{wage:.2f}"])
-    return out.getvalue()
+    return csv_text(("country", "burger_price", "hourly_wage"), (
+        [country, f"{price:.2f}", f"{wage:.2f}"] for country, price, wage in _BIGMAC_ROWS))

@@ -12,15 +12,13 @@ EF sums to 100 and the article-weighted mean AI is exactly 1.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 from typing import TextIO
 
 import numpy as np
 
-from ._util import readonly
+from ._util import csv_reader, csv_text, readonly
 from .corpus import (CitationLedger, CitationMatrix, JournalTable, _int_field,
                      build_citation_matrix)
 from .errors import (ConvergenceError, CsvFormatError, DegenerateDataError,
@@ -184,6 +182,8 @@ def power_iterate(h: CitationMatrix, dangling: np.ndarray, a: np.ndarray,
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     a = np.asarray(a, dtype=float)
     if abs(a.sum() - 1.0) > 1e-9:
         raise ValueError("article vector must sum to 1")
@@ -334,14 +334,11 @@ def _fmt_score(v: float) -> str:
 
 def write_scores_csv(scores: MetricScores) -> str:
     """scores.csv text; undefined AI/IF become empty fields."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(SCORES_HEADER)
-    for i, jid in enumerate(scores.journal_ids):
-        w.writerow([jid, _fmt_score(scores.ef[i]), _fmt_score(scores.ai[i]),
-                    _fmt_score(scores.impact_factor[i]),
-                    int(scores.total_citations[i]), int(scores.n5[i]), int(scores.n2[i])])
-    return out.getvalue()
+    return csv_text(SCORES_HEADER, (
+        [jid, _fmt_score(scores.ef[i]), _fmt_score(scores.ai[i]),
+         _fmt_score(scores.impact_factor[i]),
+         int(scores.total_citations[i]), int(scores.n5[i]), int(scores.n2[i])]
+        for i, jid in enumerate(scores.journal_ids)))
 
 
 def read_scores_csv(source: str | TextIO) -> MetricScores:
@@ -349,14 +346,9 @@ def read_scores_csv(source: str | TextIO) -> MetricScores:
 
     The printed values are rounded, so the exact metric invariants are not
     re-checked; empty EF/AI/IF fields become NaN.  The count columns must
-    hold integers, and a journal_id may appear only once.
+    hold nonnegative integers, and a journal_id may appear only once.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    rdr = csv.reader(source)
-    header = next(rdr, None)
-    if header is None or tuple(h.strip() for h in header) != SCORES_HEADER:
-        raise CsvFormatError(f"scores.csv: expected header {','.join(SCORES_HEADER)}")
+    rdr = csv_reader(source, SCORES_HEADER, "scores.csv")
     ids: dict[str, None] = {}  # insertion-ordered, so a repeat is found in O(1)
     cols: dict[str, list[float | int]] = {name: [] for name in SCORES_HEADER[1:]}
     for row in rdr:
@@ -364,7 +356,8 @@ def read_scores_csv(source: str | TextIO) -> MetricScores:
             continue
         line = rdr.line_num
         if len(row) != len(SCORES_HEADER):
-            raise CsvFormatError(f"line {line}: expected {len(SCORES_HEADER)} columns")
+            raise CsvFormatError(f"line {line}: expected {len(SCORES_HEADER)} columns, "
+                                 f"got {len(row)}")
         if row[0] in ids:
             raise CsvFormatError(f"line {line}: duplicate journal_id {row[0]!r}")
         ids[row[0]] = None
@@ -375,5 +368,5 @@ def read_scores_csv(source: str | TextIO) -> MetricScores:
             except ValueError:
                 raise CsvFormatError(f"line {line}: malformed {name} {cell!r}") from None
         for name, cell in zip(SCORES_HEADER[4:], row[4:]):
-            cols[name].append(_int_field(cell.strip(), name, line))
+            cols[name].append(_int_field(cell.strip(), name, line, minimum=0))
     return MetricScores(None, tuple(ids), **cols)

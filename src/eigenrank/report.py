@@ -9,7 +9,7 @@ what makes golden-file testing of the figures possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -74,10 +74,7 @@ class FigureSpec:
     width: int = 720
     height: int = 960
     top_fraction: float = 1.0  # show only the top share of the left ranking
-    colors: Mapping[str, str] = field(default_factory=lambda: dict(DEFAULT_COLORS))
     title: str = ""
-    left_label: str = ""
-    right_label: str = ""
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -180,12 +177,9 @@ def _line(x1: float, y1: float, x2: float, y2: float, color: str,
             f'stroke="{color}" stroke-width="{width}"{dash}/>')
 
 
-def _column_headers(spec: FigureSpec, cmp: RankComparison,
-                    x_left: float, x_right: float) -> list[str]:
-    left = spec.left_label or cmp.left_name
-    right = spec.right_label or cmp.right_name
-    return [_text(x_left, 44, left, "end", size=12),
-            _text(x_right, 44, right, "start", size=12)]
+def _column_headers(cmp: RankComparison, x_left: float, x_right: float) -> list[str]:
+    return [_text(x_left, 44, cmp.left_name, "end", size=12),
+            _text(x_right, 44, cmp.right_name, "start", size=12)]
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +207,19 @@ def render_slopegraph(cmp: RankComparison, spec: FigureSpec) -> str:
     y_right = {it.label: top + (i + 0.5) * row_h for i, it in enumerate(right_order)}
 
     parts = _open_svg(spec)
-    parts += _column_headers(spec, cmp, x_left, x_right)
+    parts += _column_headers(cmp, x_left, x_right)
     for it in shown:
-        color = "#000000" if it.rank_right > k else spec.colors[it.movement]
+        color = "#000000" if it.rank_right > k else DEFAULT_COLORS[it.movement]
         parts.append(_text(x_left, y_left[it.label] + 4,
                            f"{it.rank_left}. {it.label}", "end", color=color))
     for it in right_order:
-        color = "#000000" if it.rank_right > k else spec.colors[it.movement]
+        color = "#000000" if it.rank_right > k else DEFAULT_COLORS[it.movement]
         parts.append(_text(x_right, y_right[it.label] + 4,
                            f"{it.rank_right}. {it.label}", "start", color=color))
     for it in shown:
         if it.rank_right <= k:
             parts.append(_line(x_left + 8, y_left[it.label], x_right - 8,
-                               y_right[it.label], spec.colors[it.movement]))
+                               y_right[it.label], DEFAULT_COLORS[it.movement]))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -257,15 +251,15 @@ def render_cardinal_plot(cmp: RankComparison, spec: FigureSpec, top_k: int) -> s
         return top + (1.0 - value / vmax) * plot_h
 
     parts = _open_svg(spec)
-    parts += _column_headers(spec, cmp, x_left, x_right)
+    parts += _column_headers(cmp, x_left, x_right)
     for it in shown:
         parts.append(_text(x_left, y(it.score_left, lmax) + 4, it.label, "end",
-                           color=spec.colors[it.movement]))
+                           color=DEFAULT_COLORS[it.movement]))
         parts.append(_text(x_right, y(it.score_right, rmax) + 4, it.label, "start",
-                           color=spec.colors[it.movement]))
+                           color=DEFAULT_COLORS[it.movement]))
     for it in shown:
         parts.append(_line(x_left + 8, y(it.score_left, lmax), x_right - 8,
-                           y(it.score_right, rmax), spec.colors[it.movement]))
+                           y(it.score_right, rmax), DEFAULT_COLORS[it.movement]))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -15,15 +15,13 @@ them (yule's z2 draw is skipped when ``share_z_draws`` reuses z1).
 
 from __future__ import annotations
 
-import io
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
-from ._util import readonly
+from ._util import csv_text, readonly
 from .errors import UndefinedCorrelationError
 from .stats import pearson_r
 
@@ -244,12 +242,7 @@ def logistic_map_correlation(r: float, x0: float, n: int, burn_in: int = 1000) -
 # ---------------------------------------------------------------------------
 
 def write_simulation_csv(result: SimulationResult) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["trial", "rho"])
-    for t, rho in enumerate(result.rho):
-        w.writerow([t, f"{rho:.12g}"])
-    return out.getvalue()
+    return csv_text(("trial", "rho"), ([t, f"{rho:.12g}"] for t, rho in enumerate(result.rho)))
 
 
 def format_summary(result: SimulationResult) -> str:

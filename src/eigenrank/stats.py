@@ -8,14 +8,12 @@ probability underflows long before the z-scores this package produces.
 
 from __future__ import annotations
 
-import io
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import readonly
+from ._util import csv_text, readonly
 from .corpus import JournalTable, PairedObservations
 from .errors import (DegenerateDataError, DomainError, UndefinedCorrelationError)
 
@@ -333,12 +331,8 @@ def per_field_correlations(scores, table: JournalTable, x_metric: str, y_metric:
 
 def write_correlations_csv(fc: FieldCorrelations) -> str:
     """correlations.csv text: one row per field plus the pooled row."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(CORRELATIONS_HEADER)
-    for field in sorted(fc.by_field):
-        r = fc.by_field[field]
-        w.writerow([field, r.n, f"{r.rho:.6f}", r.kind, str(r.log_transformed).lower()])
-    p = fc.pooled
-    w.writerow([POOLED_FIELD, p.n, f"{p.rho:.6f}", p.kind, str(p.log_transformed).lower()])
-    return out.getvalue()
+    results = [(field, fc.by_field[field]) for field in sorted(fc.by_field)]
+    results.append((POOLED_FIELD, fc.pooled))
+    return csv_text(CORRELATIONS_HEADER, (
+        [field, r.n, f"{r.rho:.6f}", r.kind, str(r.log_transformed).lower()]
+        for field, r in results))

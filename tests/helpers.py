@@ -17,6 +17,11 @@ from eigenrank import (CitationLedger, CitationRecord, JournalEntry, JournalTabl
                        MetricScores)
 
 
+def _articles_between(entry, first_year, end_year):
+    """Articles ``entry`` published in ``first_year <= year < end_year``."""
+    return sum(c for y, c in entry.articles_by_year.items() if first_year <= y < end_year)
+
+
 def dense_reference_scores(table, ledger, census_year, window=5, alpha=0.85,
                            exclude_self=True):
     """Dense-path pi/EF/AI from first principles (direct linear solve)."""
@@ -31,7 +36,7 @@ def dense_reference_scores(table, ledger, census_year, window=5, alpha=0.85,
         if exclude_self and r.citing_id == r.cited_id:
             continue
         z[pos[r.cited_id], pos[r.citing_id]] += r.count
-    counts = np.array([e.articles_in_window(census_year, window) for e in table], float)
+    counts = np.array([_articles_between(e, lo, census_year) for e in table], float)
     a = counts / counts.sum()
     col = z.sum(axis=0)
     h = np.divide(z, col, out=np.zeros_like(z), where=col > 0)
@@ -66,7 +71,7 @@ def reference_counts(ledger, table, census_year, window=5, exclude_self=True):
         if lo <= r.cited_year < census_year:
             key = (r.cited_id, r.citing_id)
             matrix[key] = matrix.get(key, 0.0) + float(r.count)
-    n2 = np.array([e.articles_in_window(census_year, 2) for e in table], float)
+    n2 = np.array([_articles_between(e, census_year - 2, census_year) for e in table], float)
     impact = np.full(n, np.nan)
     impact[n2 > 0] = cites[n2 > 0] / n2[n2 > 0]
     return matrix, impact, totals

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigenrank import parse_citation_edges, parse_journal_metadata, read_scores_csv
+from eigenrank import (CitationLedger, CitationRecord, CorrelationResult, FieldCorrelations,
+                       JournalEntry, JournalTable, parse_citation_edges, parse_journal_metadata,
+                       read_scores_csv, write_citation_edges, write_journal_metadata,
+                       write_scores_csv)
 from eigenrank.cli import main
-from helpers import dense_reference_scores
+from eigenrank.stats import write_correlations_csv
+from helpers import dense_reference_scores, score_table
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -210,6 +216,12 @@ def test_exit_codes_usage_errors(capsys):
     assert main(["compute", "--journals", JOURNALS, "--citations", CITATIONS,
                  "--census-year", "not-a-year"]) == 1
     assert main(["simulate", "ossuary", "--n", "3"]) == 1  # below the domain minimum
+    capsys.readouterr()
+    for max_iter in ("0", "-2"):
+        assert main(["compute", "--journals", JOURNALS, "--citations", CITATIONS,
+                     "--census-year", "2006", "--max-iter", max_iter]) == 1
+        assert capsys.readouterr().err == f"error: max_iter must be at least 1, got {max_iter}\n"
+    assert not Path("scores.csv").exists()
 
 
 def test_exit_codes_data_errors(tmp_path, capsys):
@@ -346,3 +358,57 @@ def test_cli_import_loads_no_scipy():
     for name in ("compute", "ratio", "correlate", "simulate", "plot", "bigmac"):
         assert probe[name] == 0, name
         assert probe["after_" + name] == [], name
+
+
+# ---------------------------------------------------------------------------
+# the CSV dialect shared by every written file
+# ---------------------------------------------------------------------------
+
+TRICKY = 'A,"1'  # an id, name or label holding a comma and a double quote
+
+
+def _journals_csv():
+    table = JournalTable((JournalEntry(TRICKY, TRICKY, frozenset({TRICKY, "b"}), {2005: 3}),
+                          JournalEntry("B", "Beta", frozenset(), {2004: 1, 2005: 2})))
+    text = write_journal_metadata(table)
+    assert parse_journal_metadata(text) == table
+    return text
+
+
+def _citations_csv():
+    ledger = CitationLedger((CitationRecord(TRICKY, "B", 2006, 2005, 2),
+                             CitationRecord("B", TRICKY, 2006, 2004, 1)))
+    text = write_citation_edges(ledger)
+    assert parse_citation_edges(text) == ledger
+    return text
+
+
+def _scores_csv():
+    text = write_scores_csv(score_table((TRICKY, "B"), ef=np.array([60.0, 40.0]),
+                                        total_citations=np.array([30, 10])))
+    assert write_scores_csv(read_scores_csv(text)) == text
+    return text
+
+
+def _correlations_csv():
+    result = CorrelationResult(rho=0.5, n=3, kind="pearson")
+    return write_correlations_csv(FieldCorrelations({TRICKY: result}, result, ()))
+
+
+def _ratio_csv():
+    Path("scores.csv").write_text(_scores_csv(), encoding="utf-8")
+    assert main(["ratio", "--scores", "scores.csv", "--out", "ratio.csv"]) == 0
+    return Path("ratio.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("write", [_journals_csv, _citations_csv, _scores_csv,
+                                   _correlations_csv, _ratio_csv],
+                         ids=["journals", "citations", "scores", "correlations", "ratio"])
+def test_written_csv_quotes_commas_and_quotes(write):
+    text = write()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert any(TRICKY in row for row in rows[1:])
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    assert out.getvalue() == text

@@ -306,6 +306,16 @@ def test_table_invariants_rejected():
         CitationLedger((CitationRecord("A", "B", 2006, 2005, 0),))
 
 
+@pytest.mark.parametrize("window, counted", [(5, (2001, 2002, 2003, 2004, 2005)),
+                                              (2, (2004, 2005))])
+def test_article_counts_window_bounds(window, counted):
+    # one journal per year 2000..2006; only the window years before 2006 count
+    years = range(2000, 2007)
+    table = JournalTable(tuple(JournalEntry(f"Y{y}", str(y), frozenset(), {y: 7})
+                               for y in years))
+    assert table.article_counts(2006, window).tolist() == [7 * (y in counted) for y in years]
+
+
 # ---------------------------------------------------------------------------
 # paired observations and the embedded fixture
 # ---------------------------------------------------------------------------

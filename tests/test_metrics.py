@@ -137,6 +137,9 @@ def test_power_iterate_validates_inputs():
         power_iterate(h, dangling, np.array([0.5, 0.5]), alpha=1.0)
     with pytest.raises(ValueError, match="sum"):
         power_iterate(h, dangling, np.array([0.5, 0.4]))
+    for max_iter in (0, -3):
+        with pytest.raises(ValueError, match=f"^max_iter must be at least 1, got {max_iter}$"):
+            power_iterate(h, dangling, np.array([0.5, 0.5]), max_iter=max_iter)
     for a in ([1.0], [0.25, 0.25, 0.5]):
         with pytest.raises(ValueError, match="does not match 2 journals"):
             power_iterate(h, dangling, np.array(a))
@@ -448,3 +451,18 @@ def test_scores_csv_undefined_printed_empty():
             read_scores_csv(bad)
     with pytest.raises(CsvFormatError, match="^line 3: n5 9223372036854775808 out of range"):
         read_scores_csv(text.replace(",0,0,0\n", ",0,9223372036854775808,0\n"))
+    # a count is never negative
+    for i, name in enumerate(("total_citations", "n5", "n2")):
+        cells = ["0", "0", "0"]
+        cells[i] = "-5"
+        bad = text.replace("\nB,0.000000,,,0,0,0\n", "\nB,0.000000,,," + ",".join(cells) + "\n")
+        with pytest.raises(CsvFormatError, match=f"^line 3: {name} must be >= 0, got -5$"):
+            read_scores_csv(bad)
+    # the column count and header messages match the other readers
+    with pytest.raises(CsvFormatError, match="^line 3: expected 7 columns, got 6$"):
+        read_scores_csv(text.replace("\nB,0.000000,,,0,0,0\n", "\nB,0.000000,,,0,0\n"))
+    with pytest.raises(CsvFormatError, match="^scores.csv: expected header journal_id,ef,ai,"
+                                             "impact_factor,total_citations,n5,n2, got id,ef$"):
+        read_scores_csv("id,ef\nA,1\n")
+    with pytest.raises(CsvFormatError, match="^scores.csv: missing header row$"):
+        read_scores_csv("")
