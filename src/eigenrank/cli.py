@@ -224,10 +224,22 @@ def _parse_file(parse, path: str):
     """``parse`` an input CSV streamed from ``path``.
 
     ``utf-8-sig`` drops the byte-order mark spreadsheet exports start with;
-    ``newline=""`` hands CRLF line ends to the csv module.
+    ``newline=""`` hands CRLF line ends to the csv module.  Bytes that are
+    not UTF-8 are a format error naming the line that holds the first one.
     """
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        return parse(fh)
+        try:
+            return parse(fh)
+        except UnicodeDecodeError:
+            # the stream's offset counts from its current chunk, so decode the
+            # whole file again to find the byte, and the line, that fails
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise CsvFormatError(f"{path}: line {line}: not valid UTF-8") from None
+            raise
 
 
 def _load_scores(path: str) -> metrics.MetricScores:
@@ -275,6 +287,14 @@ def _cmd_ratio(args) -> int:
     den_metric = metrics.resolve_metric(args.denominator)
     ra = stats.ratio_analysis(scores.metric(num_metric), scores.metric(den_metric),
                               scores.journal_ids)
+    if args.group_by:  # a bad split fails before anything is written
+        table = _parse_file(corpus.parse_journal_metadata, args.journals)
+        members = set(table.members_of(args.group_by))
+        in_group = [r for label, r in zip(ra.labels, ra.raw_ratios) if label in members]
+        out_group = [r for label, r in zip(ra.labels, ra.raw_ratios) if label not in members]
+        if not in_group or not out_group:
+            raise ValidationError(f"field {args.group_by!r} does not split the journals "
+                                  f"({len(in_group)} vs {len(out_group)})")
     write_text(args.out, csv_text(("label", "raw_ratio", "normalized"), (
         [label, f"{raw:.8g}", f"{norm:.8g}"]
         for label, raw, norm in zip(ra.labels, ra.raw_ratios, ra.normalized))))
@@ -282,14 +302,6 @@ def _cmd_ratio(args) -> int:
           f"cv={ra.cv:.4f} excluded={len(ra.excluded)}; wrote {args.out}")
     if not args.group_by:
         return EXIT_OK
-
-    table = _parse_file(corpus.parse_journal_metadata, args.journals)
-    members = set(table.members_of(args.group_by))
-    in_group = [r for label, r in zip(ra.labels, ra.raw_ratios) if label in members]
-    out_group = [r for label, r in zip(ra.labels, ra.raw_ratios) if label not in members]
-    if not in_group or not out_group:
-        raise ValidationError(f"field {args.group_by!r} does not split the journals "
-                              f"({len(in_group)} vs {len(out_group)})")
     print(f"group {args.group_by!r}: n={len(in_group)} mean={np.mean(in_group):.6g}; "
           f"rest: n={len(out_group)} mean={np.mean(out_group):.6g}")
     if args.test == "mann-whitney":
@@ -337,7 +349,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _read_value_column(path: str, column: str) -> list[float]:
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    def parse(fh) -> list[float]:
         rdr = csv.DictReader(fh)
         if rdr.fieldnames is None or column not in rdr.fieldnames:
             raise CsvFormatError(f"{path}: no column {column!r}")
@@ -354,6 +366,9 @@ def _read_value_column(path: str, column: str) -> list[float]:
             if not math.isfinite(value):
                 raise CsvFormatError(f"{path}: non-finite value {cell!r} in column {column!r}")
             values.append(value)
+        return values
+
+    values = _parse_file(parse, path)
     if not values:
         raise CsvFormatError(f"{path}: no values in column {column!r}")
     return values
@@ -404,6 +419,15 @@ def _cmd_bigmac(args) -> int:
     return EXIT_OK
 
 
+# checked in order; a ValueError is a parameter outside its mathematical domain
+_EXIT_CODES = {
+    _UsageError: EXIT_USAGE,
+    ValueError: EXIT_USAGE,
+    OSError: EXIT_DATA,
+    DataError: EXIT_DATA,
+    NumericalError: EXIT_NUMERIC,
+}
+
 _COMMANDS = {
     "compute": _cmd_compute,
     "correlate": _cmd_correlate,
@@ -424,23 +448,11 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # --help and friends
             return int(exc.code or 0)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        if exc.usage:
+    except tuple(_EXIT_CODES) as exc:
+        if isinstance(exc, _UsageError):
             sys.stderr.write(exc.usage)
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:  # parameter outside its mathematical domain
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -38,11 +38,6 @@ class JournalEntry:
     fields: frozenset[str]
     articles_by_year: dict[int, int]
 
-    def articles_in_window(self, census_year: int, window: int) -> int:
-        """Articles published in the ``window`` years before ``census_year``."""
-        lo = census_year - window
-        return sum(c for y, c in self.articles_by_year.items() if lo <= y < census_year)
-
 
 @dataclass(frozen=True)
 class JournalTable:
@@ -79,15 +74,11 @@ class JournalTable:
         return self.entries[self.index[journal_id]]
 
     def article_counts(self, census_year: int, window: int) -> np.ndarray:
-        """Per-journal article counts over the window, in table order."""
-        return readonly([e.articles_in_window(census_year, window) for e in self.entries],
-                        dtype=np.int64)
-
-    def field_labels(self) -> tuple[str, ...]:
-        labels: set[str] = set()
-        for e in self.entries:
-            labels |= e.fields
-        return tuple(sorted(labels))
+        """Per-journal articles published in the ``window`` years before
+        ``census_year``, in table order."""
+        lo = census_year - window
+        return readonly([sum(c for y, c in e.articles_by_year.items() if lo <= y < census_year)
+                         for e in self.entries], dtype=np.int64)
 
     def members_of(self, field_label: str) -> tuple[str, ...]:
         """Journals carrying ``field_label`` (cross-listing allowed)."""
@@ -168,10 +159,6 @@ class CitationLedger:
         return self.ids == other.ids and all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name in _LEDGER_COLUMNS)
 
-    @property
-    def records(self) -> tuple[CitationRecord, ...]:
-        return tuple(self)
-
     def _records(self, rows) -> Iterator[CitationRecord]:
         ids = self.ids
         columns = (getattr(self, name)[rows].tolist() for name in _LEDGER_COLUMNS)
@@ -223,14 +210,12 @@ class CitationMatrix:
     """Windowed citation matrix for one census year, stored as triplets.
 
     Entry ``k`` says that journal ``col[k]`` gave ``value[k]`` citations in
-    ``census_year`` to articles journal ``row[k]`` published during the
-    ``window`` years before the census year.  ``row`` and ``col`` index
-    ``ids``; each position appears once, entries are sorted by column, then
-    row, and zeros are absent.  ``matrix @ x`` is the matrix-vector product.
+    the census year to articles journal ``row[k]`` published during the
+    window before it.  ``row`` and ``col`` index ``ids``; each position
+    appears once, entries are sorted by column, then row, and zeros are
+    absent.  ``matrix @ x`` is the matrix-vector product.
     """
 
-    census_year: int
-    window: int
     ids: tuple[str, ...]
     row: np.ndarray
     col: np.ndarray
@@ -249,8 +234,6 @@ class CitationMatrix:
         # column-major order is what makes __matmul__ add up each row in a fixed order
         if (np.diff(self.col * n + self.row) <= 0).any():
             raise ValidationError("matrix entries must be unique and sorted by column, then row")
-        if self.window <= 0:
-            raise ValidationError("window must be positive")
         if not (self.value > 0).all():
             raise ValidationError("stored citation entries must be strictly positive")
         if self.self_cites_excluded and (self.row == self.col).any():
@@ -333,8 +316,7 @@ def parse_journal_metadata(source: str | TextIO) -> JournalTable:
     pair or a conflicting name is a format error.
     """
     rdr = csv_reader(source, JOURNALS_HEADER, "journals.csv")
-    order: list[str] = []
-    names: dict[str, str] = {}
+    names: dict[str, str] = {}  # insertion-ordered: journals in first-seen order
     fields: dict[str, set[str]] = {}
     years: dict[str, dict[int, int]] = {}
     for row in rdr:
@@ -349,7 +331,6 @@ def parse_journal_metadata(source: str | TextIO) -> JournalTable:
         year = _int_field(year_s, "year", line)
         articles = _int_field(articles_s, "articles", line, minimum=0)
         if jid not in names:
-            order.append(jid)
             names[jid] = name
             fields[jid] = set()
             years[jid] = {}
@@ -360,7 +341,7 @@ def parse_journal_metadata(source: str | TextIO) -> JournalTable:
         years[jid][year] = articles
         fields[jid] |= {f.strip() for f in field_list.split(";") if f.strip()}
     return JournalTable(tuple(
-        JournalEntry(jid, names[jid], frozenset(fields[jid]), years[jid]) for jid in order))
+        JournalEntry(jid, name, frozenset(fields[jid]), years[jid]) for jid, name in names.items()))
 
 
 def parse_citation_edges(source: str | TextIO) -> CitationLedger:
@@ -409,8 +390,11 @@ def write_journal_metadata(table: JournalTable) -> str:
 
 
 def write_citation_edges(ledger: CitationLedger) -> str:
-    return csv_text(CITATIONS_HEADER, (
-        [r.citing_id, r.cited_id, r.citing_year, r.cited_year, r.count] for r in ledger))
+    """Serialize a CitationLedger back to citations.csv text (round-trip safe)."""
+    ids = np.array(ledger.ids, dtype=object)
+    return csv_text(CITATIONS_HEADER, zip(
+        ids[ledger.citing].tolist(), ids[ledger.cited].tolist(),
+        *(getattr(ledger, name).tolist() for name in _LEDGER_COLUMNS[2:])))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +418,7 @@ def build_citation_matrix(ledger: CitationLedger, table: JournalTable, census_ye
     keys, inverse = np.unique(citing * n + cited, return_inverse=True)
     value = np.bincount(inverse, weights=count, minlength=len(keys))
     col, row = np.divmod(keys, n)
-    return CitationMatrix(census_year, window, table.ids, row, col, value, exclude_self)
+    return CitationMatrix(table.ids, row, col, value, exclude_self)
 
 
 # ---------------------------------------------------------------------------

@@ -88,14 +88,10 @@ class MetricScores:
 
     def __post_init__(self):
         object.__setattr__(self, "journal_ids", tuple(self.journal_ids))
-        object.__setattr__(self, "ef", readonly(self.ef))
-        object.__setattr__(self, "ai", readonly(self.ai))
-        object.__setattr__(self, "impact_factor", readonly(self.impact_factor))
-        object.__setattr__(self, "total_citations", readonly(self.total_citations, dtype=np.int64))
-        object.__setattr__(self, "n5", readonly(self.n5, dtype=np.int64))
-        object.__setattr__(self, "n2", readonly(self.n2, dtype=np.int64))
         n = len(self.journal_ids)
-        for name in ("ef", "ai", "impact_factor", "total_citations", "n5", "n2"):
+        for name in SCORES_HEADER[1:]:
+            dtype = float if name in SCORES_HEADER[1:4] else np.int64
+            object.__setattr__(self, name, readonly(getattr(self, name), dtype=dtype))
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} has wrong length")
         if self.census_year is None:

@@ -33,8 +33,14 @@ class RankedItem:
     score_right: float
     rank_left: int   # 1-based
     rank_right: int  # 1-based
-    delta: int       # rank_left - rank_right; positive means it moved up
-    movement: str    # "up" | "down" | "same"
+
+    @property
+    def delta(self) -> int:  # positive means it moved up
+        return self.rank_left - self.rank_right
+
+    @property
+    def movement(self) -> str:  # "up" | "down" | "same"
+        return UP if self.delta > 0 else DOWN if self.delta < 0 else SAME
 
 
 @dataclass(frozen=True)
@@ -52,12 +58,6 @@ class RankComparison:
         if {it.rank_left for it in self.items} != expect or \
                 {it.rank_right for it in self.items} != expect:
             raise ValueError("ranks must form permutations of 1..n on both sides")
-        for it in self.items:
-            if it.delta != it.rank_left - it.rank_right:
-                raise ValueError(f"inconsistent delta for {it.label!r}")
-            want = UP if it.delta > 0 else DOWN if it.delta < 0 else SAME
-            if it.movement != want:
-                raise ValueError(f"inconsistent movement for {it.label!r}")
 
     def __len__(self) -> int:
         return len(self.items)
@@ -108,14 +108,11 @@ def rank_items(labels: Sequence[str], left_scores, right_scores,
         raise DegenerateDataError("rank comparison needs at least two items")
     rank_left = _ranks(labels, left)
     rank_right = _ranks(labels, right)
-    items = []
-    for pos in np.argsort(rank_left):
-        delta = int(rank_left[pos] - rank_right[pos])
-        items.append(RankedItem(
-            label=labels[pos], score_left=float(left[pos]), score_right=float(right[pos]),
-            rank_left=int(rank_left[pos]), rank_right=int(rank_right[pos]), delta=delta,
-            movement=UP if delta > 0 else DOWN if delta < 0 else SAME))
-    return RankComparison(tuple(items), left_name, right_name, excluded)
+    items = tuple(RankedItem(
+        label=labels[pos], score_left=float(left[pos]), score_right=float(right[pos]),
+        rank_left=int(rank_left[pos]), rank_right=int(rank_right[pos]))
+        for pos in np.argsort(rank_left))
+    return RankComparison(items, left_name, right_name, excluded)
 
 
 def rank_comparison(scores, left_metric: str, right_metric: str) -> RankComparison:

@@ -309,6 +309,12 @@ def per_field_correlations(scores, table: JournalTable, x_metric: str, y_metric:
     if log:
         usable &= (x > 0) & (y > 0)
     position = {jid: i for i, jid in enumerate(scores.journal_ids)}
+    # field label -> score positions of its scored members, in table order
+    members: dict[str, list[int]] = {}
+    for e in table:
+        scored = [position[e.journal_id]] if e.journal_id in position else []
+        for field in e.fields:
+            members.setdefault(field, []).extend(scored)
 
     def correlate(indices: np.ndarray) -> CorrelationResult:
         sel = indices[usable[indices]]
@@ -318,13 +324,12 @@ def per_field_correlations(scores, table: JournalTable, x_metric: str, y_metric:
 
     by_field: dict[str, CorrelationResult] = {}
     skipped: list[str] = []
-    for field in table.field_labels():
-        members = np.array([position[j] for j in table.members_of(field) if j in position],
-                           dtype=int)
-        if usable[members].sum() < 3:
+    for field in sorted(members):
+        indices = np.array(members[field], dtype=int)
+        if usable[indices].sum() < 3:
             skipped.append(field)
             continue
-        by_field[field] = correlate(members)
+        by_field[field] = correlate(indices)
     pooled = correlate(np.arange(len(x)))
     return FieldCorrelations(by_field=by_field, pooled=pooled, skipped=tuple(skipped))
 

@@ -139,19 +139,43 @@ def test_simulate_logistic_reports_single_rho():
 
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path):
-    Path("sim.cfg").write_text("trials=4\nn=64\nseed=9\n")
+    Path("sim.cfg").write_text("# trial budget\n\ntrials=4\nn=64\nseed=9\n")
     assert main(["simulate", "ossuary", "--config", "sim.cfg",
                  "--out", "a.csv", "--summary", "a.txt"]) == 0
     assert "trials=4" in Path("a.txt").read_text()
-    assert main(["simulate", "ossuary", "--config", "sim.cfg", "--trials", "2",
+    assert main(["simulate", "ossuary", "--config=sim.cfg", "--trials", "2",
                  "--out", "b.csv", "--summary", "b.txt"]) == 0
     assert "trials=2" in Path("b.txt").read_text()
+    # a boolean key behaves like its flag
+    Path("self.cfg").write_text("include-self-cites=yes\n")
+    compute = ["compute", "--journals", JOURNALS, "--citations", CITATIONS,
+               "--census-year", "2006"]
+    assert main(compute + ["--config", "self.cfg", "--out", "cfg.csv"]) == 0
+    assert main(compute + ["--include-self-cites", "--out", "flag.csv"]) == 0
+    compute_scores("plain.csv")
+    assert Path("cfg.csv").read_bytes() == Path("flag.csv").read_bytes()
+    assert Path("cfg.csv").read_bytes() != Path("plain.csv").read_bytes()
 
 
 def test_config_rejects_unknown_keys(capsys):
     Path("bad.cfg").write_text("bogus=1\n")
     assert main(["simulate", "ossuary", "--config", "bad.cfg"]) == 1
     assert "bogus" in capsys.readouterr().err
+    for text, argv, message in (
+            ("trials=4\n", ["simulate", "ossuary", "--config"], "--config requires a path"),
+            ("trials=4\n", ["--config", "c.cfg"], "--config requires a recognized subcommand"),
+            ("# comment\n\ntrials 4\n", ["simulate", "ossuary", "--config", "c.cfg"],
+             "c.cfg:3: expected key=value, got 'trials 4'"),
+            ("include-self-cites=maybe\n", ["compute", "--config", "c.cfg"],
+             "config key 'include-self-cites' expects a boolean, got 'maybe'"),
+            ("trials=x\n", ["simulate", "ossuary", "--config", "c.cfg"],
+             "config key 'trials': cannot parse 'x'"),
+            ("family=weird\n", ["simulate", "ossuary", "--config", "c.cfg"],
+             "config key 'family': 'weird' not in")):
+        Path("c.cfg").write_text(text)
+        assert main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not Path("simulation.csv").exists() and not Path("scores.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +245,21 @@ def test_exit_codes_usage_errors(capsys):
         assert main(["compute", "--journals", JOURNALS, "--citations", CITATIONS,
                      "--census-year", "2006", "--max-iter", max_iter]) == 1
         assert capsys.readouterr().err == f"error: max_iter must be at least 1, got {max_iter}\n"
-    assert not Path("scores.csv").exists()
+    compute_scores("s.csv")
+    capsys.readouterr()
+    compute = ["compute", "--journals", JOURNALS, "--citations", CITATIONS, "--census-year", "2006"]
+    for argv, message in ((["correlate", "--scores", "s.csv", "--by-field"],
+                           "--by-field requires --journals"),
+                          (["plot", "slopegraph", "--out", "p.svg"],
+                           "plot slopegraph requires --scores"),
+                          (["plot", "histogram", "--out", "p.svg"],
+                           "plot histogram requires --values"),
+                          (compute + ["--window", "0"], "window must be positive"),
+                          (compute + ["--tol", "0"], "tol must be positive")):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("scores.csv").exists() and not Path("correlations.csv").exists()
+    assert not Path("p.svg").exists()
 
 
 def test_exit_codes_data_errors(tmp_path, capsys):
@@ -235,6 +273,30 @@ def test_exit_codes_data_errors(tmp_path, capsys):
                  "--census-year", "2006"]) == 2
     assert main(["compute", "--journals", "missing.csv", "--citations", CITATIONS,
                  "--census-year", "2006"]) == 2
+    Path("v.csv").write_text("trial,rho\n0,0.5\n1,abc\n")
+    for column, message in (("nope", "v.csv: no column 'nope'"),
+                            ("rho", "v.csv: malformed value 'abc' in column 'rho'")):
+        assert main(["plot", "histogram", "--values", "v.csv", "--column", column,
+                     "--out", "h.svg"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+    # bytes that are not UTF-8 (a Latin-1 e-acute) are a data error naming their line
+    latin1 = Path(JOURNALS).read_text().replace("Alpha", "Alph\u00e9", 2).encode("latin-1")
+    Path("latin1.csv").write_bytes(latin1)
+    compute_scores("s.csv")
+    Path("s1.csv").write_bytes(Path("s.csv").read_bytes().replace(b"\nA,", b"\n\xe9,"))
+    Path("v1.csv").write_bytes(b"rho\n0.5\n\xe9\n")
+    capsys.readouterr()
+    for argv, path, line in (
+            (["compute", "--journals", "latin1.csv", "--citations", CITATIONS,
+              "--census-year", "2006"], "latin1.csv", 2),
+            (["correlate", "--scores", "s1.csv"], "s1.csv", 2),
+            (["correlate", "--scores", "s.csv", "--by-field", "--journals", "latin1.csv"],
+             "latin1.csv", 2),
+            (["plot", "histogram", "--values", "v1.csv", "--out", "h.svg"], "v1.csv", 3)):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: line {line}: not valid UTF-8\n"
+    assert not Path("scores.csv").exists() and not Path("correlations.csv").exists()
+    assert not Path("h.svg").exists()
 
 
 def test_duplicate_journal_id_in_scores_is_a_data_error(capsys):
@@ -257,6 +319,11 @@ def test_ratio_usage_errors_write_nothing(capsys):
     assert "--test mann-whitney requires --group-by" in capsys.readouterr().err
     assert main(["ratio", "--scores", "scores.csv", "--group-by", "medicine"]) == 1
     assert "--group-by requires --journals" in capsys.readouterr().err
+    # a field that does not split the journals, or unreadable journals, is a data error
+    for field, journals in (("nonexistent", JOURNALS), ("medicine", "missing.csv")):
+        assert main(["ratio", "--scores", "scores.csv", "--group-by", field,
+                     "--journals", journals, "--test", "mann-whitney"]) == 2
+        assert capsys.readouterr().out == ""
     assert not Path("ratio.csv").exists() and not Path("utest.txt").exists()
 
 

@@ -57,6 +57,16 @@ def test_parse_journals_conflicting_name_is_format_error():
         parse_journal_metadata(text)
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_journal_metadata, JOURNALS_HEADER + "A,Alpha,,2005,10\n ,Beta,,2005,3\n",
+     "^line 3: empty journal_id$"),
+    (parse_citation_edges, CITATIONS_HEADER + "A,B,2006,2005,1\nA, ,2006,2005,1\n",
+     "^line 3: empty journal id$")])
+def test_empty_journal_id_is_format_error_with_its_line(parse, text, message):
+    with pytest.raises(CsvFormatError, match=message):
+        parse(text)
+
+
 def test_parse_journals_missing_column_is_format_error():
     with pytest.raises(CsvFormatError, match="columns"):
         parse_journal_metadata(JOURNALS_HEADER + "A,Alpha,2005,10\n")
@@ -79,7 +89,7 @@ def test_parse_journals_rejects_missing_header():
 def test_parse_citations_direct():
     ledger = parse_citation_edges(CITATIONS_HEADER + "A,B,2006,2004,7\n")
     assert len(ledger) == 1
-    record = ledger.records[0]
+    record = tuple(ledger)[0]
     assert record == CitationRecord("A", "B", 2006, 2004, 7)
 
 
@@ -159,7 +169,7 @@ def test_record_built_ledger_round_trips_and_matches_parsed_columns():
                CitationRecord("A", "B", 2005, 2007, 1),
                CitationRecord("C", "C", 2006, 2004, 9))
     ledger = CitationLedger(records)
-    assert ledger.records == records
+    assert tuple(ledger) == records
     assert ledger.ids == ("B", "C", "A")
     assert ledger.citing.tolist() == [0, 2, 1]
     assert ledger.cited.tolist() == [1, 0, 1]
@@ -206,13 +216,16 @@ def test_build_matrix_single_record():
     assert z.to_dict() == {("B", "A"): 7.0}
     assert z.ids == ("A", "B")
     assert (z.row.tolist(), z.col.tolist(), z.value.tolist()) == ([1], [0], [7.0])
+    for window in (0, -1):
+        with pytest.raises(ValueError, match="^window must be positive$"):
+            build_citation_matrix(ledger, table, 2006, window, exclude_self=False)
 
 
 def test_citation_matrix_checks_its_triplets():
     ids = ("A", "B", "C")
 
-    def matrix(row, col, value, window=5, exclude_self=False):
-        return CitationMatrix(2006, window, ids, row, col, value, exclude_self)
+    def matrix(row, col, value, exclude_self=False):
+        return CitationMatrix(ids, row, col, value, exclude_self)
 
     z = matrix([1, 2, 0], [0, 0, 2], [2.0, 3.0, 5.0])
     assert not (z.row.flags.writeable or z.col.flags.writeable or z.value.flags.writeable)
@@ -231,8 +244,6 @@ def test_citation_matrix_checks_its_triplets():
                           (([1], [0], [0.0]), "strictly positive")):
         with pytest.raises(ValidationError, match=message):
             matrix(*args)
-    with pytest.raises(ValidationError, match="window"):
-        matrix([1], [0], [1.0], window=0)
     with pytest.raises(ValidationError, match="self-citations"):
         matrix([1], [1], [1.0], exclude_self=True)
 

@@ -407,6 +407,13 @@ def test_metric_scores_validates_sum():
     with pytest.raises(ValueError, match="sum"):
         MetricScores(2006, ("A", "B"), [60.0, 30.0], [1.0, 1.0], [0.0, 0.0],
                      [0, 0], [1, 1], [1, 1])
+    # the AI invariants: (ef, ai, n5) of two journals
+    for ef, ai, n5, message in (
+            ([100.0, 0.0], [1.0, -0.5], [1, 1], "AI must be nonnegative"),
+            ([100.0, 0.0], [1.0, 0.5], [1, 1], "AI must be zero exactly where EF is zero"),
+            ([100.0, 0.0], [1.0, 0.0], [1, 0], "AI must be undefined")):
+        with pytest.raises(ValueError, match=message):
+            MetricScores(2006, ("A", "B"), ef, ai, [0.0, 0.0], [0, 0], n5, [1, 1])
 
 
 def test_metric_aliases():
@@ -444,6 +451,8 @@ def test_scores_csv_undefined_printed_empty():
     assert row_b[2] == "" and row_b[3] == ""
     reread = read_scores_csv(text)
     assert np.isnan(reread.metric("ai")[1])
+    with pytest.raises(CsvFormatError, match="^line 3: malformed ef 'zero'$"):
+        read_scores_csv(text.replace("\nB,0.000000,", "\nB,zero,"))
     # an empty count cell is malformed, not undefined
     for cell in ("3.5", "x", ""):
         bad = text.replace("\nB,0.000000,,,0,0,0\n", f"\nB,0.000000,,,0,{cell},0\n")

@@ -99,10 +99,14 @@ def test_deltas_always_sum_to_zero():
 
 
 def test_rank_comparison_validates_consistency():
-    good = RankedItem("a", 2.0, 1.0, 1, 2, -1, "down")
-    bad = RankedItem("b", 1.0, 2.0, 2, 1, 1, "down")  # movement contradicts delta
-    with pytest.raises(ValueError, match="movement"):
-        RankComparison((good, bad))
+    a = RankedItem("a", 2.0, 1.0, 1, 2)
+    assert (a.delta, a.movement) == (-1, "down")
+    assert RankComparison((a, RankedItem("b", 1.0, 2.0, 2, 1))).movement_counts() == {
+        "up": 1, "down": 1, "same": 0}
+    for b in (RankedItem("b", 1.0, 2.0, 2, 2),   # right ranks repeat
+              RankedItem("b", 1.0, 2.0, 3, 1)):  # left ranks skip 2
+        with pytest.raises(ValueError, match="permutations"):
+            RankComparison((a, b))
 
 
 # ---------------------------------------------------------------------------
