@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -38,14 +38,32 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return out.getvalue()
 
 
-def csv_reader(source: str | TextIO, header: Sequence[str], what: str) -> csv.reader:
-    """A ``csv.reader`` over ``source`` (text or an open file), positioned
-    after its header row; a missing or different header is a format error
-    naming the file as ``what``."""
-    rdr = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
-    row = next(rdr, None)
+class CsvRows:
+    """The rows of a ``csv.reader``, with its ``line_num``.  A ``csv.Error``
+    (a cell longer than ``csv.field_size_limit()``) is a format error that
+    names the line it is on."""
+
+    def __init__(self, source: str | TextIO):
+        self._reader = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
+
+    @property
+    def line_num(self) -> int:
+        return self._reader.line_num
+
+    def __iter__(self) -> Iterator[list[str]]:
+        try:
+            yield from self._reader
+        except csv.Error as exc:
+            raise CsvFormatError(f"line {self.line_num}: {exc}") from None
+
+
+def csv_reader(source: str | TextIO, header: Sequence[str], what: str) -> CsvRows:
+    """The rows of ``source`` (text or an open file) after its header row; a
+    missing or different header is a format error naming the file as ``what``."""
+    rows = CsvRows(source)
+    row = next(iter(rows), None)
     if row is None:
         raise CsvFormatError(f"{what}: missing header row")
     if tuple(h.strip() for h in row) != tuple(header):
         raise CsvFormatError(f"{what}: expected header {','.join(header)}, got {','.join(row)}")
-    return rdr
+    return rows

@@ -17,7 +17,6 @@ override config values.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, metrics, report, spurious, stats
-from ._util import csv_text, write_text
+from ._util import CsvRows, csv_text, write_text
 from .errors import CsvFormatError, DataError, NumericalError, ValidationError
 
 EXIT_OK = 0
@@ -201,8 +200,17 @@ def _apply_config(argv: list[str], by_name: dict[str, _Parser]) -> None:
     sub = by_name.get(command or "")
     if sub is None:
         raise _UsageError("--config requires a recognized subcommand")
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise _UsageError(f"{path}: cannot read config file: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8-sig")  # the same encoding as the input files
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise _UsageError(f"{path}:{line}: not valid UTF-8") from None
     defaults = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -350,12 +358,13 @@ def _cmd_simulate(args) -> int:
 
 def _read_value_column(path: str, column: str) -> list[float]:
     def parse(fh) -> list[float]:
-        rdr = csv.DictReader(fh)
-        if rdr.fieldnames is None or column not in rdr.fieldnames:
+        rows = iter(CsvRows(fh))
+        header = next(rows, None)
+        if header is None or column not in header:
             raise CsvFormatError(f"{path}: no column {column!r}")
         values = []
-        for row in rdr:
-            cell = (row[column] or "").strip()
+        for row in rows:
+            cell = (dict(zip(header, row)).get(column) or "").strip()
             if not cell:
                 continue
             try:

@@ -12,6 +12,8 @@ File formats (UTF-8, comma-delimited, required header row):
 
 from __future__ import annotations
 
+import csv
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, TextIO
@@ -28,6 +30,14 @@ CITATIONS_HEADER = ("citing_id", "cited_id", "citing_year", "cited_year", "count
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
+
+def _check_writable(what: str, text: str) -> None:
+    """A ValidationError unless ``text`` reads back from a CSV cell as itself:
+    the readers strip every cell, and a carriage return is written unquoted."""
+    if text != text.strip() or "\r" in text:
+        raise ValidationError(f"{what} {text!r} cannot be written to CSV and read back "
+                              "(it starts or ends with whitespace, or holds a carriage return)")
+
 
 @dataclass(frozen=True)
 class JournalEntry:
@@ -48,11 +58,18 @@ class JournalTable:
         for e in self.entries:
             if not e.journal_id:
                 raise ValidationError("journal_id must be non-empty")
+            _check_writable("journal_id", e.journal_id)
             if e.journal_id in seen:
                 raise ValidationError(f"duplicate journal_id {e.journal_id!r}")
             seen.add(e.journal_id)
+            _check_writable(f"journal {e.journal_id!r} name", e.name)
             if any(not f for f in e.fields):
                 raise ValidationError(f"journal {e.journal_id!r} has an empty field label")
+            for label in e.fields:
+                _check_writable(f"journal {e.journal_id!r} field label", label)
+                if ";" in label:
+                    raise ValidationError(f"journal {e.journal_id!r} field label {label!r} holds "
+                                          "';', which separates labels in journals.csv")
             if any(c < 0 for c in e.articles_by_year.values()):
                 raise ValidationError(f"journal {e.journal_id!r} has a negative article count")
 
@@ -128,23 +145,28 @@ class CitationLedger:
                     if not _fits_int64(value):
                         raise ValidationError(_out_of_range(f"record {i}", name, value)) from None
             raise
-        self._set_columns(tuple(codes), *columns)
+        self._set_columns(tuple(codes), *(readonly(c, dtype=np.int64) for c in columns))
 
     @classmethod
     def _from_columns(cls, ids: tuple[str, ...], *columns) -> CitationLedger:
+        """A ledger over ``columns``, lists of ints or int64 arrays that the
+        caller hands over: an array becomes read-only in place, uncopied."""
         ledger = cls.__new__(cls)
-        ledger._set_columns(ids, *columns)
+        ledger._set_columns(ids, *(np.asarray(c, dtype=np.int64) for c in columns))
         return ledger
 
-    def _set_columns(self, ids: tuple[str, ...], *columns) -> None:
+    def _set_columns(self, ids: tuple[str, ...], *columns: np.ndarray) -> None:
         object.__setattr__(self, "ids", ids)
         for name, values in zip(_LEDGER_COLUMNS, columns):
-            object.__setattr__(self, name, readonly(values, dtype=np.int64))
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         bad = np.flatnonzero(self.count <= 0)
         if bad.size:
             raise ValidationError(f"citation count must be positive, got {self.count[bad[0]]}")
         if "" in ids:
             raise ValidationError("citation record with empty journal id")
+        for jid in ids:
+            _check_writable("journal id", jid)
 
     def __len__(self) -> int:
         return len(self.count)
@@ -347,8 +369,33 @@ def parse_journal_metadata(source: str | TextIO) -> JournalTable:
 def parse_citation_edges(source: str | TextIO) -> CitationLedger:
     """Parse ``citations.csv`` content into a CitationLedger (input order kept).
 
+    A year or count outside the signed 64-bit range is a format error.  A
+    plain file is read in numpy columns (see ``_parse_citation_columns``);
+    any other input, a faulty one included, is read again from its start by
+    the csv row loop, so the ledger and every error are the row loop's.
+    """
+    if isinstance(source, str):
+        start = None
+    else:
+        try:
+            start = source.tell()
+        except OSError:  # a stream that cannot be read twice
+            return _parse_citation_rows(source)
+    try:
+        ledger = _parse_citation_columns(source)
+    except UnicodeDecodeError:  # the row loop reports it, or an earlier fault, by line
+        ledger = None
+    if ledger is not None:
+        return ledger
+    if start is not None:
+        source.seek(start)
+    return _parse_citation_rows(source)
+
+
+def _parse_citation_rows(source: str | TextIO) -> CitationLedger:
+    """Parse ``citations.csv`` content with the csv module, one row at a time.
+
     Fills the ledger's columns in one pass, interning ids as they appear.
-    A year or count outside the signed 64-bit range is a format error.
     """
     rdr = csv_reader(source, CITATIONS_HEADER, "citations.csv")
     codes: dict[str, int] = {}
@@ -377,6 +424,185 @@ def parse_citation_edges(source: str | TextIO) -> CitationLedger:
         cited_year_col.append(cited_year)
         count_col.append(count)
     return CitationLedger._from_columns(tuple(codes), *columns)
+
+
+# the vectorised citations.csv reader
+_CITATIONS_HEADER_LINE = ",".join(CITATIONS_HEADER) + "\n"
+_CHUNK_CHARS = 1 << 18
+_MAX_DIGITS = 18  # every number of up to 18 digits fits int64
+_MAX_ID_WORDS = 4  # ids of up to 32 bytes, as 8-byte words
+_PAD = "\0" * 8 * _MAX_ID_WORDS  # lets every cell be read as whole words
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# odd multipliers are invertible mod 2**64: a change to one word of a longer id
+# changes the mixed key, bar its top bit
+_WORD_MIX = np.array([1, 0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9],
+                     dtype=np.uint64)
+_LONG_ID = np.uint64(1 << 63)
+_COLUMNS = len(CITATIONS_HEADER)
+
+
+def _text_chunks(source: str | TextIO) -> Iterator[str]:
+    """``source`` in pieces of about ``_CHUNK_CHARS`` characters, each ending
+    at a newline or at the end of the text."""
+    if isinstance(source, str):
+        start = 0
+        while start < len(source):
+            end = source.find("\n", start + _CHUNK_CHARS) + 1 or len(source)
+            yield source[start:end]
+            start = end
+    else:
+        while chunk := source.read(_CHUNK_CHARS):
+            yield chunk if chunk.endswith("\n") else chunk + source.readline()
+
+
+def _parse_citation_columns(source: str | TextIO) -> CitationLedger | None:
+    """The ledger ``_parse_citation_rows`` returns for ``source``, or None
+    where this reader cannot show that it is the same one.
+
+    It answers only for the exact header line followed by rows of five
+    non-empty ASCII cells within the csv field size limit: no quote, no
+    control character but the newline, no blank line, no cell that starts
+    or ends with a space (so every cell equals its ``strip()``), ids of at
+    most 32 bytes, years and counts of 1-18 digits and counts of at least
+    1.  Each chunk is split at its commas and newlines in one pass.
+    """
+    chunks = _text_chunks(source)
+    head = next(chunks, "")
+    if not head.startswith(_CITATIONS_HEADER_LINE):
+        return None
+    limit = csv.field_size_limit()
+    ids = _IdCodes()
+    # the five columns, filled in place and grown by doubling: chunk-sized
+    # arrays kept until the end would stay in the heap after they are freed
+    columns = np.empty((_COLUMNS, 1 << 16), dtype=np.int64)
+    filled = 0
+    for text in itertools.chain((head[len(_CITATIONS_HEADER_LINE):],), chunks):
+        if not text:
+            continue
+        if not text.isascii():
+            return None
+        if not text.endswith("\n"):
+            text += "\n"
+        padded = (text + _PAD).encode("ascii")
+        raw = np.frombuffer(padded, dtype=np.uint8)
+        body = raw[:len(text)]
+        if (((body < ord(" ")) & (body != ord("\n"))) | (body == ord('"'))).any():
+            return None
+        ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
+        rows = len(ends) // _COLUMNS
+        at_newline = raw[ends] == ord("\n")
+        if (len(ends) != rows * _COLUMNS or not at_newline[_COLUMNS - 1::_COLUMNS].all()
+                or np.count_nonzero(at_newline) != rows):
+            return None
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        starts[1:] = ends[:-1] + 1
+        lengths = ends - starts
+        if (lengths.min() < 1 or lengths.max() > limit
+                or (raw[starts] == ord(" ")).any() or (raw[ends - 1] == ord(" ")).any()):
+            return None
+        starts, lengths = starts.reshape(rows, _COLUMNS), lengths.reshape(rows, _COLUMNS)
+        if filled + rows > columns.shape[1]:
+            grown = np.empty((_COLUMNS, max(2 * columns.shape[1], filled + rows)), dtype=np.int64)
+            grown[:, :filled] = columns[:, :filled]
+            columns = grown
+        block = columns[:, filled:filled + rows]
+        filled += rows
+        for column in range(2, _COLUMNS):
+            values = _decimal_cells(raw, starts[:, column], lengths[:, column])
+            if values is None:
+                return None
+            block[column] = values
+        if block[4].min() < 1:
+            return None
+        # id cells in first-seen order: the citing id, then the cited id, row by row
+        codes = ids.codes(text, padded, starts[:, :2].ravel(), lengths[:, :2].ravel())
+        if codes is None:
+            return None
+        block[:2] = codes.reshape(rows, 2).T
+    return CitationLedger._from_columns(tuple(ids.ids), *columns[:, :filled])
+
+
+class _IdCodes:
+    """Codes for id cells, chunk by chunk, in first-seen order.
+
+    An id is read as little-endian uint64 words of 8 bytes, the bytes past
+    its end masked to zero, which no id byte is, so equal ids have equal
+    words.  A one-word id is its own key, with the top bit clear (ASCII); a
+    longer id's key mixes its words and sets that bit, and since mixed keys
+    may collide, each such cell is checked against the words its key stands
+    for.  Keys are looked up in the sorted keys seen so far, so Python code
+    touches only ids not seen before.
+    """
+
+    def __init__(self):
+        self.ids: list[str] = []
+        self._keys = np.empty(0, dtype=np.uint64)  # sorted
+        self._codes = np.empty(0, dtype=np.int64)  # the id code of each key
+        self._words = np.empty((0, _MAX_ID_WORDS), dtype=np.uint64)  # the words of each key
+
+    def codes(self, text: str, padded: bytes, starts: np.ndarray,
+              lengths: np.ndarray) -> np.ndarray | None:
+        """The codes of the ids at ``starts`` in ``text``, ``padded`` being its
+        ASCII bytes and 32 zero bytes; None for an id over 32 bytes, or
+        mixed keys that collide."""
+        if lengths.max() > 8 * _MAX_ID_WORDS:
+            return None
+        n_words = -(-int(lengths.max()) // 8)
+        windows = np.ndarray((len(text), n_words), dtype="<u8", buffer=padded,
+                             strides=(1, 8))  # row i: the words from byte i on
+        words = windows[starts]
+        words &= _BYTE_MASKS[np.clip(lengths[:, None] - 8 * np.arange(n_words), 0, 8)]
+        keys = words[:, 0]
+        if n_words > 1:
+            mixed = np.bitwise_xor.reduce(words * _WORD_MIX[:n_words], axis=1) | _LONG_ID
+            keys = np.where(words[:, 1:].any(axis=1), mixed, keys)
+        order = np.argsort(keys)  # sorted needles make the lookup cache-friendly
+        at = np.searchsorted(self._keys, keys[order])
+        known = at < len(self._keys)
+        known[known] = self._keys[at[known]] == keys[order[known]]
+        if not known.all():
+            unknown = np.sort(order[~known])
+            new_keys, first = np.unique(keys[unknown], return_index=True)
+            first = unknown[first]
+            by_position = np.argsort(first)
+            new_codes = np.empty(len(new_keys), dtype=np.int64)
+            new_codes[by_position] = np.arange(len(self.ids), len(self.ids) + len(new_keys))
+            self.ids.extend(text[i:i + n] for i, n in zip(starts[first[by_position]].tolist(),
+                                                          lengths[first[by_position]].tolist()))
+            new_words = np.zeros((len(new_keys), _MAX_ID_WORDS), dtype=np.uint64)
+            new_words[:, :n_words] = words[first]
+            at_new = np.searchsorted(self._keys, new_keys)
+            self._keys = np.insert(self._keys, at_new, new_keys)
+            self._codes = np.insert(self._codes, at_new, new_codes)
+            self._words = np.insert(self._words, at_new, new_words, axis=0)
+            at = np.searchsorted(self._keys, keys[order])
+        if n_words > 1:
+            known_words = self._words[at]
+            if not ((known_words[:, :n_words] == words[order]).all()
+                    and not known_words[:, n_words:].any()):
+                return None
+        codes = np.empty(len(order), dtype=np.int64)
+        codes[order] = self._codes[at]
+        return codes
+
+
+def _decimal_cells(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """The cells of ``raw`` at ``starts`` as int64, or None unless every one
+    is 1-18 ASCII digits: one Horner step per digit position.  ``raw`` holds
+    at least ``_MAX_DIGITS`` bytes past the start of its last cell."""
+    shortest, width = int(lengths.min()), int(lengths.max())
+    if width > _MAX_DIGITS:
+        return None
+    values = np.zeros(len(starts), dtype=np.int64)
+    for k in range(width):
+        digit = raw[starts + k] - ord("0")  # uint8: a byte below '0' wraps past 9
+        inside = slice(None) if k < shortest else lengths > k
+        if (digit[inside] > 9).any():
+            return None
+        values[inside] *= 10
+        values[inside] += digit[inside]
+    return values
 
 
 def write_journal_metadata(table: JournalTable) -> str:

@@ -175,6 +175,17 @@ def test_config_rejects_unknown_keys(capsys):
         Path("c.cfg").write_text(text)
         assert main(argv) == 1
         assert f"error: {message}" in capsys.readouterr().err
+    # a byte-order mark is skipped as in the input files; an unreadable config file is a
+    # usage error naming it, and its line if it is not UTF-8
+    Path("bom.cfg").write_bytes(b"\xef\xbb\xbfbogus=1\n")
+    assert main(["simulate", "ossuary", "--config", "bom.cfg"]) == 1
+    assert capsys.readouterr().err.endswith("error: bom.cfg:1: no flag --bogus on 'simulate'\n")
+    Path("latin1.cfg").write_bytes(b"trials=4\n# caf\xe9\n")
+    for path, message in (("latin1.cfg", "latin1.cfg:2: not valid UTF-8"),
+                          ("missing.cfg", "missing.cfg: cannot read config file: "
+                                          "No such file or directory")):
+        assert main(["simulate", "ossuary", "--config", path]) == 1
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
     assert not Path("simulation.csv").exists() and not Path("scores.csv").exists()
 
 
@@ -295,6 +306,25 @@ def test_exit_codes_data_errors(tmp_path, capsys):
             (["plot", "histogram", "--values", "v1.csv", "--out", "h.svg"], "v1.csv", 3)):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {path}: line {line}: not valid UTF-8\n"
+    # a cell longer than the csv module's field size limit (131,072 characters)
+    long_cell = "X" * 140_000
+    Path("long_c.csv").write_text(Path(CITATIONS).read_text().replace("\nA,", f"\n{long_cell},", 1))
+    Path("long_j.csv").write_text(Path(JOURNALS).read_text() + f"{long_cell},x,,2005,1\n")
+    Path("long_s.csv").write_text(Path("s.csv").read_text().replace("\nA,", f"\n{long_cell},", 1))
+    Path("long_v.csv").write_text(f"rho\n0.5\n{long_cell}\n")
+    journal_lines = len(Path(JOURNALS).read_text().splitlines())
+    for argv, message in (
+            (["compute", "--journals", JOURNALS, "--citations", "long_c.csv",
+              "--census-year", "2006"], "line 2: field larger than field limit (131072)"),
+            (["compute", "--journals", "long_j.csv", "--citations", CITATIONS,
+              "--census-year", "2006"],
+             f"line {journal_lines + 1}: field larger than field limit (131072)"),
+            (["correlate", "--scores", "long_s.csv"],
+             "line 2: field larger than field limit (131072)"),
+            (["plot", "histogram", "--values", "long_v.csv", "--out", "h.svg"],
+             "line 3: field larger than field limit (131072)")):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert not Path("scores.csv").exists() and not Path("correlations.csv").exists()
     assert not Path("h.svg").exists()
 

@@ -1,6 +1,13 @@
+import csv
+import io
+import re
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from eigenrank import corpus
 from eigenrank import (CitationLedger, CitationMatrix, CitationRecord, CsvFormatError,
                        JournalEntry, JournalTable, PairedObservations, ValidationError,
                        bigmac_csv, bigmac_fixture, build_citation_matrix,
@@ -315,6 +322,17 @@ def test_table_invariants_rejected():
         JournalTable((JournalEntry("A", "Alpha", frozenset(), {2005: -1}),))
     with pytest.raises(ValidationError, match="positive"):
         CitationLedger((CitationRecord("A", "B", 2006, 2005, 0),))
+    # values that would not read back from the CSV files as themselves
+    for entry, message in ((JournalEntry(" A", "Alpha", frozenset(), {}), "journal_id ' A'"),
+                           (JournalEntry("A", "Alpha\n", frozenset(), {}), "name 'Alpha\\n'"),
+                           (JournalEntry("A", "Al\rpha", frozenset(), {}), "name 'Al\\rpha'"),
+                           (JournalEntry("A", "Alpha", frozenset({"bio "}), {}), "label 'bio '"),
+                           (JournalEntry("A", "Alpha", frozenset({"bio;med"}), {}), "holds ';'")):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            JournalTable((entry,))
+    for jid in (" A", "A\t", "A\rB", "\u3000"):
+        with pytest.raises(ValidationError, match="cannot be written to CSV"):
+            CitationLedger((CitationRecord("B", jid, 2006, 2005, 1),))
 
 
 @pytest.mark.parametrize("window, counted", [(5, (2001, 2002, 2003, 2004, 2005)),
@@ -365,3 +383,137 @@ def test_bigmac_csv_export():
     assert lines[0] == "country,burger_price,hourly_wage"
     assert len(lines) == 23
     assert lines[1] == "Denmark,24.75,211.13"
+
+
+# ---------------------------------------------------------------------------
+# the vectorised citations.csv reader against the csv row loop
+# ---------------------------------------------------------------------------
+
+def _outcome(parse, source):
+    """The ledger ``parse`` returns, or the type and message of what it raises."""
+    try:
+        return parse(source)
+    except Exception as exc:  # the same failure is part of the contract
+        return type(exc), str(exc)
+
+
+def _stream(data):
+    """``data`` (text or bytes) as a file opened the way the CLI opens an input."""
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+
+
+_ROWS = st.lists(st.tuples(*[st.text(alphabet="ABJXZ0189-.", min_size=1, max_size=12)] * 2,
+                           *[st.integers(1, 3000).map(str)] * 3).map(list), max_size=10)
+_ODD_IDS = ('"A,1"', '"Q"', "A,1", " A", "A ", "", "é", "Jé", "A\tB", "\ufeffA", "J\x00", "A B",
+            "J\x1f", "Z" * 33)
+_ODD_NUMBERS = ("0", "0007", "+5", "-3", "1_000", "9" * 18, "9" * 19, "12345678901234567890",
+                " 2003", "2003 ", "", "\u0663", "7\t")
+
+
+@st.composite
+def _citation_texts(draw):
+    """citations.csv texts of plain rows with up to two defects: each a
+    condition the vectorised reader must decline, or a close call it may not."""
+    rows = draw(_ROWS)
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.integers(0, len(rows) - 1))
+        defect = draw(st.sampled_from(("id", "number", "4 cells", "6 cells", "blank line")))
+        if defect == "id":
+            rows[row][draw(st.integers(0, 1))] = draw(st.sampled_from(_ODD_IDS))
+        elif defect == "number":
+            rows[row][draw(st.integers(2, 4))] = draw(st.sampled_from(_ODD_NUMBERS))
+        else:
+            rows[row] = {"4 cells": rows[row][:4], "6 cells": rows[row] + ["1"],
+                         "blank line": []}[defect]
+    end = draw(st.sampled_from(("\n", "\n", "\n", "\r\n")))
+    text = CITATIONS_HEADER.replace("\n", end) + "".join(",".join(r) + end for r in rows)
+    return draw(st.sampled_from((text, text, text, "\ufeff" + text, text.rstrip("\r\n"))))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=_citation_texts(), chunk=st.sampled_from((1, 7, 30, corpus._CHUNK_CHARS)))
+@example(text=CITATIONS_HEADER + "MocCRNN1fv%UylLw,|{}X9w6QsY)I3>(J,2006,2005,1\n",
+         chunk=corpus._CHUNK_CHARS)  # two 16-byte ids whose mixed uint64 keys are equal
+def test_vectorised_reader_equals_row_loop(text, chunk):
+    expected = _outcome(corpus._parse_citation_rows, text)
+    from_file = _outcome(corpus._parse_citation_rows, _stream(text))
+    with patch.object(corpus, "_CHUNK_CHARS", chunk):
+        assert _outcome(parse_citation_edges, text) == expected
+        assert _outcome(parse_citation_edges, _stream(text)) == from_file
+
+
+def test_each_defect_alone_gives_the_row_loop_outcome():
+    plain = (["J1", "0028-0836", "2006", "2005", "3"], ["ABCDEFGHIJ", "J1", "2005", "2001", "12"])
+    for column, values in enumerate((_ODD_IDS, _ODD_IDS) + (_ODD_NUMBERS,) * 3):
+        for value in values:
+            rows = [list(r) for r in plain]
+            rows[1][column] = value
+            text = CITATIONS_HEADER + "".join(",".join(r) + "\n" for r in rows)
+            assert (_outcome(parse_citation_edges, text)
+                    == _outcome(corpus._parse_citation_rows, text)), text
+    # a cell over a lowered csv field size limit (the longest header cell has 11)
+    limit = csv.field_size_limit(11)
+    try:
+        assert (_outcome(parse_citation_edges, CITATIONS_HEADER + "J1,ABCDEFGHIJKL,2006,2005,3\n")
+                == (CsvFormatError, "line 2: field larger than field limit (11)"))
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_bytes_not_utf8_after_a_fault_report_the_fault():
+    # the row loop meets the zero count before it decodes the bad byte
+    data = (CITATIONS_HEADER + "A,B,2006,2005,0\n" + "A,B,2006,2005,1\n" * 2000).encode() + b"\xe9"
+    assert (_outcome(parse_citation_edges, _stream(data))
+            == (CsvFormatError, "line 2: count must be >= 1, got 0"))
+
+
+def test_plain_citations_skip_the_row_loop(monkeypatch):
+    def row_loop(source):
+        raise AssertionError("the csv row loop parsed a plain file")
+    monkeypatch.setattr(corpus, "_parse_citation_rows", row_loop)
+    ids = ("0028-0836", "J1", "ABCDEFGHIJKL", "1476-4687", "Z" * 32, "A")
+    small = CitationLedger(CitationRecord(ids[i % 6], ids[(i * 7 + 1) % 6], 2000 + i % 9,
+                                          1990 + i % 17, 1 + i % 250) for i in range(300))
+    assert parse_citation_edges(write_citation_edges(small)) == small
+    # more rows than the first column allocation holds, over many chunks
+    rng = np.random.default_rng(3)
+    columns = (rng.integers(0, 2000, 70_000), rng.integers(0, 2000, 70_000),
+               rng.integers(1990, 2010, 70_000), rng.integers(1990, 2010, 70_000),
+               rng.integers(1, 10**6, 70_000))
+    big = CitationLedger(CitationRecord(f"J{a:05d}", f"J{b:05d}", *rest)
+                         for a, b, *rest in zip(*(c.tolist() for c in columns)))
+    text = write_citation_edges(big)
+    assert len(text) > 4 * corpus._CHUNK_CHARS
+    assert parse_citation_edges(text) == big
+    assert parse_citation_edges(_stream(text)) == big
+
+
+_CELLS = st.text(st.characters(exclude_categories=("Cs",)), max_size=6).filter(
+    lambda s: s == s.strip() and "\r" not in s)
+_INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(ids=st.lists(_CELLS.filter(bool), min_size=1, max_size=5, unique=True), data=st.data())
+def test_written_files_read_back_as_the_same_objects(ids, data):
+    table = JournalTable(tuple(JournalEntry(
+        jid, data.draw(_CELLS), frozenset(data.draw(st.lists(_CELLS.filter(
+            lambda s: s and ";" not in s), max_size=3))),
+        data.draw(st.dictionaries(_INT64, st.integers(0, 2**63 - 1), min_size=1, max_size=3)))
+        for jid in ids))
+    journal = st.sampled_from(ids)
+    ledger = CitationLedger(data.draw(st.lists(st.builds(
+        CitationRecord, journal, journal, _INT64, _INT64, st.integers(1, 2**63 - 1)), max_size=6)))
+    for obj, write, parse in ((table, write_journal_metadata, parse_journal_metadata),
+                              (ledger, write_citation_edges, parse_citation_edges)):
+        text = write(obj)
+        rows = list(csv.reader(io.StringIO(text)))
+        variants = [text]
+        for terminator, quoting in (("\r\n", csv.QUOTE_MINIMAL), ("\n", csv.QUOTE_ALL)):
+            out = io.StringIO()  # CRLF line ends; every cell quoted, commas and all
+            csv.writer(out, lineterminator=terminator, quoting=quoting).writerows(rows)
+            variants.append(out.getvalue())
+        assert parse(text) == obj
+        for variant in variants:  # read as the CLI reads a file, after a byte-order mark
+            assert parse(_stream("\ufeff" + variant)) == obj
