@@ -12,11 +12,12 @@ File formats (UTF-8, comma-delimited, required header row):
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Collection, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -39,6 +40,22 @@ def _check_writable(what: str, text: str) -> None:
                               "(it starts or ends with whitespace, or holds a carriage return)")
 
 
+def _check_journal(journal_id: str, name: str, labels: Collection[str]) -> None:
+    """A ValidationError unless the journal's id, name and field labels can
+    be written to journals.csv and read back as themselves."""
+    if not journal_id:
+        raise ValidationError("journal_id must be non-empty")
+    _check_writable("journal_id", journal_id)
+    _check_writable(f"journal {journal_id!r} name", name)
+    if any(not f for f in labels):
+        raise ValidationError(f"journal {journal_id!r} has an empty field label")
+    for label in sorted(labels):
+        _check_writable(f"journal {journal_id!r} field label", label)
+        if ";" in label:
+            raise ValidationError(f"journal {journal_id!r} field label {label!r} holds "
+                                  "';', which separates labels in journals.csv")
+
+
 @dataclass(frozen=True)
 class JournalEntry:
     """One journal: identity, field memberships, and per-year article counts."""
@@ -49,39 +66,108 @@ class JournalEntry:
     articles_by_year: dict[int, int]
 
 
-@dataclass(frozen=True)
-class JournalTable:
-    entries: tuple[JournalEntry, ...]
+_TABLE_ROWS = ("journal", "year", "articles")
 
-    def __post_init__(self):
+
+@dataclass(frozen=True, init=False, eq=False)
+class JournalTable:
+    """Journals, their fields and their yearly article counts, stored as columns.
+
+    ``ids`` and ``names`` hold one entry per journal, in table order.
+    ``journal`` (a position in ``ids``), ``year`` and ``articles`` are
+    read-only int64 columns with one entry per (journal, year) row, sorted by
+    journal, then year; a year without a row is absent, which a row of 0
+    articles is not.  ``labels`` holds each field label once, sorted, and the
+    positions of the journals carrying ``labels[k]`` are
+    ``members[offsets[k]:offsets[k + 1]]``, ascending.
+    ``JournalTable(entries)`` builds the columns from ``JournalEntry``
+    objects, and ``entries``, iteration and ``get`` yield them again.
+    """
+
+    ids: tuple[str, ...]
+    names: tuple[str, ...]
+    journal: np.ndarray
+    year: np.ndarray
+    articles: np.ndarray
+    labels: tuple[str, ...]
+    offsets: np.ndarray
+    members: np.ndarray
+
+    def __init__(self, entries: Iterable[JournalEntry]):
+        entries = tuple(entries)
         seen = set()
-        for e in self.entries:
-            if not e.journal_id:
-                raise ValidationError("journal_id must be non-empty")
-            _check_writable("journal_id", e.journal_id)
+        for e in entries:
             if e.journal_id in seen:
                 raise ValidationError(f"duplicate journal_id {e.journal_id!r}")
             seen.add(e.journal_id)
-            _check_writable(f"journal {e.journal_id!r} name", e.name)
-            if any(not f for f in e.fields):
-                raise ValidationError(f"journal {e.journal_id!r} has an empty field label")
-            for label in e.fields:
-                _check_writable(f"journal {e.journal_id!r} field label", label)
-                if ";" in label:
-                    raise ValidationError(f"journal {e.journal_id!r} field label {label!r} holds "
-                                          "';', which separates labels in journals.csv")
+            _check_journal(e.journal_id, e.name, e.fields)
             if any(c < 0 for c in e.articles_by_year.values()):
                 raise ValidationError(f"journal {e.journal_id!r} has a negative article count")
+            for year, count in e.articles_by_year.items():
+                for name, value in (("year", year), ("articles", count)):
+                    if not _fits_int64(value):
+                        raise ValidationError(
+                            _out_of_range(f"journal {e.journal_id!r}", name, value))
+        self._set_columns([e.journal_id for e in entries], [e.name for e in entries],
+                          [e.articles_by_year for e in entries], [e.fields for e in entries])
+
+    @classmethod
+    def _from_journals(cls, ids: list[str], names: list[str], years: list[dict[int, int]],
+                       labels: list[Iterable[str]]) -> JournalTable:
+        """A table over journals the caller has checked as ``__init__`` checks
+        entries; see ``_set_columns``."""
+        table = cls.__new__(cls)
+        table._set_columns(ids, names, years, labels)
+        return table
+
+    def _set_columns(self, ids: list[str], names: list[str], years: list[dict[int, int]],
+                     labels: list[Iterable[str]]) -> None:
+        """Fill the columns from one journal per position: its id, name,
+        articles by year and field labels."""
+        object.__setattr__(self, "ids", tuple(ids))
+        object.__setattr__(self, "names", tuple(names))
+        sizes = np.fromiter(map(len, years), dtype=np.int64, count=len(years))
+        rows = np.stack((
+            np.repeat(np.arange(len(years), dtype=np.int64), sizes),
+            *(np.fromiter(itertools.chain.from_iterable(map(method, years)), dtype=np.int64,
+                          count=int(sizes.sum())) for method in (dict.keys, dict.values))))
+        for name, values in zip(_TABLE_ROWS, rows[:, np.lexsort(rows[1::-1])]):  # journal, year
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        fields: dict[str, list[int]] = {}
+        for j, journal_labels in enumerate(labels):
+            for label in journal_labels:
+                fields.setdefault(label, []).append(j)
+        field_labels = tuple(sorted(fields))
+        object.__setattr__(self, "labels", field_labels)
+        object.__setattr__(self, "offsets", readonly(
+            np.cumsum([0] + [len(fields[label]) for label in field_labels]), dtype=np.int64))
+        object.__setattr__(self, "members", readonly(list(itertools.chain.from_iterable(
+            fields[label] for label in field_labels)), dtype=np.int64))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[JournalEntry]:
         return iter(self.entries)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, JournalTable):
+            return NotImplemented
+        # rows and members are in a canonical order, so equal entries give equal columns
+        return ((self.ids, self.names, self.labels) == (other.ids, other.names, other.labels)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in (*_TABLE_ROWS, "offsets", "members")))
+
     @cached_property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(e.journal_id for e in self.entries)
+    def entries(self) -> tuple[JournalEntry, ...]:
+        """The journals as ``JournalEntry`` objects, in table order."""
+        years: list[dict[int, int]] = [{} for _ in self.ids]
+        for j, year, count in zip(*(getattr(self, name).tolist() for name in _TABLE_ROWS)):
+            years[j][year] = count
+        return tuple(JournalEntry(jid, name, frozenset(labels), articles)
+                     for jid, name, labels, articles
+                     in zip(self.ids, self.names, self._labels_by_journal(), years))
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -90,16 +176,55 @@ class JournalTable:
     def get(self, journal_id: str) -> JournalEntry:
         return self.entries[self.index[journal_id]]
 
+    def _labels_by_journal(self) -> list[list[str]]:
+        """Each journal's field labels, sorted."""
+        labels: list[list[str]] = [[] for _ in self.ids]
+        for k, label in enumerate(self.labels):
+            for j in self.field_positions(k).tolist():
+                labels[j].append(label)
+        return labels
+
+    def field_positions(self, k: int) -> np.ndarray:
+        """The ascending positions of the journals carrying ``labels[k]``."""
+        return self.members[self.offsets[k]:self.offsets[k + 1]]
+
     def article_counts(self, census_year: int, window: int) -> np.ndarray:
         """Per-journal articles published in the ``window`` years before
-        ``census_year``, in table order."""
+        ``census_year``, in table order; a count past int64 raises
+        ValidationError naming its journal."""
         lo = census_year - window
-        return readonly([sum(c for y, c in e.articles_by_year.items() if lo <= y < census_year)
-                         for e in self.entries], dtype=np.int64)
+        keep = (self.year >= lo) & (self.year < census_year)
+        return _int64_sums(self.journal[keep], self.articles[keep], len(self), lambda j, total: (
+            f"journal {self.ids[j]!r} published {total} articles in [{lo}, {census_year - 1}], "
+            "more than a 64-bit integer holds"))
 
     def members_of(self, field_label: str) -> tuple[str, ...]:
         """Journals carrying ``field_label`` (cross-listing allowed)."""
-        return tuple(e.journal_id for e in self.entries if field_label in e.fields)
+        k = bisect.bisect_left(self.labels, field_label)
+        if self.labels[k:k + 1] != (field_label,):
+            return ()
+        return tuple(self.ids[j] for j in self.field_positions(k).tolist())
+
+
+def _int64_sums(groups: np.ndarray, values: np.ndarray, n: int,
+               overflow: Callable[[int, int], str]) -> np.ndarray:
+    """Exact read-only int64 sums of the non-negative int64 ``values`` by
+    ``groups``, positions below ``n``.  A sum past int64 raises
+    ValidationError with the message ``overflow(group, exact_sum)``."""
+    sums = np.zeros(n, dtype=np.int64)
+    np.add.at(sums, groups, values)  # exact, but wraps past int64 without a word
+    if len(values) and int(values.max()) * len(values) >= 2**63:  # a sum may have wrapped
+        # a float64 sum is within a relative 2**-20 of the exact one, so one
+        # that wrapped reads at least 2**62 here
+        suspect = (np.bincount(groups, weights=values, minlength=n) >= 2.0**62)[groups]
+        exact: dict[int, int] = {}
+        for group, value in zip(groups[suspect].tolist(), values[suspect].tolist()):
+            exact[group] = exact.get(group, 0) + value
+        for group in sorted(exact):
+            if exact[group] >= 2**63:
+                raise ValidationError(overflow(group, exact[group]))
+    sums.setflags(write=False)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -335,35 +460,62 @@ def parse_journal_metadata(source: str | TextIO) -> JournalTable:
 
     Rows for the same journal are merged into one entry (one row per year);
     field memberships are unioned across rows.  A repeated (journal, year)
-    pair or a conflicting name is a format error.
+    pair or a conflicting name is a format error.  Each distinct year and
+    article cell is parsed once, and a journal's fields cell again only
+    where it differs from the journal's previous one.
     """
     rdr = csv_reader(source, JOURNALS_HEADER, "journals.csv")
-    names: dict[str, str] = {}  # insertion-ordered: journals in first-seen order
-    fields: dict[str, set[str]] = {}
-    years: dict[str, dict[int, int]] = {}
+    codes: dict[str, int] = {}  # each id to its position
+    ids: list[str] = []
+    names: list[str] = []
+    field_cells: list[str] = []  # each journal's last fields cell
+    labels: list[set[str]] = []
+    years: list[dict[int, int]] = []
+    year_of: dict[str, int] = {}
+    articles_of: dict[str, int] = {}
     for row in rdr:
         if not row:
             continue
-        line = rdr.line_num
         if len(row) != len(JOURNALS_HEADER):
-            raise CsvFormatError(f"line {line}: expected {len(JOURNALS_HEADER)} columns, got {len(row)}")
-        jid, name, field_list, year_s, articles_s = (c.strip() for c in row)
+            raise CsvFormatError(
+                f"line {rdr.line_num}: expected {len(JOURNALS_HEADER)} columns, got {len(row)}")
+        jid, name, field_list, year_cell, articles_cell = row
+        jid, name = jid.strip(), name.strip()
         if not jid:
-            raise CsvFormatError(f"line {line}: empty journal_id")
-        year = _int_field(year_s, "year", line)
-        articles = _int_field(articles_s, "articles", line, minimum=0)
-        if jid not in names:
-            names[jid] = name
-            fields[jid] = set()
-            years[jid] = {}
-        elif names[jid] != name:
-            raise CsvFormatError(f"line {line}: journal {jid!r} renamed ({names[jid]!r} -> {name!r})")
-        if year in years[jid]:
-            raise CsvFormatError(f"line {line}: duplicate journal_id {jid!r} for year {year}")
-        years[jid][year] = articles
-        fields[jid] |= {f.strip() for f in field_list.split(";") if f.strip()}
-    return JournalTable(tuple(
-        JournalEntry(jid, name, frozenset(fields[jid]), years[jid]) for jid, name in names.items()))
+            raise CsvFormatError(f"line {rdr.line_num}: empty journal_id")
+        year = year_of.get(year_cell)
+        if year is None:
+            year = year_of[year_cell] = _int_field(year_cell.strip(), "year", rdr.line_num)
+        articles = articles_of.get(articles_cell)
+        if articles is None:
+            articles = articles_of[articles_cell] = _int_field(
+                articles_cell.strip(), "articles", rdr.line_num, minimum=0)
+        j = codes.get(jid)
+        if j is None:
+            j = codes[jid] = len(ids)
+            ids.append(jid)
+            names.append(name)
+            field_cells.append(field_list)
+            labels.append(_field_labels(field_list))
+            years.append({})
+        elif names[j] != name:
+            raise CsvFormatError(
+                f"line {rdr.line_num}: journal {jid!r} renamed ({names[j]!r} -> {name!r})")
+        elif field_list != field_cells[j]:
+            field_cells[j] = field_list
+            labels[j] |= _field_labels(field_list)
+        if year in years[j]:
+            raise CsvFormatError(
+                f"line {rdr.line_num}: duplicate journal_id {jid!r} for year {year}")
+        years[j][year] = articles
+    for jid, name, journal_labels in zip(ids, names, labels):
+        _check_journal(jid, name, journal_labels)
+    return JournalTable._from_journals(ids, names, years, labels)
+
+
+def _field_labels(field_list: str) -> set[str]:
+    """The labels of a ``fields`` cell."""
+    return {f.strip() for f in field_list.split(";") if f.strip()}
 
 
 def parse_citation_edges(source: str | TextIO) -> CitationLedger:
@@ -466,11 +618,13 @@ def _parse_citation_columns(source: str | TextIO) -> CitationLedger | None:
     most 32 bytes, years and counts of 1-18 digits and counts of at least
     1.  Each chunk is split at its commas and newlines in one pass.
     """
+    limit = csv.field_size_limit()
+    if max(map(len, CITATIONS_HEADER)) > limit:  # the row loop fails on line 1
+        return None
     chunks = _text_chunks(source)
     head = next(chunks, "")
     if not head.startswith(_CITATIONS_HEADER_LINE):
         return None
-    limit = csv.field_size_limit()
     ids = _IdCodes()
     # the five columns, filled in place and grown by doubling: chunk-sized
     # arrays kept until the end would stay in the heap after they are freed
@@ -606,13 +760,19 @@ def _decimal_cells(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> 
 
 
 def write_journal_metadata(table: JournalTable) -> str:
-    """Serialize a JournalTable back to journals.csv text (round-trip safe)."""
-    def rows():
-        for e in table:
-            field_list = ";".join(sorted(e.fields))
-            for year in sorted(e.articles_by_year):
-                yield [e.journal_id, e.name, field_list, year, e.articles_by_year[year]]
-    return csv_text(JOURNALS_HEADER, rows())
+    """Serialize a JournalTable back to journals.csv text (round-trip safe).
+
+    journals.csv holds a journal only on its year rows, so a journal without
+    one raises ValidationError.
+    """
+    rowless = np.flatnonzero(np.bincount(table.journal, minlength=len(table)) == 0)
+    if rowless.size:
+        raise ValidationError(f"journal {table.ids[rowless[0]]!r} has no year rows, so "
+                              "journals.csv cannot hold it")
+    field_lists = [";".join(labels) for labels in table._labels_by_journal()]
+    cells = (np.array(column, dtype=object)[table.journal].tolist()
+             for column in (table.ids, table.names, field_lists))
+    return csv_text(JOURNALS_HEADER, zip(*cells, table.year.tolist(), table.articles.tolist()))
 
 
 def write_citation_edges(ledger: CitationLedger) -> str:

@@ -19,7 +19,7 @@ from typing import TextIO
 import numpy as np
 
 from ._util import csv_reader, csv_text, readonly
-from .corpus import (CitationLedger, CitationMatrix, JournalTable, _int_field,
+from .corpus import (CitationLedger, CitationMatrix, JournalTable, _int64_sums, _int_field,
                      build_citation_matrix)
 from .errors import (ConvergenceError, CsvFormatError, DegenerateDataError,
                      InconsistencyError)
@@ -255,10 +255,12 @@ def impact_factor(ledger: CitationLedger, table: JournalTable, census_year: int,
 
 def total_citations(ledger: CitationLedger, table: JournalTable, census_year: int,
                     exclude_self: bool = False) -> np.ndarray:
-    """Citations received in the census year, regardless of cited article age."""
+    """Citations received in the census year, regardless of cited article age;
+    a total past int64 raises ValidationError naming its journal."""
     cited, _, count = ledger.windowed(table, census_year, None, exclude_self)
-    totals = np.bincount(cited, weights=count, minlength=len(table))
-    return readonly(totals, dtype=np.int64)
+    return _int64_sums(cited, count, len(table), lambda j, total: (
+        f"journal {table.ids[j]!r} received {total} citations in {census_year}, "
+        "more than a 64-bit integer holds"))
 
 
 def decomposition_check(scores: MetricScores) -> DecompositionReport:

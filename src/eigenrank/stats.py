@@ -309,12 +309,8 @@ def per_field_correlations(scores, table: JournalTable, x_metric: str, y_metric:
     if log:
         usable &= (x > 0) & (y > 0)
     position = {jid: i for i, jid in enumerate(scores.journal_ids)}
-    # field label -> score positions of its scored members, in table order
-    members: dict[str, list[int]] = {}
-    for e in table:
-        scored = [position[e.journal_id]] if e.journal_id in position else []
-        for field in e.fields:
-            members.setdefault(field, []).extend(scored)
+    # the score position of each table journal, -1 where it has no score
+    scored = np.array([position.get(jid, -1) for jid in table.ids], dtype=int)
 
     def correlate(indices: np.ndarray) -> CorrelationResult:
         sel = indices[usable[indices]]
@@ -324,8 +320,9 @@ def per_field_correlations(scores, table: JournalTable, x_metric: str, y_metric:
 
     by_field: dict[str, CorrelationResult] = {}
     skipped: list[str] = []
-    for field in sorted(members):
-        indices = np.array(members[field], dtype=int)
+    for k, field in enumerate(table.labels):
+        indices = scored[table.field_positions(k)]
+        indices = indices[indices >= 0]
         if usable[indices].sum() < 3:
             skipped.append(field)
             continue

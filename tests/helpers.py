@@ -13,8 +13,10 @@ from itertools import combinations
 import numpy as np
 from scipy.stats import rankdata
 
-from eigenrank import (CitationLedger, CitationRecord, JournalEntry, JournalTable,
-                       MetricScores)
+from eigenrank import (CitationLedger, CitationRecord, CsvFormatError, JournalEntry,
+                       JournalTable, MetricScores)
+from eigenrank._util import csv_reader
+from eigenrank.corpus import JOURNALS_HEADER, _int_field
 
 
 def _articles_between(entry, first_year, end_year):
@@ -75,6 +77,35 @@ def reference_counts(ledger, table, census_year, window=5, exclude_self=True):
     impact = np.full(n, np.nan)
     impact[n2 > 0] = cites[n2 > 0] / n2[n2 > 0]
     return matrix, impact, totals
+
+
+def reference_journals(source):
+    """journals.csv parsed by one plain loop over the rows: every cell
+    stripped and parsed on every row, the journals merged in dicts and sets
+    and built through ``JournalTable(entries)``."""
+    rdr = csv_reader(source, JOURNALS_HEADER, "journals.csv")
+    names, fields, years = {}, {}, {}
+    for row in rdr:
+        if not row:
+            continue
+        line = rdr.line_num
+        if len(row) != len(JOURNALS_HEADER):
+            raise CsvFormatError(f"line {line}: expected {len(JOURNALS_HEADER)} columns, got {len(row)}")
+        jid, name, field_list, year_s, articles_s = (c.strip() for c in row)
+        if not jid:
+            raise CsvFormatError(f"line {line}: empty journal_id")
+        year = _int_field(year_s, "year", line)
+        articles = _int_field(articles_s, "articles", line, minimum=0)
+        if jid not in names:
+            names[jid], fields[jid], years[jid] = name, set(), {}
+        elif names[jid] != name:
+            raise CsvFormatError(f"line {line}: journal {jid!r} renamed ({names[jid]!r} -> {name!r})")
+        if year in years[jid]:
+            raise CsvFormatError(f"line {line}: duplicate journal_id {jid!r} for year {year}")
+        years[jid][year] = articles
+        fields[jid] |= {f.strip() for f in field_list.split(";") if f.strip()}
+    return JournalTable(JournalEntry(jid, name, frozenset(fields[jid]), years[jid])
+                        for jid, name in names.items())
 
 
 def random_corpus(rng, n_journals=None, census_year=2006, window=5):

@@ -68,6 +68,27 @@ def test_compute_symmetric_pair_prints_exact_halves(tmp_path):
     assert text.count(",50.000000,") == 2
 
 
+def test_compute_sums_are_exact_and_past_int64_a_data_error(capsys):
+    journals = "journal_id,name,fields,year,articles\nA,Alpha,,2005,3\nB,Beta,,2005,3\n"
+    Path("j.csv").write_text(journals)
+    Path("big_j.csv").write_text(journals + f"B,Beta,,2004,{2**63 - 3}\n")
+    header = "citing_id,cited_id,citing_year,cited_year,count\nB,A,2006,2005,1\n"
+    Path("exact.csv").write_text(header + f"A,B,2006,2005,{2**53}\nA,B,2006,1990,1\n")
+    Path("big_c.csv").write_text(header + f"A,B,2006,2005,{2**63 - 1}\nA,B,2006,2004,1\n")
+    argv = ["compute", "--census-year", "2006", "--out", "s.csv"]
+    # a float64 sum would give 2**53 here
+    assert main(argv + ["--journals", "j.csv", "--citations", "exact.csv"]) == 0
+    assert Path("s.csv").read_text().splitlines()[2].split(",")[4] == str(2**53 + 1)
+    Path("s.csv").unlink()
+    for journals_csv, citations_csv, message in (
+            ("big_j.csv", "exact.csv", f"journal 'B' published {2**63} articles in [2001, 2005]"),
+            ("j.csv", "big_c.csv", f"journal 'B' received {2**63} citations in 2006")):
+        capsys.readouterr()
+        assert main(argv + ["--journals", journals_csv, "--citations", citations_csv]) == 2
+        assert capsys.readouterr().err == f"error: {message}, more than a 64-bit integer holds\n"
+        assert not Path("s.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # correlate / ratio
 # ---------------------------------------------------------------------------

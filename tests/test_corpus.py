@@ -1,6 +1,7 @@
 import csv
 import io
 import re
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -13,7 +14,7 @@ from eigenrank import (CitationLedger, CitationMatrix, CitationRecord, CsvFormat
                        bigmac_csv, bigmac_fixture, build_citation_matrix,
                        parse_citation_edges, parse_journal_metadata, write_citation_edges,
                        write_journal_metadata)
-from helpers import random_corpus
+from helpers import random_corpus, reference_journals
 
 JOURNALS_HEADER = "journal_id,name,fields,year,articles\n"
 CITATIONS_HEADER = "citing_id,cited_id,citing_year,cited_year,count\n"
@@ -31,12 +32,21 @@ def test_parse_journals_header_only_gives_empty_table():
 def test_parse_journals_merges_years_per_journal():
     text = (JOURNALS_HEADER
             + "A,Alpha,medicine,2005,10\n"
-            + "A,Alpha,medicine;stats,2006,12\n")
+            + "A,Alpha,medicine;stats,2006,12\n"
+            + "B,Beta,,2006,0\n"
+            + "B,Beta,,2003,4\n")
     table = parse_journal_metadata(text)
-    assert len(table) == 1
+    assert len(table) == 2
     entry = table.get("A")
     assert entry.articles_by_year == {2005: 10, 2006: 12}
     assert entry.fields == frozenset({"medicine", "stats"})
+    # a year of 0 articles is not absent
+    assert table.get("B").articles_by_year == {2003: 4, 2006: 0}
+    # the row columns are sorted by journal, then year
+    assert table.journal.tolist() == [0, 0, 1, 1]
+    assert table.year.tolist() == [2005, 2006, 2003, 2006]
+    assert table.articles.tolist() == [10, 12, 4, 0]
+    assert table.members_of("stats") == ("A",) and table.members_of("") == ()
 
 
 def test_parse_journals_negative_articles_is_format_error():
@@ -314,12 +324,24 @@ def test_csv_round_trip_is_identity():
         assert parse_citation_edges(write_citation_edges(ledger)) == ledger
 
 
+def test_journal_without_year_rows_is_not_written():
+    table = JournalTable((JournalEntry("A", "Alpha", frozenset({"bio"}), {2005: 1}),
+                          JournalEntry("B", "Beta", frozenset({"bio"}), {})))
+    assert table.article_counts(2006, 5).tolist() == [1, 0]
+    with pytest.raises(ValidationError, match="^journal 'B' has no year rows"):
+        write_journal_metadata(table)
+
+
 def test_table_invariants_rejected():
     entry = JournalEntry("A", "Alpha", frozenset(), {2005: 1})
     with pytest.raises(ValidationError, match="duplicate"):
         JournalTable((entry, entry))
     with pytest.raises(ValidationError, match="negative"):
         JournalTable((JournalEntry("A", "Alpha", frozenset(), {2005: -1}),))
+    for years, message in (({2**63: 1}, f"year {2**63} out of range"),
+                           ({2005: 2**63}, f"articles {2**63} out of range")):
+        with pytest.raises(ValidationError, match=f"^journal 'A': {message}"):
+            JournalTable((JournalEntry("A", "Alpha", frozenset(), years),))
     with pytest.raises(ValidationError, match="positive"):
         CitationLedger((CitationRecord("A", "B", 2006, 2005, 0),))
     # values that would not read back from the CSV files as themselves
@@ -410,6 +432,15 @@ _ODD_IDS = ('"A,1"', '"Q"', "A,1", " A", "A ", "", "é", "Jé", "A\tB", "\ufeffA
 _ODD_NUMBERS = ("0", "0007", "+5", "-3", "1_000", "9" * 18, "9" * 19, "12345678901234567890",
                 " 2003", "2003 ", "", "\u0663", "7\t")
 
+_ODD_JOURNAL_CELLS = (
+    _ODD_IDS,
+    ('"Smith, Jones"', '"Q"', "", " Alpha", "Alpha ", "\u00c9mile", "A\tB", "x" * 40,
+     '"Al\r\npha"'),
+    ('"bio, med"', "", "bio;", " bio ; med ", "bio ;med", ";", "b\u00edo", "bio\x0b",
+     '"bio\rmed"'),
+    _ODD_NUMBERS,
+    _ODD_NUMBERS)
+
 
 @st.composite
 def _citation_texts(draw):
@@ -444,19 +475,34 @@ def test_vectorised_reader_equals_row_loop(text, chunk):
 
 
 def test_each_defect_alone_gives_the_row_loop_outcome():
-    plain = (["J1", "0028-0836", "2006", "2005", "3"], ["ABCDEFGHIJ", "J1", "2005", "2001", "12"])
-    for column, values in enumerate((_ODD_IDS, _ODD_IDS) + (_ODD_NUMBERS,) * 3):
-        for value in values:
-            rows = [list(r) for r in plain]
-            rows[1][column] = value
-            text = CITATIONS_HEADER + "".join(",".join(r) + "\n" for r in rows)
-            assert (_outcome(parse_citation_edges, text)
-                    == _outcome(corpus._parse_citation_rows, text)), text
+    for header, plain, odd_cells, parse, row_loop in (
+            (CITATIONS_HEADER, (["J1", "0028-0836", "2006", "2005", "3"],
+                                ["ABCDEFGHIJ", "J1", "2005", "2001", "12"]),
+             (_ODD_IDS, _ODD_IDS) + (_ODD_NUMBERS,) * 3,
+             parse_citation_edges, corpus._parse_citation_rows),
+            (JOURNALS_HEADER, (["J1", "Alpha", "bio;med", "2005", "3"],
+                               ["ABCDEFGHIJ", "Beta", "", "2006", "12"]),
+             _ODD_JOURNAL_CELLS, parse_journal_metadata, reference_journals)):
+        for column, values in enumerate(odd_cells):
+            for value in values:
+                rows = [list(r) for r in plain]
+                rows[1][column] = value
+                text = header + "".join(",".join(r) + "\n" for r in rows)
+                assert _outcome(parse, text) == _outcome(row_loop, text), text
     # a cell over a lowered csv field size limit (the longest header cell has 11)
     limit = csv.field_size_limit(11)
     try:
-        assert (_outcome(parse_citation_edges, CITATIONS_HEADER + "J1,ABCDEFGHIJKL,2006,2005,3\n")
-                == (CsvFormatError, "line 2: field larger than field limit (11)"))
+        for parse, text in (
+                (parse_citation_edges, CITATIONS_HEADER + "J1,ABCDEFGHIJKL,2006,2005,3\n"),
+                (parse_journal_metadata, JOURNALS_HEADER + "J1,ABCDEFGHIJKL,,2006,3\n")):
+            assert (_outcome(parse, text)
+                    == (CsvFormatError, "line 2: field larger than field limit (11)"))
+        # a header cell over the limit, above short rows
+        csv.field_size_limit(9)
+        for parse, text in ((parse_citation_edges, CITATIONS_HEADER + "J1,A,2006,2005,3\n"),
+                            (parse_journal_metadata, JOURNALS_HEADER + "J1,Alpha,,2006,3\n")):
+            assert (_outcome(parse, text)
+                    == (CsvFormatError, "line 1: field larger than field limit (9)"))
     finally:
         csv.field_size_limit(limit)
 
@@ -487,6 +533,77 @@ def test_plain_citations_skip_the_row_loop(monkeypatch):
     assert len(text) > 4 * corpus._CHUNK_CHARS
     assert parse_citation_edges(text) == big
     assert parse_citation_edges(_stream(text)) == big
+
+
+# ---------------------------------------------------------------------------
+# the journals.csv reader against a plain reference row loop
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _journal_texts(draw):
+    """journals.csv texts of plain rows with up to two defects each."""
+    rows = []
+    for jid in draw(st.lists(st.text(alphabet="ABJXZ0189-.", min_size=1, max_size=12),
+                             max_size=4, unique=True)):
+        name = draw(st.sampled_from(("Alpha", "Beta Review", "J")))
+        fields = draw(st.sampled_from(("", "bio", "bio;med", "med;bio;stats")))
+        for year in draw(st.lists(st.integers(1990, 2010), min_size=1, max_size=3, unique=True)):
+            rows.append([jid, name, fields, str(year), str(draw(st.integers(0, 3000)))])
+    rows = draw(st.permutations(rows))  # interleaves the journals
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.integers(0, len(rows) - 1))
+        defect = draw(st.sampled_from(("cell", "cell", "empty cell", "rename", "repeat year",
+                                       "other fields", "4 cells", "6 cells", "blank line")))
+        if not rows[row]:
+            continue
+        if defect in ("cell", "empty cell"):
+            column = draw(st.integers(0, len(rows[row]) - 1))
+            odd = _ODD_JOURNAL_CELLS[column] if defect == "cell" else ("",)
+            rows[row][column] = draw(st.sampled_from(odd))
+        elif defect == "rename":
+            rows[row][1] += "x"
+        elif defect == "repeat year":
+            rows.insert(draw(st.integers(0, len(rows))), rows[row][:4] + ["7"])
+        elif defect == "other fields":
+            rows[row][2] = draw(st.sampled_from(("", "stats", "bio; stats", "stats;bio")))
+        else:
+            rows[row] = {"4 cells": rows[row][:4], "6 cells": rows[row] + ["1"],
+                         "blank line": []}[defect]
+    end = draw(st.sampled_from(("\n", "\n", "\n", "\r\n")))
+    text = JOURNALS_HEADER.replace("\n", end) + "".join(",".join(r) + end for r in rows)
+    return draw(st.sampled_from((text, text, text, "\ufeff" + text, text.rstrip("\r\n"))))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=_journal_texts())
+@example(text=JOURNALS_HEADER + "A,x,,2005\n7,B,y,,2006,3\n")  # 4 cells, then 6
+@example(text=JOURNALS_HEADER + "A,Alpha,bio,2005,1\n A ,Alpha ,bio ; med,2006,2\n")
+@example(text=JOURNALS_HEADER + "A,Alpha,,-3,1\nA,Alpha,,2005,-3\n")  # one text, two columns
+def test_journal_reader_equals_reference_row_loop(text):
+    assert _outcome(parse_journal_metadata, text) == _outcome(reference_journals, text)
+    assert (_outcome(parse_journal_metadata, _stream(text))
+            == _outcome(reference_journals, _stream(text)))
+
+
+def test_paper_scale_journals_round_trip():
+    bundled = Path(__file__).parent / "data" / "journals.csv"
+    expected = reference_journals(bundled.read_text())
+    assert parse_journal_metadata(bundled.read_text()) == expected
+    with bundled.open(encoding="utf-8-sig", newline="") as fh:
+        assert parse_journal_metadata(fh) == expected
+    # a table of the paper's size: 7,611 journals in 200 fields, one quoted
+    # name holding a comma and one non-ASCII name among them
+    rng = np.random.default_rng(5)
+    names = [f"Journal of Synthetic Studies {j + 1}" for j in range(7611)]
+    names[10], names[20] = "Studies, Synthetic", "Revista Espa\u00f1ola"
+    table = JournalTable(JournalEntry(
+        f"J{j + 1:05d}", names[j],
+        frozenset(f"field-{k:03d}" for k in rng.integers(0, 200, 1 + j % 3)),
+        {year: int(rng.integers(0, 500)) for year in range(2000 + j % 2, 2007)})
+        for j in range(7611))
+    text = write_journal_metadata(table)
+    assert parse_journal_metadata(text) == table
+    assert parse_journal_metadata(_stream(text)) == table
 
 
 _CELLS = st.text(st.characters(exclude_categories=("Cs",)), max_size=6).filter(
