@@ -10,34 +10,36 @@ smuggles the article count onto both sides.
 
 import numpy as np
 
-from eigenrank import (article_vector, compute_metrics, decomposition_check,
-                       write_scores_csv)
-from eigenrank.corpus import CitationLedger, CitationRecord, JournalEntry, JournalTable
+from eigenrank import (CitationLedger, JournalTable, article_vector, compute_metrics,
+                       decomposition_check, write_scores_csv)
 
 rng = np.random.default_rng(42)
 CENSUS = 2006
 
-# a dozen journals with wildly different sizes, log-uniform between ~5 and ~5000
+# a dozen journals with wildly different sizes, log-uniform between ~5 and ~5000;
+# the table holds one (journal, year, articles) row per journal and year
 ids = [f"J{k:02d}" for k in range(12)]
-entries = []
-for jid in ids:
+rows = []
+for j in range(len(ids)):
     per_year = int(np.exp(rng.uniform(np.log(1), np.log(1000))))
-    years = {y: max(1, per_year + int(rng.integers(-3, 4)))
-             for y in range(CENSUS - 5, CENSUS)}
-    entries.append(JournalEntry(jid, f"Journal {jid}", frozenset({"demo"}), years))
-table = JournalTable(tuple(entries))
+    rows += [(j, y, max(1, per_year + int(rng.integers(-3, 4))))
+             for y in range(CENSUS - 5, CENSUS)]
+journal, year, articles = zip(*rows)
+table = JournalTable(ids, [f"Journal {jid}" for jid in ids], [{"demo"}] * len(ids),
+                     journal, year, articles)
 
-# big journals attract more citations; everyone cites everyone occasionally
+# big journals attract more citations; everyone cites everyone occasionally.
+# Each ledger record is a (citing, cited) pair of positions in ids with its
+# citing year, cited year and count
 counts = table.article_counts(CENSUS, 5)
 records = []
-for i, citing in enumerate(ids):
-    for j, cited in enumerate(ids):
+for i in range(len(ids)):
+    for j in range(len(ids)):
         if i == j or rng.random() < 0.3:
             continue
         weight = 1 + rng.poisson(0.02 * counts[j])
-        records.append(CitationRecord(citing, cited, CENSUS,
-                                      int(rng.integers(CENSUS - 5, CENSUS)), weight))
-ledger = CitationLedger(tuple(records))
+        records.append((i, j, CENSUS, int(rng.integers(CENSUS - 5, CENSUS)), int(weight)))
+ledger = CitationLedger(ids, *zip(*records))
 
 scores, solver = compute_metrics(table, ledger, CENSUS)
 print(f"converged in {solver.iterations} iterations "

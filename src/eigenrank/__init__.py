@@ -7,11 +7,9 @@ constructions that make naive comparisons misleading, and renders
 deterministic SVG rank-comparison figures.
 """
 
-from .corpus import (CitationLedger, CitationMatrix, CitationRecord, JournalEntry,
-                     JournalTable, PairedObservations, bigmac_csv, bigmac_fixture,
-                     build_citation_matrix, parse_citation_edges,
-                     parse_journal_metadata, write_citation_edges,
-                     write_journal_metadata)
+from .corpus import (CitationLedger, CitationMatrix, JournalTable, PairedObservations,
+                     bigmac_csv, bigmac_fixture, build_citation_matrix, parse_citation_edges,
+                     parse_journal_metadata, write_citation_edges, write_journal_metadata)
 from .errors import (ConvergenceError, CsvFormatError, DataError, DegenerateDataError,
                      DomainError, EigenrankError, InconsistencyError, NumericalError,
                      UndefinedCorrelationError, ValidationError)

@@ -272,7 +272,7 @@ def _cmd_correlate(args) -> int:
     scores = _load_scores(args.scores)
     x_metric = metrics.resolve_metric(args.x)
     y_metric = metrics.resolve_metric(args.y)
-    table = corpus.JournalTable(())  # no fields: only the pooled correlation
+    table = corpus.JournalTable((), (), (), (), (), ())  # no fields: only the pooled correlation
     if args.by_field:
         if not args.journals:
             raise _UsageError("--by-field requires --journals")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import csv
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Collection, Iterable, Iterator, TextIO
@@ -47,6 +48,9 @@ def _check_journal(journal_id: str, name: str, labels: Collection[str]) -> None:
         raise ValidationError("journal_id must be non-empty")
     _check_writable("journal_id", journal_id)
     _check_writable(f"journal {journal_id!r} name", name)
+    if isinstance(labels, str):
+        raise ValidationError(f"journal {journal_id!r} fields must be a set of labels, "
+                              f"not the string {labels!r}")
     if any(not f for f in labels):
         raise ValidationError(f"journal {journal_id!r} has an empty field label")
     for label in sorted(labels):
@@ -56,14 +60,51 @@ def _check_journal(journal_id: str, name: str, labels: Collection[str]) -> None:
                                   "';', which separates labels in journals.csv")
 
 
-@dataclass(frozen=True)
-class JournalEntry:
-    """One journal: identity, field memberships, and per-year article counts."""
+def _check_unique(ids: tuple[str, ...]) -> None:
+    """A ValidationError unless each of ``ids`` is listed once."""
+    if len(set(ids)) < len(ids):
+        repeated = next(jid for jid, n in Counter(ids).items() if n > 1)
+        raise ValidationError(f"duplicate journal id {repeated!r}")
 
-    journal_id: str
-    name: str
-    fields: frozenset[str]
-    articles_by_year: dict[int, int]
+
+def _int64_column(name: str, values, row: str) -> np.ndarray:
+    """``values`` as a one-dimensional int64 array, the array itself where it
+    is one already.  A value that is not an integer (a float or a bool
+    included) raises ValidationError naming the column; one outside int64
+    names its ``row`` and position too."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.int64 and values.ndim == 1:
+            return values
+        cells = values.tolist()
+    else:
+        cells = values if isinstance(values, (list, tuple)) else list(values)
+    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, cells))):
+        odd = next(c for c in cells if not isinstance(c, (int, np.integer)) or isinstance(c, bool))
+        raise ValidationError(f"{name} must hold integers, got {odd!r}")
+    column = np.array(cells) if cells else np.empty(0, dtype=np.int64)
+    if column.dtype != np.int64:  # numpy holds a cell past int64 in another dtype
+        for i, cell in enumerate(cells):
+            if not _fits_int64(cell):
+                raise ValidationError(_out_of_range(f"{row} {i}", name, cell))
+        column = column.astype(np.int64)
+    return column
+
+
+def _check_codes(name: str, codes: np.ndarray, n: int, row: str) -> None:
+    """A ValidationError unless every one of the int64 ``codes`` is a
+    position in ``n`` ids."""
+    if len(codes) and (codes.min() < 0 or codes.max() >= n):
+        i = int(np.flatnonzero((codes < 0) | (codes >= n))[0])
+        raise ValidationError(f"{row} {i}: {name} code {codes[i]} is not a position "
+                              f"in the {n} journal ids")
+
+
+def _freeze(obj, **attributes) -> None:
+    """Set the attributes of a frozen dataclass, arrays made read-only in place."""
+    for name, value in attributes.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 _TABLE_ROWS = ("journal", "year", "articles")
@@ -80,8 +121,10 @@ class JournalTable:
     articles is not.  ``labels`` holds each field label once, sorted, and the
     positions of the journals carrying ``labels[k]`` are
     ``members[offsets[k]:offsets[k + 1]]``, ascending.
-    ``JournalTable(entries)`` builds the columns from ``JournalEntry``
-    objects, and ``entries``, iteration and ``get`` yield them again.
+
+    ``JournalTable(ids, names, fields, journal, year, articles)`` checks and
+    stores them: ``fields`` holds each journal's set of labels, and the row
+    columns may come in any order.
     """
 
     ids: tuple[str, ...]
@@ -93,88 +136,56 @@ class JournalTable:
     offsets: np.ndarray
     members: np.ndarray
 
-    def __init__(self, entries: Iterable[JournalEntry]):
-        entries = tuple(entries)
-        seen = set()
-        for e in entries:
-            if e.journal_id in seen:
-                raise ValidationError(f"duplicate journal_id {e.journal_id!r}")
-            seen.add(e.journal_id)
-            _check_journal(e.journal_id, e.name, e.fields)
-            if any(c < 0 for c in e.articles_by_year.values()):
-                raise ValidationError(f"journal {e.journal_id!r} has a negative article count")
-            for year, count in e.articles_by_year.items():
-                for name, value in (("year", year), ("articles", count)):
-                    if not _fits_int64(value):
-                        raise ValidationError(
-                            _out_of_range(f"journal {e.journal_id!r}", name, value))
-        self._set_columns([e.journal_id for e in entries], [e.name for e in entries],
-                          [e.articles_by_year for e in entries], [e.fields for e in entries])
-
-    @classmethod
-    def _from_journals(cls, ids: list[str], names: list[str], years: list[dict[int, int]],
-                       labels: list[Iterable[str]]) -> JournalTable:
-        """A table over journals the caller has checked as ``__init__`` checks
-        entries; see ``_set_columns``."""
-        table = cls.__new__(cls)
-        table._set_columns(ids, names, years, labels)
-        return table
-
-    def _set_columns(self, ids: list[str], names: list[str], years: list[dict[int, int]],
-                     labels: list[Iterable[str]]) -> None:
-        """Fill the columns from one journal per position: its id, name,
-        articles by year and field labels."""
-        object.__setattr__(self, "ids", tuple(ids))
-        object.__setattr__(self, "names", tuple(names))
-        sizes = np.fromiter(map(len, years), dtype=np.int64, count=len(years))
-        rows = np.stack((
-            np.repeat(np.arange(len(years), dtype=np.int64), sizes),
-            *(np.fromiter(itertools.chain.from_iterable(map(method, years)), dtype=np.int64,
-                          count=int(sizes.sum())) for method in (dict.keys, dict.values))))
-        for name, values in zip(_TABLE_ROWS, rows[:, np.lexsort(rows[1::-1])]):  # journal, year
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
-        fields: dict[str, list[int]] = {}
-        for j, journal_labels in enumerate(labels):
+    def __init__(self, ids: Iterable[str], names: Iterable[str],
+                 fields: Iterable[Collection[str]], journal, year, articles):
+        ids, names, fields = tuple(ids), tuple(names), tuple(fields)
+        if not len(ids) == len(names) == len(fields):
+            raise ValidationError("ids, names and fields must have equal lengths")
+        _check_unique(ids)
+        for jid, name, labels in zip(ids, names, fields):
+            _check_journal(jid, name, labels)
+        rows = [_int64_column(name, values, "row")
+                for name, values in zip(_TABLE_ROWS, (journal, year, articles))]
+        if len({len(values) for values in rows}) > 1:
+            raise ValidationError("journal, year and articles must have equal lengths")
+        journal, year, articles = rows
+        _check_codes("journal", journal, len(ids), "row")
+        negative = np.flatnonzero(articles < 0)
+        if negative.size:
+            raise ValidationError(f"journal {ids[journal[negative[0]]]!r} has a negative "
+                                  "article count")
+        order = np.lexsort((year, journal))
+        journal, year, articles = journal[order], year[order], articles[order]
+        repeated = np.flatnonzero((np.diff(journal) == 0) & (np.diff(year) == 0))
+        if repeated.size:
+            i = repeated[0]
+            raise ValidationError(f"duplicate journal_id {ids[journal[i]]!r} for year {year[i]}")
+        by_label: dict[str, list[int]] = {}
+        for j, journal_labels in enumerate(fields):
             for label in journal_labels:
-                fields.setdefault(label, []).append(j)
-        field_labels = tuple(sorted(fields))
-        object.__setattr__(self, "labels", field_labels)
-        object.__setattr__(self, "offsets", readonly(
-            np.cumsum([0] + [len(fields[label]) for label in field_labels]), dtype=np.int64))
-        object.__setattr__(self, "members", readonly(list(itertools.chain.from_iterable(
-            fields[label] for label in field_labels)), dtype=np.int64))
+                by_label.setdefault(label, []).append(j)
+        labels = tuple(sorted(by_label))
+        _freeze(self, ids=ids, names=names, journal=journal, year=year, articles=articles,
+                labels=labels,
+                offsets=np.cumsum([0] + [len(by_label[label]) for label in labels],
+                                  dtype=np.int64),
+                members=np.fromiter(itertools.chain.from_iterable(map(by_label.get, labels)),
+                                    dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self) -> Iterator[JournalEntry]:
-        return iter(self.entries)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, JournalTable):
             return NotImplemented
-        # rows and members are in a canonical order, so equal entries give equal columns
+        # rows and members are in a canonical order, so equal tables give equal columns
         return ((self.ids, self.names, self.labels) == (other.ids, other.names, other.labels)
                 and all(np.array_equal(getattr(self, name), getattr(other, name))
                         for name in (*_TABLE_ROWS, "offsets", "members")))
 
     @cached_property
-    def entries(self) -> tuple[JournalEntry, ...]:
-        """The journals as ``JournalEntry`` objects, in table order."""
-        years: list[dict[int, int]] = [{} for _ in self.ids]
-        for j, year, count in zip(*(getattr(self, name).tolist() for name in _TABLE_ROWS)):
-            years[j][year] = count
-        return tuple(JournalEntry(jid, name, frozenset(labels), articles)
-                     for jid, name, labels, articles
-                     in zip(self.ids, self.names, self._labels_by_journal(), years))
-
-    @cached_property
     def index(self) -> dict[str, int]:
         return {jid: i for i, jid in enumerate(self.ids)}
-
-    def get(self, journal_id: str) -> JournalEntry:
-        return self.entries[self.index[journal_id]]
 
     def _labels_by_journal(self) -> list[list[str]]:
         """Each journal's field labels, sorted."""
@@ -243,12 +254,13 @@ _LEDGER_COLUMNS = ("citing", "cited", "citing_year", "cited_year", "count")
 class CitationLedger:
     """Raw dated citation counts, preserved in input order, stored as columns.
 
-    ``ids`` holds each journal id once, in first-seen order (citing id, then
-    cited id, row by row); ``citing`` and ``cited`` are int64 codes into it,
-    and ``citing_year``, ``cited_year`` and ``count`` are int64.  Every column
-    is read-only and has one entry per record.  ``CitationLedger(records)``
-    builds the columns from ``CitationRecord`` objects, and iterating a
-    ledger yields them again.
+    ``ids`` holds each journal id once (the parsers list them in first-seen
+    order: citing id, then cited id, row by row); ``citing`` and ``cited``
+    are int64 codes into it, and ``citing_year``, ``cited_year`` and
+    ``count`` are int64.  Every column is read-only and has one entry per
+    record.  ``CitationLedger(ids, citing, cited, citing_year, cited_year,
+    count)`` checks and stores them; an int64 array is stored as it is, made
+    read-only in place.
     """
 
     ids: tuple[str, ...]
@@ -258,53 +270,39 @@ class CitationLedger:
     cited_year: np.ndarray
     count: np.ndarray
 
-    def __init__(self, records: Iterable[CitationRecord]):
-        codes: dict[str, int] = {}
-        rows = [(codes.setdefault(r.citing_id, len(codes)), codes.setdefault(r.cited_id, len(codes)),
-                 r.citing_year, r.cited_year, r.count) for r in records]
-        try:
-            columns = np.array(rows, dtype=np.int64).reshape(-1, len(_LEDGER_COLUMNS)).T
-        except OverflowError:
-            for i, row in enumerate(rows):
-                for name, value in zip(CITATIONS_HEADER[2:], row[2:]):
-                    if not _fits_int64(value):
-                        raise ValidationError(_out_of_range(f"record {i}", name, value)) from None
-            raise
-        self._set_columns(tuple(codes), *(readonly(c, dtype=np.int64) for c in columns))
-
-    @classmethod
-    def _from_columns(cls, ids: tuple[str, ...], *columns) -> CitationLedger:
-        """A ledger over ``columns``, lists of ints or int64 arrays that the
-        caller hands over: an array becomes read-only in place, uncopied."""
-        ledger = cls.__new__(cls)
-        ledger._set_columns(ids, *(np.asarray(c, dtype=np.int64) for c in columns))
-        return ledger
-
-    def _set_columns(self, ids: tuple[str, ...], *columns: np.ndarray) -> None:
-        object.__setattr__(self, "ids", ids)
-        for name, values in zip(_LEDGER_COLUMNS, columns):
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
-        bad = np.flatnonzero(self.count <= 0)
-        if bad.size:
-            raise ValidationError(f"citation count must be positive, got {self.count[bad[0]]}")
+    def __init__(self, ids: Iterable[str], citing, cited, citing_year, cited_year, count):
+        ids = tuple(ids)
         if "" in ids:
             raise ValidationError("citation record with empty journal id")
         for jid in ids:
             _check_writable("journal id", jid)
+        _check_unique(ids)
+        columns = [_int64_column(name, values, "record") for name, values
+                   in zip(_LEDGER_COLUMNS, (citing, cited, citing_year, cited_year, count))]
+        if len({len(values) for values in columns}) > 1:
+            raise ValidationError(", ".join(_LEDGER_COLUMNS) + " must have equal lengths")
+        for name, codes in zip(_LEDGER_COLUMNS, columns[:2]):
+            _check_codes(name, codes, len(ids), "record")
+        count = columns[-1]
+        bad = np.flatnonzero(count <= 0)
+        if bad.size:
+            raise ValidationError(f"citation count must be positive, got {count[bad[0]]}")
+        _freeze(self, ids=ids, **dict(zip(_LEDGER_COLUMNS, columns)))
 
     def __len__(self) -> int:
         return len(self.count)
 
-    def __iter__(self) -> Iterator[CitationRecord]:
-        return self._records(slice(None))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CitationLedger):
             return NotImplemented
-        # ids are in first-seen order, so equal record sequences give equal codes
+        # the stored columns: the same records under ids in another order differ
         return self.ids == other.ids and all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name in _LEDGER_COLUMNS)
+
+    # __iter__, _records and validate yield CitationRecord objects for
+    # perfbench/tracing.py, which wraps them; no computation here uses them
+    def __iter__(self) -> Iterator[CitationRecord]:
+        return self._records(slice(None))
 
     def _records(self, rows) -> Iterator[CitationRecord]:
         ids = self.ids
@@ -393,11 +391,6 @@ class CitationMatrix:
             raise ValueError(f"vector of shape {x.shape} does not match {n} journals")
         return np.bincount(self.row, weights=self.value * x[self.col], minlength=n)
 
-    def to_dict(self) -> dict[tuple[str, str], float]:
-        """(cited_id, citing_id) -> count view, mainly for tests and export."""
-        return {(self.ids[i], self.ids[j]): v for i, j, v in
-                zip(self.row.tolist(), self.col.tolist(), self.value.tolist())}
-
 
 @dataclass(frozen=True, eq=False)
 class PairedObservations:
@@ -466,11 +459,10 @@ def parse_journal_metadata(source: str | TextIO) -> JournalTable:
     """
     rdr = csv_reader(source, JOURNALS_HEADER, "journals.csv")
     codes: dict[str, int] = {}  # each id to its position
-    ids: list[str] = []
     names: list[str] = []
     field_cells: list[str] = []  # each journal's last fields cell
     labels: list[set[str]] = []
-    years: list[dict[int, int]] = []
+    years: list[dict[int, int]] = []  # each journal's articles by year
     year_of: dict[str, int] = {}
     articles_of: dict[str, int] = {}
     for row in rdr:
@@ -492,8 +484,7 @@ def parse_journal_metadata(source: str | TextIO) -> JournalTable:
                 articles_cell.strip(), "articles", rdr.line_num, minimum=0)
         j = codes.get(jid)
         if j is None:
-            j = codes[jid] = len(ids)
-            ids.append(jid)
+            j = codes[jid] = len(names)
             names.append(name)
             field_cells.append(field_list)
             labels.append(_field_labels(field_list))
@@ -508,9 +499,11 @@ def parse_journal_metadata(source: str | TextIO) -> JournalTable:
             raise CsvFormatError(
                 f"line {rdr.line_num}: duplicate journal_id {jid!r} for year {year}")
         years[j][year] = articles
-    for jid, name, journal_labels in zip(ids, names, labels):
-        _check_journal(jid, name, journal_labels)
-    return JournalTable._from_journals(ids, names, years, labels)
+    sizes = np.fromiter(map(len, years), dtype=np.int64, count=len(years))
+    journal = np.repeat(np.arange(len(years), dtype=np.int64), sizes)
+    return JournalTable(codes, names, labels, journal, *(
+        np.fromiter(itertools.chain.from_iterable(map(method, years)), dtype=np.int64,
+                    count=len(journal)) for method in (dict.keys, dict.values)))
 
 
 def _field_labels(field_list: str) -> set[str]:
@@ -575,7 +568,7 @@ def _parse_citation_rows(source: str | TextIO) -> CitationLedger:
         citing_year_col.append(citing_year)
         cited_year_col.append(cited_year)
         count_col.append(count)
-    return CitationLedger._from_columns(tuple(codes), *columns)
+    return CitationLedger(codes, *columns)
 
 
 # the vectorised citations.csv reader
@@ -674,7 +667,7 @@ def _parse_citation_columns(source: str | TextIO) -> CitationLedger | None:
         if codes is None:
             return None
         block[:2] = codes.reshape(rows, 2).T
-    return CitationLedger._from_columns(tuple(ids.ids), *columns[:, :filled])
+    return CitationLedger(ids.ids, *columns[:, :filled])
 
 
 class _IdCodes:
@@ -776,7 +769,9 @@ def write_journal_metadata(table: JournalTable) -> str:
 
 
 def write_citation_edges(ledger: CitationLedger) -> str:
-    """Serialize a CitationLedger back to citations.csv text (round-trip safe)."""
+    """Serialize a CitationLedger back to citations.csv text.  It reads back
+    as an equal ledger when ``ids`` lists every id a record uses, in
+    first-seen order, as the parsers list them."""
     ids = np.array(ledger.ids, dtype=object)
     return csv_text(CITATIONS_HEADER, zip(
         ids[ledger.citing].tolist(), ids[ledger.cited].tolist(),

@@ -13,15 +13,52 @@ from itertools import combinations
 import numpy as np
 from scipy.stats import rankdata
 
-from eigenrank import (CitationLedger, CitationRecord, CsvFormatError, JournalEntry,
-                       JournalTable, MetricScores)
+from eigenrank import CitationLedger, CsvFormatError, JournalTable, MetricScores
 from eigenrank._util import csv_reader
 from eigenrank.corpus import JOURNALS_HEADER, _int_field
 
 
-def _articles_between(entry, first_year, end_year):
-    """Articles ``entry`` published in ``first_year <= year < end_year``."""
-    return sum(c for y, c in entry.articles_by_year.items() if first_year <= y < end_year)
+def _columns(rows, width):
+    """``rows`` of ``width`` cells as ``width`` column lists."""
+    return [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
+
+
+def journal_table(journals) -> JournalTable:
+    """A JournalTable of ``(journal_id, name, fields, {year: articles})``
+    tuples, in table order."""
+    journals = list(journals)
+    rows = [(j, year, articles) for j, (*_, by_year) in enumerate(journals)
+            for year, articles in by_year.items()]
+    return JournalTable(*_columns(journals, 4)[:3], *_columns(rows, 3))
+
+
+def citation_ledger(records) -> CitationLedger:
+    """A CitationLedger of ``(citing_id, cited_id, citing_year, cited_year,
+    count)`` tuples, in order, its ids in first-seen order as the parsers
+    list them."""
+    codes = {}
+    rows = [(codes.setdefault(citing, len(codes)), codes.setdefault(cited, len(codes)), *rest)
+            for citing, cited, *rest in records]
+    return CitationLedger(codes, *_columns(rows, 5))
+
+
+def ledger_rows(ledger):
+    """The ledger's records as ``(citing_id, cited_id, citing_year,
+    cited_year, count)`` tuples, read from its stored columns."""
+    ids = ledger.ids
+    return [(ids[citing], ids[cited], *rest) for citing, cited, *rest in zip(
+        *(getattr(ledger, name).tolist()
+          for name in ("citing", "cited", "citing_year", "cited_year", "count")))]
+
+
+def _articles_between(table, first_year, end_year):
+    """Per-journal articles published in ``first_year <= year < end_year``."""
+    counts = [0] * len(table)
+    for j, year, articles in zip(table.journal.tolist(), table.year.tolist(),
+                                 table.articles.tolist()):
+        if first_year <= year < end_year:
+            counts[j] += articles
+    return np.array(counts, float)
 
 
 def dense_reference_scores(table, ledger, census_year, window=5, alpha=0.85,
@@ -32,13 +69,13 @@ def dense_reference_scores(table, ledger, census_year, window=5, alpha=0.85,
     pos = {j: i for i, j in enumerate(ids)}
     z = np.zeros((n, n))
     lo = census_year - window
-    for r in ledger:
-        if r.citing_year != census_year or not (lo <= r.cited_year < census_year):
+    for citing, cited, citing_year, cited_year, count in ledger_rows(ledger):
+        if citing_year != census_year or not (lo <= cited_year < census_year):
             continue
-        if exclude_self and r.citing_id == r.cited_id:
+        if exclude_self and citing == cited:
             continue
-        z[pos[r.cited_id], pos[r.citing_id]] += r.count
-    counts = np.array([_articles_between(e, lo, census_year) for e in table], float)
+        z[pos[cited], pos[citing]] += count
+    counts = _articles_between(table, lo, census_year)
     a = counts / counts.sum()
     col = z.sum(axis=0)
     h = np.divide(z, col, out=np.zeros_like(z), where=col > 0)
@@ -54,26 +91,29 @@ def dense_reference_scores(table, ledger, census_year, window=5, alpha=0.85,
 def reference_counts(ledger, table, census_year, window=5, exclude_self=True):
     """Windowed matrix entries, IF and TC from one plain loop over the records.
 
-    Returns ``(matrix, impact_factor, total_citations)``: ``matrix`` maps
-    (cited_id, citing_id) to the summed in-window count, as
-    ``CitationMatrix.to_dict`` does; the two arrays follow table order.
+    Returns ``(matrix, impact_factor, total_citations)``: ``matrix`` holds
+    the ``(row, col, value)`` lists of ``CitationMatrix``, the summed
+    in-window count that journal ``col`` gave journal ``row``, sorted by
+    column, then row; the two arrays follow table order.
     """
     pos = {j: i for i, j in enumerate(table.ids)}
     n = len(pos)
-    matrix = {}
+    entries = {}
     cites = np.zeros(n)
     totals = np.zeros(n, dtype=np.int64)
     lo = census_year - window
-    for r in ledger:
-        if r.citing_year != census_year or (exclude_self and r.citing_id == r.cited_id):
+    for citing, cited, citing_year, cited_year, count in ledger_rows(ledger):
+        if citing_year != census_year or (exclude_self and citing == cited):
             continue
-        totals[pos[r.cited_id]] += r.count
-        if r.cited_year in (census_year - 1, census_year - 2):
-            cites[pos[r.cited_id]] += r.count
-        if lo <= r.cited_year < census_year:
-            key = (r.cited_id, r.citing_id)
-            matrix[key] = matrix.get(key, 0.0) + float(r.count)
-    n2 = np.array([_articles_between(e, census_year - 2, census_year) for e in table], float)
+        totals[pos[cited]] += count
+        if cited_year in (census_year - 1, census_year - 2):
+            cites[pos[cited]] += count
+        if lo <= cited_year < census_year:
+            key = (pos[citing], pos[cited])
+            entries[key] = entries.get(key, 0.0) + float(count)
+    keys = sorted(entries)
+    matrix = ([row for _, row in keys], [col for col, _ in keys], [entries[k] for k in keys])
+    n2 = _articles_between(table, census_year - 2, census_year)
     impact = np.full(n, np.nan)
     impact[n2 > 0] = cites[n2 > 0] / n2[n2 > 0]
     return matrix, impact, totals
@@ -82,7 +122,7 @@ def reference_counts(ledger, table, census_year, window=5, exclude_self=True):
 def reference_journals(source):
     """journals.csv parsed by one plain loop over the rows: every cell
     stripped and parsed on every row, the journals merged in dicts and sets
-    and built through ``JournalTable(entries)``."""
+    and built through ``journal_table``."""
     rdr = csv_reader(source, JOURNALS_HEADER, "journals.csv")
     names, fields, years = {}, {}, {}
     for row in rdr:
@@ -104,34 +144,31 @@ def reference_journals(source):
             raise CsvFormatError(f"line {line}: duplicate journal_id {jid!r} for year {year}")
         years[jid][year] = articles
         fields[jid] |= {f.strip() for f in field_list.split(";") if f.strip()}
-    return JournalTable(JournalEntry(jid, name, frozenset(fields[jid]), years[jid])
-                        for jid, name in names.items())
+    return journal_table((jid, name, fields[jid], years[jid]) for jid, name in names.items())
 
 
 def random_corpus(rng, n_journals=None, census_year=2006, window=5):
     """Small random corpus; every journal publishes, network non-empty."""
     n = int(n_journals) if n_journals is not None else int(rng.integers(2, 7))
     ids = [f"J{k:02d}" for k in range(n)]
-    entries = []
+    journals = []
     for jid in ids:
         years = {y: int(rng.integers(1, 40)) for y in range(census_year - window, census_year)}
-        fields = frozenset(f for f in ("alpha", "beta") if rng.random() < 0.5)
-        entries.append(JournalEntry(jid, f"Journal {jid}", fields, years))
-    table = JournalTable(tuple(entries))
+        fields = {f for f in ("alpha", "beta") if rng.random() < 0.5}
+        journals.append((jid, f"Journal {jid}", fields, years))
     records = []
     for i in range(n):
         for j in range(n):
             if rng.random() < 0.6:
-                records.append(CitationRecord(
-                    ids[i], ids[j], census_year,
-                    int(rng.integers(census_year - window, census_year)),
-                    int(rng.integers(1, 20))))
-    if not any(r.citing_id != r.cited_id for r in records):
-        records.append(CitationRecord(ids[0], ids[-1], census_year, census_year - 1, 3))
+                records.append((ids[i], ids[j], census_year,
+                                int(rng.integers(census_year - window, census_year)),
+                                int(rng.integers(1, 20))))
+    if not any(citing != cited for citing, cited, *_ in records):
+        records.append((ids[0], ids[-1], census_year, census_year - 1, 3))
     # noise rows the window filter must ignore
-    records.append(CitationRecord(ids[0], ids[-1], census_year - 1, census_year - 2, 5))
-    records.append(CitationRecord(ids[0], ids[-1], census_year, census_year - window - 1, 4))
-    return table, CitationLedger(tuple(records))
+    records.append((ids[0], ids[-1], census_year - 1, census_year - 2, 5))
+    records.append((ids[0], ids[-1], census_year, census_year - window - 1, 4))
+    return journal_table(journals), citation_ledger(records)
 
 
 def exact_mwu_two_sided_p(a, b) -> float:

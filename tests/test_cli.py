@@ -9,13 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigenrank import (CitationLedger, CitationRecord, CorrelationResult, FieldCorrelations,
-                       JournalEntry, JournalTable, parse_citation_edges, parse_journal_metadata,
-                       read_scores_csv, write_citation_edges, write_journal_metadata,
-                       write_scores_csv)
+from eigenrank import (CorrelationResult, FieldCorrelations, parse_citation_edges,
+                       parse_journal_metadata, read_scores_csv, write_citation_edges,
+                       write_journal_metadata, write_scores_csv)
 from eigenrank.cli import main
 from eigenrank.stats import write_correlations_csv
-from helpers import dense_reference_scores, score_table
+from helpers import citation_ledger, dense_reference_scores, journal_table, score_table
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -486,16 +485,15 @@ TRICKY = 'A,"1'  # an id, name or label holding a comma and a double quote
 
 
 def _journals_csv():
-    table = JournalTable((JournalEntry(TRICKY, TRICKY, frozenset({TRICKY, "b"}), {2005: 3}),
-                          JournalEntry("B", "Beta", frozenset(), {2004: 1, 2005: 2})))
+    table = journal_table([(TRICKY, TRICKY, {TRICKY, "b"}, {2005: 3}),
+                           ("B", "Beta", (), {2004: 1, 2005: 2})])
     text = write_journal_metadata(table)
     assert parse_journal_metadata(text) == table
     return text
 
 
 def _citations_csv():
-    ledger = CitationLedger((CitationRecord(TRICKY, "B", 2006, 2005, 2),
-                             CitationRecord("B", TRICKY, 2006, 2004, 1)))
+    ledger = citation_ledger([(TRICKY, "B", 2006, 2005, 2), ("B", TRICKY, 2006, 2004, 1)])
     text = write_citation_edges(ledger)
     assert parse_citation_edges(text) == ledger
     return text

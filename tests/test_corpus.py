@@ -9,12 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eigenrank import corpus
-from eigenrank import (CitationLedger, CitationMatrix, CitationRecord, CsvFormatError,
-                       JournalEntry, JournalTable, PairedObservations, ValidationError,
-                       bigmac_csv, bigmac_fixture, build_citation_matrix,
-                       parse_citation_edges, parse_journal_metadata, write_citation_edges,
-                       write_journal_metadata)
-from helpers import random_corpus, reference_journals
+from eigenrank import (CitationLedger, CitationMatrix, CsvFormatError, JournalTable,
+                       PairedObservations, ValidationError, bigmac_csv, bigmac_fixture,
+                       build_citation_matrix, parse_citation_edges, parse_journal_metadata,
+                       write_citation_edges, write_journal_metadata)
+from eigenrank.corpus import CitationRecord
+from helpers import citation_ledger, journal_table, random_corpus, reference_journals
 
 JOURNALS_HEADER = "journal_id,name,fields,year,articles\n"
 CITATIONS_HEADER = "citing_id,cited_id,citing_year,cited_year,count\n"
@@ -37,16 +37,17 @@ def test_parse_journals_merges_years_per_journal():
             + "B,Beta,,2003,4\n")
     table = parse_journal_metadata(text)
     assert len(table) == 2
-    entry = table.get("A")
-    assert entry.articles_by_year == {2005: 10, 2006: 12}
-    assert entry.fields == frozenset({"medicine", "stats"})
-    # a year of 0 articles is not absent
-    assert table.get("B").articles_by_year == {2003: 4, 2006: 0}
-    # the row columns are sorted by journal, then year
+    assert (table.ids, table.names) == (("A", "B"), ("Alpha", "Beta"))
+    # the row columns are sorted by journal, then year; B's year of 0
+    # articles is a row, not an absent year
     assert table.journal.tolist() == [0, 0, 1, 1]
     assert table.year.tolist() == [2005, 2006, 2003, 2006]
     assert table.articles.tolist() == [10, 12, 4, 0]
-    assert table.members_of("stats") == ("A",) and table.members_of("") == ()
+    assert table.article_counts(2007, 5).tolist() == [22, 4]
+    # A's fields are unioned across its rows
+    assert table.labels == ("medicine", "stats")
+    assert table.members_of("medicine") == table.members_of("stats") == ("A",)
+    assert table.members_of("") == ()
 
 
 def test_parse_journals_negative_articles_is_format_error():
@@ -106,8 +107,10 @@ def test_parse_journals_rejects_missing_header():
 def test_parse_citations_direct():
     ledger = parse_citation_edges(CITATIONS_HEADER + "A,B,2006,2004,7\n")
     assert len(ledger) == 1
-    record = tuple(ledger)[0]
-    assert record == CitationRecord("A", "B", 2006, 2004, 7)
+    assert ledger.ids == ("A", "B")
+    assert [getattr(ledger, name).tolist() for name in
+            ("citing", "cited", "citing_year", "cited_year", "count")] == [[0], [1], [2006],
+                                                                           [2004], [7]]
 
 
 def test_parse_citations_empty_body():
@@ -127,7 +130,9 @@ def test_parse_citations_missing_column_is_format_error():
 def test_ledger_preserves_input_order():
     text = CITATIONS_HEADER + "B,A,2006,2005,1\nA,B,2006,2005,2\n"
     ledger = parse_citation_edges(text)
-    assert [r.citing_id for r in ledger] == ["B", "A"]
+    assert ledger.ids == ("B", "A")
+    assert (ledger.citing.tolist(), ledger.cited.tolist()) == ([0, 1], [1, 0])
+    assert ledger.count.tolist() == [1, 2]
 
 
 def test_parse_citations_malformed_year_reports_its_line():
@@ -157,17 +162,21 @@ def test_parse_citations_out_of_range_integer_is_format_error():
 def test_record_built_ledger_out_of_range_integer_is_validation_error():
     with pytest.raises(ValidationError,
                        match=r"^record 1: count 9223372036854775808 out of range \(not a 64-bit"):
-        CitationLedger([CitationRecord("A", "B", 2006, 2004, 1),
-                        CitationRecord("A", "B", 2006, 2004, 2**63)])
+        citation_ledger([("A", "B", 2006, 2004, 1), ("A", "B", 2006, 2004, 2**63)])
     with pytest.raises(ValidationError, match="^record 0: citing_year 9223372036854775808 out"):
-        CitationLedger([CitationRecord("A", "B", 2**63, 2004, 1)])
+        citation_ledger([("A", "B", 2**63, 2004, 1)])
     with pytest.raises(ValidationError, match="^record 0: cited_year -9223372036854775809 out"):
-        CitationLedger([CitationRecord("A", "B", 2006, -2**63 - 1, 1)])
+        citation_ledger([("A", "B", 2006, -2**63 - 1, 1)])
+    # one value below int64 and one above it: numpy would hold the column as float64
+    with pytest.raises(ValidationError, match="^record 1: citing_year 9223372036854775808 out"):
+        citation_ledger([("A", "B", -1, 2004, 1), ("A", "B", 2**63, 2004, 1)])
+    with pytest.raises(ValidationError, match="^record 0: count 18446744073709551615 out"):
+        CitationLedger(("A", "B"), [0], [1], [2006], [2004], np.array([2**64 - 1], np.uint64))
 
 
 def test_parse_citations_quoted_id_with_comma():
     ledger = parse_citation_edges(CITATIONS_HEADER + '"A,1",B,2006,2005,3\n')
-    assert list(ledger) == [CitationRecord("A,1", "B", 2006, 2005, 3)]
+    assert ledger == citation_ledger([("A,1", "B", 2006, 2005, 3)])
     assert ledger.ids == ("A,1", "B")
 
 
@@ -178,25 +187,36 @@ def test_parse_citations_from_open_file_equals_text(tmp_path):
     with open(path, encoding="utf-8", newline="") as fh:
         from_file = parse_citation_edges(fh)
     assert from_file == parse_citation_edges(text)
-    assert [r.citing_id for r in from_file] == ["B", "A", "C"]
+    assert from_file.ids == ("B", "A", "C")
+    assert from_file.citing.tolist() == [0, 1, 2]
 
 
 def test_record_built_ledger_round_trips_and_matches_parsed_columns():
-    records = (CitationRecord("B", "C", 2006, 2005, 2),
-               CitationRecord("A", "B", 2005, 2007, 1),
-               CitationRecord("C", "C", 2006, 2004, 9))
-    ledger = CitationLedger(records)
-    assert tuple(ledger) == records
+    records = (("B", "C", 2006, 2005, 2), ("A", "B", 2005, 2007, 1), ("C", "C", 2006, 2004, 9))
+    ledger = citation_ledger(records)
     assert ledger.ids == ("B", "C", "A")
     assert ledger.citing.tolist() == [0, 2, 1]
     assert ledger.cited.tolist() == [1, 0, 1]
+    assert ledger.citing_year.tolist() == [2006, 2005, 2006]
+    assert ledger.cited_year.tolist() == [2005, 2007, 2004]
+    assert ledger.count.tolist() == [2, 1, 9]
     parsed = parse_citation_edges(write_citation_edges(ledger))
     assert parsed == ledger
-    assert parsed != CitationLedger(records[:2])
+    assert parsed != citation_ledger(records[:2])
+    # the same records under the ids in another order are another ledger
+    assert parsed != CitationLedger(("C", "B", "A"), [1, 2, 0], [0, 1, 0], *(
+        getattr(ledger, name) for name in ("citing_year", "cited_year", "count")))
 
 
 def test_ledger_columns_are_read_only():
-    for ledger in (CitationLedger((CitationRecord("A", "B", 2006, 2005, 2),)),
+    # int64 arrays are stored as they are, made read-only in place: the parsers
+    # hand a paper-scale ledger over without a copy
+    columns = [np.array([value]) for value in (0, 1, 2006, 2005, 2)]
+    handed_over = CitationLedger(("A", "B"), *columns)
+    assert all(stored is given for stored, given in zip(
+        (handed_over.citing, handed_over.cited, handed_over.citing_year,
+         handed_over.cited_year, handed_over.count), columns))
+    for ledger in (handed_over, citation_ledger([("A", "B", 2006, 2005, 2)]),
                    parse_citation_edges(CITATIONS_HEADER + "A,B,2006,2005,2\n")):
         for column in (ledger.citing, ledger.cited, ledger.citing_year, ledger.cited_year,
                        ledger.count):
@@ -208,13 +228,16 @@ def test_ledger_columns_are_read_only():
 
 
 def test_validate_rejects_unknown_ids_and_flags_noisy_records():
+    # validate, iteration and CitationRecord are kept only for the benchmark's
+    # tracer (perfbench/tracing.py), which wraps validate and __iter__
     table = parse_journal_metadata(JOURNALS_HEADER + "A,Alpha,,2005,10\nB,Beta,,2005,3\n")
     ledger = parse_citation_edges(CITATIONS_HEADER + "A,X,2006,2005,1\nY,B,2006,2005,2\n")
     with pytest.raises(ValidationError, match="X, Y"):
         ledger.validate(table)
-    noisy = parse_citation_edges(
-        CITATIONS_HEADER + "A,B,2006,2005,1\nA,B,2004,2007,2\n").validate(table)
-    assert [r.cited_year for r in noisy] == [2007]
+    ledger = parse_citation_edges(CITATIONS_HEADER + "A,B,2006,2005,1\nA,B,2004,2007,2\n")
+    assert list(ledger) == [CitationRecord("A", "B", 2006, 2005, 1),
+                            CitationRecord("A", "B", 2004, 2007, 2)]
+    assert ledger.validate(table) == (CitationRecord("A", "B", 2004, 2007, 2),)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +253,6 @@ def test_build_matrix_single_record():
     table = _two_journal_table()
     ledger = parse_citation_edges(CITATIONS_HEADER + "A,B,2006,2004,7\n")
     z = build_citation_matrix(ledger, table, 2006, 5, exclude_self=False)
-    assert z.to_dict() == {("B", "A"): 7.0}
     assert z.ids == ("A", "B")
     assert (z.row.tolist(), z.col.tolist(), z.value.tolist()) == ([1], [0], [7.0])
     for window in (0, -1):
@@ -269,20 +291,20 @@ def test_build_matrix_excludes_census_year_citations():
     table = _two_journal_table()
     ledger = parse_citation_edges(CITATIONS_HEADER + "A,B,2006,2006,7\n")
     z = build_citation_matrix(ledger, table, 2006, 5, exclude_self=False)
-    assert z.to_dict() == {}
+    assert (z.row.tolist(), z.col.tolist(), z.value.tolist()) == ([], [], [])
 
 
 def test_build_matrix_exclude_self_drops_diagonal():
     table = _two_journal_table()
     ledger = parse_citation_edges(CITATIONS_HEADER + "A,A,2006,2005,4\nA,B,2006,2005,1\n")
     z = build_citation_matrix(ledger, table, 2006, 5, exclude_self=True)
-    assert z.to_dict() == {("B", "A"): 1.0}
+    assert (z.row.tolist(), z.col.tolist(), z.value.tolist()) == ([1], [0], [1.0])
     assert z.self_cites_excluded
 
 
 def test_build_matrix_unknown_journal_lists_offenders():
     table = _two_journal_table()
-    ledger = CitationLedger((CitationRecord("A", "Z", 2006, 2005, 1),))
+    ledger = parse_citation_edges(CITATIONS_HEADER + "A,Z,2006,2005,1\n")
     with pytest.raises(ValidationError, match="Z"):
         build_citation_matrix(ledger, table, 2006, 5, exclude_self=False)
 
@@ -292,7 +314,7 @@ def test_build_matrix_out_of_window_records_silently_ignored():
     ledger = parse_citation_edges(
         CITATIONS_HEADER + "A,B,2006,2000,9\nA,B,2005,2004,9\nA,B,2006,2003,2\n")
     z = build_citation_matrix(ledger, table, 2006, 5, exclude_self=False)
-    assert z.to_dict() == {("B", "A"): 2.0}
+    assert (z.row.tolist(), z.col.tolist(), z.value.tolist()) == ([1], [0], [2.0])
 
 
 def test_build_matrix_is_additive_under_record_splitting():
@@ -300,20 +322,17 @@ def test_build_matrix_is_additive_under_record_splitting():
     for _ in range(20):
         table, ledger = random_corpus(rng)
         whole = build_citation_matrix(ledger, table, 2006, 5, exclude_self=True)
-        split_records = []
-        for r in ledger:
-            if r.count > 1:
-                first = r.count // 2
-                split_records.append(CitationRecord(r.citing_id, r.cited_id,
-                                                    r.citing_year, r.cited_year, first))
-                split_records.append(CitationRecord(r.citing_id, r.cited_id,
-                                                    r.citing_year, r.cited_year,
-                                                    r.count - first))
-            else:
-                split_records.append(r)
-        split = build_citation_matrix(CitationLedger(tuple(split_records)),
-                                      table, 2006, 5, exclude_self=True)
-        assert whole.to_dict() == split.to_dict()
+        # each record of count > 1 becomes two records whose counts add up to it
+        half = ledger.count // 2
+        split = half > 0
+        columns = [np.concatenate((getattr(ledger, name), getattr(ledger, name)[split]))
+                   for name in ("citing", "cited", "citing_year", "cited_year")]
+        split_ledger = CitationLedger(ledger.ids, *columns,
+                                      np.concatenate((ledger.count - half, half[split])))
+        assert len(split_ledger) > len(ledger)
+        z = build_citation_matrix(split_ledger, table, 2006, 5, exclude_self=True)
+        for name in ("row", "col", "value"):
+            np.testing.assert_array_equal(getattr(z, name), getattr(whole, name))
 
 
 def test_csv_round_trip_is_identity():
@@ -325,36 +344,69 @@ def test_csv_round_trip_is_identity():
 
 
 def test_journal_without_year_rows_is_not_written():
-    table = JournalTable((JournalEntry("A", "Alpha", frozenset({"bio"}), {2005: 1}),
-                          JournalEntry("B", "Beta", frozenset({"bio"}), {})))
+    table = journal_table([("A", "Alpha", {"bio"}, {2005: 1}), ("B", "Beta", {"bio"}, {})])
     assert table.article_counts(2006, 5).tolist() == [1, 0]
     with pytest.raises(ValidationError, match="^journal 'B' has no year rows"):
         write_journal_metadata(table)
 
 
+def _table(ids=("A",), names=("Alpha",), fields=((),), journal=(0,), year=(2005,),
+           articles=(1,)):
+    return JournalTable(ids, names, fields, journal, year, articles)
+
+
+def _ledger(ids=("A", "B"), citing=(0,), cited=(1,), citing_year=(2006,), cited_year=(2005,),
+            count=(1,)):
+    return CitationLedger(ids, citing, cited, citing_year, cited_year, count)
+
+
 def test_table_invariants_rejected():
-    entry = JournalEntry("A", "Alpha", frozenset(), {2005: 1})
-    with pytest.raises(ValidationError, match="duplicate"):
-        JournalTable((entry, entry))
-    with pytest.raises(ValidationError, match="negative"):
-        JournalTable((JournalEntry("A", "Alpha", frozenset(), {2005: -1}),))
-    for years, message in (({2**63: 1}, f"year {2**63} out of range"),
-                           ({2005: 2**63}, f"articles {2**63} out of range")):
-        with pytest.raises(ValidationError, match=f"^journal 'A': {message}"):
-            JournalTable((JournalEntry("A", "Alpha", frozenset(), years),))
-    with pytest.raises(ValidationError, match="positive"):
-        CitationLedger((CitationRecord("A", "B", 2006, 2005, 0),))
+    assert _table() == journal_table([("A", "Alpha", (), {2005: 1})])
+    assert len(_ledger()) == 1
+    for build, columns, message in (
+            (_table, dict(ids=("A", "A"), names=("a", "b"), fields=((), ())), "duplicate"),
+            (_table, dict(articles=(-1,)), "^journal 'A' has a negative article count$"),
+            (_table, dict(year=(2**63,)), f"^row 0: year {2**63} out of range"),
+            (_table, dict(articles=(2**63,)), f"^row 0: articles {2**63} out of range"),
+            (_ledger, dict(count=(0,)), "positive"),
+            # fractional and boolean values, not truncated without a word
+            (_ledger, dict(citing_year=(2006.5,)), "^citing_year must hold integers, got 2006.5$"),
+            (_ledger, dict(cited_year=np.array([2005.0])), "^cited_year must hold integers"),
+            (_ledger, dict(count=(True,)), "^count must hold integers, got True$"),
+            (_ledger, dict(count=np.array([True])), "^count must hold integers"),
+            (_ledger, dict(cited=(1, True), citing=(0, 0), citing_year=(2006, 2006),
+                           cited_year=(2005, 2005), count=(1, 1)), "^cited must hold integers"),
+            (_table, dict(articles=(3.7,)), "^articles must hold integers, got 3.7$"),
+            (_table, dict(articles=(True,)), "^articles must hold integers, got True$"),
+            (_table, dict(year=np.array([2005.0])), "^year must hold integers"),
+            (_table, dict(journal=("0",)), "^journal must hold integers, got '0'$"),
+            (_table, dict(journal=np.zeros((1, 1), dtype=np.int64)), "^journal must hold integers"),
+            # codes outside ids, repeated ids, unequal lengths, repeated rows
+            (_ledger, dict(cited=(5,)), "^record 0: cited code 5 is not a position in the 2 "),
+            (_ledger, dict(citing=(-1,)), "^record 0: citing code -1 is not a position"),
+            (_ledger, dict(ids=("A", "A")), "^duplicate journal id 'A'$"),
+            (_ledger, dict(count=(1, 1)), "must have equal lengths"),
+            (_table, dict(journal=(1,)), "^row 0: journal code 1 is not a position in the 1 "),
+            (_table, dict(ids=("A", "B", "A"), names=("a",) * 3, fields=((),) * 3),
+             "^duplicate journal id 'A'$"),
+            (_table, dict(names=()), "^ids, names and fields must have equal lengths$"),
+            (_table, dict(year=(2005, 2006)), "^journal, year and articles must have equal"),
+            (_table, dict(journal=(0, 0), year=(2005, 2005), articles=(1, 2)),
+             "^duplicate journal_id 'A' for year 2005$"),
+            (_table, dict(fields=("bio",)), "fields must be a set of labels, not the string")):
+        with pytest.raises(ValidationError, match=message):
+            build(**columns)
     # values that would not read back from the CSV files as themselves
-    for entry, message in ((JournalEntry(" A", "Alpha", frozenset(), {}), "journal_id ' A'"),
-                           (JournalEntry("A", "Alpha\n", frozenset(), {}), "name 'Alpha\\n'"),
-                           (JournalEntry("A", "Al\rpha", frozenset(), {}), "name 'Al\\rpha'"),
-                           (JournalEntry("A", "Alpha", frozenset({"bio "}), {}), "label 'bio '"),
-                           (JournalEntry("A", "Alpha", frozenset({"bio;med"}), {}), "holds ';'")):
+    for columns, message in ((dict(ids=(" A",)), "journal_id ' A'"),
+                             (dict(names=("Alpha\n",)), "name 'Alpha\\n'"),
+                             (dict(names=("Al\rpha",)), "name 'Al\\rpha'"),
+                             (dict(fields=({"bio "},)), "label 'bio '"),
+                             (dict(fields=({"bio;med"},)), "holds ';'")):
         with pytest.raises(ValidationError, match=re.escape(message)):
-            JournalTable((entry,))
+            _table(**columns)
     for jid in (" A", "A\t", "A\rB", "\u3000"):
         with pytest.raises(ValidationError, match="cannot be written to CSV"):
-            CitationLedger((CitationRecord("B", jid, 2006, 2005, 1),))
+            _ledger(ids=("B", jid))
 
 
 @pytest.mark.parametrize("window, counted", [(5, (2001, 2002, 2003, 2004, 2005)),
@@ -362,8 +414,7 @@ def test_table_invariants_rejected():
 def test_article_counts_window_bounds(window, counted):
     # one journal per year 2000..2006; only the window years before 2006 count
     years = range(2000, 2007)
-    table = JournalTable(tuple(JournalEntry(f"Y{y}", str(y), frozenset(), {y: 7})
-                               for y in years))
+    table = journal_table((f"Y{y}", str(y), (), {y: 7}) for y in years)
     assert table.article_counts(2006, window).tolist() == [7 * (y in counted) for y in years]
 
 
@@ -519,16 +570,16 @@ def test_plain_citations_skip_the_row_loop(monkeypatch):
         raise AssertionError("the csv row loop parsed a plain file")
     monkeypatch.setattr(corpus, "_parse_citation_rows", row_loop)
     ids = ("0028-0836", "J1", "ABCDEFGHIJKL", "1476-4687", "Z" * 32, "A")
-    small = CitationLedger(CitationRecord(ids[i % 6], ids[(i * 7 + 1) % 6], 2000 + i % 9,
-                                          1990 + i % 17, 1 + i % 250) for i in range(300))
+    small = citation_ledger((ids[i % 6], ids[(i * 7 + 1) % 6], 2000 + i % 9, 1990 + i % 17,
+                             1 + i % 250) for i in range(300))
     assert parse_citation_edges(write_citation_edges(small)) == small
     # more rows than the first column allocation holds, over many chunks
     rng = np.random.default_rng(3)
     columns = (rng.integers(0, 2000, 70_000), rng.integers(0, 2000, 70_000),
                rng.integers(1990, 2010, 70_000), rng.integers(1990, 2010, 70_000),
                rng.integers(1, 10**6, 70_000))
-    big = CitationLedger(CitationRecord(f"J{a:05d}", f"J{b:05d}", *rest)
-                         for a, b, *rest in zip(*(c.tolist() for c in columns)))
+    big = citation_ledger((f"J{a:05d}", f"J{b:05d}", *rest)
+                          for a, b, *rest in zip(*(c.tolist() for c in columns)))
     text = write_citation_edges(big)
     assert len(text) > 4 * corpus._CHUNK_CHARS
     assert parse_citation_edges(text) == big
@@ -596,9 +647,8 @@ def test_paper_scale_journals_round_trip():
     rng = np.random.default_rng(5)
     names = [f"Journal of Synthetic Studies {j + 1}" for j in range(7611)]
     names[10], names[20] = "Studies, Synthetic", "Revista Espa\u00f1ola"
-    table = JournalTable(JournalEntry(
-        f"J{j + 1:05d}", names[j],
-        frozenset(f"field-{k:03d}" for k in rng.integers(0, 200, 1 + j % 3)),
+    table = journal_table((
+        f"J{j + 1:05d}", names[j], {f"field-{k:03d}" for k in rng.integers(0, 200, 1 + j % 3)},
         {year: int(rng.integers(0, 500)) for year in range(2000 + j % 2, 2007)})
         for j in range(7611))
     text = write_journal_metadata(table)
@@ -614,14 +664,14 @@ _INT64 = st.integers(-2**63, 2**63 - 1)
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(ids=st.lists(_CELLS.filter(bool), min_size=1, max_size=5, unique=True), data=st.data())
 def test_written_files_read_back_as_the_same_objects(ids, data):
-    table = JournalTable(tuple(JournalEntry(
-        jid, data.draw(_CELLS), frozenset(data.draw(st.lists(_CELLS.filter(
+    table = journal_table((
+        jid, data.draw(_CELLS), set(data.draw(st.lists(_CELLS.filter(
             lambda s: s and ";" not in s), max_size=3))),
         data.draw(st.dictionaries(_INT64, st.integers(0, 2**63 - 1), min_size=1, max_size=3)))
-        for jid in ids))
+        for jid in ids)
     journal = st.sampled_from(ids)
-    ledger = CitationLedger(data.draw(st.lists(st.builds(
-        CitationRecord, journal, journal, _INT64, _INT64, st.integers(1, 2**63 - 1)), max_size=6)))
+    ledger = citation_ledger(data.draw(st.lists(st.tuples(
+        journal, journal, _INT64, _INT64, st.integers(1, 2**63 - 1)), max_size=6)))
     for obj, write, parse in ((table, write_journal_metadata, parse_journal_metadata),
                               (ledger, write_citation_edges, parse_citation_edges)):
         text = write(obj)

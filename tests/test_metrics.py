@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
-from eigenrank import (CitationLedger, CitationRecord, ConvergenceError, CsvFormatError,
-                       DegenerateDataError, InconsistencyError, JournalEntry,
-                       JournalTable, ValidationError, article_influence, article_vector,
+from eigenrank import (CitationLedger, ConvergenceError, CsvFormatError,
+                       DegenerateDataError, InconsistencyError, JournalTable,
+                       ValidationError, article_influence, article_vector,
                        build_citation_matrix, compute_metrics, decomposition_check,
                        impact_factor, normalize_columns, parse_citation_edges,
                        parse_journal_metadata, power_iterate, read_scores_csv,
                        resolve_metric, total_citations, write_scores_csv)
 from eigenrank.metrics import MetricScores
-from helpers import dense_reference_scores, random_corpus, reference_counts
+from helpers import (citation_ledger, dense_reference_scores, journal_table, ledger_rows,
+                     random_corpus, reference_counts)
 
 
 def make_table(article_counts, year=2005):
-    return JournalTable(tuple(
-        JournalEntry(f"J{i:02d}", f"Journal {i}", frozenset(), {year: c})
-        for i, c in enumerate(article_counts)))
+    return journal_table((f"J{i:02d}", f"Journal {i}", (), {year: c})
+                         for i, c in enumerate(article_counts))
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +42,13 @@ def test_article_vector_all_zero_is_degenerate():
 
 def _matrix_from_records(records, n=3, exclude_self=False):
     table = make_table([5] * n)
-    ledger = CitationLedger(tuple(records))
+    ledger = citation_ledger(records)
     return build_citation_matrix(ledger, table, 2006, 5, exclude_self=exclude_self)
 
 
 def test_normalize_columns_simple():
-    z = _matrix_from_records([CitationRecord("J01", "J00", 2006, 2005, 2),
-                              CitationRecord("J01", "J02", 2006, 2005, 3)], n=3)
+    z = _matrix_from_records([("J01", "J00", 2006, 2005, 2),
+                              ("J01", "J02", 2006, 2005, 3)], n=3)
     h, dangling = normalize_columns(z)
     col = np.zeros(3)
     col[h.row[h.col == 1]] = h.value[h.col == 1]
@@ -57,7 +57,7 @@ def test_normalize_columns_simple():
 
 
 def test_normalize_columns_zero_column_is_dangling():
-    z = _matrix_from_records([CitationRecord("J00", "J01", 2006, 2005, 2)], n=3)
+    z = _matrix_from_records([("J00", "J01", 2006, 2005, 2)], n=3)
     _, dangling = normalize_columns(z)
     assert dangling.tolist() == [1, 2]
 
@@ -65,8 +65,7 @@ def test_normalize_columns_zero_column_is_dangling():
 def test_normalize_columns_random_matrix_sums_to_one():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        records = [CitationRecord(f"J{i:02d}", f"J{j:02d}", 2006, 2005,
-                                  int(rng.integers(1, 9)))
+        records = [(f"J{i:02d}", f"J{j:02d}", 2006, 2005, int(rng.integers(1, 9)))
                    for i in range(3) for j in range(3) if rng.random() < 0.7]
         if not records:
             continue
@@ -82,7 +81,7 @@ def test_normalize_columns_random_matrix_sums_to_one():
 # ---------------------------------------------------------------------------
 
 def test_power_iterate_single_journal_converges_immediately():
-    z = build_citation_matrix(CitationLedger(()), make_table([3]), 2006, 5, True)
+    z = build_citation_matrix(citation_ledger(()), make_table([3]), 2006, 5, True)
     h, dangling = normalize_columns(z)
     pi, report = power_iterate(h, dangling, np.array([1.0]))
     assert pi.tolist() == [1.0]
@@ -91,20 +90,20 @@ def test_power_iterate_single_journal_converges_immediately():
 
 
 def test_power_iterate_symmetric_pair():
-    z = _matrix_from_records([CitationRecord("J00", "J01", 2006, 2005, 5),
-                              CitationRecord("J01", "J00", 2006, 2005, 5)], n=2)
+    z = _matrix_from_records([("J00", "J01", 2006, 2005, 5),
+                              ("J01", "J00", 2006, 2005, 5)], n=2)
     h, dangling = normalize_columns(z)
     pi, _ = power_iterate(h, dangling, np.array([0.5, 0.5]))
     assert np.allclose(pi, [0.5, 0.5], atol=1e-12)
 
 
 def _three_journal_setup():
-    records = [CitationRecord("J00", "J01", 2006, 2005, 6),
-               CitationRecord("J00", "J02", 2006, 2004, 2),
-               CitationRecord("J01", "J02", 2006, 2003, 7),
-               CitationRecord("J02", "J00", 2006, 2005, 1)]
+    records = [("J00", "J01", 2006, 2005, 6),
+               ("J00", "J02", 2006, 2004, 2),
+               ("J01", "J02", 2006, 2003, 7),
+               ("J02", "J00", 2006, 2005, 1)]
     table = make_table([12, 5, 9])
-    ledger = CitationLedger(tuple(records))
+    ledger = citation_ledger(records)
     return table, ledger
 
 
@@ -131,7 +130,7 @@ def test_power_iterate_reports_convergence_failure():
 
 
 def test_power_iterate_validates_inputs():
-    z = _matrix_from_records([CitationRecord("J00", "J01", 2006, 2005, 1)], n=2)
+    z = _matrix_from_records([("J00", "J01", 2006, 2005, 1)], n=2)
     h, dangling = normalize_columns(z)
     with pytest.raises(ValueError, match="alpha"):
         power_iterate(h, dangling, np.array([0.5, 0.5]), alpha=1.0)
@@ -168,8 +167,8 @@ def _scores_for(table, ledger, census_year=2006):
 
 def test_symmetric_corpus_splits_ef_evenly():
     table = make_table([7, 7])
-    ledger = CitationLedger((CitationRecord("J00", "J01", 2006, 2005, 5),
-                             CitationRecord("J01", "J00", 2006, 2005, 5)))
+    ledger = citation_ledger((("J00", "J01", 2006, 2005, 5),
+                              ("J01", "J00", 2006, 2005, 5)))
     scores = _scores_for(table, ledger)
     assert np.allclose(scores.ef, [50.0, 50.0], atol=1e-9)
     assert np.allclose(scores.ai, [1.0, 1.0], atol=1e-9)
@@ -177,8 +176,8 @@ def test_symmetric_corpus_splits_ef_evenly():
 
 def test_uncited_journal_gets_zero_ef_and_zero_ai():
     table = make_table([7, 7, 7])
-    ledger = CitationLedger((CitationRecord("J00", "J01", 2006, 2005, 5),
-                             CitationRecord("J01", "J00", 2006, 2005, 5)))
+    ledger = citation_ledger((("J00", "J01", 2006, 2005, 5),
+                              ("J01", "J00", 2006, 2005, 5)))
     scores = _scores_for(table, ledger)
     assert scores.ef[2] == 0.0
     assert scores.ai[2] == 0.0  # defined (articles exist), zero like its EF
@@ -186,7 +185,7 @@ def test_uncited_journal_gets_zero_ef_and_zero_ai():
 
 def test_eigenfactor_on_empty_network_is_degenerate():
     table = make_table([3, 3])
-    only_self = CitationLedger((CitationRecord("J00", "J00", 2006, 2005, 5),))
+    only_self = citation_ledger((("J00", "J00", 2006, 2005, 5),))
     with pytest.raises(DegenerateDataError):
         compute_metrics(table, only_self, 2006)
 
@@ -217,9 +216,9 @@ def test_article_influence_halves_through_the_pipeline_for_a_small_journal():
     # same citations, one (article-wise negligible) journal doubles its output:
     # the whole pipeline reproduces the halving up to the teleport shift
     table = make_table([2, 500, 400])
-    ledger = CitationLedger((CitationRecord("J00", "J01", 2006, 2005, 6),
-                             CitationRecord("J01", "J02", 2006, 2005, 4),
-                             CitationRecord("J02", "J00", 2006, 2005, 5)))
+    ledger = citation_ledger((("J00", "J01", 2006, 2005, 6),
+                              ("J01", "J02", 2006, 2005, 4),
+                              ("J02", "J00", 2006, 2005, 5)))
     base = _scores_for(table, ledger)
     doubled = _scores_for(make_table([4, 500, 400]), ledger)
     assert doubled.ai[0] / base.ai[0] == pytest.approx(0.5, abs=0.02)
@@ -250,9 +249,8 @@ def test_article_weighted_mean_ai_is_one():
 def test_scale_invariance_of_ef_and_ai():
     table, ledger = _three_journal_setup()
     base = _scores_for(table, ledger)
-    tripled = CitationLedger(tuple(
-        CitationRecord(r.citing_id, r.cited_id, r.citing_year, r.cited_year, r.count * 3)
-        for r in ledger))
+    tripled = CitationLedger(ledger.ids, ledger.citing, ledger.cited, ledger.citing_year,
+                             ledger.cited_year, ledger.count * 3)
     scaled = _scores_for(table, tripled)
     assert np.max(np.abs(base.ef - scaled.ef)) < 1e-9
     assert np.max(np.abs(base.ai - scaled.ai)) < 1e-9
@@ -302,7 +300,7 @@ def test_impact_factor_direct_ratio():
 def test_impact_factor_zero_citations_is_zero():
     table = parse_journal_metadata(
         "journal_id,name,fields,year,articles\nA,Alpha,,2005,10\n")
-    iff = impact_factor(CitationLedger(()), table, 2006)
+    iff = impact_factor(citation_ledger(()), table, 2006)
     assert iff[0] == 0.0
 
 
@@ -317,20 +315,21 @@ def _noisy_corpus(rng, census_year=2006):
     """random_corpus plus a journal with no two-year articles, and rows that are
     future-dated, from other citing years, current-year and self-citations."""
     table, ledger = random_corpus(rng, census_year=census_year)
-    old = JournalEntry("JOLD", "Old Journal", frozenset(), {census_year - 5: 4})
-    table = JournalTable(table.entries + (old,))
+    n = len(table)  # JOLD: a journal whose only articles predate the two-year window
+    table = JournalTable(table.ids + ("JOLD",), table.names + ("Old Journal",), [()] * (n + 1),
+                         np.append(table.journal, n), np.append(table.year, census_year - 5),
+                         np.append(table.articles, 4))
     ids = table.ids
     extra = []
     for _ in range(12):
         citing, cited = (ids[k] for k in rng.integers(0, len(ids), size=2))
         citing_year = census_year + int(rng.integers(-2, 2))
         cited_year = citing_year + int(rng.integers(-7, 3))
-        extra.append(CitationRecord(citing, cited, citing_year, cited_year,
-                                    int(rng.integers(1, 9))))
-    extra += [CitationRecord("JOLD", "JOLD", census_year, census_year - 5, 2),
-              CitationRecord(ids[0], "JOLD", census_year, census_year - 4, 3),
-              CitationRecord(ids[0], ids[0], census_year, census_year + 1, 6)]
-    return table, CitationLedger(tuple(ledger) + tuple(extra))
+        extra.append((citing, cited, citing_year, cited_year, int(rng.integers(1, 9))))
+    extra += [("JOLD", "JOLD", census_year, census_year - 5, 2),
+              (ids[0], "JOLD", census_year, census_year - 4, 3),
+              (ids[0], ids[0], census_year, census_year + 1, 6)]
+    return table, citation_ledger(ledger_rows(ledger) + extra)
 
 
 @pytest.mark.parametrize("exclude_self", [False, True])
@@ -338,10 +337,10 @@ def test_aggregations_equal_per_record_oracle(exclude_self):
     rng = np.random.default_rng(11)
     for _ in range(25):
         table, ledger = _noisy_corpus(rng)
-        assert any(r.cited_year > r.citing_year for r in ledger)
+        assert (ledger.cited_year > ledger.citing_year).any()
         matrix, iff, tc = reference_counts(ledger, table, 2006, 5, exclude_self)
         z = build_citation_matrix(ledger, table, 2006, 5, exclude_self=exclude_self)
-        assert z.to_dict() == matrix
+        assert (z.row.tolist(), z.col.tolist(), z.value.tolist()) == matrix
         np.testing.assert_array_equal(
             impact_factor(ledger, table, 2006, exclude_self=exclude_self), iff)
         np.testing.assert_array_equal(
@@ -351,8 +350,8 @@ def test_aggregations_equal_per_record_oracle(exclude_self):
 
 def test_aggregations_list_every_unknown_id():
     table = make_table([3, 4])
-    ledger = CitationLedger((CitationRecord("J00", "Y", 2006, 2005, 1),
-                             CitationRecord("X", "J01", 2001, 2000, 1)))
+    ledger = citation_ledger((("J00", "Y", 2006, 2005, 1),
+                              ("X", "J01", 2001, 2000, 1)))
     for aggregate in (impact_factor, total_citations):
         with pytest.raises(ValidationError, match="unknown journal ids in ledger: X, Y$"):
             aggregate(ledger, table, 2006)
@@ -372,9 +371,9 @@ def test_decomposition_scale_is_constant():
 
 def test_decomposition_scale_value_is_100_over_total_articles():
     table = make_table([400, 350, 250])  # total articles in window = 1000
-    ledger = CitationLedger((CitationRecord("J00", "J01", 2006, 2005, 5),
-                             CitationRecord("J01", "J02", 2006, 2005, 4),
-                             CitationRecord("J02", "J00", 2006, 2005, 3)))
+    ledger = citation_ledger((("J00", "J01", 2006, 2005, 5),
+                              ("J01", "J02", 2006, 2005, 4),
+                              ("J02", "J00", 2006, 2005, 3)))
     report = decomposition_check(_scores_for(table, ledger))
     defined = ~np.isnan(report.scale)
     assert np.allclose(report.scale[defined], 0.1, atol=1e-12)

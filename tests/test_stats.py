@@ -5,14 +5,14 @@ import pytest
 from scipy.special import log_ndtr
 from scipy.stats import rankdata
 
-from eigenrank import (DegenerateDataError, DomainError, JournalEntry, JournalTable,
-                       PairedObservations, UndefinedCorrelationError, bigmac_fixture,
+from eigenrank import (DegenerateDataError, DomainError, PairedObservations,
+                       UndefinedCorrelationError, bigmac_fixture,
                        coefficient_of_variation, log_pearson, mann_whitney_u, pearson,
                        pearson_r, per_field_correlations, ratio_analysis, spearman,
                        tercile_median_ratio)
 from eigenrank.stats import (_log_normal_tail, format_utest_report, midranks,
                              write_correlations_csv)
-from helpers import exact_mwu_two_sided_p, score_table
+from helpers import exact_mwu_two_sided_p, journal_table, score_table
 
 
 def obs(x, y, labels=None):
@@ -301,9 +301,7 @@ def test_tercile_median_ratio_domain_errors():
 # ---------------------------------------------------------------------------
 
 def _field_table(assignments):
-    return JournalTable(tuple(
-        JournalEntry(jid, jid, frozenset(fields), {2005: 1})
-        for jid, fields in assignments))
+    return journal_table((jid, jid, set(fields), {2005: 1}) for jid, fields in assignments)
 
 
 def test_per_field_equal_metrics_give_rho_one():
