@@ -12,6 +12,8 @@ from helpers import score_table
 
 GOLDEN_SLOPEGRAPH_SHA256 = "ff0b7612b4a290cecc9caa2e72b7f5e29d8e7f46aea5c10ca77d98e75c83d79f"
 GOLDEN_RATIO_SHA256 = "ba1fee0e278e6863891da9e47630626260fddf59a07c249bc82831e2bef3f264"
+GOLDEN_CARDINAL_SHA256 = "de844027614f45671807199369cd2b325366cdd4585046444510b115f865dae6"
+GOLDEN_BLACK_SLOPEGRAPH_SHA256 = "c0908eef9afc7a001db5c8f30339ea62aea22ed9750f182aaa2d0cff4d9e7d42"
 
 
 def fixture_comparison():
@@ -128,14 +130,23 @@ def test_slopegraph_top_fraction_limits_left_column():
     assert svg.count('text-anchor="end"') == 5 + 1
 
 
-def test_slopegraph_counterpart_beyond_range_is_black_without_connector():
+def half_shown_slopegraph() -> str:
     # J1 is 2nd on the left but last on the right; with the top half shown
     # its counterpart is out of range
     cmp = rank_items(["J0", "J1", "J2", "J3"],
                      [4.0, 3.0, 2.0, 1.0], [4.0, 0.5, 3.0, 2.0])
-    svg = render_slopegraph(cmp, FigureSpec(width=400, height=300, top_fraction=0.5))
+    return render_slopegraph(cmp, FigureSpec(width=400, height=300, top_fraction=0.5))
+
+
+def test_slopegraph_counterpart_beyond_range_is_black_without_connector():
+    svg = half_shown_slopegraph()
     assert svg.count("<line") == 1  # only J0 connects
     assert 'fill="#000000">2. J1</text>' in svg
+
+
+def test_slopegraph_with_unconnected_label_golden_snapshot():
+    svg = half_shown_slopegraph()
+    assert hashlib.sha256(svg.encode()).hexdigest() == GOLDEN_BLACK_SLOPEGRAPH_SHA256
 
 
 def test_slopegraph_golden_snapshot():
@@ -188,6 +199,12 @@ def test_cardinal_right_column_can_close_the_gap():
     y1 = _connector_y(svg, "y1")
     y2 = _connector_y(svg, "y2")
     assert abs(y2[1] - y2[0]) < abs(y1[1] - y1[0])
+
+
+def test_cardinal_golden_snapshot():
+    svg = render_cardinal_plot(fixture_comparison(), FigureSpec(width=480, height=360),
+                               top_k=4)
+    assert hashlib.sha256(svg.encode()).hexdigest() == GOLDEN_CARDINAL_SHA256
 
 
 def test_cardinal_degenerate_scale_errors():
