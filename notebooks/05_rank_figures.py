@@ -31,8 +31,8 @@ cmp = rank_items(labels, left, right, "metric one", "metric two")
 moves = cmp.movement_counts()
 print(f"yet the ranking moves: {moves['up']} up, {moves['down']} down, "
       f"{moves['same']} unchanged")
-biggest = max(cmp.items, key=lambda it: abs(it.delta))
-print(f"largest jump: {biggest.label} moves {biggest.delta:+d} places")
+biggest = int(np.argmax(np.abs(cmp.delta)))
+print(f"largest jump: {cmp.labels[biggest]} moves {cmp.delta[biggest]:+d} places")
 
 svg = render_slopegraph(cmp, FigureSpec(width=720, height=960, top_fraction=0.5,
                                         title="top half, ranked by each metric"))

@@ -17,7 +17,7 @@ from .metrics import (DecompositionReport, MetricScores, SolverReport, article_i
                       article_vector, compute_metrics, decomposition_check,
                       eigenfactor_scores, impact_factor, normalize_columns, power_iterate,
                       read_scores_csv, resolve_metric, total_citations, write_scores_csv)
-from .report import (FigureSpec, RankComparison, RankedItem, rank_comparison,
+from .report import (FigureSpec, RankComparison, rank_comparison,
                      rank_items, render_cardinal_plot, render_histogram,
                      render_ratio_plot, render_slopegraph)
 from .spurious import (DistributionSpec, SimulationResult, lognormal_from_cv,

@@ -313,17 +313,22 @@ class CitationLedger:
     def _table_positions(self, table: JournalTable) -> np.ndarray:
         """Map each ledger code to its journal's position in ``table``.
 
-        Unknown journal ids raise ``ValidationError`` listing all offenders.
+        Unknown journal ids that some record uses raise ``ValidationError``
+        listing all offenders; an id no record uses maps to -1.
         """
         index = table.index
         positions = np.array([index.get(jid, -1) for jid in self.ids], dtype=np.intp)
-        unknown = sorted(jid for jid, pos in zip(self.ids, positions.tolist()) if pos < 0)
-        if unknown:
-            raise ValidationError("unknown journal ids in ledger: " + ", ".join(unknown))
+        missing = positions < 0
+        if missing.any():
+            used = np.zeros(len(self.ids), dtype=bool)
+            used[self.citing] = used[self.cited] = True
+            unknown = sorted(jid for jid, bad in zip(self.ids, (missing & used).tolist()) if bad)
+            if unknown:
+                raise ValidationError("unknown journal ids in ledger: " + ", ".join(unknown))
         return positions
 
     def validate(self, table: JournalTable) -> tuple[CitationRecord, ...]:
-        """Check every id against ``table``; return the suspicious records.
+        """Check every record's ids against ``table``; return the suspicious records.
 
         Unknown journal ids raise ``ValidationError`` listing all offenders.
         Records whose cited_year lies after their citing_year are legal (data

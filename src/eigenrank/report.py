@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._util import readonly
 from .errors import DegenerateDataError
 from .metrics import resolve_metric
 from .stats import RatioAnalysis
@@ -26,47 +27,50 @@ _AXIS_COLOR = "#333333"
 _REF_COLOR = "#555555"
 
 
-@dataclass(frozen=True)
-class RankedItem:
-    label: str
-    score_left: float
-    score_right: float
-    rank_left: int   # 1-based
-    rank_right: int  # 1-based
-
-    @property
-    def delta(self) -> int:  # positive means it moved up
-        return self.rank_left - self.rank_right
-
-    @property
-    def movement(self) -> str:  # "up" | "down" | "same"
-        return UP if self.delta > 0 else DOWN if self.delta < 0 else SAME
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankComparison:
-    """Paired ordinal positions of the same items under two metrics."""
+    """Paired ordinal positions of the same items under two metrics.
 
-    items: tuple[RankedItem, ...]
+    Rows run in left-rank order: row ``i`` is the item ranked ``i + 1`` by
+    descending ``score_left``, tied rows in ascending label order.
+    ``rank_right`` holds each row's 1-based rank under the right metric.
+    """
+
+    labels: tuple[str, ...]
+    score_left: np.ndarray
+    score_right: np.ndarray
+    rank_right: np.ndarray
     left_name: str = "left"
     right_name: str = "right"
     excluded: tuple[str, ...] = ()  # items dropped for undefined metrics
 
     def __post_init__(self):
-        n = len(self.items)
-        expect = set(range(1, n + 1))
-        if {it.rank_left for it in self.items} != expect or \
-                {it.rank_right for it in self.items} != expect:
-            raise ValueError("ranks must form permutations of 1..n on both sides")
+        object.__setattr__(self, "labels", tuple(self.labels))
+        for name, dtype in (("score_left", float), ("score_right", float),
+                            ("rank_right", np.int64)):
+            object.__setattr__(self, name, readonly(getattr(self, name), dtype=dtype))
+        n = len(self.labels)
+        if not len(self.score_left) == len(self.score_right) == len(self.rank_right) == n:
+            raise ValueError("rank comparison columns must have equal lengths")
+        if not np.array_equal(np.sort(self.rank_right), np.arange(1, n + 1)):
+            raise ValueError("right ranks must form a permutation of 1..n")
+        left = self.score_left
+        labels = np.asarray(self.labels, dtype=object)
+        tied = left[1:] == left[:-1]
+        if not (left[1:] <= left[:-1]).all() or (labels[1:][tied] < labels[:-1][tied]).any():
+            raise ValueError("rows must run in left-rank order: "
+                             "scores descending, ties by label ascending")
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.labels)
+
+    @property
+    def delta(self) -> np.ndarray:  # positive means the row moved up
+        return np.arange(1, len(self) + 1) - self.rank_right
 
     def movement_counts(self) -> dict[str, int]:
-        counts = {UP: 0, DOWN: 0, SAME: 0}
-        for it in self.items:
-            counts[it.movement] += 1
-        return counts
+        down, same, up = np.bincount(np.sign(self.delta) + 1, minlength=3).tolist()
+        return {UP: up, DOWN: down, SAME: same}
 
 
 @dataclass(frozen=True)
@@ -87,32 +91,27 @@ class FigureSpec:
 # rank comparison
 # ---------------------------------------------------------------------------
 
-def _ranks(labels: Sequence[str], scores: np.ndarray) -> np.ndarray:
-    """1-based ranks by descending score; ties broken by label ascending."""
-    order = np.lexsort((np.asarray(labels, dtype=object), -scores))
-    ranks = np.empty(len(scores), dtype=int)
-    ranks[order] = np.arange(1, len(scores) + 1)
-    return ranks
-
-
 def rank_items(labels: Sequence[str], left_scores, right_scores,
                left_name: str = "left", right_name: str = "right",
                excluded: tuple[str, ...] = ()) -> RankComparison:
     """Build a RankComparison from raw label/score arrays."""
-    labels = list(labels)
+    labels = np.asarray(labels, dtype=object)
     left = np.asarray(left_scores, dtype=float)
     right = np.asarray(right_scores, dtype=float)
     if not (len(labels) == len(left) == len(right)):
         raise ValueError("labels and score arrays must have equal lengths")
     if len(labels) < 2:
         raise DegenerateDataError("rank comparison needs at least two items")
-    rank_left = _ranks(labels, left)
-    rank_right = _ranks(labels, right)
-    items = tuple(RankedItem(
-        label=labels[pos], score_left=float(left[pos]), score_right=float(right[pos]),
-        rank_left=int(rank_left[pos]), rank_right=int(rank_right[pos]))
-        for pos in np.argsort(rank_left))
-    return RankComparison(items, left_name, right_name, excluded)
+    finite = np.isfinite(left) & np.isfinite(right)
+    if not finite.all():
+        raise ValueError(f"non-finite score for {labels[np.argmin(finite)]!r}")
+    # ranks run by descending score, ties broken by label ascending
+    order = np.lexsort((labels, -left))
+    labels, left, right = labels[order], left[order], right[order]
+    rank_right = np.empty(len(order), dtype=np.int64)
+    rank_right[np.lexsort((labels, -right))] = np.arange(1, len(order) + 1)
+    return RankComparison(tuple(labels), left, right, rank_right,
+                          left_name, right_name, excluded)
 
 
 def rank_comparison(scores, left_metric: str, right_metric: str) -> RankComparison:
@@ -126,13 +125,12 @@ def rank_comparison(scores, left_metric: str, right_metric: str) -> RankComparis
     left = np.asarray(scores.metric(left_name), dtype=float)
     right = np.asarray(scores.metric(right_name), dtype=float)
     defined = np.isfinite(left) & np.isfinite(right)
-    excluded = tuple(jid for jid, ok in zip(scores.journal_ids, defined) if not ok)
     if defined.sum() < 2:
         raise DegenerateDataError(
             f"fewer than two journals have both {left_name} and {right_name} defined")
-    labels = [jid for jid, ok in zip(scores.journal_ids, defined) if ok]
-    return rank_items(labels, left[defined], right[defined],
-                      left_name, right_name, excluded)
+    ids = np.asarray(scores.journal_ids, dtype=object)
+    return rank_items(ids[defined], left[defined], right[defined],
+                      left_name, right_name, tuple(ids[~defined]))
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +181,10 @@ def _column_headers(cmp: RankComparison, x_left: float, x_right: float) -> list[
 # renderers
 # ---------------------------------------------------------------------------
 
+def _movement_colors(delta: np.ndarray) -> list[str]:
+    return [DEFAULT_COLORS[(DOWN, SAME, UP)[s]] for s in (np.sign(delta) + 1).tolist()]
+
+
 def render_slopegraph(cmp: RankComparison, spec: FigureSpec) -> str:
     """Two ranked name columns with movement-colored connectors.
 
@@ -191,32 +193,31 @@ def render_slopegraph(cmp: RankComparison, spec: FigureSpec) -> str:
     An item whose full right rank falls beyond the shown range keeps a
     black label and gets no connector (it has no visible counterpart).
     """
-    if not cmp.items:
+    if not len(cmp):
         raise ValueError("cannot render an empty comparison")
-    n = len(cmp.items)
-    k = math.ceil(n * spec.top_fraction)
-    shown = [it for it in cmp.items if it.rank_left <= k]
-    right_order = sorted(shown, key=lambda it: it.rank_right)
+    k = math.ceil(len(cmp) * spec.top_fraction)
+    labels, shown_right = cmp.labels[:k], cmp.rank_right[:k]
+    right_order = np.argsort(shown_right)  # the right column, top to bottom
+    right_slot = np.searchsorted(shown_right[right_order], shown_right).tolist()
+    rank_right = shown_right.tolist()
+    moves = _movement_colors(cmp.delta[:k])
+    colors = ["#000000" if r > k else c for r, c in zip(rank_right, moves)]
     top, bottom = 56.0, 16.0
     row_h = (spec.height - top - bottom) / k
     x_left, x_right = 0.34 * spec.width, 0.66 * spec.width
-    y_left = {it.label: top + (i + 0.5) * row_h for i, it in enumerate(shown)}
-    y_right = {it.label: top + (i + 0.5) * row_h for i, it in enumerate(right_order)}
+    y = [top + (slot + 0.5) * row_h for slot in range(k)]
 
     parts = _open_svg(spec)
     parts += _column_headers(cmp, x_left, x_right)
-    for it in shown:
-        color = "#000000" if it.rank_right > k else DEFAULT_COLORS[it.movement]
-        parts.append(_text(x_left, y_left[it.label] + 4,
-                           f"{it.rank_left}. {it.label}", "end", color=color))
-    for it in right_order:
-        color = "#000000" if it.rank_right > k else DEFAULT_COLORS[it.movement]
-        parts.append(_text(x_right, y_right[it.label] + 4,
-                           f"{it.rank_right}. {it.label}", "start", color=color))
-    for it in shown:
-        if it.rank_right <= k:
-            parts.append(_line(x_left + 8, y_left[it.label], x_right - 8,
-                               y_right[it.label], DEFAULT_COLORS[it.movement]))
+    for i in range(k):
+        parts.append(_text(x_left, y[i] + 4, f"{i + 1}. {labels[i]}", "end",
+                           color=colors[i]))
+    for slot, i in enumerate(right_order.tolist()):
+        parts.append(_text(x_right, y[slot] + 4, f"{rank_right[i]}. {labels[i]}", "start",
+                           color=colors[i]))
+    for i in range(k):
+        if rank_right[i] <= k:
+            parts.append(_line(x_left + 8, y[i], x_right - 8, y[right_slot[i]], moves[i]))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -228,9 +229,11 @@ def render_cardinal_plot(cmp: RankComparison, spec: FigureSpec, top_k: int) -> s
     (score zero at the column base, the largest shown score at the top), so
     equal-rank items can still sit far apart when their scores differ.
     """
-    if not 1 <= top_k <= len(cmp.items):
+    if not 1 <= top_k <= len(cmp):
         raise ValueError("top_k must lie between 1 and the number of items")
-    shown = sorted(cmp.items, key=lambda it: (-it.score_left, it.label))[:top_k]
+    score_left = cmp.score_left[:top_k].tolist()
+    score_right = cmp.score_right[:top_k].tolist()
+    colors = _movement_colors(cmp.delta[:top_k])
 
     def scale_max(values: list[float], side: str) -> float:
         vmax = max(values)
@@ -238,25 +241,21 @@ def render_cardinal_plot(cmp: RankComparison, spec: FigureSpec, top_k: int) -> s
             raise DegenerateDataError(f"degenerate {side} scale: scores do not spread")
         return vmax
 
-    lmax = scale_max([it.score_left for it in shown], "left")
-    rmax = scale_max([it.score_right for it in shown], "right")
+    lmax = scale_max(score_left, "left")
+    rmax = scale_max(score_right, "right")
     top, bottom = 56.0, 16.0
     plot_h = spec.height - top - bottom
     x_left, x_right = 0.34 * spec.width, 0.66 * spec.width
-
-    def y(value: float, vmax: float) -> float:
-        return top + (1.0 - value / vmax) * plot_h
+    y_left = [top + (1.0 - v / lmax) * plot_h for v in score_left]
+    y_right = [top + (1.0 - v / rmax) * plot_h for v in score_right]
 
     parts = _open_svg(spec)
     parts += _column_headers(cmp, x_left, x_right)
-    for it in shown:
-        parts.append(_text(x_left, y(it.score_left, lmax) + 4, it.label, "end",
-                           color=DEFAULT_COLORS[it.movement]))
-        parts.append(_text(x_right, y(it.score_right, rmax) + 4, it.label, "start",
-                           color=DEFAULT_COLORS[it.movement]))
-    for it in shown:
-        parts.append(_line(x_left + 8, y(it.score_left, lmax), x_right - 8,
-                           y(it.score_right, rmax), DEFAULT_COLORS[it.movement]))
+    for label, yl, yr, color in zip(cmp.labels, y_left, y_right, colors):
+        parts.append(_text(x_left, yl + 4, label, "end", color=color))
+        parts.append(_text(x_right, yr + 4, label, "start", color=color))
+    for yl, yr, color in zip(y_left, y_right, colors):
+        parts.append(_line(x_left + 8, yl, x_right - 8, yr, color))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -9,8 +9,7 @@ dependent yet uncorrelated.
 
 Each trial runs on its own RNG stream, ``SeedSequence([seed, trial])``, so
 results are reproducible regardless of execution order.  A trial draws its
-variables from that stream in the order the simulator's signature lists
-them (yule's z2 draw is skipped when ``share_z_draws`` reuses z1).
+variables from that stream in the order the simulator's signature lists them.
 """
 
 from __future__ import annotations
@@ -161,21 +160,17 @@ def simulate_ossuary(femur: DistributionSpec, tibia: DistributionSpec,
 
 
 def simulate_yule_products(z1: DistributionSpec, z2: DistributionSpec,
-                           x3: DistributionSpec, n: int, trials: int, seed: int,
-                           share_z_draws: bool = False) -> SimulationResult:
-    """Products with a common factor: rho(z1*x3, z2*x3) for independent draws.
-
-    ``share_z_draws`` is a diagnostic mode that reuses the z1 draws for z2,
-    making the numerators identical; it can only push the correlation up.
-    """
+                           x3: DistributionSpec, n: int, trials: int,
+                           seed: int) -> SimulationResult:
+    """Products with a common factor: rho(z1*x3, z2*x3) for independent draws."""
     def trial_rho(rng):
         a = z1.sample(rng, n)
-        b = a if share_z_draws else z2.sample(rng, n)
+        b = z2.sample(rng, n)
         c = x3.sample(rng, n)
         return pearson_r(a * c, b * c)
 
     return _run_trials(trial_rho, n, trials, seed, "product simulation", {
-        "simulation": "yule", "n": n, "share_z_draws": share_z_draws,
+        "simulation": "yule", "n": n,
         "z1": z1, "z2": z2, "x3": x3})
 
 

@@ -11,8 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from eigenrank import corpus
 from eigenrank import (CitationLedger, CitationMatrix, CsvFormatError, JournalTable,
                        PairedObservations, ValidationError, bigmac_csv, bigmac_fixture,
-                       build_citation_matrix, parse_citation_edges, parse_journal_metadata,
-                       write_citation_edges, write_journal_metadata)
+                       build_citation_matrix, impact_factor, parse_citation_edges,
+                       parse_journal_metadata, total_citations, write_citation_edges,
+                       write_journal_metadata)
 from eigenrank.corpus import CitationRecord
 from helpers import citation_ledger, journal_table, random_corpus, reference_journals
 
@@ -307,6 +308,20 @@ def test_build_matrix_unknown_journal_lists_offenders():
     ledger = parse_citation_edges(CITATIONS_HEADER + "A,Z,2006,2005,1\n")
     with pytest.raises(ValidationError, match="Z"):
         build_citation_matrix(ledger, table, 2006, 5, exclude_self=False)
+
+
+def test_ledger_id_no_record_uses_is_not_an_unknown_journal():
+    table = _two_journal_table()
+    columns = ([0, 1], [1, 0], [2006, 2006], [2005, 2004], [1, 2])
+    with_z = CitationLedger(("A", "B", "Z"), *columns)
+    without_z = CitationLedger(("A", "B"), *columns)
+    z, want = (build_citation_matrix(ledger, table, 2006, 5, exclude_self=False)
+               for ledger in (with_z, without_z))
+    assert (z.row.tolist(), z.col.tolist(), z.value.tolist()) == (
+        want.row.tolist(), want.col.tolist(), want.value.tolist())
+    for metric in (impact_factor, total_citations):
+        np.testing.assert_array_equal(metric(with_z, table, 2006),
+                                      metric(without_z, table, 2006))
 
 
 def test_build_matrix_out_of_window_records_silently_ignored():

@@ -7,7 +7,7 @@ import pytest
 from eigenrank import (DegenerateDataError, FigureSpec, bigmac_fixture, rank_comparison,
                        rank_items, ratio_analysis, render_cardinal_plot,
                        render_histogram, render_ratio_plot, render_slopegraph)
-from eigenrank.report import DEFAULT_COLORS, RankComparison, RankedItem
+from eigenrank.report import DEFAULT_COLORS, RankComparison
 from helpers import score_table
 
 GOLDEN_SLOPEGRAPH_SHA256 = "ff0b7612b4a290cecc9caa2e72b7f5e29d8e7f46aea5c10ca77d98e75c83d79f"
@@ -40,15 +40,15 @@ def random_comparison(rng):
 
 def test_identical_metrics_mean_no_movement():
     cmp = rank_items(["a", "b", "c"], [3.0, 2.0, 1.0], [3.0, 2.0, 1.0])
-    assert all(it.movement == "same" and it.delta == 0 for it in cmp.items)
+    assert (cmp.delta == 0).all()
+    assert cmp.movement_counts() == {"up": 0, "down": 0, "same": 3}
 
 
 def test_reversal_deltas():
     cmp = rank_items(["A", "B", "C"], [3.0, 2.0, 1.0], [1.0, 2.0, 3.0])
-    by_label = {it.label: it for it in cmp.items}
-    assert by_label["A"].delta == -2 and by_label["A"].movement == "down"
-    assert by_label["B"].delta == 0 and by_label["B"].movement == "same"
-    assert by_label["C"].delta == 2 and by_label["C"].movement == "up"
+    assert cmp.labels == ("A", "B", "C")
+    assert cmp.delta.tolist() == [-2, 0, 2]
+    assert cmp.movement_counts() == {"up": 1, "down": 1, "same": 1}
 
 
 def test_engineered_big_moves_are_reported_exactly():
@@ -65,16 +65,13 @@ def test_engineered_big_moves_are_reported_exactly():
     right_scores = {lab: float(50 - i) for i, lab in enumerate(right_order)}
     cmp = rank_items(labels, [left_scores[l] for l in labels],
                      [right_scores[l] for l in labels])
-    by_label = {it.label: it for it in cmp.items}
-    assert by_label["J36"].delta == 31 and by_label["J36"].movement == "up"
-    assert by_label["J05"].delta == -30 and by_label["J05"].movement == "down"
+    delta = dict(zip(cmp.labels, cmp.delta.tolist()))
+    assert delta["J36"] == 31 and delta["J05"] == -30
 
 
 def test_ties_break_by_label():
     cmp = rank_items(["b", "a", "c"], [1.0, 1.0, 1.0], [2.0, 1.0, 3.0])
-    by_label = {it.label: it for it in cmp.items}
-    assert (by_label["a"].rank_left, by_label["b"].rank_left,
-            by_label["c"].rank_left) == (1, 2, 3)
+    assert cmp.labels == ("a", "b", "c")  # row i has left rank i + 1
 
 
 def test_rank_comparison_excludes_undefined_metrics():
@@ -97,18 +94,43 @@ def test_deltas_always_sum_to_zero():
     rng = np.random.default_rng(31)
     for _ in range(50):
         cmp = random_comparison(rng)
-        assert sum(it.delta for it in cmp.items) == 0
+        assert cmp.delta.sum() == 0
+
+
+def test_rank_columns_match_a_sorted_reference():
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        n = int(rng.integers(2, 40))
+        labels = [f"J{k:03d}" for k in rng.permutation(n)]
+        left, right = (rng.integers(0, 5, n).astype(float).tolist() for _ in range(2))
+        cmp = rank_items(labels, left, right)
+        by_left = sorted(range(n), key=lambda i: (-left[i], labels[i]))
+        by_right = sorted(range(n), key=lambda i: (-right[i], labels[i]))
+        assert cmp.labels == tuple(labels[i] for i in by_left)
+        assert cmp.score_left.tolist() == [left[i] for i in by_left]
+        assert cmp.score_right.tolist() == [right[i] for i in by_left]
+        assert cmp.rank_right.tolist() == [by_right.index(i) + 1 for i in by_left]
 
 
 def test_rank_comparison_validates_consistency():
-    a = RankedItem("a", 2.0, 1.0, 1, 2)
-    assert (a.delta, a.movement) == (-1, "down")
-    assert RankComparison((a, RankedItem("b", 1.0, 2.0, 2, 1))).movement_counts() == {
-        "up": 1, "down": 1, "same": 0}
-    for b in (RankedItem("b", 1.0, 2.0, 2, 2),   # right ranks repeat
-              RankedItem("b", 1.0, 2.0, 3, 1)):  # left ranks skip 2
-        with pytest.raises(ValueError, match="permutations"):
-            RankComparison((a, b))
+    cmp = RankComparison(("a", "b"), [2.0, 1.0], [1.0, 2.0], [2, 1])
+    assert cmp.delta.tolist() == [-1, 1]
+    assert cmp.movement_counts() == {"up": 1, "down": 1, "same": 0}
+    with pytest.raises(ValueError, match="permutation"):
+        RankComparison(("a", "b"), [2.0, 1.0], [1.0, 2.0], [2, 2])  # right rank repeats
+    for labels, left in ((("a", "b"), [1.0, 2.0]),   # scores ascend
+                         (("b", "a"), [1.0, 1.0])):  # tie out of label order
+        with pytest.raises(ValueError, match="left-rank order"):
+            RankComparison(labels, left, [1.0, 2.0], [2, 1])
+    with pytest.raises(ValueError, match="equal lengths"):
+        RankComparison(("a", "b"), [2.0, 1.0], [1.0], [2, 1])
+
+
+def test_rank_items_rejects_non_finite_scores():
+    with pytest.raises(ValueError, match="non-finite score for 'a'"):
+        rank_items(["a", "b", "c"], [np.nan, 2.0, 1.0], [1.0, np.inf, 3.0])
+    with pytest.raises(ValueError, match="non-finite score for 'b'"):
+        rank_items(["a", "b", "c"], [3.0, 2.0, 1.0], [1.0, -np.inf, 3.0])
 
 
 # ---------------------------------------------------------------------------

@@ -99,14 +99,6 @@ def test_yule_dominant_common_factor_drives_rho_high():
     assert result.mean_rho > 0.9
 
 
-def test_yule_shared_numerator_mode_only_adds_correlation():
-    spec = lognormal_from_cv(0.3)
-    independent = simulate_yule_products(spec, spec, spec, n=1000, trials=100, seed=3)
-    shared = simulate_yule_products(spec, spec, spec, n=1000, trials=100, seed=3,
-                                    share_z_draws=True)
-    assert (shared.rho >= independent.mean_rho).all()
-
-
 # ---------------------------------------------------------------------------
 # journal sizes
 # ---------------------------------------------------------------------------
@@ -186,12 +178,6 @@ def test_trial_streams_follow_the_documented_layout():
         a, b, c = draws(t)
         return pearson_r(a * c, b * c)
 
-    def shared_yule_rho(t):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        a = rng.lognormal(specs[0].location, specs[0].scale, n)
-        c = rng.lognormal(specs[2].location, specs[2].scale, n)
-        return pearson_r(a * c, a * c)
-
     def size_rho(t):
         ai, impact, n5 = draws(t)
         return pearson_r(np.log(ai) + np.log(n5), np.log(impact) + np.log(n5))
@@ -199,8 +185,6 @@ def test_trial_streams_follow_the_documented_layout():
     cases = [
         (simulate_ossuary(*specs, n_bones=n, trials=trials, seed=seed), ossuary_rho),
         (simulate_yule_products(*specs, n=n, trials=trials, seed=seed), yule_rho),
-        (simulate_yule_products(*specs, n=n, trials=trials, seed=seed, share_z_draws=True),
-         shared_yule_rho),
         (simulate_journal_sizes(0.2, 0.5, 0.9, n_journals=n, trials=trials, seed=seed),
          size_rho),
     ]
