@@ -17,7 +17,6 @@ override config values.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, metrics, report, spurious, stats
-from ._util import CsvRows, csv_text, write_text
+from ._util import CsvRows, csv_text, utf8_error_line, write_text
 from .errors import CsvFormatError, DataError, NumericalError, ValidationError
 
 EXIT_OK = 0
@@ -204,13 +203,12 @@ def _apply_config(argv: list[str], by_name: dict[str, _Parser]) -> None:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise _UsageError(f"{path}: cannot read config file: {exc.strerror}") from None
-    try:
-        text = data.decode("utf-8-sig")  # the same encoding as the input files
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise _UsageError(f"{path}:{line}: not valid UTF-8") from None
+    line = utf8_error_line(data)
+    if line is not None:
+        raise _UsageError(f"{path}:{line}: not valid UTF-8")
     defaults = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # the same encoding as the input files
+    for lineno, raw in enumerate(data.decode("utf-8-sig").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -239,15 +237,12 @@ def _parse_file(parse, path: str):
         try:
             return parse(fh)
         except UnicodeDecodeError:
-            # the stream's offset counts from its current chunk, so decode the
-            # whole file again to find the byte, and the line, that fails
-            data = Path(path).read_bytes()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                line = data.count(b"\n", 0, exc.start) + 1
-                raise CsvFormatError(f"{path}: line {line}: not valid UTF-8") from None
-            raise
+            # the stream's offset counts from its current chunk, so the whole
+            # file is decoded again to find the line that fails
+            line = utf8_error_line(Path(path).read_bytes())
+            if line is None:
+                raise
+            raise CsvFormatError(f"{path}: line {line}: not valid UTF-8") from None
 
 
 def _load_scores(path: str) -> metrics.MetricScores:
@@ -358,24 +353,11 @@ def _cmd_simulate(args) -> int:
 
 def _read_value_column(path: str, column: str) -> list[float]:
     def parse(fh) -> list[float]:
-        rows = iter(CsvRows(fh))
-        header = next(rows, None)
-        if header is None or column not in header:
+        rows = CsvRows(fh)
+        k = {name: i for i, name in enumerate(rows.header or ())}.get(column)
+        if k is None:
             raise CsvFormatError(f"{path}: no column {column!r}")
-        values = []
-        for row in rows:
-            cell = (dict(zip(header, row)).get(column) or "").strip()
-            if not cell:
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise CsvFormatError(f"{path}: malformed value {cell!r} "
-                                     f"in column {column!r}") from None
-            if not math.isfinite(value):
-                raise CsvFormatError(f"{path}: non-finite value {cell!r} in column {column!r}")
-            values.append(value)
-        return values
+        return [rows.decimal_cell(row[k], column) for row in rows if row[k].strip()]
 
     values = _parse_file(parse, path)
     if not values:

@@ -22,8 +22,8 @@ from typing import Callable, Collection, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from ._util import csv_reader, csv_text, readonly
-from .errors import CsvFormatError, ValidationError
+from ._util import csv_reader, csv_text, fits_int64, out_of_range, readonly
+from .errors import ValidationError
 
 JOURNALS_HEADER = ("journal_id", "name", "fields", "year", "articles")
 CITATIONS_HEADER = ("citing_id", "cited_id", "citing_year", "cited_year", "count")
@@ -42,11 +42,8 @@ def _check_writable(what: str, text: str) -> None:
 
 
 def _check_journal(journal_id: str, name: str, labels: Collection[str]) -> None:
-    """A ValidationError unless the journal's id, name and field labels can
-    be written to journals.csv and read back as themselves."""
-    if not journal_id:
-        raise ValidationError("journal_id must be non-empty")
-    _check_writable("journal_id", journal_id)
+    """A ValidationError unless the journal's name and field labels can be
+    written to journals.csv and read back as themselves."""
     _check_writable(f"journal {journal_id!r} name", name)
     if isinstance(labels, str):
         raise ValidationError(f"journal {journal_id!r} fields must be a set of labels, "
@@ -60,8 +57,13 @@ def _check_journal(journal_id: str, name: str, labels: Collection[str]) -> None:
                                   "';', which separates labels in journals.csv")
 
 
-def _check_unique(ids: tuple[str, ...]) -> None:
-    """A ValidationError unless each of ``ids`` is listed once."""
+def _check_ids(ids: tuple[str, ...]) -> None:
+    """A ValidationError unless each of ``ids`` is non-empty, listed once and
+    can be written to CSV and read back as itself."""
+    for jid in ids:
+        if not jid:
+            raise ValidationError("journal_id must be non-empty")
+        _check_writable("journal_id", jid)
     if len(set(ids)) < len(ids):
         repeated = next(jid for jid, n in Counter(ids).items() if n > 1)
         raise ValidationError(f"duplicate journal id {repeated!r}")
@@ -84,8 +86,8 @@ def _int64_column(name: str, values, row: str) -> np.ndarray:
     column = np.array(cells) if cells else np.empty(0, dtype=np.int64)
     if column.dtype != np.int64:  # numpy holds a cell past int64 in another dtype
         for i, cell in enumerate(cells):
-            if not _fits_int64(cell):
-                raise ValidationError(_out_of_range(f"{row} {i}", name, cell))
+            if not fits_int64(cell):
+                raise ValidationError(f"{row} {i}: {out_of_range(name, cell)}")
         column = column.astype(np.int64)
     return column
 
@@ -141,7 +143,7 @@ class JournalTable:
         ids, names, fields = tuple(ids), tuple(names), tuple(fields)
         if not len(ids) == len(names) == len(fields):
             raise ValidationError("ids, names and fields must have equal lengths")
-        _check_unique(ids)
+        _check_ids(ids)
         for jid, name, labels in zip(ids, names, fields):
             _check_journal(jid, name, labels)
         rows = [_int64_column(name, values, "row")
@@ -272,11 +274,7 @@ class CitationLedger:
 
     def __init__(self, ids: Iterable[str], citing, cited, citing_year, cited_year, count):
         ids = tuple(ids)
-        if "" in ids:
-            raise ValidationError("citation record with empty journal id")
-        for jid in ids:
-            _check_writable("journal id", jid)
-        _check_unique(ids)
+        _check_ids(ids)
         columns = [_int64_column(name, values, "record") for name, values
                    in zip(_LEDGER_COLUMNS, (citing, cited, citing_year, cited_year, count))]
         if len({len(values) for values in columns}) > 1:
@@ -424,35 +422,6 @@ class PairedObservations:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _int_field(value: str, what: str, line: int, minimum: int | None = None) -> int:
-    """``value`` as an int; malformed text or a value outside int64 is a format error."""
-    try:
-        n = int(value)
-    except ValueError:
-        raise CsvFormatError(f"line {line}: malformed {what} {value!r}") from None
-    if not _fits_int64(n):
-        raise CsvFormatError(_out_of_range(f"line {line}", what, n))
-    if minimum is not None and n < minimum:
-        raise CsvFormatError(f"line {line}: {what} must be >= {minimum}, got {n}")
-    return n
-
-def _fits_int64(value: int) -> bool:
-    return -2**63 <= value < 2**63
-
-def _out_of_range(where: str, name: str, value: int) -> str:
-    return f"{where}: {name} {value} out of range (not a 64-bit integer)"
-
-def _citation_numbers(row: list[str], line: int, cache: dict[str, int]) -> list[int]:
-    """The year and count cells of a citations.csv row as ints, each cell's text
-    parsed once and kept in ``cache``."""
-    values = []
-    for name, cell in zip(CITATIONS_HEADER[2:], row[2:]):
-        if cell not in cache:
-            cache[cell] = _int_field(cell.strip(), name, line)
-        values.append(cache[cell])
-    return values
-
-
 def parse_journal_metadata(source: str | TextIO) -> JournalTable:
     """Parse ``journals.csv`` content into a JournalTable.
 
@@ -470,23 +439,14 @@ def parse_journal_metadata(source: str | TextIO) -> JournalTable:
     years: list[dict[int, int]] = []  # each journal's articles by year
     year_of: dict[str, int] = {}
     articles_of: dict[str, int] = {}
-    for row in rdr:
-        if not row:
-            continue
-        if len(row) != len(JOURNALS_HEADER):
-            raise CsvFormatError(
-                f"line {rdr.line_num}: expected {len(JOURNALS_HEADER)} columns, got {len(row)}")
-        jid, name, field_list, year_cell, articles_cell = row
-        jid, name = jid.strip(), name.strip()
-        if not jid:
-            raise CsvFormatError(f"line {rdr.line_num}: empty journal_id")
-        year = year_of.get(year_cell)
-        if year is None:
-            year = year_of[year_cell] = _int_field(year_cell.strip(), "year", rdr.line_num)
-        articles = articles_of.get(articles_cell)
-        if articles is None:
-            articles = articles_of[articles_cell] = _int_field(
-                articles_cell.strip(), "articles", rdr.line_num, minimum=0)
+    for jid, name, field_list, year_cell, articles_cell in rdr:
+        jid, name = rdr.id_cell(jid, "journal_id"), name.strip()
+        try:
+            year, articles = year_of[year_cell], articles_of[articles_cell]
+        except KeyError:  # a cell not seen before
+            year = year_of[year_cell] = rdr.int_cell(year_cell, "year")
+            articles = articles_of[articles_cell] = rdr.int_cell(articles_cell, "articles",
+                                                                 minimum=0)
         j = codes.get(jid)
         if j is None:
             j = codes[jid] = len(names)
@@ -495,14 +455,12 @@ def parse_journal_metadata(source: str | TextIO) -> JournalTable:
             labels.append(_field_labels(field_list))
             years.append({})
         elif names[j] != name:
-            raise CsvFormatError(
-                f"line {rdr.line_num}: journal {jid!r} renamed ({names[j]!r} -> {name!r})")
+            raise rdr.error(f"journal {jid!r} renamed ({names[j]!r} -> {name!r})")
         elif field_list != field_cells[j]:
             field_cells[j] = field_list
             labels[j] |= _field_labels(field_list)
         if year in years[j]:
-            raise CsvFormatError(
-                f"line {rdr.line_num}: duplicate journal_id {jid!r} for year {year}")
+            raise rdr.error(f"duplicate journal_id {jid!r} for year {year}")
         years[j][year] = articles
     sizes = np.fromiter(map(len, years), dtype=np.int64, count=len(years))
     journal = np.repeat(np.arange(len(years), dtype=np.int64), sizes)
@@ -545,35 +503,26 @@ def parse_citation_edges(source: str | TextIO) -> CitationLedger:
 def _parse_citation_rows(source: str | TextIO) -> CitationLedger:
     """Parse ``citations.csv`` content with the csv module, one row at a time.
 
-    Fills the ledger's columns in one pass, interning ids as they appear.
+    Reads the rows in one pass, interning ids as they appear; each distinct
+    id, year and count text is checked once.
     """
     rdr = csv_reader(source, CITATIONS_HEADER, "citations.csv")
-    codes: dict[str, int] = {}
-    numbers: dict[str, int] = {}  # year and count cells repeat, so each text is parsed once
-    columns: tuple[list[int], ...] = tuple([] for _ in CITATIONS_HEADER)
-    citing_col, cited_col, citing_year_col, cited_year_col, count_col = columns
+    ids: dict[str, int] = {}  # each id to its code
+    codes: dict[str, int] = {}  # each id cell's text to its id's code
+    years: dict[str, int] = {}
+    counts: dict[str, int] = {}
+    caches = (codes, codes, years, years, counts)
+    values: list[int] = []  # the five values of each row, row after row
     for row in rdr:
-        if not row:
-            continue
-        if len(row) != len(CITATIONS_HEADER):
-            raise CsvFormatError(f"line {rdr.line_num}: expected {len(CITATIONS_HEADER)} "
-                                 f"columns, got {len(row)}")
-        citing, cited, citing_year, cited_year, count = row
-        citing, cited = citing.strip(), cited.strip()
-        if not citing or not cited:
-            raise CsvFormatError(f"line {rdr.line_num}: empty journal id")
         try:
-            citing_year, cited_year, count = numbers[citing_year], numbers[cited_year], numbers[count]
-        except KeyError:
-            citing_year, cited_year, count = _citation_numbers(row, rdr.line_num, numbers)
-        if count < 1:
-            raise CsvFormatError(f"line {rdr.line_num}: count must be >= 1, got {count}")
-        citing_col.append(codes.setdefault(citing, len(codes)))
-        cited_col.append(codes.setdefault(cited, len(codes)))
-        citing_year_col.append(citing_year)
-        cited_year_col.append(cited_year)
-        count_col.append(count)
-    return CitationLedger(codes, *columns)
+            values += codes[row[0]], codes[row[1]], years[row[2]], years[row[3]], counts[row[4]]
+        except KeyError:  # check each cell not seen before; a new id gets the next code
+            for k, (name, cell, cache) in enumerate(zip(CITATIONS_HEADER, row, caches)):
+                if cell not in cache:
+                    cache[cell] = (ids.setdefault(rdr.id_cell(cell, name), len(ids)) if k < 2
+                                   else rdr.int_cell(cell, name, minimum=1 if k == 4 else None))
+            values += map(dict.__getitem__, caches, row)
+    return CitationLedger(ids, *np.array(values, dtype=np.int64).reshape(-1, _COLUMNS).T)
 
 
 # the vectorised citations.csv reader

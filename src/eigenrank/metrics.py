@@ -19,10 +19,8 @@ from typing import TextIO
 import numpy as np
 
 from ._util import csv_reader, csv_text, readonly
-from .corpus import (CitationLedger, CitationMatrix, JournalTable, _int64_sums, _int_field,
-                     build_citation_matrix)
-from .errors import (ConvergenceError, CsvFormatError, DegenerateDataError,
-                     InconsistencyError)
+from .corpus import CitationLedger, CitationMatrix, JournalTable, _int64_sums, build_citation_matrix
+from .errors import ConvergenceError, DegenerateDataError, InconsistencyError
 
 DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-12
@@ -176,8 +174,8 @@ def power_iterate(h: CitationMatrix, dangling: np.ndarray, a: np.ndarray,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     a = np.asarray(a, dtype=float)
@@ -349,22 +347,16 @@ def read_scores_csv(source: str | TextIO) -> MetricScores:
     rdr = csv_reader(source, SCORES_HEADER, "scores.csv")
     ids: dict[str, None] = {}  # insertion-ordered, so a repeat is found in O(1)
     cols: dict[str, list[float | int]] = {name: [] for name in SCORES_HEADER[1:]}
-    for row in rdr:
-        if not row:
-            continue
-        line = rdr.line_num
-        if len(row) != len(SCORES_HEADER):
-            raise CsvFormatError(f"line {line}: expected {len(SCORES_HEADER)} columns, "
-                                 f"got {len(row)}")
-        if row[0] in ids:
-            raise CsvFormatError(f"line {line}: duplicate journal_id {row[0]!r}")
-        ids[row[0]] = None
-        for name, cell in zip(SCORES_HEADER[1:4], row[1:4]):
-            cell = cell.strip()
-            try:
-                cols[name].append(float(cell) if cell else float("nan"))
-            except ValueError:
-                raise CsvFormatError(f"line {line}: malformed {name} {cell!r}") from None
-        for name, cell in zip(SCORES_HEADER[4:], row[4:]):
-            cols[name].append(_int_field(cell.strip(), name, line, minimum=0))
+    counts: dict[str, int] = {}  # count cells repeat, so each text is parsed once
+    for jid, *cells in rdr:
+        jid = rdr.id_cell(jid, "journal_id")
+        if jid in ids:
+            raise rdr.error(f"duplicate journal_id {jid!r}")
+        ids[jid] = None
+        for name, cell in zip(SCORES_HEADER[1:4], cells):
+            cols[name].append(rdr.decimal_cell(cell, name))
+        for name, cell in zip(SCORES_HEADER[4:], cells[3:]):
+            if cell not in counts:
+                counts[cell] = rdr.int_cell(cell, name, minimum=0)
+            cols[name].append(counts[cell])
     return MetricScores(None, tuple(ids), **cols)

@@ -49,8 +49,8 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in FAMILIES:
             raise ValueError(f"unknown distribution family {self.kind!r}")
-        if not self.scale > 0:
-            raise ValueError("scale must be strictly positive")
+        if not (math.isfinite(self.location) and 0.0 < self.scale < math.inf):
+            raise ValueError("location must be finite, and scale positive and finite")
         if self.kind == "normal-truncated-positive" and self.location <= 0:
             raise ValueError("truncated normal needs a positive location")
         if self.kind == "uniform-positive" and self.location + self.scale <= 0:
@@ -79,8 +79,8 @@ def lognormal_from_cv(cv: float, mean: float = 1.0) -> DistributionSpec:
     cv c implies log-variance ln(1 + c^2); location is set so the
     distribution mean equals ``mean``.
     """
-    if cv <= 0:
-        raise ValueError("cv must be strictly positive")
+    if not 0.0 < cv < math.inf:
+        raise ValueError(f"cv must be positive and finite, got {cv}")
     sigma2 = math.log1p(cv * cv)
     return DistributionSpec("lognormal", math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2))
 

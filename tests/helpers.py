@@ -7,6 +7,8 @@ paths are checked against genuinely different code.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from itertools import combinations
 
@@ -14,8 +16,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from eigenrank import CitationLedger, CsvFormatError, JournalTable, MetricScores
-from eigenrank._util import csv_reader
-from eigenrank.corpus import JOURNALS_HEADER, _int_field
+from eigenrank.corpus import JOURNALS_HEADER
 
 
 def _columns(rows, width):
@@ -119,31 +120,56 @@ def reference_counts(ledger, table, census_year, window=5, exclude_self=True):
     return matrix, impact, totals
 
 
+def _reference_int(text, name, line, minimum=None):
+    """``text`` as an integer: an optional minus sign, then ASCII digits,
+    within the signed 64-bit range and at least ``minimum``."""
+    digits = text[1:] if text.startswith("-") else text
+    if not digits or any(c not in "0123456789" for c in digits):
+        raise CsvFormatError(f"line {line}: malformed {name} {text!r}")
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise CsvFormatError(f"line {line}: {name} {value} out of range (not a 64-bit integer)")
+    if minimum is not None and value < minimum:
+        raise CsvFormatError(f"line {line}: {name} must be >= {minimum}, got {value}")
+    return value
+
+
 def reference_journals(source):
-    """journals.csv parsed by one plain loop over the rows: every cell
-    stripped and parsed on every row, the journals merged in dicts and sets
-    and built through ``journal_table``."""
-    rdr = csv_reader(source, JOURNALS_HEADER, "journals.csv")
+    """journals.csv parsed by one plain ``csv.reader`` loop over the rows:
+    every cell stripped and parsed on every row, the journals merged in
+    dicts and sets and built through ``journal_table``."""
+    reader = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
     names, fields, years = {}, {}, {}
-    for row in rdr:
-        if not row:
-            continue
-        line = rdr.line_num
-        if len(row) != len(JOURNALS_HEADER):
-            raise CsvFormatError(f"line {line}: expected {len(JOURNALS_HEADER)} columns, got {len(row)}")
-        jid, name, field_list, year_s, articles_s = (c.strip() for c in row)
-        if not jid:
-            raise CsvFormatError(f"line {line}: empty journal_id")
-        year = _int_field(year_s, "year", line)
-        articles = _int_field(articles_s, "articles", line, minimum=0)
-        if jid not in names:
-            names[jid], fields[jid], years[jid] = name, set(), {}
-        elif names[jid] != name:
-            raise CsvFormatError(f"line {line}: journal {jid!r} renamed ({names[jid]!r} -> {name!r})")
-        if year in years[jid]:
-            raise CsvFormatError(f"line {line}: duplicate journal_id {jid!r} for year {year}")
-        years[jid][year] = articles
-        fields[jid] |= {f.strip() for f in field_list.split(";") if f.strip()}
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError("journals.csv: missing header row")
+        if [h.strip() for h in header] != list(JOURNALS_HEADER):
+            raise CsvFormatError(f"journals.csv: expected header {','.join(JOURNALS_HEADER)}, "
+                                 f"got {','.join(header)}")
+        for row in reader:
+            line = reader.line_num
+            if not row:
+                continue
+            if len(row) != len(JOURNALS_HEADER):
+                raise CsvFormatError(f"line {line}: expected {len(JOURNALS_HEADER)} columns, "
+                                     f"got {len(row)}")
+            jid, name, field_list, year_s, articles_s = (c.strip() for c in row)
+            if not jid:
+                raise CsvFormatError(f"line {line}: empty journal_id")
+            year = _reference_int(year_s, "year", line)
+            articles = _reference_int(articles_s, "articles", line, minimum=0)
+            if jid not in names:
+                names[jid], fields[jid], years[jid] = name, set(), {}
+            elif names[jid] != name:
+                raise CsvFormatError(f"line {line}: journal {jid!r} renamed "
+                                     f"({names[jid]!r} -> {name!r})")
+            if year in years[jid]:
+                raise CsvFormatError(f"line {line}: duplicate journal_id {jid!r} for year {year}")
+            years[jid][year] = articles
+            fields[jid] |= {f.strip() for f in field_list.split(";") if f.strip()}
+    except csv.Error as exc:
+        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
     return journal_table((jid, name, fields[jid], years[jid]) for jid, name in names.items())
 
 

@@ -286,11 +286,81 @@ def test_exit_codes_usage_errors(capsys):
                           (["plot", "histogram", "--out", "p.svg"],
                            "plot histogram requires --values"),
                           (compute + ["--window", "0"], "window must be positive"),
-                          (compute + ["--tol", "0"], "tol must be positive")):
+                          (compute + ["--tol", "0"], "tol must be positive and finite, got 0.0")):
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
     assert not Path("scores.csv").exists() and not Path("correlations.csv").exists()
     assert not Path("p.svg").exists()
+
+
+def test_nan_and_infinite_parameters_are_usage_errors(capsys):
+    # NaN passes a `tol <= 0` or `cv <= 0` check; an infinite tolerance stops
+    # after one iteration, and an infinite cv gives NaN draws
+    compute = ["compute", "--journals", JOURNALS, "--citations", CITATIONS,
+               "--census-year", "2006"]
+    for argv, message in ((compute + ["--tol", "nan"], "tol must be positive and finite, got nan"),
+                          (compute + ["--tol", "inf"], "tol must be positive and finite, got inf"),
+                          (["simulate", "ossuary", "--cv", "inf"],
+                           "cv must be positive and finite, got inf"),
+                          (["simulate", "yule", "--family", "normal-truncated-positive",
+                            "--cv", "nan"],
+                           "location must be finite, and scale positive and finite")):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("scores.csv").exists() and not Path("simulation.csv").exists()
+
+
+# the input files, each with its header and a call that reads it from in.csv
+_READERS = {
+    "journals.csv": ("journal_id,name,fields,year,articles",
+                     ["compute", "--journals", "in.csv", "--citations", CITATIONS,
+                      "--census-year", "2006"]),
+    "citations.csv": ("citing_id,cited_id,citing_year,cited_year,count",
+                      ["compute", "--journals", JOURNALS, "--citations", "in.csv",
+                       "--census-year", "2006"]),
+    "scores.csv": ("journal_id,ef,ai,impact_factor,total_citations,n5,n2",
+                   ["correlate", "--scores", "in.csv"]),
+    "--values": ("trial,rho", ["plot", "histogram", "--values", "in.csv", "--out", "h.svg"]),
+}
+_SCORES_ROW = "60.000000,1.000000,2.000000,10,5,2"
+
+
+@pytest.mark.parametrize("reader, rows, message", [
+    ("journals.csv", "A,Alpha,,2_006,10", "line 2: malformed year '2_006'"),
+    ("journals.csv", "A,Alpha,,2005,+3", "line 2: malformed articles '+3'"),
+    ("journals.csv", "A,Alpha,,\u0662\u0660\u0660\u0665,10",
+     "line 2: malformed year '\u0662\u0660\u0660\u0665'"),
+    ("journals.csv", "A,Alpha,,2005,\uff13", "line 2: malformed articles '\uff13'"),
+    ("citations.csv", "A,B,2006,2005,1\nA,B,2_006,2005,1",
+     "line 3: malformed citing_year '2_006'"),
+    ("citations.csv", "A,B,2006,2005,+3", "line 2: malformed count '+3'"),
+    ("citations.csv", "A,B,2006,\u0662\u0660\u0660\u0665,1",
+     "line 2: malformed cited_year '\u0662\u0660\u0660\u0665'"),
+    ("citations.csv", "A,B,2006,2005,\uff13", "line 2: malformed count '\uff13'"),
+    ("citations.csv", "A,B,2006,2005,1\nA, ,2006,2005,1", "line 3: empty cited_id"),
+    ("scores.csv", "A,2_006,1.0,2.0,10,5,2", "line 2: malformed ef '2_006'"),
+    ("scores.csv", "A,+3,1.0,2.0,10,5,2", "line 2: malformed ef '+3'"),
+    ("scores.csv", "A,60.0,1.0,2.0,+3,5,2", "line 2: malformed total_citations '+3'"),
+    ("scores.csv", "A,60.0,\u0663,2.0,10,5,2", "line 2: malformed ai '\u0663'"),
+    ("scores.csv", "A,60.0,1.0,2.0,10,\uff13,2", "line 2: malformed n5 '\uff13'"),
+    ("scores.csv", f"A,{_SCORES_ROW}\nB,40.0,nan,1.0,8,5,2", "line 3: malformed ai 'nan'"),
+    ("scores.csv", f"A,{_SCORES_ROW}\nB,40.0,1.0,inf,8,5,2",
+     "line 3: malformed impact_factor 'inf'"),
+    ("scores.csv", f" J1 ,{_SCORES_ROW}\nJ1,{_SCORES_ROW}", "line 3: duplicate journal_id 'J1'"),
+    ("scores.csv", f"A,{_SCORES_ROW}\n,{_SCORES_ROW}", "line 3: empty journal_id"),
+    ("--values", "0,0.5\n1,2_006", "line 3: malformed rho '2_006'"),
+    ("--values", "0,+3", "line 2: malformed rho '+3'"),
+    ("--values", "0,\u0663", "line 2: malformed rho '\u0663'"),
+    ("--values", "0,\uff13", "line 2: malformed rho '\uff13'"),
+    ("--values", "0,0.5\n1,nan", "line 3: malformed rho 'nan'"),
+    ("--values", "0,inf", "line 2: malformed rho 'inf'"),
+    ("--values", "0,0.5\n1\n2,0.25", "line 3: expected 2 columns, got 1"),
+])
+def test_every_reader_rejects_a_cell_outside_the_grammar_by_line(reader, rows, message, capsys):
+    header, argv = _READERS[reader]
+    Path("in.csv").write_text(f"{header}\n{rows}\n", encoding="utf-8")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_exit_codes_data_errors(tmp_path, capsys):
@@ -306,7 +376,7 @@ def test_exit_codes_data_errors(tmp_path, capsys):
                  "--census-year", "2006"]) == 2
     Path("v.csv").write_text("trial,rho\n0,0.5\n1,abc\n")
     for column, message in (("nope", "v.csv: no column 'nope'"),
-                            ("rho", "v.csv: malformed value 'abc' in column 'rho'")):
+                            ("rho", "line 3: malformed rho 'abc'")):
         assert main(["plot", "histogram", "--values", "v.csv", "--column", column,
                      "--out", "h.svg"]) == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -381,11 +451,11 @@ def test_empty_histogram_input_is_a_data_error(capsys):
     Path("empty.csv").write_text("trial,rho\n0,\n")
     Path("nan.csv").write_text("trial,rho\n0,0.5\n1,nan\n")
     Path("inf.csv").write_text("trial,rho\n0,inf\n1,0.5\n")
-    for name, message in (("empty.csv", "no values in column 'rho'"),
-                          ("nan.csv", "non-finite value 'nan' in column 'rho'"),
-                          ("inf.csv", "non-finite value 'inf' in column 'rho'")):
+    for name, message in (("empty.csv", "empty.csv: no values in column 'rho'"),
+                          ("nan.csv", "line 3: malformed rho 'nan'"),
+                          ("inf.csv", "line 2: malformed rho 'inf'")):
         assert main(["plot", "histogram", "--values", name, "--out", "h.svg"]) == 2
-        assert f"{name}: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not Path("h.svg").exists()
 
 

@@ -80,7 +80,7 @@ def test_parse_journals_conflicting_name_is_format_error():
     (parse_journal_metadata, JOURNALS_HEADER + "A,Alpha,,2005,10\n ,Beta,,2005,3\n",
      "^line 3: empty journal_id$"),
     (parse_citation_edges, CITATIONS_HEADER + "A,B,2006,2005,1\nA, ,2006,2005,1\n",
-     "^line 3: empty journal id$")])
+     "^line 3: empty cited_id$")])
 def test_empty_journal_id_is_format_error_with_its_line(parse, text, message):
     with pytest.raises(CsvFormatError, match=message):
         parse(text)
@@ -491,8 +491,11 @@ def _stream(data):
     return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
 
 
+# number cells are mostly plain, sometimes signs, separators or a non-ASCII digit
+_NUMBER_CELLS = st.one_of(st.integers(1, 3000).map(str),
+                          st.text(alphabet="0123456789-+_\u0663", min_size=1, max_size=5))
 _ROWS = st.lists(st.tuples(*[st.text(alphabet="ABJXZ0189-.", min_size=1, max_size=12)] * 2,
-                           *[st.integers(1, 3000).map(str)] * 3).map(list), max_size=10)
+                           *[_NUMBER_CELLS] * 3).map(list), max_size=10)
 _ODD_IDS = ('"A,1"', '"Q"', "A,1", " A", "A ", "", "é", "Jé", "A\tB", "\ufeffA", "J\x00", "A B",
             "J\x1f", "Z" * 33)
 _ODD_NUMBERS = ("0", "0007", "+5", "-3", "1_000", "9" * 18, "9" * 19, "12345678901234567890",
@@ -516,6 +519,8 @@ def _citation_texts(draw):
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         row = draw(st.integers(0, len(rows) - 1))
         defect = draw(st.sampled_from(("id", "number", "4 cells", "6 cells", "blank line")))
+        if len(rows[row]) < 5:  # a blank line or a short row already
+            continue
         if defect == "id":
             rows[row][draw(st.integers(0, 1))] = draw(st.sampled_from(_ODD_IDS))
         elif defect == "number":
@@ -578,6 +583,23 @@ def test_bytes_not_utf8_after_a_fault_report_the_fault():
     data = (CITATIONS_HEADER + "A,B,2006,2005,0\n" + "A,B,2006,2005,1\n" * 2000).encode() + b"\xe9"
     assert (_outcome(parse_citation_edges, _stream(data))
             == (CsvFormatError, "line 2: count must be >= 1, got 0"))
+
+
+class _Unseekable(io.StringIO):
+    """Text that can be read once: ``tell`` fails, as on a pipe."""
+
+    def tell(self):
+        raise io.UnsupportedOperation("underlying stream is not seekable")
+
+
+def test_unseekable_stream_is_read_by_the_row_loop_alone():
+    text = write_citation_edges(citation_ledger(
+        (f"J{i % 7}", f"J{i % 5}", 2006, 2001 + i % 5, 1 + i) for i in range(40)))
+    assert parse_citation_edges(_Unseekable(text)) == parse_citation_edges(text)
+    lines = text.splitlines(keepends=True)
+    bad = "".join(lines[:3] + ["J1,J2,2006,20x5,1\n"] + lines[3:])
+    assert (_outcome(parse_citation_edges, _Unseekable(bad))
+            == (CsvFormatError, "line 4: malformed cited_year '20x5'"))
 
 
 def test_plain_citations_skip_the_row_loop(monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,15 @@ def test_power_iterate_reports_convergence_failure():
     with pytest.raises(ConvergenceError) as info:
         power_iterate(h, dangling, a, max_iter=2)
     assert info.value.residual > 0
+
+
+def test_power_iterate_rejects_a_nan_or_infinite_tolerance():
+    # NaN passes a `tol <= 0` check and never converges; infinity stops after one step
+    z = _matrix_from_records([("J00", "J01", 2006, 2005, 1)], n=2)
+    h, dangling = normalize_columns(z)
+    for tol in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol}$"):
+            power_iterate(h, dangling, np.array([0.5, 0.5]), tol=tol)
 
 
 def test_power_iterate_validates_inputs():

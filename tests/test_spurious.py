@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,21 @@ def test_spec_validation():
         DistributionSpec("normal-truncated-positive", -1.0, 1.0)
     with pytest.raises(ValueError, match="support"):
         DistributionSpec("uniform-positive", -5.0, 1.0)
+
+
+def test_nan_and_infinite_parameters_are_rejected_before_sampling():
+    for cv in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match=f"^cv must be positive and finite, got {cv}$"):
+            lognormal_from_cv(cv)
+    for family in ("normal-truncated-positive", "uniform-positive"):
+        for cv in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                spec_from_cv(family, cv)
+    # NaN passes a `location <= 0` check, and then the rejection sampler never fills
+    for location, scale in ((math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="^location must be finite, and scale positive and "
+                                             "finite$"):
+            DistributionSpec("normal-truncated-positive", location, scale)
 
 
 def test_lognormal_from_cv_calibration():
