@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -56,15 +57,39 @@ def utf8_error_line(data: bytes) -> int | None:
     return None
 
 
+_CHUNK_CHARS = 1 << 18
+
+
+def read_text(source: str | TextIO) -> str:
+    """``source`` as one string: an open file is read whole, once."""
+    if isinstance(source, str):
+        return source
+    # in pieces: freeing a file-sized buffer before the parse raises malloc's
+    # mmap threshold, and the heap the parse then grows is kept after it
+    return "".join(iter(lambda: source.read(_CHUNK_CHARS), ""))
+
+
+def text_chunks(text: str, start: int = 0) -> Iterator[str]:
+    """``text`` from ``start`` on, in pieces of about ``_CHUNK_CHARS``
+    characters, each ending at a newline or at the end of the text."""
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 class CsvRows:
     """The rows of a CSV file: ``header`` is the first (None for an empty
     file), and iterating yields each non-blank row after it.  A row not as
     wide as the header, a ``csv.Error`` (a cell over the csv field size
     limit) and a cell a ``*_cell`` method refuses are format errors naming
-    their line."""
+    their line.  ``source`` (text, or an open file read whole) is split into
+    lines as a file opened with ``newline=""`` is, at LF, CRLF or CR."""
 
     def __init__(self, source: str | TextIO):
-        self._reader = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
+        # a chunk at a time: io.StringIO stores its text at 4 bytes a character
+        lines = (io.StringIO(chunk, newline="") for chunk in text_chunks(read_text(source)))
+        self._reader = csv.reader(itertools.chain.from_iterable(lines))
         self._rows = self._read()
         self.header: list[str] | None = next(self._rows)
 

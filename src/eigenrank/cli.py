@@ -317,7 +317,11 @@ def _cmd_ratio(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    seed = args.seed if args.seed is not None else int(os.environ.get(SEED_ENV_VAR, "0"))
+    text = str(args.seed) if args.seed is not None else os.environ.get(SEED_ENV_VAR, "0")
+    if not (text.isascii() and text.isdigit()):  # checked here for every kind
+        source = "--seed" if args.seed is not None else SEED_ENV_VAR
+        raise _UsageError(f"{source} must be a nonnegative integer, got {text!r}")
+    seed = int(text)
 
     def spec_for(override_cv: float | None) -> spurious.DistributionSpec:
         return spurious.spec_from_cv(args.family, override_cv if override_cv is not None

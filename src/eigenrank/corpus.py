@@ -22,7 +22,8 @@ from typing import Callable, Collection, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from ._util import csv_reader, csv_text, fits_int64, out_of_range, readonly
+from ._util import (CsvRows, csv_reader, csv_text, fits_int64, out_of_range, read_text, readonly,
+                    text_chunks)
 from .errors import ValidationError
 
 JOURNALS_HEADER = ("journal_id", "name", "fields", "year", "articles")
@@ -479,34 +480,24 @@ def parse_citation_edges(source: str | TextIO) -> CitationLedger:
 
     A year or count outside the signed 64-bit range is a format error.  A
     plain file is read in numpy columns (see ``_parse_citation_columns``);
-    any other input, a faulty one included, is read again from its start by
-    the csv row loop, so the ledger and every error are the row loop's.
+    any other input, a faulty one included, is read by the csv row loop, so
+    the ledger and every error are the row loop's.
     """
-    if isinstance(source, str):
-        start = None
-    else:
-        try:
-            start = source.tell()
-        except OSError:  # a stream that cannot be read twice
-            return _parse_citation_rows(source)
-    try:
-        ledger = _parse_citation_columns(source)
-    except UnicodeDecodeError:  # the row loop reports it, or an earlier fault, by line
-        ledger = None
-    if ledger is not None:
-        return ledger
-    if start is not None:
-        source.seek(start)
-    return _parse_citation_rows(source)
+    text = read_text(source)
+    ledger = _parse_citation_columns(text)
+    if ledger is None:
+        rows = csv_reader(text, CITATIONS_HEADER, "citations.csv")
+        del text  # the rows free the text once read, before their values are converted
+        ledger = _parse_citation_rows(rows)
+    return ledger
 
 
-def _parse_citation_rows(source: str | TextIO) -> CitationLedger:
-    """Parse ``citations.csv`` content with the csv module, one row at a time.
+def _parse_citation_rows(rdr: CsvRows) -> CitationLedger:
+    """Parse the rows of ``citations.csv`` with the csv module, one at a time.
 
     Reads the rows in one pass, interning ids as they appear; each distinct
     id, year and count text is checked once.
     """
-    rdr = csv_reader(source, CITATIONS_HEADER, "citations.csv")
     ids: dict[str, int] = {}  # each id to its code
     codes: dict[str, int] = {}  # each id cell's text to its id's code
     years: dict[str, int] = {}
@@ -527,7 +518,6 @@ def _parse_citation_rows(source: str | TextIO) -> CitationLedger:
 
 # the vectorised citations.csv reader
 _CITATIONS_HEADER_LINE = ",".join(CITATIONS_HEADER) + "\n"
-_CHUNK_CHARS = 1 << 18
 _MAX_DIGITS = 18  # every number of up to 18 digits fits int64
 _MAX_ID_WORDS = 4  # ids of up to 32 bytes, as 8-byte words
 _PAD = "\0" * 8 * _MAX_ID_WORDS  # lets every cell be read as whole words
@@ -540,22 +530,8 @@ _LONG_ID = np.uint64(1 << 63)
 _COLUMNS = len(CITATIONS_HEADER)
 
 
-def _text_chunks(source: str | TextIO) -> Iterator[str]:
-    """``source`` in pieces of about ``_CHUNK_CHARS`` characters, each ending
-    at a newline or at the end of the text."""
-    if isinstance(source, str):
-        start = 0
-        while start < len(source):
-            end = source.find("\n", start + _CHUNK_CHARS) + 1 or len(source)
-            yield source[start:end]
-            start = end
-    else:
-        while chunk := source.read(_CHUNK_CHARS):
-            yield chunk if chunk.endswith("\n") else chunk + source.readline()
-
-
-def _parse_citation_columns(source: str | TextIO) -> CitationLedger | None:
-    """The ledger ``_parse_citation_rows`` returns for ``source``, or None
+def _parse_citation_columns(text: str) -> CitationLedger | None:
+    """The ledger ``_parse_citation_rows`` returns for ``text``, or None
     where this reader cannot show that it is the same one.
 
     It answers only for the exact header line followed by rows of five
@@ -568,25 +544,19 @@ def _parse_citation_columns(source: str | TextIO) -> CitationLedger | None:
     limit = csv.field_size_limit()
     if max(map(len, CITATIONS_HEADER)) > limit:  # the row loop fails on line 1
         return None
-    chunks = _text_chunks(source)
-    head = next(chunks, "")
-    if not head.startswith(_CITATIONS_HEADER_LINE):
+    if not (text.isascii() and text.startswith(_CITATIONS_HEADER_LINE)):
         return None
     ids = _IdCodes()
-    # the five columns, filled in place and grown by doubling: chunk-sized
-    # arrays kept until the end would stay in the heap after they are freed
-    columns = np.empty((_COLUMNS, 1 << 16), dtype=np.int64)
+    # one row a line, and a row it answers for has at least 10 characters
+    # with its newline (9 if it is the last and has none)
+    columns = np.empty((_COLUMNS, min(text.count("\n"), (len(text) + 1) // 10)), dtype=np.int64)
     filled = 0
-    for text in itertools.chain((head[len(_CITATIONS_HEADER_LINE):],), chunks):
-        if not text:
-            continue
-        if not text.isascii():
-            return None
-        if not text.endswith("\n"):
-            text += "\n"
-        padded = (text + _PAD).encode("ascii")
+    for chunk in text_chunks(text, len(_CITATIONS_HEADER_LINE)):
+        if not chunk.endswith("\n"):
+            chunk += "\n"
+        padded = (chunk + _PAD).encode("ascii")
         raw = np.frombuffer(padded, dtype=np.uint8)
-        body = raw[:len(text)]
+        body = raw[:len(chunk)]
         if (((body < ord(" ")) & (body != ord("\n"))) | (body == ord('"'))).any():
             return None
         ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
@@ -603,10 +573,6 @@ def _parse_citation_columns(source: str | TextIO) -> CitationLedger | None:
                 or (raw[starts] == ord(" ")).any() or (raw[ends - 1] == ord(" ")).any()):
             return None
         starts, lengths = starts.reshape(rows, _COLUMNS), lengths.reshape(rows, _COLUMNS)
-        if filled + rows > columns.shape[1]:
-            grown = np.empty((_COLUMNS, max(2 * columns.shape[1], filled + rows)), dtype=np.int64)
-            grown[:, :filled] = columns[:, :filled]
-            columns = grown
         block = columns[:, filled:filled + rows]
         filled += rows
         for column in range(2, _COLUMNS):
@@ -617,7 +583,7 @@ def _parse_citation_columns(source: str | TextIO) -> CitationLedger | None:
         if block[4].min() < 1:
             return None
         # id cells in first-seen order: the citing id, then the cited id, row by row
-        codes = ids.codes(text, padded, starts[:, :2].ravel(), lengths[:, :2].ravel())
+        codes = ids.codes(chunk, padded, starts[:, :2].ravel(), lengths[:, :2].ravel())
         if codes is None:
             return None
         block[:2] = codes.reshape(rows, 2).T

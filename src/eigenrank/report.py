@@ -9,6 +9,7 @@ what makes golden-file testing of the figures possible.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -142,6 +143,8 @@ def _fmt(v: float) -> str:
 
 
 def _esc(text: str) -> str:
+    if not text.isprintable():  # no character XML 1.0 forbids is printable; each becomes U+FFFD
+        text = re.sub("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", "\ufffd", text)
     return (text.replace("&", "&amp;").replace("<", "&lt;")
             .replace(">", "&gt;").replace('"', "&quot;"))
 

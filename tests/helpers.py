@@ -137,8 +137,9 @@ def _reference_int(text, name, line, minimum=None):
 def reference_journals(source):
     """journals.csv parsed by one plain ``csv.reader`` loop over the rows:
     every cell stripped and parsed on every row, the journals merged in
-    dicts and sets and built through ``journal_table``."""
-    reader = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
+    dicts and sets and built through ``journal_table``.  Text is read as a
+    file opened with ``newline=""``: a line ends at LF, CRLF or CR."""
+    reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
     names, fields, years = {}, {}, {}
     try:
         header = next(reader, None)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eigenrank import spurious
 from eigenrank import (CorrelationResult, FieldCorrelations, parse_citation_edges,
                        parse_journal_metadata, read_scores_csv, write_citation_edges,
                        write_journal_metadata, write_scores_csv)
@@ -105,6 +106,15 @@ def test_correlate_pooled_and_by_field(capsys):
     rows = Path("fields.csv").read_text().strip().split("\n")
     fields = [row.split(",")[0] for row in rows[1:]]
     assert fields == ["medicine", "public-health", "(pooled)"]
+    # a field of fewer than 3 journals is named on stdout and left out of the file
+    rare = Path(JOURNALS).read_text().replace(",medicine,", ",medicine;rare,")
+    Path("rare.csv").write_text(rare)
+    capsys.readouterr()
+    assert main(["correlate", "--scores", "scores.csv", "--by-field",
+                 "--journals", "rare.csv", "--out", "rare_fields.csv"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "skipped fields (fewer than 3 usable journals): rare\n")
+    assert Path("rare_fields.csv").read_bytes() == Path("fields.csv").read_bytes()
 
 
 def test_ratio_with_group_test(capsys):
@@ -149,6 +159,32 @@ def test_simulate_seed_env_var_and_flag_priority(monkeypatch):
     assert "seed=5" in Path("o.txt").read_text()
 
 
+@pytest.mark.parametrize("kind", ["ossuary", "yule", "journal-size", "logistic"])
+def test_simulate_rejects_a_negative_or_malformed_seed_for_every_kind(kind, monkeypatch,
+                                                                       capsys):
+    argv = ["simulate", kind, "--trials", "3", "--n", "1000", "--out", "o.csv",
+            "--summary", "o.txt"]
+    for env, flag, message in (
+            (None, ["--seed", "-1"], "--seed must be a nonnegative integer, got '-1'"),
+            ("-3", [], "EIGENRANK_SEED must be a nonnegative integer, got '-3'"),
+            ("abc", [], "EIGENRANK_SEED must be a nonnegative integer, got 'abc'")):
+        if env is not None:
+            monkeypatch.setenv("EIGENRANK_SEED", env)
+        assert main(argv + flag) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("o.txt").exists()
+
+
+def test_simulate_yule_writes_the_library_result():
+    assert main(["simulate", "yule", "--trials", "20", "--n", "500", "--seed", "3",
+                 "--cv", "0.2", "--out", "y.csv", "--summary", "y.txt"]) == 0
+    spec = spurious.lognormal_from_cv(0.2)
+    result = spurious.simulate_yule_products(spec, spec, spec, n=500, trials=20, seed=3)
+    assert Path("y.csv").read_text() == spurious.write_simulation_csv(result)
+    assert Path("y.txt").read_text() == spurious.format_summary(result)
+    assert abs(result.mean_rho - 0.5) < 0.05  # equal cvs: half of each product's variance
+
+
 def test_simulate_logistic_reports_single_rho():
     assert main(["simulate", "logistic", "--n", "20000",
                  "--out", "log.csv", "--summary", "log.txt"]) == 0
@@ -175,6 +211,9 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path):
     compute_scores("plain.csv")
     assert Path("cfg.csv").read_bytes() == Path("flag.csv").read_bytes()
     assert Path("cfg.csv").read_bytes() != Path("plain.csv").read_bytes()
+    Path("self.cfg").write_text("include-self-cites=no\n")
+    assert main(compute + ["--config", "self.cfg", "--out", "cfg.csv"]) == 0
+    assert Path("cfg.csv").read_bytes() == Path("plain.csv").read_bytes()
 
 
 def test_config_rejects_unknown_keys(capsys):
@@ -490,6 +529,19 @@ def test_bom_and_crlf_inputs_give_identical_outputs(capsys):
         assert main(["plot", "histogram", "--values", values, "--out", values + ".svg"]) == 0
     assert Path("v.csv.svg").read_bytes() == Path("v_plain.csv.svg").read_bytes()
     capsys.readouterr()
+
+
+def test_cr_line_ends_parse_the_same_from_text_and_file():
+    compute_scores("plain.csv")
+    for src, parse, write in ((JOURNALS, parse_journal_metadata, write_journal_metadata),
+                              (CITATIONS, parse_citation_edges, write_citation_edges),
+                              ("plain.csv", read_scores_csv, write_scores_csv)):
+        plain = Path(src).read_text(encoding="utf-8")
+        text = plain.replace("\n", "\r")
+        Path("cr.csv").write_bytes(text.encode("utf-8"))
+        with open("cr.csv", encoding="utf-8-sig", newline="") as fh:  # as the CLI opens it
+            from_file = parse(fh)
+        assert write(parse(text)) == write(from_file) == plain
 
 
 def test_exit_codes_numerical_errors(tmp_path, capsys):

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eigenrank import corpus
+from eigenrank import _util, corpus
 from eigenrank import (CitationLedger, CitationMatrix, CsvFormatError, JournalTable,
                        PairedObservations, ValidationError, bigmac_csv, bigmac_fixture,
                        build_citation_matrix, impact_factor, parse_citation_edges,
                        parse_journal_metadata, total_citations, write_citation_edges,
                        write_journal_metadata)
+from eigenrank.cli import _parse_file
 from eigenrank.corpus import CitationRecord
 from helpers import citation_ledger, journal_table, random_corpus, reference_journals
 
@@ -408,7 +409,10 @@ def test_table_invariants_rejected():
             (_table, dict(year=(2005, 2006)), "^journal, year and articles must have equal"),
             (_table, dict(journal=(0, 0), year=(2005, 2005), articles=(1, 2)),
              "^duplicate journal_id 'A' for year 2005$"),
-            (_table, dict(fields=("bio",)), "fields must be a set of labels, not the string")):
+            (_table, dict(fields=("bio",)), "fields must be a set of labels, not the string"),
+            (_table, dict(fields=({"bio", ""},)), "^journal 'A' has an empty field label$"),
+            (_table, dict(ids=("",)), "^journal_id must be non-empty$"),
+            (_ledger, dict(ids=("A", "")), "^journal_id must be non-empty$")):
         with pytest.raises(ValidationError, match=message):
             build(**columns)
     # values that would not read back from the CSV files as themselves
@@ -422,6 +426,10 @@ def test_table_invariants_rejected():
     for jid in (" A", "A\t", "A\rB", "\u3000"):
         with pytest.raises(ValidationError, match="cannot be written to CSV"):
             _ledger(ids=("B", jid))
+    # numpy unsigned cells within int64 are stored as int64
+    ledger = _ledger(count=[np.uint64(2**63 - 1)], cited_year=[np.uint64(2005)])
+    assert ledger.count.dtype == ledger.cited_year.dtype == np.int64
+    assert (ledger.count.tolist(), ledger.cited_year.tolist()) == ([2**63 - 1], [2005])
 
 
 @pytest.mark.parametrize("window, counted", [(5, (2001, 2002, 2003, 2004, 2005)),
@@ -485,6 +493,12 @@ def _outcome(parse, source):
         return type(exc), str(exc)
 
 
+def _row_loop(source):
+    """``source`` parsed by the csv row loop alone."""
+    return corpus._parse_citation_rows(
+        _util.csv_reader(_util.read_text(source), corpus.CITATIONS_HEADER, "citations.csv"))
+
+
 def _stream(data):
     """``data`` (text or bytes) as a file opened the way the CLI opens an input."""
     raw = data.encode("utf-8") if isinstance(data, str) else data
@@ -534,13 +548,13 @@ def _citation_texts(draw):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(text=_citation_texts(), chunk=st.sampled_from((1, 7, 30, corpus._CHUNK_CHARS)))
+@given(text=_citation_texts(), chunk=st.sampled_from((1, 7, 30, _util._CHUNK_CHARS)))
 @example(text=CITATIONS_HEADER + "MocCRNN1fv%UylLw,|{}X9w6QsY)I3>(J,2006,2005,1\n",
-         chunk=corpus._CHUNK_CHARS)  # two 16-byte ids whose mixed uint64 keys are equal
+         chunk=_util._CHUNK_CHARS)  # two 16-byte ids whose mixed uint64 keys are equal
 def test_vectorised_reader_equals_row_loop(text, chunk):
-    expected = _outcome(corpus._parse_citation_rows, text)
-    from_file = _outcome(corpus._parse_citation_rows, _stream(text))
-    with patch.object(corpus, "_CHUNK_CHARS", chunk):
+    expected = _outcome(_row_loop, text)
+    from_file = _outcome(_row_loop, _stream(text))
+    with patch.object(_util, "_CHUNK_CHARS", chunk):
         assert _outcome(parse_citation_edges, text) == expected
         assert _outcome(parse_citation_edges, _stream(text)) == from_file
 
@@ -550,7 +564,7 @@ def test_each_defect_alone_gives_the_row_loop_outcome():
             (CITATIONS_HEADER, (["J1", "0028-0836", "2006", "2005", "3"],
                                 ["ABCDEFGHIJ", "J1", "2005", "2001", "12"]),
              (_ODD_IDS, _ODD_IDS) + (_ODD_NUMBERS,) * 3,
-             parse_citation_edges, corpus._parse_citation_rows),
+             parse_citation_edges, _row_loop),
             (JOURNALS_HEADER, (["J1", "Alpha", "bio;med", "2005", "3"],
                                ["ABCDEFGHIJ", "Beta", "", "2006", "12"]),
              _ODD_JOURNAL_CELLS, parse_journal_metadata, reference_journals)):
@@ -578,11 +592,15 @@ def test_each_defect_alone_gives_the_row_loop_outcome():
         csv.field_size_limit(limit)
 
 
-def test_bytes_not_utf8_after_a_fault_report_the_fault():
-    # the row loop meets the zero count before it decodes the bad byte
+def test_bytes_not_utf8_after_a_fault_report_the_byte(tmp_path):
+    # the file is decoded whole before any row is read, so the byte on the
+    # last line is the error, not the zero count on line 2
     data = (CITATIONS_HEADER + "A,B,2006,2005,0\n" + "A,B,2006,2005,1\n" * 2000).encode() + b"\xe9"
-    assert (_outcome(parse_citation_edges, _stream(data))
-            == (CsvFormatError, "line 2: count must be >= 1, got 0"))
+    assert _outcome(parse_citation_edges, _stream(data))[0] is UnicodeDecodeError
+    path = tmp_path / "citations.csv"
+    path.write_bytes(data)
+    assert (_outcome(lambda p: _parse_file(parse_citation_edges, p), str(path))
+            == (CsvFormatError, f"{path}: line 2003: not valid UTF-8"))
 
 
 class _Unseekable(io.StringIO):
@@ -592,7 +610,7 @@ class _Unseekable(io.StringIO):
         raise io.UnsupportedOperation("underlying stream is not seekable")
 
 
-def test_unseekable_stream_is_read_by_the_row_loop_alone():
+def test_unseekable_stream_parses_as_its_text():
     text = write_citation_edges(citation_ledger(
         (f"J{i % 7}", f"J{i % 5}", 2006, 2001 + i % 5, 1 + i) for i in range(40)))
     assert parse_citation_edges(_Unseekable(text)) == parse_citation_edges(text)
@@ -610,7 +628,8 @@ def test_plain_citations_skip_the_row_loop(monkeypatch):
     small = citation_ledger((ids[i % 6], ids[(i * 7 + 1) % 6], 2000 + i % 9, 1990 + i % 17,
                              1 + i % 250) for i in range(300))
     assert parse_citation_edges(write_citation_edges(small)) == small
-    # more rows than the first column allocation holds, over many chunks
+    assert parse_citation_edges(write_citation_edges(small).rstrip("\n")) == small
+    # a file of many chunks
     rng = np.random.default_rng(3)
     columns = (rng.integers(0, 2000, 70_000), rng.integers(0, 2000, 70_000),
                rng.integers(1990, 2010, 70_000), rng.integers(1990, 2010, 70_000),
@@ -618,7 +637,7 @@ def test_plain_citations_skip_the_row_loop(monkeypatch):
     big = citation_ledger((f"J{a:05d}", f"J{b:05d}", *rest)
                           for a, b, *rest in zip(*(c.tolist() for c in columns)))
     text = write_citation_edges(big)
-    assert len(text) > 4 * corpus._CHUNK_CHARS
+    assert len(text) > 4 * _util._CHUNK_CHARS
     assert parse_citation_edges(text) == big
     assert parse_citation_edges(_stream(text)) == big
 
@@ -663,14 +682,18 @@ def _journal_texts(draw):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(text=_journal_texts())
-@example(text=JOURNALS_HEADER + "A,x,,2005\n7,B,y,,2006,3\n")  # 4 cells, then 6
-@example(text=JOURNALS_HEADER + "A,Alpha,bio,2005,1\n A ,Alpha ,bio ; med,2006,2\n")
-@example(text=JOURNALS_HEADER + "A,Alpha,,-3,1\nA,Alpha,,2005,-3\n")  # one text, two columns
-def test_journal_reader_equals_reference_row_loop(text):
-    assert _outcome(parse_journal_metadata, text) == _outcome(reference_journals, text)
-    assert (_outcome(parse_journal_metadata, _stream(text))
-            == _outcome(reference_journals, _stream(text)))
+@given(text=_journal_texts(), chunk=st.sampled_from((1, 7, 30, _util._CHUNK_CHARS)))
+@example(text=JOURNALS_HEADER + "A,x,,2005\n7,B,y,,2006,3\n", chunk=30)  # 4 cells, then 6
+@example(text=JOURNALS_HEADER + "A,Alpha,bio,2005,1\n A ,Alpha ,bio ; med,2006,2\n", chunk=7)
+@example(text=JOURNALS_HEADER + "A,Alpha,,-3,1\nA,Alpha,,2005,-3\n",
+         chunk=_util._CHUNK_CHARS)  # one text, two columns
+@example(text=JOURNALS_HEADER + 'A,Alpha,"bio\rmed",2005,1\nA,Alpha,,2005,1\n',
+         chunk=_util._CHUNK_CHARS)  # a quoted CR ends a line, so the repeat is on line 4
+def test_journal_reader_equals_reference_row_loop(text, chunk):
+    with patch.object(_util, "_CHUNK_CHARS", chunk):
+        assert _outcome(parse_journal_metadata, text) == _outcome(reference_journals, text)
+        assert (_outcome(parse_journal_metadata, _stream(text))
+                == _outcome(reference_journals, _stream(text)))
 
 
 def test_paper_scale_journals_round_trip():

@@ -426,6 +426,16 @@ def test_metric_scores_validates_sum():
             MetricScores(2006, ("A", "B"), ef, ai, [0.0, 0.0], [0, 0], n5, [1, 1])
 
 
+@pytest.mark.parametrize("column", ["ef", "ai", "impact_factor", "total_citations", "n5", "n2"])
+def test_metric_scores_rejects_a_column_of_the_wrong_length(column):
+    columns = dict(ef=[50.0, 50.0], ai=[1.0, 1.0], impact_factor=[0.0, 0.0],
+                   total_citations=[0, 0], n5=[1, 1], n2=[1, 1])
+    columns[column] = columns[column][:1]
+    with pytest.raises(ValueError) as info:
+        MetricScores(None, ("A", "B"), **columns)
+    assert str(info.value) == f"{column} has wrong length"
+
+
 def test_metric_aliases():
     assert resolve_metric("IF") == "impact_factor"
     assert resolve_metric("tc") == "total_citations"

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from eigenrank import (DegenerateDataError, FigureSpec, bigmac_fixture, rank_com
                        rank_items, ratio_analysis, render_cardinal_plot,
                        render_histogram, render_ratio_plot, render_slopegraph)
 from eigenrank.report import DEFAULT_COLORS, RankComparison
+from eigenrank.stats import RatioAnalysis
 from helpers import score_table
 
 GOLDEN_SLOPEGRAPH_SHA256 = "ff0b7612b4a290cecc9caa2e72b7f5e29d8e7f46aea5c10ca77d98e75c83d79f"
@@ -307,3 +309,35 @@ def test_figure_spec_validation():
         FigureSpec(top_fraction=0.0)
     with pytest.raises(ValueError):
         FigureSpec(top_fraction=1.5)
+
+
+@pytest.mark.parametrize("odd, shown", [
+    ("A\x01", "A\ufffd"), ("A\x0c", "A\ufffd"), ("A\ufffe", "A\ufffd"), ("A\uffff", "A\ufffd"),
+    ("A\ud800", "A\ufffd"), ("\x00A\x1f", "\ufffdA\ufffd"),
+    ('Beta & <Gamma> "Journal"', 'Beta & <Gamma> "Journal"'),
+    ("Revista Espa\u00f1ola\tI", "Revista Espa\u00f1ola\tI")])
+def test_every_renderer_writes_well_formed_xml(odd, shown):
+    spec = FigureSpec(title=odd)
+    cmp = rank_items([odd, "B", "C"], [3.0, 2.0, 1.0], [1.0, 3.0, 2.0], odd, "ef")
+    for svg in (render_slopegraph(cmp, spec), render_cardinal_plot(cmp, spec, 3),
+                render_histogram([0.1, 0.5, 0.9], 3, spec),
+                render_ratio_plot(ratio_analysis([2.0, 1.0, 3.0], [1.0, 1.0, 1.0],
+                                                 [odd, "B", "C"]), spec)):
+        root = ElementTree.fromstring(svg)
+        # the title, and the label or column header where the figure shows one
+        assert shown in {element.text for element in root.iter()}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: rank_items(["A", "B"], [1.0], [1.0, 2.0]),
+     ValueError, "labels and score arrays must have equal lengths"),
+    (lambda: rank_items(["A"], [1.0], [1.0]),
+     DegenerateDataError, "rank comparison needs at least two items"),
+    (lambda: render_slopegraph(RankComparison((), [], [], []), FigureSpec()),
+     ValueError, "cannot render an empty comparison"),
+    (lambda: render_ratio_plot(RatioAnalysis((), [], [], 0.0, 0.0, 0.0), FigureSpec()),
+     ValueError, "cannot render an empty ratio series")])
+def test_rank_items_and_renderers_reject_unusable_input(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

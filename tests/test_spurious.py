@@ -6,7 +6,7 @@ import pytest
 from eigenrank import (DistributionSpec, UndefinedCorrelationError, lognormal_from_cv,
                        logistic_map_correlation, simulate_journal_sizes,
                        simulate_ossuary, simulate_yule_products, spec_from_cv)
-from eigenrank.spurious import format_summary, write_simulation_csv
+from eigenrank.spurious import SimulationResult, format_summary, write_simulation_csv
 from eigenrank.stats import pearson_r
 from helpers import log_variance_share
 
@@ -82,6 +82,27 @@ def test_ossuary_unequal_cvs_match_small_cv_approximation():
     result = simulate_ossuary(lognormal_from_cv(vf), lognormal_from_cv(vt),
                               lognormal_from_cv(vh), n_bones=1000, trials=200, seed=5)
     assert result.mean_rho == pytest.approx(expected, abs=0.03)
+
+
+_SPEC = lognormal_from_cv(0.1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: spec_from_cv("cauchy", 0.1), "unknown distribution family 'cauchy'"),
+    (lambda: SimulationResult(trials=2, rho=[0.1], mean_rho=0.1, sd_rho=0.0, seed=0),
+     "per-trial rho length must equal trials"),
+    (lambda: SimulationResult(trials=1, rho=[0.1], mean_rho=1.5, sd_rho=0.0, seed=0),
+     "mean_rho out of [-1, 1]"),
+    (lambda: simulate_ossuary(_SPEC, _SPEC, _SPEC, n_bones=100, trials=0, seed=0),
+     "trials must be at least 1"),
+    (lambda: simulate_yule_products(_SPEC, _SPEC, _SPEC, n=100, trials=1, seed=-1),
+     "seed must be a nonnegative integer"),
+    (lambda: logistic_map_correlation(4.0, 0.2, 1000, burn_in=-1),
+     "burn_in must be nonnegative")])
+def test_simulation_arguments_are_checked(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_ossuary_rejects_tiny_samples():

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import log_ndtr
 from scipy.stats import rankdata
 
-from eigenrank import (DegenerateDataError, DomainError, PairedObservations,
+from eigenrank import (CorrelationResult, DegenerateDataError, DomainError, PairedObservations,
                        UndefinedCorrelationError, bigmac_fixture,
                        coefficient_of_variation, log_pearson, mann_whitney_u, pearson,
                        pearson_r, per_field_correlations, ratio_analysis, spearman,
@@ -378,3 +378,18 @@ def test_correlations_csv_layout():
     assert lines[1].startswith("medicine,3,")
     assert lines[2].startswith("(pooled),3,")
     assert lines[1].endswith("pearson,false")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CorrelationResult(rho=1.5, n=3, kind="pearson"), "rho out of range: 1.5"),
+    (lambda: CorrelationResult(rho=0.5, n=1, kind="spearman"), "correlation needs n >= 2"),
+    (lambda: pearson_r([1.0, 2.0], [1.0, 2.0, 3.0]), "x and y must be 1-D arrays of equal length"),
+    (lambda: pearson_r([[1.0, 2.0]], [[1.0, 2.0]]), "x and y must be 1-D arrays of equal length"),
+    (lambda: mann_whitney_u([], [1.0, 2.0]), "both groups need at least one observation"),
+    (lambda: mann_whitney_u([1.0], []), "both groups need at least one observation"),
+    (lambda: ratio_analysis([1.0, 2.0], [1.0, 2.0], ["A"]),
+     "numerator, denominator and labels must have equal lengths")])
+def test_statistics_reject_malformed_arguments(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
