@@ -1,4 +1,5 @@
-"""Small internal helpers, including the one CSV dialect every file shares.
+"""Small internal helpers, including the one rule for stored arrays
+(``column``) and the one CSV dialect every file shares.
 
 Every CSV this package writes has a header row, ``\\n`` line ends and
 quoting only where a cell needs it; every CSV it reads goes through
@@ -15,14 +16,43 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .errors import CsvFormatError
+from .errors import CsvFormatError, ValidationError
 
 
-def readonly(values, dtype=float) -> np.ndarray:
-    """Copy ``values`` into a read-only 1-D array (immutability guard)."""
-    arr = np.array(values, dtype=dtype).reshape(-1)
-    arr.setflags(write=False)
-    return arr
+def column(values, dtype, name: str = "", row: str = "") -> np.ndarray:
+    """``values`` as a read-only one-dimensional array of ``dtype`` (float or
+    int64): a one-dimensional array of ``dtype`` is the array itself, made
+    read-only in place, and anything else is converted once.  For int64, a
+    value that is not an integer (a float or a bool included) raises
+    ValidationError naming the column ``name``; one outside int64 names its
+    ``row`` and position too."""
+    if not (isinstance(values, np.ndarray) and values.dtype == dtype and values.ndim == 1):
+        values = (_int64_cells(values, name, row) if dtype == np.int64
+                  else np.array(values, dtype=dtype).reshape(-1))
+    values.setflags(write=False)
+    return values
+
+
+def set_fields(obj, **fields) -> None:
+    """Set fields of the frozen dataclass ``obj`` from its own (post-)init."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+
+
+def _int64_cells(values, name: str, row: str) -> np.ndarray:
+    cells = (values.tolist() if isinstance(values, np.ndarray)
+             else values if isinstance(values, (list, tuple)) else list(values))
+    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, cells))):
+        odd = next(c for c in cells if not isinstance(c, (int, np.integer)) or isinstance(c, bool))
+        raise ValidationError(f"{name} must hold integers, got {odd!r}")
+    converted = np.array(cells) if cells else np.empty(0, dtype=np.int64)
+    if converted.dtype != np.int64:  # numpy holds a cell past int64 in another dtype
+        for i, cell in enumerate(cells):
+            if not -2**63 <= cell < 2**63:
+                raise ValidationError(f"{row} {i}: {out_of_range(name, cell)}")
+        # from Python ints: numpy holds uint64 cells mixed with signed ones as float64
+        converted = np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
+    return converted
 
 
 def write_text(path, text: str) -> None:
@@ -38,10 +68,6 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     w.writerow(header)
     w.writerows(rows)
     return out.getvalue()
-
-
-def fits_int64(value: int) -> bool:
-    return -2**63 <= value < 2**63
 
 
 def out_of_range(name: str, value: int) -> str:
@@ -127,7 +153,7 @@ class CsvRows:
         value = _number(int, text)
         if value is None:
             raise self.error(f"malformed {name} {text!r}")
-        if not fits_int64(value):
+        if not -2**63 <= value < 2**63:
             raise self.error(out_of_range(name, value))
         if minimum is not None and value < minimum:
             raise self.error(f"{name} must be >= {minimum}, got {value}")

@@ -22,8 +22,7 @@ from typing import Callable, Collection, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from ._util import (CsvRows, csv_reader, csv_text, fits_int64, out_of_range, read_text, readonly,
-                    text_chunks)
+from ._util import CsvRows, column, csv_reader, csv_text, read_text, set_fields, text_chunks
 from .errors import ValidationError
 
 JOURNALS_HEADER = ("journal_id", "name", "fields", "year", "articles")
@@ -70,29 +69,6 @@ def _check_ids(ids: tuple[str, ...]) -> None:
         raise ValidationError(f"duplicate journal id {repeated!r}")
 
 
-def _int64_column(name: str, values, row: str) -> np.ndarray:
-    """``values`` as a one-dimensional int64 array, the array itself where it
-    is one already.  A value that is not an integer (a float or a bool
-    included) raises ValidationError naming the column; one outside int64
-    names its ``row`` and position too."""
-    if isinstance(values, np.ndarray):
-        if values.dtype == np.int64 and values.ndim == 1:
-            return values
-        cells = values.tolist()
-    else:
-        cells = values if isinstance(values, (list, tuple)) else list(values)
-    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, cells))):
-        odd = next(c for c in cells if not isinstance(c, (int, np.integer)) or isinstance(c, bool))
-        raise ValidationError(f"{name} must hold integers, got {odd!r}")
-    column = np.array(cells) if cells else np.empty(0, dtype=np.int64)
-    if column.dtype != np.int64:  # numpy holds a cell past int64 in another dtype
-        for i, cell in enumerate(cells):
-            if not fits_int64(cell):
-                raise ValidationError(f"{row} {i}: {out_of_range(name, cell)}")
-        column = column.astype(np.int64)
-    return column
-
-
 def _check_codes(name: str, codes: np.ndarray, n: int, row: str) -> None:
     """A ValidationError unless every one of the int64 ``codes`` is a
     position in ``n`` ids."""
@@ -100,14 +76,6 @@ def _check_codes(name: str, codes: np.ndarray, n: int, row: str) -> None:
         i = int(np.flatnonzero((codes < 0) | (codes >= n))[0])
         raise ValidationError(f"{row} {i}: {name} code {codes[i]} is not a position "
                               f"in the {n} journal ids")
-
-
-def _freeze(obj, **attributes) -> None:
-    """Set the attributes of a frozen dataclass, arrays made read-only in place."""
-    for name, value in attributes.items():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        object.__setattr__(obj, name, value)
 
 
 _TABLE_ROWS = ("journal", "year", "articles")
@@ -147,7 +115,7 @@ class JournalTable:
         _check_ids(ids)
         for jid, name, labels in zip(ids, names, fields):
             _check_journal(jid, name, labels)
-        rows = [_int64_column(name, values, "row")
+        rows = [column(values, np.int64, name, "row")
                 for name, values in zip(_TABLE_ROWS, (journal, year, articles))]
         if len({len(values) for values in rows}) > 1:
             raise ValidationError("journal, year and articles must have equal lengths")
@@ -158,7 +126,8 @@ class JournalTable:
             raise ValidationError(f"journal {ids[journal[negative[0]]]!r} has a negative "
                                   "article count")
         order = np.lexsort((year, journal))
-        journal, year, articles = journal[order], year[order], articles[order]
+        if (order[1:] < order[:-1]).any():  # rows handed over in order are kept as they are
+            journal, year, articles = (column(values[order], np.int64) for values in rows)
         repeated = np.flatnonzero((np.diff(journal) == 0) & (np.diff(year) == 0))
         if repeated.size:
             i = repeated[0]
@@ -168,12 +137,12 @@ class JournalTable:
             for label in journal_labels:
                 by_label.setdefault(label, []).append(j)
         labels = tuple(sorted(by_label))
-        _freeze(self, ids=ids, names=names, journal=journal, year=year, articles=articles,
-                labels=labels,
-                offsets=np.cumsum([0] + [len(by_label[label]) for label in labels],
-                                  dtype=np.int64),
-                members=np.fromiter(itertools.chain.from_iterable(map(by_label.get, labels)),
-                                    dtype=np.int64))
+        set_fields(self, ids=ids, names=names, journal=journal, year=year, articles=articles,
+                   labels=labels,
+                   offsets=column(np.cumsum([0] + [len(by_label[label]) for label in labels]),
+                                  np.int64),
+                   members=column(np.fromiter(itertools.chain.from_iterable(
+                       map(by_label.get, labels)), dtype=np.int64), np.int64))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -237,8 +206,7 @@ def _int64_sums(groups: np.ndarray, values: np.ndarray, n: int,
         for group in sorted(exact):
             if exact[group] >= 2**63:
                 raise ValidationError(overflow(group, exact[group]))
-    sums.setflags(write=False)
-    return sums
+    return column(sums, np.int64)
 
 
 @dataclass(frozen=True)
@@ -276,7 +244,7 @@ class CitationLedger:
     def __init__(self, ids: Iterable[str], citing, cited, citing_year, cited_year, count):
         ids = tuple(ids)
         _check_ids(ids)
-        columns = [_int64_column(name, values, "record") for name, values
+        columns = [column(values, np.int64, name, "record") for name, values
                    in zip(_LEDGER_COLUMNS, (citing, cited, citing_year, cited_year, count))]
         if len({len(values) for values in columns}) > 1:
             raise ValidationError(", ".join(_LEDGER_COLUMNS) + " must have equal lengths")
@@ -286,7 +254,7 @@ class CitationLedger:
         bad = np.flatnonzero(count <= 0)
         if bad.size:
             raise ValidationError(f"citation count must be positive, got {count[bad[0]]}")
-        _freeze(self, ids=ids, **dict(zip(_LEDGER_COLUMNS, columns)))
+        set_fields(self, ids=ids, **dict(zip(_LEDGER_COLUMNS, columns)))
 
     def __len__(self) -> int:
         return len(self.count)
@@ -360,9 +328,9 @@ class CitationMatrix:
 
     Entry ``k`` says that journal ``col[k]`` gave ``value[k]`` citations in
     the census year to articles journal ``row[k]`` published during the
-    window before it.  ``row`` and ``col`` index ``ids``; each position
-    appears once, entries are sorted by column, then row, and zeros are
-    absent.  ``matrix @ x`` is the matrix-vector product.
+    window before it.  ``row`` and ``col`` are int64 positions in ``ids``;
+    each position appears once, entries are sorted by column, then row, and
+    zeros are absent.  ``matrix @ x`` is the matrix-vector product.
     """
 
     ids: tuple[str, ...]
@@ -372,9 +340,8 @@ class CitationMatrix:
     self_cites_excluded: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "row", readonly(self.row, dtype=np.intp))
-        object.__setattr__(self, "col", readonly(self.col, dtype=np.intp))
-        object.__setattr__(self, "value", readonly(self.value))
+        set_fields(self, row=column(self.row, np.int64, "row", "entry"),
+                   col=column(self.col, np.int64, "col", "entry"), value=column(self.value, float))
         n = len(self.ids)
         if not len(self.row) == len(self.col) == len(self.value):
             raise ValidationError("row, col and value must have equal lengths")
@@ -407,9 +374,8 @@ class PairedObservations:
     y_name: str = "y"
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "x", readonly(self.x))
-        object.__setattr__(self, "y", readonly(self.y))
+        set_fields(self, labels=tuple(self.labels), x=column(self.x, float),
+                   y=column(self.y, float))
         if not (len(self.labels) == len(self.x) == len(self.y)):
             raise ValidationError("labels, x and y must have equal lengths")
         if len(set(self.labels)) != len(self.labels):

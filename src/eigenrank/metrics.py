@@ -18,7 +18,7 @@ from typing import TextIO
 
 import numpy as np
 
-from ._util import csv_reader, csv_text, readonly
+from ._util import column, csv_reader, csv_text, set_fields
 from .corpus import CitationLedger, CitationMatrix, JournalTable, _int64_sums, build_citation_matrix
 from .errors import ConvergenceError, DegenerateDataError, InconsistencyError
 
@@ -85,12 +85,11 @@ class MetricScores:
     n2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "journal_ids", tuple(self.journal_ids))
-        n = len(self.journal_ids)
-        for name in SCORES_HEADER[1:]:
-            dtype = float if name in SCORES_HEADER[1:4] else np.int64
-            object.__setattr__(self, name, readonly(getattr(self, name), dtype=dtype))
-            if len(getattr(self, name)) != n:
+        columns = {name: column(getattr(self, name), dtype, name, "journal") for name, dtype
+                   in zip(SCORES_HEADER[1:], (float,) * 3 + (np.int64,) * 3)}
+        set_fields(self, journal_ids=tuple(self.journal_ids), **columns)
+        for name, values in columns.items():
+            if len(values) != len(self.journal_ids):
                 raise ValueError(f"{name} has wrong length")
         if self.census_year is None:
             return
@@ -140,7 +139,7 @@ def article_vector(table: JournalTable, census_year: int, window: int) -> np.nda
     if total <= 0:
         raise DegenerateDataError(
             f"no journal published any article in [{census_year - window}, {census_year - 1}]")
-    return readonly(counts / total)
+    return column(counts / total, float)
 
 
 def normalize_columns(z: CitationMatrix) -> tuple[CitationMatrix, np.ndarray]:
@@ -194,8 +193,7 @@ def power_iterate(h: CitationMatrix, dangling: np.ndarray, a: np.ndarray,
         if residual <= tol:
             report = SolverReport(iteration, residual, alpha, tol,
                                   int(len(dangling)), tuple(residuals))
-            pi.setflags(write=False)
-            return pi, report
+            return column(pi, float), report
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (residual {residuals[-1]:.3e})",
         residual=residuals[-1])
@@ -210,7 +208,7 @@ def eigenfactor_scores(h: CitationMatrix, pi: np.ndarray) -> np.ndarray:
     total = s.sum()
     if total <= 0:
         raise DegenerateDataError("corpus has no in-window citations at all")
-    return readonly(100.0 * s / total)
+    return column(100.0 * s / total, float)
 
 
 def article_influence(ef: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -231,7 +229,7 @@ def article_influence(ef: np.ndarray, a: np.ndarray) -> np.ndarray:
     ai = np.full(len(ef), np.nan)
     pos = a > 0
     ai[pos] = 0.01 * ef[pos] / a[pos]
-    return readonly(ai)
+    return column(ai, float)
 
 
 def impact_factor(ledger: CitationLedger, table: JournalTable, census_year: int,
@@ -248,7 +246,7 @@ def impact_factor(ledger: CitationLedger, table: JournalTable, census_year: int,
     result = np.full(len(table), np.nan)
     has_articles = n2 > 0
     result[has_articles] = cites[has_articles] / n2[has_articles]
-    return readonly(result)
+    return column(result, float)
 
 
 def total_citations(ledger: CitationLedger, table: JournalTable, census_year: int,
@@ -286,8 +284,8 @@ def decomposition_check(scores: MetricScores) -> DecompositionReport:
                         - np.log(scores.impact_factor[usable] * scores.n5[usable]))
     res_vals = residual[usable]
     res_spread = float(res_vals.max() - res_vals.min()) if usable.any() else float("nan")
-    return DecompositionReport(scores.journal_ids, readonly(scale), spread,
-                               readonly(residual), res_spread)
+    return DecompositionReport(scores.journal_ids, column(scale, float), spread,
+                               column(residual, float), res_spread)
 
 
 def compute_metrics(table: JournalTable, ledger: CitationLedger, census_year: int, *,

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._util import readonly
+from ._util import column, set_fields
 from .errors import DegenerateDataError
 from .metrics import resolve_metric
 from .stats import RatioAnalysis
@@ -46,10 +46,9 @@ class RankComparison:
     excluded: tuple[str, ...] = ()  # items dropped for undefined metrics
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        for name, dtype in (("score_left", float), ("score_right", float),
-                            ("rank_right", np.int64)):
-            object.__setattr__(self, name, readonly(getattr(self, name), dtype=dtype))
+        set_fields(self, labels=tuple(self.labels), score_left=column(self.score_left, float),
+                   score_right=column(self.score_right, float),
+                   rank_right=column(self.rank_right, np.int64, "rank_right", "row"))
         n = len(self.labels)
         if not len(self.score_left) == len(self.score_right) == len(self.rank_right) == n:
             raise ValueError("rank comparison columns must have equal lengths")

@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._util import csv_text, readonly
+from ._util import column, csv_text, set_fields
 from .errors import UndefinedCorrelationError
 from .stats import pearson_r
 
@@ -107,7 +107,7 @@ class SimulationResult:
     params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", readonly(self.rho))
+        set_fields(self, rho=column(self.rho, float))
         if len(self.rho) != self.trials:
             raise ValueError("per-trial rho length must equal trials")
         if not -1.0 <= self.mean_rho <= 1.0:

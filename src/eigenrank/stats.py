@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import csv_text, readonly
+from ._util import column, csv_text
 from .corpus import JournalTable, PairedObservations
 from .errors import (DegenerateDataError, DomainError, UndefinedCorrelationError)
 
@@ -238,6 +238,8 @@ def coefficient_of_variation(xs) -> float:
     xs = np.asarray(xs, dtype=float)
     if len(xs) < 2:
         raise DomainError("coefficient of variation needs at least two values")
+    if not np.isfinite(xs).all():
+        raise DomainError("coefficient of variation needs finite values")
     mean = float(xs.mean())
     if mean <= 0:
         raise DomainError(f"coefficient of variation undefined for mean {mean!r}")
@@ -249,6 +251,8 @@ def ratio_analysis(numerator, denominator, labels) -> RatioAnalysis:
 
     Items whose denominator is not strictly positive (or where either side
     is NaN) are excluded and reported rather than failing the whole series.
+    A median ratio of 0 (as when most numerators are 0) leaves nothing to
+    normalize by and raises DegenerateDataError.
     """
     num = np.asarray(numerator, dtype=float)
     den = np.asarray(denominator, dtype=float)
@@ -265,13 +269,16 @@ def ratio_analysis(numerator, denominator, labels) -> RatioAnalysis:
     ratios = ratios[order]
     kept_labels = kept_labels[order]
     median = float(np.median(ratios))
+    if median == 0:
+        raise DegenerateDataError(f"the median ratio is 0 ({int((ratios == 0).sum())} of "
+                                  f"{len(ratios)} ratios are 0), so it cannot normalize them")
     mean = float(ratios.mean())
     std = float(ratios.std(ddof=1)) if len(ratios) > 1 else 0.0
     cv = std / mean if mean > 0 else float("nan")
     return RatioAnalysis(
         labels=tuple(kept_labels),
-        raw_ratios=readonly(ratios),
-        normalized=readonly(ratios / median),
+        raw_ratios=column(ratios, float),
+        normalized=column(ratios / median, float),
         mean=mean, std_dev=std, cv=cv, excluded=excluded)
 
 
@@ -283,6 +290,8 @@ def tercile_median_ratio(xs) -> float:
     xs = np.asarray(xs, dtype=float)
     if len(xs) < 3:
         raise DomainError("tercile ratio needs at least three values")
+    if not np.isfinite(xs).all():
+        raise DomainError("tercile ratio needs finite values")
     if (xs <= 0).any():
         raise DomainError("tercile ratio requires strictly positive values")
     ordered = np.sort(xs)[::-1]

@@ -486,6 +486,21 @@ def test_ratio_usage_errors_write_nothing(capsys):
     assert not Path("ratio.csv").exists() and not Path("utest.txt").exists()
 
 
+def test_ratio_with_a_zero_median_is_a_numerical_error_and_writes_nothing(capsys):
+    # three of four journals have EF 0, so the median EF/TC ratio is 0
+    Path("scores.csv").write_text("journal_id,ef,ai,impact_factor,total_citations,n5,n2\n"
+                                  "A,100.000000,1.000000,1.000000,5,10,4\n"
+                                  "B,0.000000,,,3,0,0\nC,0.000000,,,2,0,0\nD,0.000000,,,1,0,0\n")
+    for args, out in ((["ratio", "--scores", "scores.csv", "--out", "ratio.csv"], "ratio.csv"),
+                      (["plot", "ratio", "--scores", "scores.csv", "--out", "r.svg"], "r.svg")):
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the median ratio is 0 (3 of 4 ratios are 0), "
+                                "so it cannot normalize them\n")
+        assert not Path(out).exists()
+
+
 def test_empty_histogram_input_is_a_data_error(capsys):
     Path("empty.csv").write_text("trial,rho\n0,\n")
     Path("nan.csv").write_text("trial,rho\n0,0.5\n1,nan\n")

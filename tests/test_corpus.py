@@ -10,12 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from eigenrank import _util, corpus
 from eigenrank import (CitationLedger, CitationMatrix, CsvFormatError, JournalTable,
-                       PairedObservations, ValidationError, bigmac_csv, bigmac_fixture,
-                       build_citation_matrix, impact_factor, parse_citation_edges,
-                       parse_journal_metadata, total_citations, write_citation_edges,
-                       write_journal_metadata)
+                       MetricScores, PairedObservations, RankComparison, SimulationResult,
+                       ValidationError, bigmac_csv, bigmac_fixture, build_citation_matrix,
+                       compute_metrics, decomposition_check, impact_factor, normalize_columns,
+                       parse_citation_edges, parse_journal_metadata, ratio_analysis,
+                       total_citations, write_citation_edges, write_journal_metadata)
 from eigenrank.cli import _parse_file
 from eigenrank.corpus import CitationRecord
+from eigenrank.metrics import SCORES_HEADER
 from helpers import citation_ledger, journal_table, random_corpus, reference_journals
 
 JOURNALS_HEADER = "journal_id,name,fields,year,articles\n"
@@ -210,23 +212,62 @@ def test_record_built_ledger_round_trips_and_matches_parsed_columns():
         getattr(ledger, name) for name in ("citing_year", "cited_year", "count")))
 
 
-def test_ledger_columns_are_read_only():
-    # int64 arrays are stored as they are, made read-only in place: the parsers
-    # hand a paper-scale ledger over without a copy
-    columns = [np.array([value]) for value in (0, 1, 2006, 2005, 2)]
-    handed_over = CitationLedger(("A", "B"), *columns)
-    assert all(stored is given for stored, given in zip(
-        (handed_over.citing, handed_over.cited, handed_over.citing_year,
-         handed_over.cited_year, handed_over.count), columns))
-    for ledger in (handed_over, citation_ledger([("A", "B", 2006, 2005, 2)]),
-                   parse_citation_edges(CITATIONS_HEADER + "A,B,2006,2005,2\n")):
-        for column in (ledger.citing, ledger.cited, ledger.citing_year, ledger.cited_year,
-                       ledger.count):
+# each type with the columns of a small valid instance: int columns are
+# stored as int64, the others as float64
+STORED_COLUMNS = {
+    "JournalTable": (lambda **c: JournalTable(("A", "B"), ("Alpha", "Beta"), ((), ()), **c),
+                     dict(journal=[0, 1], year=[2005, 2005], articles=[1, 2])),
+    "CitationLedger": (lambda **c: CitationLedger(("A", "B"), **c),
+                       dict(citing=[0], cited=[1], citing_year=[2006], cited_year=[2005],
+                            count=[2])),
+    "CitationMatrix": (lambda **c: CitationMatrix(("A", "B"), **c, self_cites_excluded=True),
+                       dict(row=[1], col=[0], value=[2.0])),
+    "PairedObservations": (lambda **c: PairedObservations(("a", "b"), **c),
+                           dict(x=[1.0, 2.0], y=[3.0, 4.0])),
+    "MetricScores": (lambda **c: MetricScores(None, ("A", "B"), **c),
+                     dict(ef=[60.0, 40.0], ai=[1.5, 0.5], impact_factor=[2.0, 1.0],
+                          total_citations=[3, 2], n5=[4, 8], n2=[2, 1])),
+    "RankComparison": (lambda **c: RankComparison(("a", "b"), **c),
+                       dict(score_left=[2.0, 1.0], score_right=[1.0, 2.0], rank_right=[2, 1])),
+    "SimulationResult": (lambda **c: SimulationResult(2, **c, mean_rho=0.5, sd_rho=0.1, seed=0),
+                         dict(rho=[0.4, 0.6])),
+}
+
+
+@pytest.mark.parametrize("build, columns", STORED_COLUMNS.values(), ids=STORED_COLUMNS)
+def test_stored_columns_are_read_only(build, columns):
+    # an array of the stored dtype is stored as it is, made read-only in place
+    # (the parsers hand a paper-scale ledger over without a copy); anything
+    # else is converted once
+    arrays = {name: np.array(values) for name, values in columns.items()}
+    assert {a.dtype for a in arrays.values()} <= {np.dtype(np.int64), np.dtype(float)}
+    handed_over, converted = build(**arrays), build(**columns)
+    for name, given in arrays.items():
+        assert getattr(handed_over, name) is given and not given.flags.writeable
+        stored = getattr(converted, name)
+        assert stored.dtype == given.dtype and stored.tolist() == columns[name]
+        for values in (given, stored):
             with pytest.raises(ValueError, match="read-only"):
-                column[0] = 5
-        with pytest.raises(AttributeError):
-            ledger.count = ledger.count.copy()
-        assert ledger.count.tolist() == [2]
+                values[0] = 5
+    with pytest.raises(AttributeError):
+        setattr(converted, name, stored.copy())
+
+
+def test_parsed_and_computed_columns_are_read_only():
+    table = parse_journal_metadata(JOURNALS_HEADER + "A,Alpha,,2005,10\nB,Beta,,2005,3\n")
+    ledger = parse_citation_edges(CITATIONS_HEADER + "A,B,2006,2005,2\nB,A,2006,2005,1\n")
+    scores, _ = compute_metrics(table, ledger, 2006)
+    z = build_citation_matrix(ledger, table, 2006, 5, exclude_self=True)
+    h, _ = normalize_columns(z)
+    assert h.row is z.row and h.col is z.col  # the normalized matrix shares its triplets
+    columns = [getattr(table, name) for name in ("journal", "year", "articles", "offsets",
+                                                 "members")]
+    columns += [getattr(ledger, name) for name in corpus._LEDGER_COLUMNS]
+    columns += [getattr(scores, name) for name in SCORES_HEADER[1:]]
+    columns += [h.row, h.col, h.value, decomposition_check(scores).scale,
+                ratio_analysis(scores.ef, scores.total_citations, scores.journal_ids).normalized]
+    for values in columns:
+        assert isinstance(values, np.ndarray) and not values.flags.writeable
 
 
 def test_validate_rejects_unknown_ids_and_flags_noisy_records():
@@ -376,9 +417,24 @@ def _ledger(ids=("A", "B"), citing=(0,), cited=(1,), citing_year=(2006,), cited_
     return CitationLedger(ids, citing, cited, citing_year, cited_year, count)
 
 
+def _matrix(row=(1,), col=(0,), value=(2.0,)):
+    return CitationMatrix(("A", "B"), row, col, value, self_cites_excluded=False)
+
+
+def _scores(**columns):
+    return MetricScores(None, ("A",), **{**dict(ef=(1.0,), ai=(1.0,), impact_factor=(1.0,),
+                                                total_citations=(1,), n5=(1,), n2=(1,)),
+                                         **columns})
+
+
+def _ranks(rank_right=(1, 2)):
+    return RankComparison(("a", "b"), (2.0, 1.0), (2.0, 1.0), rank_right)
+
+
 def test_table_invariants_rejected():
     assert _table() == journal_table([("A", "Alpha", (), {2005: 1})])
     assert len(_ledger()) == 1
+    assert (len(_matrix().row), len(_scores()), len(_ranks())) == (1, 1, 2)
     for build, columns, message in (
             (_table, dict(ids=("A", "A"), names=("a", "b"), fields=((), ())), "duplicate"),
             (_table, dict(articles=(-1,)), "^journal 'A' has a negative article count$"),
@@ -397,6 +453,18 @@ def test_table_invariants_rejected():
             (_table, dict(year=np.array([2005.0])), "^year must hold integers"),
             (_table, dict(journal=("0",)), "^journal must hold integers, got '0'$"),
             (_table, dict(journal=np.zeros((1, 1), dtype=np.int64)), "^journal must hold integers"),
+            (_matrix, dict(row=(1.7,)), "^row must hold integers, got 1.7$"),
+            (_matrix, dict(row=(True,)), "^row must hold integers, got True$"),
+            (_matrix, dict(col=np.array([0.0])), "^col must hold integers"),
+            (_scores, dict(total_citations=(2.9,)),
+             "^total_citations must hold integers, got 2.9$"),
+            (_scores, dict(n5=(True,)), "^n5 must hold integers, got True$"),
+            (_ranks, dict(rank_right=(2.5, 1.2)), "^rank_right must hold integers, got 2.5$"),
+            # a count past int64, not an OverflowError
+            (_ledger, dict(count=(2**64,)), f"^record 0: count {2**64} out of range"),
+            (_scores, dict(total_citations=(2**64,)),
+             f"^journal 0: total_citations {2**64} out of range"),
+            (_matrix, dict(row=(2**64,)), f"^entry 0: row {2**64} out of range"),
             # codes outside ids, repeated ids, unequal lengths, repeated rows
             (_ledger, dict(cited=(5,)), "^record 0: cited code 5 is not a position in the 2 "),
             (_ledger, dict(citing=(-1,)), "^record 0: citing code -1 is not a position"),
@@ -430,6 +498,9 @@ def test_table_invariants_rejected():
     ledger = _ledger(count=[np.uint64(2**63 - 1)], cited_year=[np.uint64(2005)])
     assert ledger.count.dtype == ledger.cited_year.dtype == np.int64
     assert (ledger.count.tolist(), ledger.cited_year.tolist()) == ([2**63 - 1], [2005])
+    # mixed with signed cells, which numpy would hold together as float64
+    table = _table(journal=(0, 0), year=[np.uint64(2**63 - 1), -1], articles=(1, 1))
+    assert table.year.tolist() == [-1, 2**63 - 1]
 
 
 @pytest.mark.parametrize("window, counted", [(5, (2001, 2002, 2003, 2004, 2005)),

@@ -235,6 +235,13 @@ def test_cv_domain_errors():
         coefficient_of_variation([1.0])
 
 
+@pytest.mark.parametrize("xs", [[math.nan, 1.0, 2.0], [1.0, math.inf], [-math.inf, 1.0, 2.0]])
+def test_cv_rejects_non_finite_values(xs):
+    # not NaN, and no numpy warning on the way (warnings are errors here)
+    with pytest.raises(DomainError, match="^coefficient of variation needs finite values$"):
+        coefficient_of_variation(xs)
+
+
 def test_ratio_analysis_reproduces_real_wage_column():
     fixture = bigmac_fixture()
     ra = ratio_analysis(fixture.y, fixture.x, fixture.labels)
@@ -277,6 +284,15 @@ def test_ratio_analysis_excludes_and_reports_zero_denominators():
         ratio_analysis([1.0, 2.0], [0.0, 0.0], ["a", "b"])
 
 
+def test_ratio_analysis_zero_median_is_degenerate():
+    # three of four EF values 0: the median ratio is 0 and nothing can be normalized by it
+    with pytest.raises(DegenerateDataError, match=r"^the median ratio is 0 \(3 of 4 ratios"):
+        ratio_analysis([100.0, 0.0, 0.0, 0.0], [5.0, 3.0, 2.0, 1.0], list("ABCD"))
+    # a zero ratio short of the median is kept
+    ra = ratio_analysis([3.0, 1.0, 0.0], [1.0, 1.0, 1.0], list("abc"))
+    assert ra.normalized.tolist() == [3.0, 1.0, 0.0]
+
+
 def test_tercile_median_ratio_of_real_wages_is_about_five():
     fixture = bigmac_fixture()
     ratio = tercile_median_ratio(fixture.y / fixture.x)
@@ -294,6 +310,12 @@ def test_tercile_median_ratio_domain_errors():
         tercile_median_ratio([1.0, 2.0])
     with pytest.raises(DomainError):
         tercile_median_ratio([3.0, -1.0, 2.0])
+
+
+@pytest.mark.parametrize("xs", [[math.nan, 1.0, 2.0], [math.inf, 1.0, 2.0, 3.0]])
+def test_tercile_median_ratio_rejects_non_finite_values(xs):
+    with pytest.raises(DomainError, match="^tercile ratio needs finite values$"):
+        tercile_median_ratio(xs)
 
 
 # ---------------------------------------------------------------------------
