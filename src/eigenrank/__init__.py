@@ -24,7 +24,7 @@ from .spurious import (DistributionSpec, SimulationResult, lognormal_from_cv,
                        logistic_map_correlation, simulate_journal_sizes,
                        simulate_ossuary, simulate_yule_products, spec_from_cv)
 from .stats import (CorrelationResult, FieldCorrelations, RatioAnalysis, UTestResult,
-                    coefficient_of_variation, log_pearson, mann_whitney_u, pearson,
+                    coefficient_of_variation, mann_whitney_u, pearson,
                     pearson_r, per_field_correlations, ratio_analysis, spearman,
                     tercile_median_ratio)
 

@@ -319,7 +319,9 @@ class CitationLedger:
             keep &= (self.cited_year >= census_year - window) & (self.cited_year < census_year)
         if exclude_self:
             keep &= self.citing != self.cited
-        return positions[self.cited[keep]], positions[self.citing[keep]], self.count[keep]
+        rows = np.flatnonzero(keep)  # one index gathers each column faster than the mask
+        return (positions.take(self.cited.take(rows)), positions.take(self.citing.take(rows)),
+                self.count.take(rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -561,18 +563,21 @@ class _IdCodes:
 
     An id is read as little-endian uint64 words of 8 bytes, the bytes past
     its end masked to zero, which no id byte is, so equal ids have equal
-    words.  A one-word id is its own key, with the top bit clear (ASCII); a
-    longer id's key mixes its words and sets that bit, and since mixed keys
-    may collide, each such cell is checked against the words its key stands
-    for.  Keys are looked up in the sorted keys seen so far, so Python code
-    touches only ids not seen before.
+    words.  A one-word id is its own key, with the top bit clear (ASCII) and
+    a non-zero first byte; a longer id's key mixes its words and sets that
+    bit, and since mixed keys may collide, each such cell is checked against
+    the words its key stands for.  So no key is 0, which marks an empty slot
+    of the hash table: a power of two of slots, at most half full, probed
+    linearly from each key's multiplicative hash.  Every cell of a chunk
+    probes at once, one slot a round, so Python code touches only ids not
+    seen before.
     """
 
     def __init__(self):
         self.ids: list[str] = []
-        self._keys = np.empty(0, dtype=np.uint64)  # sorted
-        self._codes = np.empty(0, dtype=np.int64)  # the id code of each key
-        self._words = np.empty((0, _MAX_ID_WORDS), dtype=np.uint64)  # the words of each key
+        self._keys = np.zeros(1 << 10, dtype=np.uint64)  # each slot's key, 0 if empty
+        self._codes = np.full(len(self._keys), -1, dtype=np.int64)  # each slot's id code
+        self._words = np.empty((0, _MAX_ID_WORDS), dtype=np.uint64)  # each code's words
 
     def codes(self, text: str, padded: bytes, starts: np.ndarray,
               lengths: np.ndarray) -> np.ndarray | None:
@@ -590,34 +595,73 @@ class _IdCodes:
         if n_words > 1:
             mixed = np.bitwise_xor.reduce(words * _WORD_MIX[:n_words], axis=1) | _LONG_ID
             keys = np.where(words[:, 1:].any(axis=1), mixed, keys)
-        order = np.argsort(keys)  # sorted needles make the lookup cache-friendly
-        at = np.searchsorted(self._keys, keys[order])
-        known = at < len(self._keys)
-        known[known] = self._keys[at[known]] == keys[order[known]]
-        if not known.all():
-            unknown = np.sort(order[~known])
-            new_keys, first = np.unique(keys[unknown], return_index=True)
+        codes = self._codes[self._find(keys)]
+        unknown = np.flatnonzero(codes < 0)
+        if unknown.size:
+            new_keys, first, inverse = np.unique(keys[unknown], return_index=True,
+                                                 return_inverse=True)
             first = unknown[first]
             by_position = np.argsort(first)
             new_codes = np.empty(len(new_keys), dtype=np.int64)
             new_codes[by_position] = np.arange(len(self.ids), len(self.ids) + len(new_keys))
-            self.ids.extend(text[i:i + n] for i, n in zip(starts[first[by_position]].tolist(),
-                                                          lengths[first[by_position]].tolist()))
-            new_words = np.zeros((len(new_keys), _MAX_ID_WORDS), dtype=np.uint64)
+            codes[unknown] = new_codes[inverse]
+            first = first[by_position]
+            self.ids.extend(text[i:i + n] for i, n in zip(starts[first].tolist(),
+                                                          lengths[first].tolist()))
+            new_words = np.zeros((len(first), _MAX_ID_WORDS), dtype=np.uint64)
             new_words[:, :n_words] = words[first]
-            at_new = np.searchsorted(self._keys, new_keys)
-            self._keys = np.insert(self._keys, at_new, new_keys)
-            self._codes = np.insert(self._codes, at_new, new_codes)
-            self._words = np.insert(self._words, at_new, new_words, axis=0)
-            at = np.searchsorted(self._keys, keys[order])
+            self._words = np.concatenate((self._words, new_words))
+            if 2 * len(self.ids) > len(self._keys):
+                self._grow()
+            self._insert(new_keys, new_codes)
         if n_words > 1:
-            known_words = self._words[at]
-            if not ((known_words[:, :n_words] == words[order]).all()
+            long = np.flatnonzero(keys & _LONG_ID)
+            known_words = self._words[codes[long]]
+            if not ((known_words[:, :n_words] == words[long]).all()
                     and not known_words[:, n_words:].any()):
                 return None
-        codes = np.empty(len(order), dtype=np.int64)
-        codes[order] = self._codes[at]
         return codes
+
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's first slot: the top bits of its product with an odd constant."""
+        shift = 64 - (len(self._keys).bit_length() - 1)
+        return ((keys * _WORD_MIX[1]) >> np.uint64(shift)).astype(np.intp)
+
+    def _find(self, keys: np.ndarray) -> np.ndarray:
+        """The slot holding each key, or the empty slot that ends its probe."""
+        mask = len(self._keys) - 1
+        slots = self._home(keys)
+        held = self._keys[slots]
+        probing = np.flatnonzero((held != keys) & (held != 0))
+        while probing.size:
+            slots[probing] = (slots[probing] + 1) & mask
+            held = self._keys[slots[probing]]
+            probing = probing[(held != keys[probing]) & (held != 0)]
+        return slots
+
+    def _insert(self, keys: np.ndarray, codes: np.ndarray) -> None:
+        """Store distinct keys that the table lacks, with their codes."""
+        while keys.size:
+            slots = self._find(keys)
+            # of the keys whose probes end at one empty slot, the first takes it
+            taken = np.unique(slots, return_index=True)[1]
+            self._keys[slots[taken]] = keys[taken]
+            self._codes[slots[taken]] = codes[taken]
+            rest = np.ones(len(keys), dtype=bool)
+            rest[taken] = False
+            keys, codes = keys[rest], codes[rest]
+
+    def _grow(self) -> None:
+        """Double the table until the ids fill at most half of it, then
+        store every key again."""
+        held = np.flatnonzero(self._codes >= 0)
+        keys, codes = self._keys[held], self._codes[held]
+        size = len(self._keys)
+        while 2 * len(self.ids) > size:
+            size *= 2
+        self._keys = np.zeros(size, dtype=np.uint64)
+        self._codes = np.full(size, -1, dtype=np.int64)
+        self._insert(keys, codes)
 
 
 def _decimal_cells(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:

@@ -328,11 +328,11 @@ def _fmt_score(v: float) -> str:
 
 def write_scores_csv(scores: MetricScores) -> str:
     """scores.csv text; undefined AI/IF become empty fields."""
-    return csv_text(SCORES_HEADER, (
-        [jid, _fmt_score(scores.ef[i]), _fmt_score(scores.ai[i]),
-         _fmt_score(scores.impact_factor[i]),
-         int(scores.total_citations[i]), int(scores.n5[i]), int(scores.n2[i])]
-        for i, jid in enumerate(scores.journal_ids)))
+    return csv_text(SCORES_HEADER, zip(
+        scores.journal_ids,
+        *(map(_fmt_score, values.tolist()) for values in (scores.ef, scores.ai,
+                                                         scores.impact_factor)),
+        scores.total_citations.tolist(), scores.n5.tolist(), scores.n2.tolist()))
 
 
 def read_scores_csv(source: str | TextIO) -> MetricScores:

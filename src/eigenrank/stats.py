@@ -135,15 +135,6 @@ def spearman(obs: PairedObservations) -> CorrelationResult:
     return CorrelationResult(rho, len(obs), "spearman")
 
 
-def log_pearson(obs: PairedObservations) -> CorrelationResult:
-    """Pearson of (log x, log y); requires strictly positive values."""
-    for label, xv, yv in zip(obs.labels, obs.x, obs.y):
-        if xv <= 0 or yv <= 0:
-            raise DomainError(f"nonpositive value for {label!r}; log correlation undefined")
-    rho = pearson_r(np.log(obs.x), np.log(obs.y))
-    return CorrelationResult(rho, len(obs), "pearson", log_transformed=True)
-
-
 # ---------------------------------------------------------------------------
 # Mann-Whitney U
 # ---------------------------------------------------------------------------
@@ -240,10 +231,14 @@ def coefficient_of_variation(xs) -> float:
         raise DomainError("coefficient of variation needs at least two values")
     if not np.isfinite(xs).all():
         raise DomainError("coefficient of variation needs finite values")
-    mean = float(xs.mean())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        mean, std = float(xs.mean()), float(xs.std(ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise DomainError("coefficient of variation overflows: the values' sum or variance "
+                          "is past the float range")
     if mean <= 0:
         raise DomainError(f"coefficient of variation undefined for mean {mean!r}")
-    return float(xs.std(ddof=1) / mean)
+    return std / mean
 
 
 def ratio_analysis(numerator, denominator, labels) -> RatioAnalysis:
@@ -252,7 +247,9 @@ def ratio_analysis(numerator, denominator, labels) -> RatioAnalysis:
     Items whose denominator is not strictly positive (or where either side
     is NaN) are excluded and reported rather than failing the whole series.
     A median ratio of 0 (as when most numerators are 0) leaves nothing to
-    normalize by and raises DegenerateDataError.
+    normalize by, and a negative one would reverse the order: both raise
+    DegenerateDataError.  A ratio, sum or variance past the float range
+    raises DomainError.
     """
     num = np.asarray(numerator, dtype=float)
     den = np.asarray(denominator, dtype=float)
@@ -264,21 +261,31 @@ def ratio_analysis(numerator, denominator, labels) -> RatioAnalysis:
     if not keep.any():
         raise DegenerateDataError("no item has a positive denominator")
     kept_labels = np.array([lbl for lbl, k in zip(labels, keep) if k], dtype=object)
-    ratios = num[keep] / den[keep]
+    with np.errstate(over="ignore"):  # an overflow is raised below
+        ratios = num[keep] / den[keep]
+    overflowed = np.flatnonzero(~np.isfinite(ratios))
+    if overflowed.size:
+        raise DomainError(f"the ratio for {kept_labels[overflowed[0]]!r} is past the float range")
     order = np.lexsort((kept_labels, -ratios))  # descending ratio, label breaks ties
     ratios = ratios[order]
     kept_labels = kept_labels[order]
     median = float(np.median(ratios))
-    if median == 0:
-        raise DegenerateDataError(f"the median ratio is 0 ({int((ratios == 0).sum())} of "
-                                  f"{len(ratios)} ratios are 0), so it cannot normalize them")
-    mean = float(ratios.mean())
-    std = float(ratios.std(ddof=1)) if len(ratios) > 1 else 0.0
+    if median <= 0:
+        held = (f"0 ({int((ratios == 0).sum())} of {len(ratios)} ratios are 0)" if median == 0
+                else f"{median!r}, below 0")
+        raise DegenerateDataError(f"the median ratio is {held}, so it cannot normalize them")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(ratios.mean())
+        std = float(ratios.std(ddof=1)) if len(ratios) > 1 else 0.0
+        normalized = ratios / median
+    if not (math.isfinite(mean) and math.isfinite(std) and np.isfinite(normalized).all()):
+        raise DomainError("the ratios' sum or variance, or a ratio over their median, "
+                          "is past the float range")
     cv = std / mean if mean > 0 else float("nan")
     return RatioAnalysis(
         labels=tuple(kept_labels),
         raw_ratios=column(ratios, float),
-        normalized=column(ratios / median, float),
+        normalized=column(normalized, float),
         mean=mean, std_dev=std, cv=cv, excluded=excluded)
 
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import re
 from pathlib import Path
 from unittest.mock import patch
@@ -622,6 +623,8 @@ def _citation_texts(draw):
 @given(text=_citation_texts(), chunk=st.sampled_from((1, 7, 30, _util._CHUNK_CHARS)))
 @example(text=CITATIONS_HEADER + "MocCRNN1fv%UylLw,|{}X9w6QsY)I3>(J,2006,2005,1\n",
          chunk=_util._CHUNK_CHARS)  # two 16-byte ids whose mixed uint64 keys are equal
+@example(text=CITATIONS_HEADER + "MocCRNN1fv%UylLw,A,2006,2005,1\nA,|{}X9w6QsY)I3>(J,2006,2005,1\n",
+         chunk=1)  # the same two ids, in two chunks
 def test_vectorised_reader_equals_row_loop(text, chunk):
     expected = _outcome(_row_loop, text)
     from_file = _outcome(_row_loop, _stream(text))
@@ -711,6 +714,65 @@ def test_plain_citations_skip_the_row_loop(monkeypatch):
     assert len(text) > 4 * _util._CHUNK_CHARS
     assert parse_citation_edges(text) == big
     assert parse_citation_edges(_stream(text)) == big
+
+
+def _id_chunk(interner, cells):
+    """The codes ``interner`` gives the id ``cells`` of one chunk."""
+    text = ",".join(cells) + "\n"
+    lengths = np.array([len(c) for c in cells], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(lengths[:-1] + 1)))
+    return interner.codes(text, (text + corpus._PAD).encode("ascii"), starts, lengths)
+
+
+def _last_slot_ids(interner, count):
+    """``count`` new one-word ids whose probe starts at the table's last slot."""
+    size, found = len(interner._keys), []
+    for block in itertools.count():
+        cells = [f"W{i}" for i in range(block * size, (block + 1) * size)]
+        keys = np.array([int.from_bytes(c.encode(), "little") for c in cells], dtype=np.uint64)
+        found += [cells[k] for k in np.flatnonzero(interner._home(keys) == size - 1)]
+        if len(found) >= count:
+            return found[:count]
+
+
+def test_id_interner_equals_first_seen_dict_across_doublings():
+    rng = np.random.default_rng(16)
+    interner, reference, sizes = corpus._IdCodes(), {}, set()
+
+    def feed(cells):
+        expected = [reference.setdefault(c, len(reference)) for c in cells]
+        assert _id_chunk(interner, cells).tolist() == expected
+        assert interner.ids[-len(cells):] == list(reference)[-len(cells):]
+        held = np.flatnonzero(interner._keys)
+        assert len(held) == len(reference) and 2 * len(held) <= len(interner._keys)
+        sizes.add(len(interner._keys))
+        return held
+
+    def feed_past_the_end():
+        ends = _last_slot_ids(interner, 3)
+        held = feed(ends)
+        # two of them probe past the table's end and are stored at its start
+        assert (held < interner._home(interner._keys[held])).sum() >= 2
+        feed(ends[::-1] + list(reference)[:5])  # found again by probes that wrap
+
+    feed_past_the_end()
+    # one-word ids, two-word ISSN-like ids and ids of up to 32 bytes
+    pool = [(f"J{i:05d}", f"{i // 7:04d}-{i % 7 * 1111:04d}", f"Journal-of-Long-Ids-{i:012d}",
+             f"Q{i}")[i % 4] for i in range(24_000)]
+    rng.shuffle(pool)
+    fed = 0
+    while fed < len(pool):
+        # up to 150 new ids a chunk, some twice, and repeats of ids seen before
+        new = pool[fed:fed + int(rng.integers(1, 150))]
+        cells = new + new[:3] + [pool[k] for k in rng.integers(0, fed + 1, 100)]
+        fed += len(new)
+        feed([cells[k] for k in rng.permutation(len(cells))])
+    feed_past_the_end()
+    assert sizes == {1 << k for k in range(10, 17)} and len(reference) == 24_006
+    assert interner.ids == list(reference)
+    # every id again, in one chunk, in another order
+    ids = list(reference)
+    feed([ids[k] for k in rng.permutation(len(ids))])
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from eigenrank import _util
 from eigenrank import (CitationLedger, ConvergenceError, CsvFormatError,
                        DegenerateDataError, InconsistencyError, JournalTable,
                        ValidationError, article_influence, article_vector,
                        build_citation_matrix, compute_metrics, decomposition_check,
                        impact_factor, normalize_columns, parse_citation_edges,
                        parse_journal_metadata, power_iterate, read_scores_csv,
-                       resolve_metric, total_citations, write_scores_csv)
+                       resolve_metric, total_citations, write_citation_edges,
+                       write_scores_csv)
 from eigenrank.metrics import MetricScores
 from helpers import (citation_ledger, dense_reference_scores, journal_table, ledger_rows,
                      random_corpus, reference_counts)
@@ -461,6 +464,34 @@ def test_scores_csv_round_trip_and_formatting():
     for name in ("total_citations", "n5", "n2"):
         assert reread.metric(name).dtype == np.int64
         assert np.array_equal(reread.metric(name), scores.metric(name))
+
+
+def _seeded_paper_like_corpus():
+    """About 2,000 journals and 10^5 citation rows, a tenth of the ids ISSN-like
+    (two words to the citations reader), drawn with numpy."""
+    rng = np.random.default_rng(2006)
+    n, rows = 2000, 100_000
+    ids = [f"{j:04d}-{j * 7 % 9973:04d}" if j % 10 == 3 else f"J{j:05d}" for j in range(n)]
+    articles = rng.integers(1, 300, (n, 7))
+    table = journal_table((jid, f"Journal {j}", {f"field-{j % 40:02d}"},
+                           dict(zip(range(2000, 2007), articles[j].tolist())))
+                          for j, jid in enumerate(ids))
+    # heavy-tailed journal sizes, and a mix of in-window, old, other-year and self rows
+    weight = rng.lognormal(0.0, 1.2, n)
+    citing = rng.choice(n, rows, p=weight / weight.sum())
+    cited = np.where(rng.random(rows) < 0.05, citing, rng.choice(n, rows, p=weight / weight.sum()))
+    citing_year = rng.choice([2004, 2005, 2006, 2006, 2006, 2006], rows)
+    cited_year = citing_year - rng.integers(-1, 9, rows)
+    ledger = CitationLedger(ids, citing, cited, citing_year, cited_year, rng.integers(1, 6, rows))
+    return table, write_citation_edges(ledger)
+
+
+def test_seeded_multi_chunk_corpus_scores_golden():
+    table, text = _seeded_paper_like_corpus()
+    assert len(text) > 4 * _util._CHUNK_CHARS  # several chunks of the citations reader
+    scores, _ = compute_metrics(table, parse_citation_edges(text), 2006)
+    digest = hashlib.sha256(write_scores_csv(scores).encode()).hexdigest()
+    assert digest == "1cebbae6cfcddf2daed8ef846d0b78b5d72c67891eb0a538c19845c1364d9651"
 
 
 def test_scores_csv_undefined_printed_empty():

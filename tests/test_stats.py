@@ -7,7 +7,7 @@ from scipy.stats import rankdata
 
 from eigenrank import (CorrelationResult, DegenerateDataError, DomainError, PairedObservations,
                        UndefinedCorrelationError, bigmac_fixture,
-                       coefficient_of_variation, log_pearson, mann_whitney_u, pearson,
+                       coefficient_of_variation, mann_whitney_u, pearson,
                        pearson_r, per_field_correlations, ratio_analysis, spearman,
                        tercile_median_ratio)
 from eigenrank.stats import (_log_normal_tail, format_utest_report, midranks,
@@ -21,7 +21,7 @@ def obs(x, y, labels=None):
 
 
 # ---------------------------------------------------------------------------
-# pearson / spearman / log-pearson
+# pearson / spearman / log correlations
 # ---------------------------------------------------------------------------
 
 def test_pearson_bigmac_is_099():
@@ -100,23 +100,31 @@ def test_midranks_equal_scipy_average_ranks_exactly():
         np.testing.assert_array_equal(got, expected)
 
 
-def test_log_pearson_power_law_is_exactly_linear():
+def _pooled_log_correlation(x, y):
+    """The pooled ``correlate --log`` value of two series, one field holding all."""
+    ids = tuple(f"item{i}" for i in range(len(x)))
+    table = journal_table((jid, jid, {"f"}, {2005: 1}) for jid in ids)
+    return per_field_correlations(score_table(ids, impact_factor=x, ai=y), table, "if", "ai",
+                                  log=True).pooled
+
+
+def test_log_correlation_power_law_is_exactly_linear():
     x = np.array([0.5, 1.0, 2.0, 4.0, 9.0])
-    result = log_pearson(obs(x, x ** 2))
+    result = _pooled_log_correlation(x, x ** 2)
     assert result.rho == pytest.approx(1.0)
     assert result.log_transformed
 
 
-def test_log_pearson_rejects_nonpositive_and_names_the_label():
-    with pytest.raises(DomainError, match="item1"):
-        log_pearson(obs([1.0, 0.0, 2.0], [1.0, 2.0, 3.0]))
+def test_log_correlation_drops_nonpositive_pairs():
+    result = _pooled_log_correlation([1.0, 0.0, 2.0, 4.0], [1.0, 2.0, 3.0, 5.0])
+    assert (result.n, result.excluded) == (3, 1)
 
 
-def test_log_pearson_equals_pearson_of_logged_series_exactly():
+def test_log_correlation_equals_pearson_of_logged_series_exactly():
     rng = np.random.default_rng(8)
     x = rng.lognormal(0.0, 1.0, 40)
     y = x ** 1.5 * rng.lognormal(0.0, 0.3, 40)
-    assert log_pearson(obs(x, y)).rho == pearson(obs(np.log(x), np.log(y))).rho
+    assert _pooled_log_correlation(x, y).rho == pearson(obs(np.log(x), np.log(y))).rho
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +243,14 @@ def test_cv_domain_errors():
         coefficient_of_variation([1.0])
 
 
+def test_cv_overflow_is_a_domain_error():
+    # finite values whose sum is past the float range: no numpy warning, no inf or NaN
+    with pytest.raises(DomainError, match="^coefficient of variation overflows"):
+        coefficient_of_variation([1e308, 1e308])
+    with pytest.raises(DomainError, match="^coefficient of variation overflows"):
+        coefficient_of_variation([1e308, -1e308, 1e308])  # the variance overflows
+
+
 @pytest.mark.parametrize("xs", [[math.nan, 1.0, 2.0], [1.0, math.inf], [-math.inf, 1.0, 2.0]])
 def test_cv_rejects_non_finite_values(xs):
     # not NaN, and no numpy warning on the way (warnings are errors here)
@@ -291,6 +307,25 @@ def test_ratio_analysis_zero_median_is_degenerate():
     # a zero ratio short of the median is kept
     ra = ratio_analysis([3.0, 1.0, 0.0], [1.0, 1.0, 1.0], list("abc"))
     assert ra.normalized.tolist() == [3.0, 1.0, 0.0]
+
+
+def test_ratio_analysis_negative_median_is_degenerate():
+    # dividing by a negative median would reverse the order of the ratios
+    with pytest.raises(DegenerateDataError, match=r"^the median ratio is -1\.0, below 0, "):
+        ratio_analysis([-3.0, -1.0, 2.0], [1.0, 1.0, 1.0], list("abc"))
+
+
+def test_ratio_analysis_overflowing_ratio_names_its_label():
+    with pytest.raises(DomainError, match="^the ratio for 'a' is past the float range$"):
+        ratio_analysis([1e308, 1e308, 1.0], [1e-308, 1e-308, 1.0], "abc")
+    # the first in input order, not in ratio order
+    with pytest.raises(DomainError, match="^the ratio for 'z' is past the float range$"):
+        ratio_analysis([1.0, 1e308, 1e308], [1.0, 1e-308, 1e-308], "xzy")
+
+
+def test_ratio_analysis_overflowing_sum_is_a_domain_error():
+    with pytest.raises(DomainError, match="^the ratios' sum or variance"):
+        ratio_analysis([1e308, 1e308, 1e308], [1.0, 1.0, 1.0], "abc")
 
 
 def test_tercile_median_ratio_of_real_wages_is_about_five():
