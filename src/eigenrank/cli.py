@@ -6,7 +6,9 @@ correlations.csv), ``ratio`` (ratio analysis and group tests), ``simulate``
 (the embedded fixture's statistics).
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
-failure (non-convergence, degenerate statistics).
+failure (non-convergence, degenerate statistics).  A call that fails writes no
+file and prints nothing to stdout; only an output path that cannot be
+written can leave behind the files written before it.
 
 ``EIGENRANK_SEED`` supplies a default simulation seed when ``--seed`` is
 absent; an explicit flag wins.  ``--config PATH`` reads a key=value file
@@ -33,6 +35,8 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 SEED_ENV_VAR = "EIGENRANK_SEED"
+# simulate's draws per trial when --n is absent
+_DEFAULT_DRAWS = {"ossuary": 1000, "yule": 1000, "journal-size": 7611, "logistic": 1_000_000}
 
 
 class _UsageError(Exception):
@@ -223,7 +227,8 @@ def _apply_config(argv: list[str], by_name: dict[str, _Parser]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each returns its outputs (path -> text) and
+# its stdout lines, and only ``main`` writes them
 # ---------------------------------------------------------------------------
 
 def _parse_file(parse, path: str):
@@ -245,114 +250,114 @@ def _parse_file(parse, path: str):
             raise CsvFormatError(f"{path}: line {line}: not valid UTF-8") from None
 
 
-def _load_scores(path: str) -> metrics.MetricScores:
-    return _parse_file(metrics.read_scores_csv, path)
+# readers are looked up on their modules at each call, so a wrapper put there sees it
+def _scores(args, why: str) -> metrics.MetricScores:
+    if not args.scores:
+        raise _UsageError(f"{why} requires --scores")
+    return _parse_file(metrics.read_scores_csv, args.scores)
 
 
-def _cmd_compute(args) -> int:
-    table = _parse_file(corpus.parse_journal_metadata, args.journals)
+def _journals(args, why: str) -> corpus.JournalTable:
+    if not args.journals:
+        raise _UsageError(f"{why} requires --journals")
+    return _parse_file(corpus.parse_journal_metadata, args.journals)
+
+
+def _ratio_analysis(args, why: str) -> stats.RatioAnalysis:
+    scores = _scores(args, why)
+    return stats.ratio_analysis(scores.metric(args.numerator),
+                                scores.metric(args.denominator), scores.journal_ids)
+
+
+def _cmd_compute(args):
+    table = _journals(args, "compute")
     ledger = _parse_file(corpus.parse_citation_edges, args.citations)
     scores, solver = metrics.compute_metrics(
         table, ledger, args.census_year, window=args.window, alpha=args.alpha,
         tol=args.tol, max_iter=args.max_iter,
         exclude_self_influence=not args.include_self_cites,
         exclude_self_counts=args.exclude_self_cites_counts)
-    write_text(args.out, metrics.write_scores_csv(scores))
-    print(f"wrote {len(scores)} journals to {args.out} "
-          f"({solver.iterations} iterations, {solver.dangling_count} dangling)")
-    return EXIT_OK
+    return {args.out: metrics.write_scores_csv(scores)}, [
+        f"wrote {len(scores)} journals to {args.out} "
+        f"({solver.iterations} iterations, {solver.dangling_count} dangling)"]
 
 
-def _cmd_correlate(args) -> int:
-    scores = _load_scores(args.scores)
+def _cmd_correlate(args):
+    scores = _scores(args, "correlate")
     x_metric = metrics.resolve_metric(args.x)
     y_metric = metrics.resolve_metric(args.y)
-    table = corpus.JournalTable((), (), (), (), (), ())  # no fields: only the pooled correlation
-    if args.by_field:
-        if not args.journals:
-            raise _UsageError("--by-field requires --journals")
-        table = _parse_file(corpus.parse_journal_metadata, args.journals)
+    table = (_journals(args, "--by-field") if args.by_field
+             else corpus.JournalTable((), (), (), (), (), ()))  # no fields: only the pooled one
     fc = stats.per_field_correlations(scores, table, x_metric, y_metric, log=args.log)
+    lines = [f"pooled rho={fc.pooled.rho:.4f} n={fc.pooled.n}; wrote {args.out}"]
     if fc.skipped:
-        print("skipped fields (fewer than 3 usable journals): " + ", ".join(fc.skipped))
-    write_text(args.out, stats.write_correlations_csv(fc))
-    print(f"pooled rho={fc.pooled.rho:.4f} n={fc.pooled.n}; wrote {args.out}")
-    return EXIT_OK
+        lines.insert(0, "skipped fields (fewer than 3 usable journals): " + ", ".join(fc.skipped))
+    return {args.out: stats.write_correlations_csv(fc)}, lines
 
 
-def _cmd_ratio(args) -> int:
+def _cmd_ratio(args):
     if args.test and not args.group_by:
         raise _UsageError(f"--test {args.test} requires --group-by")
-    if args.group_by and not args.journals:
+    if args.group_by and not args.journals:  # a usage error wins over a data error
         raise _UsageError("--group-by requires --journals")
-    scores = _load_scores(args.scores)
-    num_metric = metrics.resolve_metric(args.numerator)
-    den_metric = metrics.resolve_metric(args.denominator)
-    ra = stats.ratio_analysis(scores.metric(num_metric), scores.metric(den_metric),
-                              scores.journal_ids)
-    if args.group_by:  # a bad split fails before anything is written
-        table = _parse_file(corpus.parse_journal_metadata, args.journals)
-        members = set(table.members_of(args.group_by))
-        in_group = [r for label, r in zip(ra.labels, ra.raw_ratios) if label in members]
-        out_group = [r for label, r in zip(ra.labels, ra.raw_ratios) if label not in members]
-        if not in_group or not out_group:
-            raise ValidationError(f"field {args.group_by!r} does not split the journals "
-                                  f"({len(in_group)} vs {len(out_group)})")
-    write_text(args.out, csv_text(("label", "raw_ratio", "normalized"), (
+    ra = _ratio_analysis(args, "ratio")
+    outputs = {args.out: csv_text(("label", "raw_ratio", "normalized"), (
         [label, f"{raw:.8g}", f"{norm:.8g}"]
-        for label, raw, norm in zip(ra.labels, ra.raw_ratios, ra.normalized))))
-    print(f"{num_metric}/{den_metric}: mean={ra.mean:.6g} sd={ra.std_dev:.6g} "
-          f"cv={ra.cv:.4f} excluded={len(ra.excluded)}; wrote {args.out}")
+        for label, raw, norm in zip(ra.labels, ra.raw_ratios, ra.normalized)))}
+    lines = [f"{metrics.resolve_metric(args.numerator)}/"
+             f"{metrics.resolve_metric(args.denominator)}: mean={ra.mean:.6g} "
+             f"sd={ra.std_dev:.6g} cv={ra.cv:.4f} excluded={len(ra.excluded)}; wrote {args.out}"]
     if not args.group_by:
-        return EXIT_OK
-    print(f"group {args.group_by!r}: n={len(in_group)} mean={np.mean(in_group):.6g}; "
-          f"rest: n={len(out_group)} mean={np.mean(out_group):.6g}")
+        return outputs, lines
+    members = set(_journals(args, "--group-by").members_of(args.group_by))
+    in_group = [r for label, r in zip(ra.labels, ra.raw_ratios) if label in members]
+    out_group = [r for label, r in zip(ra.labels, ra.raw_ratios) if label not in members]
+    if not in_group or not out_group:
+        raise ValidationError(f"field {args.group_by!r} does not split the journals "
+                              f"({len(in_group)} vs {len(out_group)})")
+    lines.append(f"group {args.group_by!r}: n={len(in_group)} mean={np.mean(in_group):.6g}; "
+                 f"rest: n={len(out_group)} mean={np.mean(out_group):.6g}")
     if args.test == "mann-whitney":
         result = stats.mann_whitney_u(in_group, out_group)
-        write_text(args.report, stats.format_utest_report(
-            result, label_a=args.group_by, label_b=f"not-{args.group_by}"))
-        print(f"mann-whitney U={result.U:.1f} z={result.z:.4f} "
-              f"log10_p={result.log10_p:.4f}; wrote {args.report}")
-    return EXIT_OK
+        outputs[args.report] = stats.format_utest_report(
+            result, label_a=args.group_by, label_b=f"not-{args.group_by}")
+        lines.append(f"mann-whitney U={result.U:.1f} z={result.z:.4f} "
+                     f"log10_p={result.log10_p:.4f}; wrote {args.report}")
+    return outputs, lines
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     text = str(args.seed) if args.seed is not None else os.environ.get(SEED_ENV_VAR, "0")
     if not (text.isascii() and text.isdigit()):  # checked here for every kind
         source = "--seed" if args.seed is not None else SEED_ENV_VAR
         raise _UsageError(f"{source} must be a nonnegative integer, got {text!r}")
     seed = int(text)
+    n = args.n if args.n is not None else _DEFAULT_DRAWS[args.kind]
 
-    def spec_for(override_cv: float | None) -> spurious.DistributionSpec:
-        return spurious.spec_from_cv(args.family, override_cv if override_cv is not None
-                                     else args.cv)
+    def specs(*override_cvs: float | None) -> list[spurious.DistributionSpec]:
+        return [spurious.spec_from_cv(args.family, args.cv if cv is None else cv)
+                for cv in override_cvs]
 
     if args.kind == "ossuary":
         result = spurious.simulate_ossuary(
-            spec_for(args.femur_cv), spec_for(args.tibia_cv), spec_for(args.humerus_cv),
-            n_bones=args.n if args.n is not None else 1000,
-            trials=args.trials, seed=seed)
+            *specs(args.femur_cv, args.tibia_cv, args.humerus_cv),
+            n_bones=n, trials=args.trials, seed=seed)
     elif args.kind == "yule":
         result = spurious.simulate_yule_products(
-            spec_for(args.z1_cv), spec_for(args.z2_cv), spec_for(args.x3_cv),
-            n=args.n if args.n is not None else 1000, trials=args.trials, seed=seed)
+            *specs(args.z1_cv, args.z2_cv, args.x3_cv), n=n, trials=args.trials, seed=seed)
     elif args.kind == "journal-size":
         result = spurious.simulate_journal_sizes(
-            args.ai_cv, args.if_cv, args.n5_cv,
-            n_journals=args.n if args.n is not None else 7611,
-            trials=args.trials, seed=seed)
+            args.ai_cv, args.if_cv, args.n5_cv, n_journals=n, trials=args.trials, seed=seed)
     else:  # logistic: deterministic, a single correlation
-        n = args.n if args.n is not None else 1_000_000
         rho = spurious.logistic_map_correlation(args.r, args.x0, n, args.burn_in)
         result = spurious.SimulationResult(
             trials=1, rho=[rho], mean_rho=rho, sd_rho=0.0, seed=seed,
             params={"simulation": "logistic", "r": args.r, "x0": args.x0,
                     "n": n, "burn_in": args.burn_in})
-    write_text(args.out, spurious.write_simulation_csv(result))
-    write_text(args.summary, spurious.format_summary(result))
-    print(f"{args.kind}: mean_rho={result.mean_rho:.6f} sd_rho={result.sd_rho:.6f} "
-          f"trials={result.trials} seed={result.seed}; wrote {args.out}, {args.summary}")
-    return EXIT_OK
+    return {args.out: spurious.write_simulation_csv(result),
+            args.summary: spurious.format_summary(result)}, [
+        f"{args.kind}: mean_rho={result.mean_rho:.6f} sd_rho={result.sd_rho:.6f} "
+        f"trials={result.trials} seed={result.seed}; wrote {args.out}, {args.summary}"]
 
 
 def _read_value_column(path: str, column: str) -> list[float]:
@@ -369,33 +374,24 @@ def _read_value_column(path: str, column: str) -> list[float]:
     return values
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args):
     spec = report.FigureSpec(width=args.width, height=args.height,
                              top_fraction=args.top_fraction, title=args.title)
-    if args.kind in ("slopegraph", "cardinal", "ratio") and not args.scores:
-        raise _UsageError(f"plot {args.kind} requires --scores")
-    if args.kind == "slopegraph":
-        cmp = report.rank_comparison(_load_scores(args.scores), args.left, args.right)
-        svg = report.render_slopegraph(cmp, spec)
-    elif args.kind == "cardinal":
-        cmp = report.rank_comparison(_load_scores(args.scores), args.left, args.right)
-        svg = report.render_cardinal_plot(cmp, spec, args.top_k)
+    if args.kind in ("slopegraph", "cardinal"):
+        cmp = report.rank_comparison(_scores(args, f"plot {args.kind}"), args.left, args.right)
+        svg = (report.render_slopegraph(cmp, spec) if args.kind == "slopegraph"
+               else report.render_cardinal_plot(cmp, spec, args.top_k))
     elif args.kind == "histogram":
         if not args.values:
             raise _UsageError("plot histogram requires --values")
         svg = report.render_histogram(_read_value_column(args.values, args.column),
                                       args.bins, spec)
     else:
-        scores = _load_scores(args.scores)
-        ra = stats.ratio_analysis(scores.metric(args.numerator),
-                                  scores.metric(args.denominator), scores.journal_ids)
-        svg = report.render_ratio_plot(ra, spec)
-    write_text(args.out, svg)
-    print(f"wrote {args.out}")
-    return EXIT_OK
+        svg = report.render_ratio_plot(_ratio_analysis(args, "plot ratio"), spec)
+    return {args.out: svg}, [f"wrote {args.out}"]
 
 
-def _cmd_bigmac(args) -> int:
+def _cmd_bigmac(args):
     obs = corpus.bigmac_fixture()
     real_wage = obs.y / obs.x
 
@@ -403,15 +399,13 @@ def _cmd_bigmac(args) -> int:
         return (f"{name}: mean={series.mean():.2f} sd={series.std(ddof=1):.2f} "
                 f"cv={stats.coefficient_of_variation(series):.2f}")
 
-    print(f"rho={stats.pearson(obs).rho:.2f}")
-    print(describe("burger_price", obs.x))
-    print(describe("hourly_wage", obs.y))
-    print(describe("real_wage", real_wage))
-    print(f"tercile_median_ratio={stats.tercile_median_ratio(real_wage):.2f}")
-    if args.export:
-        write_text(args.export, corpus.bigmac_csv())
-        print(f"wrote {args.export}")
-    return EXIT_OK
+    lines = [f"rho={stats.pearson(obs).rho:.2f}",
+             describe("burger_price", obs.x),
+             describe("hourly_wage", obs.y),
+             describe("real_wage", real_wage),
+             f"tercile_median_ratio={stats.tercile_median_ratio(real_wage):.2f}"]
+    outputs = {args.export: corpus.bigmac_csv()} if args.export else {}
+    return outputs, lines + [f"wrote {path}" for path in outputs]
 
 
 # checked in order; a ValueError is a parameter outside its mathematical domain
@@ -442,12 +436,17 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help and friends
             return int(exc.code or 0)
-        return _COMMANDS[args.command](args)
+        outputs, lines = _COMMANDS[args.command](args)
+        for path, text in outputs.items():
+            write_text(path, text)
     except tuple(_EXIT_CODES) as exc:
         if isinstance(exc, _UsageError):
             sys.stderr.write(exc.usage)
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    for line in lines:
+        print(line)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -248,7 +248,8 @@ def ratio_analysis(numerator, denominator, labels) -> RatioAnalysis:
     is NaN) are excluded and reported rather than failing the whole series.
     A median ratio of 0 (as when most numerators are 0) leaves nothing to
     normalize by, and a negative one would reverse the order: both raise
-    DegenerateDataError.  A ratio, sum or variance past the float range
+    DegenerateDataError.  A ratio, sum or variance past the float range, or
+    a mean ratio that is not positive (so no coefficient of variation),
     raises DomainError.
     """
     num = np.asarray(numerator, dtype=float)
@@ -281,12 +282,13 @@ def ratio_analysis(numerator, denominator, labels) -> RatioAnalysis:
     if not (math.isfinite(mean) and math.isfinite(std) and np.isfinite(normalized).all()):
         raise DomainError("the ratios' sum or variance, or a ratio over their median, "
                           "is past the float range")
-    cv = std / mean if mean > 0 else float("nan")
+    if mean <= 0:
+        raise DomainError(f"coefficient of variation undefined for mean ratio {mean!r}")
     return RatioAnalysis(
         labels=tuple(kept_labels),
         raw_ratios=column(ratios, float),
         normalized=column(normalized, float),
-        mean=mean, std_dev=std, cv=cv, excluded=excluded)
+        mean=mean, std_dev=std, cv=std / mean, excluded=excluded)
 
 
 def tercile_median_ratio(xs) -> float:

@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import json
@@ -499,6 +500,46 @@ def test_ratio_with_a_zero_median_is_a_numerical_error_and_writes_nothing(capsys
         assert captured.err == ("error: the median ratio is 0 (3 of 4 ratios are 0), "
                                 "so it cannot normalize them\n")
         assert not Path(out).exists()
+
+
+def test_ratio_with_a_failing_group_test_writes_nothing(capsys):
+    # every EF/TC ratio is 0.5, so the rank-sum test fails after the split
+    rows = (f"{jid},{tc / 2:.6f},1.000000,1.000000,{tc},10,4\n"
+            for jid, tc in zip("ABCDEF", range(2, 14, 2)))
+    Path("scores.csv").write_text("journal_id,ef,ai,impact_factor,total_citations,n5,n2\n"
+                                  + "".join(rows))
+    assert main(["ratio", "--scores", "scores.csv", "--group-by", "medicine",
+                 "--journals", JOURNALS, "--test", "mann-whitney"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: all pooled observations are identical\n"
+    assert captured.out == ""
+    assert not Path("ratio.csv").exists() and not Path("utest.txt").exists()
+
+
+def test_cli_reads_through_module_attributes(monkeypatch):
+    # a wrapper put on the module, as perfbench's tracer does, sees every read
+    import eigenrank.corpus
+    import eigenrank.metrics
+    calls = collections.Counter()
+    for module, name in ((eigenrank.corpus, "parse_journal_metadata"),
+                         (eigenrank.corpus, "parse_citation_edges"),
+                         (eigenrank.metrics, "read_scores_csv")):
+        def counted(*args, _read=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _read(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    journals, scores = "parse_journal_metadata", "read_scores_csv"
+    for argv, reads in (
+            (["compute", "--journals", JOURNALS, "--citations", CITATIONS,
+              "--census-year", "2006"], [journals, "parse_citation_edges"]),
+            (["correlate", "--scores", "scores.csv", "--by-field", "--journals", JOURNALS],
+             [scores, journals]),
+            (["ratio", "--scores", "scores.csv", "--group-by", "medicine",
+              "--journals", JOURNALS], [scores, journals]),
+            (["plot", "slopegraph", "--scores", "scores.csv", "--out", "s.svg"], [scores])):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == collections.Counter(reads), argv[0]
 
 
 def test_empty_histogram_input_is_a_data_error(capsys):

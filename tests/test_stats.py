@@ -315,6 +315,15 @@ def test_ratio_analysis_negative_median_is_degenerate():
         ratio_analysis([-3.0, -1.0, 2.0], [1.0, 1.0, 1.0], list("abc"))
 
 
+def test_ratio_analysis_nonpositive_mean_is_a_domain_error():
+    # the median ratio 1 normalizes the series, but a CV needs a positive mean
+    with pytest.raises(DomainError, match=r"^coefficient of variation undefined for mean "
+                                          r"ratio -32\.33"):
+        ratio_analysis([-100.0, 1.0, 2.0], [1.0, 1.0, 1.0], "abc")
+    single = ratio_analysis([3.0], [2.0], "a")
+    assert (single.mean, single.std_dev, single.cv) == (1.5, 0.0, 0.0)
+
+
 def test_ratio_analysis_overflowing_ratio_names_its_label():
     with pytest.raises(DomainError, match="^the ratio for 'a' is past the float range$"):
         ratio_analysis([1e308, 1e308, 1.0], [1e-308, 1e-308, 1.0], "abc")
