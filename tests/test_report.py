@@ -16,6 +16,11 @@ GOLDEN_SLOPEGRAPH_SHA256 = "ff0b7612b4a290cecc9caa2e72b7f5e29d8e7f46aea5c10ca77d
 GOLDEN_RATIO_SHA256 = "ba1fee0e278e6863891da9e47630626260fddf59a07c249bc82831e2bef3f264"
 GOLDEN_CARDINAL_SHA256 = "de844027614f45671807199369cd2b325366cdd4585046444510b115f865dae6"
 GOLDEN_BLACK_SLOPEGRAPH_SHA256 = "c0908eef9afc7a001db5c8f30339ea62aea22ed9750f182aaa2d0cff4d9e7d42"
+# a seeded 2,000-row comparison: the full slopegraph, its top half and the ratio plot
+GOLDEN_LARGE_SHA256 = {
+    "slopegraph": "1c62cff394ad6bcbd2503e665d6166b15b379d8ab8e3e4828b5851c15579df75",
+    "half slopegraph": "78b716814c89e87a9e554c60e8eb1d107c508c8c17f53fdb0b95cac9f03a6082",
+    "ratio plot": "c8b67759ac8972b925ddf915edf4f2cb59b9de3f95c9b3678053906c3b082b71"}
 
 
 def fixture_comparison():
@@ -180,6 +185,29 @@ def test_slopegraph_golden_snapshot():
                               FigureSpec(width=480, height=360, title="fixture"))
     assert svg == again
     assert hashlib.sha256(svg.encode()).hexdigest() == GOLDEN_SLOPEGRAPH_SHA256
+
+
+def large_figures() -> dict[str, str]:
+    """The figures of a numpy-seeded 2,000-row comparison, with labels that
+    need escaping among them."""
+    rng = np.random.default_rng(2000)
+    labels = [f"Journal {k:04d}" for k in range(2000)]
+    for k, odd in zip(rng.choice(2000, 5, replace=False).tolist(),
+                      ("A & B", "<Gamma>", 'The "Q"', "Revista Espa\u00f1ola", "Bad\x01Byte")):
+        labels[k] = odd
+    tc, ef = rng.lognormal(5.0, 1.5, 2000).round(), rng.lognormal(-2.0, 1.4, 2000)
+    cmp = rank_items(labels, tc, ef, "total_citations", "ef")
+    spec = FigureSpec(width=720, height=9000, title="TC against EF")
+    return {"slopegraph": render_slopegraph(cmp, spec),
+            "half slopegraph": render_slopegraph(cmp, FigureSpec(
+                width=720, height=4600, top_fraction=0.5, title="top half")),
+            "ratio plot": render_ratio_plot(ratio_analysis(ef, tc, labels), spec)}
+
+
+def test_large_figures_golden_snapshot():
+    digests = {name: hashlib.sha256(svg.encode()).hexdigest()
+               for name, svg in large_figures().items()}
+    assert digests == GOLDEN_LARGE_SHA256
 
 
 def test_slopegraph_tallies_match_movements_on_random_comparisons():
