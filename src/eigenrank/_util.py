@@ -3,7 +3,9 @@
 
 Every CSV this package writes has a header row, ``\\n`` line ends and
 quoting only where a cell needs it; every CSV it reads goes through
-``CsvRows``, which holds the one grammar of rows and cells.
+``CsvRows``, which holds the one grammar of rows and cells, and the
+journals, citations and scores readers read theirs through ``parse_rows``,
+which hands each chunk of plain rows to a numpy kernel first.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .errors import CsvFormatError, ValidationError
+from .errors import CsvFormatError, DataError, ValidationError
 
 
 def column(values, dtype, name: str = "", row: str = "") -> np.ndarray:
@@ -110,24 +112,45 @@ class CsvRows:
     wide as the header, a ``csv.Error`` (a cell over the csv field size
     limit) and a cell a ``*_cell`` method refuses are format errors naming
     their line.  ``source`` (text, or an open file read whole) is split into
-    lines as a file opened with ``newline=""`` is, at LF, CRLF or CR."""
+    lines as a file opened with ``newline=""`` is, at LF, CRLF or CR.
 
-    def __init__(self, source: str | TextIO):
+    With ``header`` given, ``source`` is a piece of a text: the rows after
+    that header row, read whole here, with lines counted from the piece's
+    start.  A last row that the piece's end cuts inside a quoted cell is
+    not yielded, and ``cut`` is set.
+    """
+
+    def __init__(self, source: str | TextIO, header: Sequence[str] | None = None):
         # a chunk at a time: io.StringIO stores its text at 4 bytes a character
         lines = (io.StringIO(chunk, newline="") for chunk in text_chunks(read_text(source)))
-        self._reader = csv.reader(itertools.chain.from_iterable(lines))
-        self._rows = self._read()
-        self.header: list[str] | None = next(self._rows)
+        self.cut = self._ended = False
+        self._reader = csv.reader(itertools.chain(itertools.chain.from_iterable(lines),
+                                                  self._end()))
+        self._rows = self._read(header)
+        self.header: Sequence[str] | None = next(self._rows)
+        if header is not None:
+            self._rows = iter(list(self._rows))
 
     def __iter__(self) -> Iterator[list[str]]:
         return self._rows
 
-    def _read(self) -> Iterator:
+    def _end(self) -> Iterator[str]:
+        """No line: the csv reader asks for one past the last only to end a
+        row, or to find that there is none."""
+        self._ended = True
+        yield from ()
+
+    def _read(self, header: Sequence[str] | None) -> Iterator:
+        piece = header is not None
         try:
-            header = next(self._reader, None)
+            if not piece:
+                header = next(self._reader, None)
             yield header
             width = len(header or ())
             for row in self._reader:
+                if piece and self._ended:  # the piece ends inside this row's quoted cell
+                    self.cut = True
+                    return
                 if len(row) == width and row:
                     yield row
                 elif row:
@@ -193,3 +216,69 @@ def csv_reader(source: str | TextIO, header: Sequence[str], what: str) -> CsvRow
         raise CsvFormatError(f"{what}: expected header {','.join(header)}, "
                              f"got {','.join(rows.header)}")
     return rows
+
+
+def parse_rows(text: str, header: Sequence[str], what: str, reader: type):
+    """``reader``'s result for ``text``, a file named ``what`` that must
+    start with the ``header`` row: the result and every error are those of
+    ``row_loop``.
+
+    A ``reader()`` holds what a file's rows have taught it, ``dtypes`` (those
+    of its columns) and three methods:
+
+    * ``kernel(chunk)``: the columns of the rows of a newline-ended piece of
+      the text, or None, having learnt nothing, where it cannot show that
+      the row loop reads the same;
+    * ``rows(rows)``: the columns of the rows of a ``CsvRows``, read one at
+      a time;
+    * ``result(columns)``: what the file holds, its rows being ``columns``.
+
+    A text that starts with the exact header line is read in chunks: the
+    kernel answers or declines each, a declined chunk is read by ``rows``
+    alone, and one that leaves a quoted cell open is joined to the next.
+    Any error there, and any other text, goes to ``row_loop`` over the whole
+    text, which raises every error with its line.
+    """
+    header_line = ",".join(header) + "\n"
+    # the row loop fails on a header cell over the csv field size limit
+    if text.startswith(header_line) and max(map(len, header)) <= csv.field_size_limit():
+        chunked = reader()
+        try:
+            return chunked.result(_chunk_columns(text, header, len(header_line), chunked))
+        except DataError:
+            pass
+    rows = csv_reader(text, header, what)
+    del text  # the rows free the text once read, before their values are converted
+    return row_loop(reader, rows)
+
+
+def row_loop(reader: type, rows: CsvRows):
+    """``reader``'s result for ``rows``, a whole file read one row at a time."""
+    state = reader()
+    return state.result(state.rows(rows))
+
+
+def _chunk_columns(text: str, header: Sequence[str], start: int, reader) -> list[np.ndarray]:
+    """The columns ``reader`` reads from the rows of ``text`` after ``start``,
+    chunk by chunk, stored once in arrays sized to the lines of the text."""
+    lines = text.count("\n")
+    if "\r" in text:  # a line may end at a CR too
+        lines += text.count("\r") - text.count("\r\n")
+    columns = [np.empty(lines, dtype=dtype) for dtype in reader.dtypes]
+    filled = 0
+    cut = ""
+    for chunk in text_chunks(text, start):
+        chunk = cut + chunk
+        block = reader.kernel(chunk)
+        if block is None:
+            rows = CsvRows(chunk, header)
+            cut = chunk if rows.cut else ""
+            if cut:
+                continue
+            block = reader.rows(rows)
+        for values, stored in zip(block, columns):
+            stored[filled:filled + len(values)] = values
+        filled += len(block[0])
+    if cut:
+        raise CsvFormatError("the text ends inside a quoted cell")  # read by the row loop
+    return [stored[:filled] for stored in columns]

@@ -7,8 +7,10 @@ correlations.csv), ``ratio`` (ratio analysis and group tests), ``simulate``
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 failure (non-convergence, degenerate statistics).  A call that fails writes no
-file and prints nothing to stdout; only an output path that cannot be
-written can leave behind the files written before it.
+file and prints nothing to stdout.  Two outputs naming one file are a usage
+error, and an output whose directory is missing a data error, both found
+before the first write; only a write that fails otherwise (a file that may
+not be written) can leave behind the files written before it.
 
 ``EIGENRANK_SEED`` supplies a default simulation seed when ``--seed`` is
 absent; an explicit flag wins.  ``--config PATH`` reads a key=value file
@@ -19,6 +21,7 @@ override config values.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from pathlib import Path
@@ -227,7 +230,7 @@ def _apply_config(argv: list[str], by_name: dict[str, _Parser]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns its outputs (path -> text) and
+# subcommand implementations: each returns its outputs ((path, text) pairs) and
 # its stdout lines, and only ``main`` writes them
 # ---------------------------------------------------------------------------
 
@@ -277,7 +280,7 @@ def _cmd_compute(args):
         tol=args.tol, max_iter=args.max_iter,
         exclude_self_influence=not args.include_self_cites,
         exclude_self_counts=args.exclude_self_cites_counts)
-    return {args.out: metrics.write_scores_csv(scores)}, [
+    return [(args.out, metrics.write_scores_csv(scores))], [
         f"wrote {len(scores)} journals to {args.out} "
         f"({solver.iterations} iterations, {solver.dangling_count} dangling)"]
 
@@ -292,7 +295,7 @@ def _cmd_correlate(args):
     lines = [f"pooled rho={fc.pooled.rho:.4f} n={fc.pooled.n}; wrote {args.out}"]
     if fc.skipped:
         lines.insert(0, "skipped fields (fewer than 3 usable journals): " + ", ".join(fc.skipped))
-    return {args.out: stats.write_correlations_csv(fc)}, lines
+    return [(args.out, stats.write_correlations_csv(fc))], lines
 
 
 def _cmd_ratio(args):
@@ -301,9 +304,9 @@ def _cmd_ratio(args):
     if args.group_by and not args.journals:  # a usage error wins over a data error
         raise _UsageError("--group-by requires --journals")
     ra = _ratio_analysis(args, "ratio")
-    outputs = {args.out: csv_text(("label", "raw_ratio", "normalized"), (
+    outputs = [(args.out, csv_text(("label", "raw_ratio", "normalized"), (
         [label, f"{raw:.8g}", f"{norm:.8g}"]
-        for label, raw, norm in zip(ra.labels, ra.raw_ratios, ra.normalized)))}
+        for label, raw, norm in zip(ra.labels, ra.raw_ratios, ra.normalized))))]
     lines = [f"{metrics.resolve_metric(args.numerator)}/"
              f"{metrics.resolve_metric(args.denominator)}: mean={ra.mean:.6g} "
              f"sd={ra.std_dev:.6g} cv={ra.cv:.4f} excluded={len(ra.excluded)}; wrote {args.out}"]
@@ -319,8 +322,8 @@ def _cmd_ratio(args):
                  f"rest: n={len(out_group)} mean={np.mean(out_group):.6g}")
     if args.test == "mann-whitney":
         result = stats.mann_whitney_u(in_group, out_group)
-        outputs[args.report] = stats.format_utest_report(
-            result, label_a=args.group_by, label_b=f"not-{args.group_by}")
+        outputs.append((args.report, stats.format_utest_report(
+            result, label_a=args.group_by, label_b=f"not-{args.group_by}")))
         lines.append(f"mann-whitney U={result.U:.1f} z={result.z:.4f} "
                      f"log10_p={result.log10_p:.4f}; wrote {args.report}")
     return outputs, lines
@@ -354,8 +357,8 @@ def _cmd_simulate(args):
             trials=1, rho=[rho], mean_rho=rho, sd_rho=0.0, seed=seed,
             params={"simulation": "logistic", "r": args.r, "x0": args.x0,
                     "n": n, "burn_in": args.burn_in})
-    return {args.out: spurious.write_simulation_csv(result),
-            args.summary: spurious.format_summary(result)}, [
+    return [(args.out, spurious.write_simulation_csv(result)),
+            (args.summary, spurious.format_summary(result))], [
         f"{args.kind}: mean_rho={result.mean_rho:.6f} sd_rho={result.sd_rho:.6f} "
         f"trials={result.trials} seed={result.seed}; wrote {args.out}, {args.summary}"]
 
@@ -388,7 +391,7 @@ def _cmd_plot(args):
                                       args.bins, spec)
     else:
         svg = report.render_ratio_plot(_ratio_analysis(args, "plot ratio"), spec)
-    return {args.out: svg}, [f"wrote {args.out}"]
+    return [(args.out, svg)], [f"wrote {args.out}"]
 
 
 def _cmd_bigmac(args):
@@ -404,8 +407,23 @@ def _cmd_bigmac(args):
              describe("hourly_wage", obs.y),
              describe("real_wage", real_wage),
              f"tercile_median_ratio={stats.tercile_median_ratio(real_wage):.2f}"]
-    outputs = {args.export: corpus.bigmac_csv()} if args.export else {}
-    return outputs, lines + [f"wrote {path}" for path in outputs]
+    outputs = [(args.export, corpus.bigmac_csv())] if args.export else []
+    return outputs, lines + [f"wrote {path}" for path, _ in outputs]
+
+
+def _check_outputs(paths: list[str]) -> None:
+    """A usage error where two of ``paths`` name one file, and the error
+    that writing would meet where a path's directory is missing, raised
+    before any output is written."""
+    resolved = [Path(path).resolve() for path in paths]
+    for k, path in enumerate(resolved):
+        if path in resolved[:k]:
+            raise _UsageError(f"two outputs name one file: {paths[k]}")
+    for path in paths:
+        parent = Path(path).parent
+        if not parent.is_dir():
+            code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
 
 
 # checked in order; a ValueError is a parameter outside its mathematical domain
@@ -437,7 +455,8 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # --help and friends
             return int(exc.code or 0)
         outputs, lines = _COMMANDS[args.command](args)
-        for path, text in outputs.items():
+        _check_outputs([path for path, _ in outputs])
+        for path, text in outputs:
             write_text(path, text)
     except tuple(_EXIT_CODES) as exc:
         if isinstance(exc, _UsageError):

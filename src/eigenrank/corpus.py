@@ -22,8 +22,8 @@ from typing import Callable, Collection, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from ._util import CsvRows, column, csv_reader, csv_text, read_text, set_fields, text_chunks
-from .errors import ValidationError
+from ._util import CsvRows, column, csv_text, parse_rows, read_text, set_fields
+from .errors import CsvFormatError, ValidationError
 
 JOURNALS_HEADER = ("journal_id", "name", "fields", "year", "articles")
 CITATIONS_HEADER = ("citing_id", "cited_id", "citing_year", "cited_year", "count")
@@ -396,96 +396,178 @@ def parse_journal_metadata(source: str | TextIO) -> JournalTable:
 
     Rows for the same journal are merged into one entry (one row per year);
     field memberships are unioned across rows.  A repeated (journal, year)
-    pair or a conflicting name is a format error.  Each distinct year and
-    article cell is parsed once, and a journal's fields cell again only
-    where it differs from the journal's previous one.
+    pair or a conflicting name is a format error.  Chunks of plain rows are
+    read in numpy columns (``_JournalRows.kernel``), the rest by the csv row
+    loop, and the table and every error are the row loop's.
     """
-    rdr = csv_reader(source, JOURNALS_HEADER, "journals.csv")
-    codes: dict[str, int] = {}  # each id to its position
-    names: list[str] = []
-    field_cells: list[str] = []  # each journal's last fields cell
-    labels: list[set[str]] = []
-    years: list[dict[int, int]] = []  # each journal's articles by year
-    year_of: dict[str, int] = {}
-    articles_of: dict[str, int] = {}
-    for jid, name, field_list, year_cell, articles_cell in rdr:
-        jid, name = rdr.id_cell(jid, "journal_id"), name.strip()
-        try:
-            year, articles = year_of[year_cell], articles_of[articles_cell]
-        except KeyError:  # a cell not seen before
-            year = year_of[year_cell] = rdr.int_cell(year_cell, "year")
-            articles = articles_of[articles_cell] = rdr.int_cell(articles_cell, "articles",
-                                                                 minimum=0)
-        j = codes.get(jid)
-        if j is None:
-            j = codes[jid] = len(names)
-            names.append(name)
-            field_cells.append(field_list)
-            labels.append(_field_labels(field_list))
-            years.append({})
-        elif names[j] != name:
-            raise rdr.error(f"journal {jid!r} renamed ({names[j]!r} -> {name!r})")
-        elif field_list != field_cells[j]:
-            field_cells[j] = field_list
-            labels[j] |= _field_labels(field_list)
-        if year in years[j]:
-            raise rdr.error(f"duplicate journal_id {jid!r} for year {year}")
-        years[j][year] = articles
-    sizes = np.fromiter(map(len, years), dtype=np.int64, count=len(years))
-    journal = np.repeat(np.arange(len(years), dtype=np.int64), sizes)
-    return JournalTable(codes, names, labels, journal, *(
-        np.fromiter(itertools.chain.from_iterable(map(method, years)), dtype=np.int64,
-                    count=len(journal)) for method in (dict.keys, dict.values)))
+    return parse_rows(read_text(source), JOURNALS_HEADER, "journals.csv", _JournalRows)
 
 
-def _field_labels(field_list: str) -> set[str]:
-    """The labels of a ``fields`` cell."""
-    return {f.strip() for f in field_list.split(";") if f.strip()}
+class _JournalRows:
+    """The reader of journals.csv rows for ``parse_rows``: (journal, year,
+    articles) columns, ``journal`` coding each row's id through ``ids``.
+
+    ``names``, ``field_cells`` (the last fields cell) and ``labels`` hold
+    one entry per journal.  Each distinct year, article and fields cell is
+    parsed once, and a journal's fields cell is looked up again only where
+    it differs from the journal's previous one.
+    """
+
+    dtypes = (np.int64,) * 3
+
+    def __init__(self):
+        self.ids = _IdCodes()
+        self.names: list[str] = []
+        self.field_cells: list[str] = []
+        self.labels: list[frozenset[str]] = []
+        self.labels_of: dict[str, frozenset[str]] = {}  # each fields cell's labels
+        # each journal's years on rows that rows() read; JournalTable finds
+        # a year repeated on a row that a kernel read
+        self.years: dict[int, set[int]] = {}
+        self.year_of: dict[str, int] = {}
+        self.articles_of: dict[str, int] = {}
+
+    def kernel(self, chunk: str) -> tuple[np.ndarray, ...] | None:
+        cells = _cells(chunk, len(JOURNALS_HEADER))
+        if cells is None:
+            return None
+        text, padded, starts, lengths = cells
+        raw = np.frombuffer(padded, dtype=np.uint8)
+        year, articles = (_decimal_cells(raw, starts[:, k], lengths[:, k]) for k in (3, 4))
+        if year is None or articles is None:
+            return None
+        journal = self.ids.codes(text, padded, starts[:, 0], lengths[:, 0])
+        if journal is None:
+            return None
+        # each row but a journal's first in the chunk, and the journal's row before it
+        order = np.argsort(journal, kind="stable")
+        later = np.flatnonzero(journal[order[1:]] == journal[order[:-1]]) + 1
+        rows, before = order[later], order[later - 1]
+        same_name, same_fields = (_same_cells(padded, starts[rows, k], starts[before, k],
+                                              lengths[rows, k], lengths[before, k])
+                                  for k in (1, 2))
+        if not same_name.all():
+            raise CsvFormatError("a journal renamed")
+        # only a journal's first row in the chunk, or a changed fields cell, reaches Python
+        firsts = np.delete(order, later)  # in code order
+        new = journal[firsts] >= len(self.names)
+        self._add(*(_texts(text, starts[firsts[new], k], lengths[firsts[new], k]) for k in (1, 2)))
+        merged = np.concatenate((firsts[~new], np.sort(rows[~same_fields])))
+        for j, name, field_list in zip(journal[merged].tolist(), *(
+                _texts(text, starts[merged, k], lengths[merged, k]) for k in (1, 2))):
+            self._merge(j, name, field_list, CsvFormatError)
+        return journal, year, articles
+
+    def rows(self, rdr: CsvRows) -> np.ndarray:
+        values: list[int] = []  # the journal, year and articles of each row, row after row
+        for jid, name, field_list, year_cell, articles_cell in rdr:
+            jid, name = rdr.id_cell(jid, "journal_id"), name.strip()
+            try:
+                year, articles = self.year_of[year_cell], self.articles_of[articles_cell]
+            except KeyError:  # a cell not seen before
+                year = self.year_of[year_cell] = rdr.int_cell(year_cell, "year")
+                articles = self.articles_of[articles_cell] = rdr.int_cell(
+                    articles_cell, "articles", minimum=0)
+            j = self.ids.code(jid)
+            self._merge(j, name, field_list, rdr.error)
+            years = self.years.setdefault(j, set())
+            if year in years:
+                raise rdr.error(f"duplicate journal_id {jid!r} for year {year}")
+            years.add(year)
+            values += j, year, articles
+        return np.array(values, dtype=np.int64).reshape(-1, 3).T
+
+    def _add(self, names: list[str], field_lists: list[str]) -> None:
+        """Add journals, in code order, with their names and fields cells."""
+        self.names += names
+        self.field_cells += field_lists
+        self.labels += map(self._labels, field_lists)
+
+    def _merge(self, j: int, name: str, field_list: str, error: Callable[[str], Exception]):
+        """Add a row's name and fields cell to journal ``j``, new if ``j`` is
+        the next position; a name other than the journal's raises ``error``."""
+        if j == len(self.names):
+            self._add([name], [field_list])
+        elif self.names[j] != name:
+            raise error(f"journal {self.ids.ids[j]!r} renamed ({self.names[j]!r} -> {name!r})")
+        elif field_list != self.field_cells[j]:
+            self.field_cells[j] = field_list
+            self.labels[j] |= self._labels(field_list)
+
+    def _labels(self, field_list: str) -> frozenset[str]:
+        """The labels of a ``fields`` cell."""
+        labels = self.labels_of.get(field_list)
+        if labels is None:
+            labels = self.labels_of[field_list] = frozenset(
+                f.strip() for f in field_list.split(";") if f.strip())
+        return labels
+
+    def result(self, columns) -> JournalTable:
+        return JournalTable(self.ids.ids, self.names, self.labels, *columns)
 
 
 def parse_citation_edges(source: str | TextIO) -> CitationLedger:
     """Parse ``citations.csv`` content into a CitationLedger (input order kept).
 
-    A year or count outside the signed 64-bit range is a format error.  A
-    plain file is read in numpy columns (see ``_parse_citation_columns``);
-    any other input, a faulty one included, is read by the csv row loop, so
-    the ledger and every error are the row loop's.
+    A year or count outside the signed 64-bit range is a format error.
+    Chunks of plain rows are read in numpy columns
+    (``_CitationRows.kernel``), the rest by the csv row loop, and the ledger
+    and every error are the row loop's.
     """
-    text = read_text(source)
-    ledger = _parse_citation_columns(text)
-    if ledger is None:
-        rows = csv_reader(text, CITATIONS_HEADER, "citations.csv")
-        del text  # the rows free the text once read, before their values are converted
-        ledger = _parse_citation_rows(rows)
-    return ledger
+    return parse_rows(read_text(source), CITATIONS_HEADER, "citations.csv", _CitationRows)
 
 
-def _parse_citation_rows(rdr: CsvRows) -> CitationLedger:
-    """Parse the rows of ``citations.csv`` with the csv module, one at a time.
-
-    Reads the rows in one pass, interning ids as they appear; each distinct
-    id, year and count text is checked once.
-    """
-    ids: dict[str, int] = {}  # each id to its code
-    codes: dict[str, int] = {}  # each id cell's text to its id's code
-    years: dict[str, int] = {}
-    counts: dict[str, int] = {}
-    caches = (codes, codes, years, years, counts)
-    values: list[int] = []  # the five values of each row, row after row
-    for row in rdr:
-        try:
-            values += codes[row[0]], codes[row[1]], years[row[2]], years[row[3]], counts[row[4]]
-        except KeyError:  # check each cell not seen before; a new id gets the next code
-            for k, (name, cell, cache) in enumerate(zip(CITATIONS_HEADER, row, caches)):
-                if cell not in cache:
-                    cache[cell] = (ids.setdefault(rdr.id_cell(cell, name), len(ids)) if k < 2
-                                   else rdr.int_cell(cell, name, minimum=1 if k == 4 else None))
-            values += map(dict.__getitem__, caches, row)
-    return CitationLedger(ids, *np.array(values, dtype=np.int64).reshape(-1, _COLUMNS).T)
+_COLUMNS = len(CITATIONS_HEADER)
 
 
-# the vectorised citations.csv reader
-_CITATIONS_HEADER_LINE = ",".join(CITATIONS_HEADER) + "\n"
+class _CitationRows:
+    """The reader of citations.csv rows for ``parse_rows``: five int64
+    columns, ``ids`` coding the ids in first-seen order (the citing id, then
+    the cited id, row by row).  The row loop checks each distinct id, year
+    and count text once."""
+
+    dtypes = (np.int64,) * _COLUMNS
+
+    def __init__(self):
+        self.ids = _IdCodes()
+        self.codes: dict[str, int] = {}  # each id cell's text to its id's code
+        self.years: dict[str, int] = {}
+        self.counts: dict[str, int] = {}
+
+    def kernel(self, chunk: str) -> tuple[np.ndarray, ...] | None:
+        cells = _cells(chunk, _COLUMNS)
+        if cells is None:
+            return None
+        text, padded, starts, lengths = cells
+        raw = np.frombuffer(padded, dtype=np.uint8)
+        numbers = [_decimal_cells(raw, starts[:, k], lengths[:, k]) for k in range(2, _COLUMNS)]
+        if any(values is None for values in numbers) or numbers[-1].min() < 1:
+            return None
+        codes = self.ids.codes(text, padded, starts[:, :2].ravel(), lengths[:, :2].ravel())
+        if codes is None:
+            return None
+        return (*codes.reshape(-1, 2).T, *numbers)
+
+    def rows(self, rdr: CsvRows) -> np.ndarray:
+        caches = (self.codes, self.codes, self.years, self.years, self.counts)
+        values: list[int] = []  # the five values of each row, row after row
+        for row in rdr:
+            try:
+                values += (self.codes[row[0]], self.codes[row[1]], self.years[row[2]],
+                           self.years[row[3]], self.counts[row[4]])
+            except KeyError:  # check each cell not seen before; a new id gets the next code
+                for k, (name, cell, cache) in enumerate(zip(CITATIONS_HEADER, row, caches)):
+                    if cell not in cache:
+                        cache[cell] = (self.ids.code(rdr.id_cell(cell, name)) if k < 2 else
+                                       rdr.int_cell(cell, name, minimum=1 if k == 4 else None))
+                values += map(dict.__getitem__, caches, row)
+        return np.array(values, dtype=np.int64).reshape(-1, _COLUMNS).T
+
+    def result(self, columns) -> CitationLedger:
+        return CitationLedger(self.ids.ids, *columns)
+
+
+# the numpy chunk kernels
 _MAX_DIGITS = 18  # every number of up to 18 digits fits int64
 _MAX_ID_WORDS = 4  # ids of up to 32 bytes, as 8-byte words
 _PAD = "\0" * 8 * _MAX_ID_WORDS  # lets every cell be read as whole words
@@ -495,96 +577,100 @@ _BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _WORD_MIX = np.array([1, 0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9],
                      dtype=np.uint64)
 _LONG_ID = np.uint64(1 << 63)
-_COLUMNS = len(CITATIONS_HEADER)
 
 
-def _parse_citation_columns(text: str) -> CitationLedger | None:
-    """The ledger ``_parse_citation_rows`` returns for ``text``, or None
-    where this reader cannot show that it is the same one.
+def _cells(chunk: str, width: int) -> tuple[str, bytes, np.ndarray, np.ndarray] | None:
+    """``(text, padded, starts, lengths)`` for a chunk of plain rows, or None.
 
-    It answers only for the exact header line followed by rows of five
-    non-empty ASCII cells within the csv field size limit: no quote, no
-    control character but the newline, no blank line, no cell that starts
-    or ends with a space (so every cell equals its ``strip()``), ids of at
-    most 32 bytes, years and counts of 1-18 digits and counts of at least
-    1.  Each chunk is split at its commas and newlines in one pass.
+    A plain row has ``width`` ASCII cells within the csv field size limit: no
+    quote, no control character but the newline, no blank line, no cell
+    that starts or ends with a space (so every cell equals its
+    ``strip()``).  ``text`` is the chunk, newline-ended, and ``padded`` its
+    bytes and 32 zero bytes; the cell in row ``i`` and column ``k`` is
+    ``lengths[i, k]`` bytes from ``starts[i, k]``.  Each chunk is split at
+    its commas and newlines in one pass.
     """
-    limit = csv.field_size_limit()
-    if max(map(len, CITATIONS_HEADER)) > limit:  # the row loop fails on line 1
+    if not chunk.isascii():
         return None
-    if not (text.isascii() and text.startswith(_CITATIONS_HEADER_LINE)):
+    if not chunk.endswith("\n"):
+        chunk += "\n"
+    padded = (chunk + _PAD).encode("ascii")
+    raw = np.frombuffer(padded, dtype=np.uint8)
+    body = raw[:len(chunk)]
+    if (((body < ord(" ")) & (body != ord("\n"))) | (body == ord('"'))).any():
         return None
-    ids = _IdCodes()
-    # one row a line, and a row it answers for has at least 10 characters
-    # with its newline (9 if it is the last and has none)
-    columns = np.empty((_COLUMNS, min(text.count("\n"), (len(text) + 1) // 10)), dtype=np.int64)
-    filled = 0
-    for chunk in text_chunks(text, len(_CITATIONS_HEADER_LINE)):
-        if not chunk.endswith("\n"):
-            chunk += "\n"
-        padded = (chunk + _PAD).encode("ascii")
-        raw = np.frombuffer(padded, dtype=np.uint8)
-        body = raw[:len(chunk)]
-        if (((body < ord(" ")) & (body != ord("\n"))) | (body == ord('"'))).any():
-            return None
-        ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
-        rows = len(ends) // _COLUMNS
-        at_newline = raw[ends] == ord("\n")
-        if (len(ends) != rows * _COLUMNS or not at_newline[_COLUMNS - 1::_COLUMNS].all()
-                or np.count_nonzero(at_newline) != rows):
-            return None
-        starts = np.empty_like(ends)
-        starts[0] = 0
-        starts[1:] = ends[:-1] + 1
-        lengths = ends - starts
-        if (lengths.min() < 1 or lengths.max() > limit
-                or (raw[starts] == ord(" ")).any() or (raw[ends - 1] == ord(" ")).any()):
-            return None
-        starts, lengths = starts.reshape(rows, _COLUMNS), lengths.reshape(rows, _COLUMNS)
-        block = columns[:, filled:filled + rows]
-        filled += rows
-        for column in range(2, _COLUMNS):
-            values = _decimal_cells(raw, starts[:, column], lengths[:, column])
-            if values is None:
-                return None
-            block[column] = values
-        if block[4].min() < 1:
-            return None
-        # id cells in first-seen order: the citing id, then the cited id, row by row
-        codes = ids.codes(chunk, padded, starts[:, :2].ravel(), lengths[:, :2].ravel())
-        if codes is None:
-            return None
-        block[:2] = codes.reshape(rows, 2).T
-    return CitationLedger(ids.ids, *columns[:, :filled])
+    ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
+    rows = len(ends) // width
+    at_newline = raw[ends] == ord("\n")
+    if (len(ends) != rows * width or not at_newline[width - 1::width].all()
+            or np.count_nonzero(at_newline) != rows):
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts
+    # an empty cell's neighbours are a separator, or a cell that ends with the space
+    if (lengths.max() > csv.field_size_limit()
+            or (raw[starts] == ord(" ")).any() or (raw[ends - 1] == ord(" ")).any()):
+        return None
+    return chunk, padded, starts.reshape(rows, width), lengths.reshape(rows, width)
+
+
+def _texts(text: str, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
+    """The cells ``lengths`` characters from ``starts`` in ``text``."""
+    return [text[i:i + n] for i, n in zip(starts.tolist(), lengths.tolist())]
+
+
+def _same_cells(padded: bytes, a: np.ndarray, b: np.ndarray, lengths_a: np.ndarray,
+                lengths_b: np.ndarray) -> np.ndarray:
+    """Whether each cell ``lengths_a`` bytes from ``a`` in ``padded`` equals
+    the one ``lengths_b`` bytes from ``b``, compared 8 bytes at a time."""
+    same = lengths_a == lengths_b
+    words = np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
+    last = len(words) - 1  # a cell shorter than k is masked whole, wherever it is read
+    for k in range(0, int(lengths_a.max(initial=0)), 8):
+        mask = _BYTE_MASKS[np.clip(lengths_a - k, 0, 8)]
+        same &= (words[np.minimum(a + k, last)] ^ words[np.minimum(b + k, last)]) & mask == 0
+    return same
 
 
 class _IdCodes:
-    """Codes for id cells, chunk by chunk, in first-seen order.
+    """Codes for ids in first-seen order: ``ids`` lists them, ``index`` maps
+    each to its code.  The row loop adds one id at a time (``code``), a
+    kernel the id cells of a chunk at once (``codes``).
 
-    An id is read as little-endian uint64 words of 8 bytes, the bytes past
-    its end masked to zero, which no id byte is, so equal ids have equal
-    words.  A one-word id is its own key, with the top bit clear (ASCII) and
-    a non-zero first byte; a longer id's key mixes its words and sets that
-    bit, and since mixed keys may collide, each such cell is checked against
-    the words its key stands for.  So no key is 0, which marks an empty slot
-    of the hash table: a power of two of slots, at most half full, probed
-    linearly from each key's multiplicative hash.  Every cell of a chunk
-    probes at once, one slot a round, so Python code touches only ids not
-    seen before.
+    For a kernel, an id is read as little-endian uint64 words of 8 bytes,
+    the bytes past its end masked to zero, which no id byte is, so equal ids
+    have equal words.  A one-word id is its own key, with the top bit clear
+    (ASCII) and a non-zero first byte; a longer id's key mixes its words and
+    sets that bit, and since mixed keys may collide, each such cell is
+    checked against the words its key stands for.  So no key is 0, which
+    marks an empty slot of the hash table: a power of two of slots, at most
+    half full, probed linearly from each key's multiplicative hash.  Every
+    cell of a chunk probes at once, one slot a round, so Python code touches
+    only ids that no kernel has seen before, which ``index`` may know.
     """
 
     def __init__(self):
         self.ids: list[str] = []
+        self.index: dict[str, int] = {}
         self._keys = np.zeros(1 << 10, dtype=np.uint64)  # each slot's key, 0 if empty
         self._codes = np.full(len(self._keys), -1, dtype=np.int64)  # each slot's id code
-        self._words = np.empty((0, _MAX_ID_WORDS), dtype=np.uint64)  # each code's words
+        self._words = np.zeros((0, _MAX_ID_WORDS), dtype=np.uint64)  # each code's words
+
+    def code(self, jid: str) -> int:
+        """The code of ``jid``: the next one if it is new."""
+        code = self.index.setdefault(jid, len(self.ids))
+        if code == len(self.ids):
+            self.ids.append(jid)
+        return code
 
     def codes(self, text: str, padded: bytes, starts: np.ndarray,
               lengths: np.ndarray) -> np.ndarray | None:
         """The codes of the ids at ``starts`` in ``text``, ``padded`` being its
-        ASCII bytes and 32 zero bytes; None for an id over 32 bytes, or
-        mixed keys that collide."""
-        if lengths.max() > 8 * _MAX_ID_WORDS:
+        ASCII bytes and 32 zero bytes; None, having learnt nothing, for an
+        empty id, one over 32 bytes, or mixed keys that collide."""
+        if lengths.min() < 1 or lengths.max() > 8 * _MAX_ID_WORDS:
             return None
         n_words = -(-int(lengths.max()) // 8)
         windows = np.ndarray((len(text), n_words), dtype="<u8", buffer=padded,
@@ -597,29 +683,31 @@ class _IdCodes:
             keys = np.where(words[:, 1:].any(axis=1), mixed, keys)
         codes = self._codes[self._find(keys)]
         unknown = np.flatnonzero(codes < 0)
+        new_keys, first, inverse = np.unique(keys[unknown], return_index=True,
+                                             return_inverse=True)
+        first = unknown[first]
+        if n_words > 1:  # each long cell must have the words of the id its key stands for
+            long = (keys & _LONG_ID) != 0
+            known = np.flatnonzero(long & (codes >= 0))
+            stored = self._words[codes[known]]
+            new = long[unknown]
+            if not ((stored[:, :n_words] == words[known]).all() and not stored[:, n_words:].any()
+                    and (words[first[inverse[new]]] == words[unknown[new]]).all()):
+                return None
         if unknown.size:
-            new_keys, first, inverse = np.unique(keys[unknown], return_index=True,
-                                                 return_inverse=True)
-            first = unknown[first]
             by_position = np.argsort(first)
-            new_codes = np.empty(len(new_keys), dtype=np.int64)
-            new_codes[by_position] = np.arange(len(self.ids), len(self.ids) + len(new_keys))
-            codes[unknown] = new_codes[inverse]
             first = first[by_position]
-            self.ids.extend(text[i:i + n] for i, n in zip(starts[first].tolist(),
-                                                          lengths[first].tolist()))
-            new_words = np.zeros((len(first), _MAX_ID_WORDS), dtype=np.uint64)
-            new_words[:, :n_words] = words[first]
-            self._words = np.concatenate((self._words, new_words))
+            new_codes = np.empty(len(new_keys), dtype=np.int64)
+            new_codes[by_position] = list(map(self.code, _texts(text, starts[first],
+                                                                lengths[first])))
+            codes[unknown] = new_codes[inverse]
+            if len(self._words) < len(self.ids):
+                self._words = np.concatenate((self._words, np.zeros(
+                    (len(self.ids) - len(self._words), _MAX_ID_WORDS), dtype=np.uint64)))
+            self._words[new_codes[by_position], :n_words] = words[first]
             if 2 * len(self.ids) > len(self._keys):
                 self._grow()
             self._insert(new_keys, new_codes)
-        if n_words > 1:
-            long = np.flatnonzero(keys & _LONG_ID)
-            known_words = self._words[codes[long]]
-            if not ((known_words[:, :n_words] == words[long]).all()
-                    and not known_words[:, n_words:].any()):
-                return None
         return codes
 
     def _home(self, keys: np.ndarray) -> np.ndarray:
@@ -669,7 +757,7 @@ def _decimal_cells(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> 
     is 1-18 ASCII digits: one Horner step per digit position.  ``raw`` holds
     at least ``_MAX_DIGITS`` bytes past the start of its last cell."""
     shortest, width = int(lengths.min()), int(lengths.max())
-    if width > _MAX_DIGITS:
+    if shortest < 1 or width > _MAX_DIGITS:
         return None
     values = np.zeros(len(starts), dtype=np.int64)
     for k in range(width):

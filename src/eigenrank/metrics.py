@@ -18,9 +18,10 @@ from typing import TextIO
 
 import numpy as np
 
-from ._util import column, csv_reader, csv_text, set_fields
-from .corpus import CitationLedger, CitationMatrix, JournalTable, _int64_sums, build_citation_matrix
-from .errors import ConvergenceError, DegenerateDataError, InconsistencyError
+from ._util import CsvRows, column, csv_text, parse_rows, read_text, set_fields
+from .corpus import (_MAX_DIGITS, CitationLedger, CitationMatrix, JournalTable, _cells,
+                     _decimal_cells, _IdCodes, _int64_sums, build_citation_matrix)
+from .errors import ConvergenceError, CsvFormatError, DegenerateDataError, InconsistencyError
 
 DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-12
@@ -341,20 +342,97 @@ def read_scores_csv(source: str | TextIO) -> MetricScores:
     The printed values are rounded, so the exact metric invariants are not
     re-checked; empty EF/AI/IF fields become NaN.  The count columns must
     hold nonnegative integers, and a journal_id may appear only once.
+    Chunks of plain rows are read in numpy columns (``_ScoreRows.kernel``),
+    the rest by the csv row loop, and the scores and every error are the
+    row loop's.
     """
-    rdr = csv_reader(source, SCORES_HEADER, "scores.csv")
-    ids: dict[str, None] = {}  # insertion-ordered, so a repeat is found in O(1)
-    cols: dict[str, list[float | int]] = {name: [] for name in SCORES_HEADER[1:]}
-    counts: dict[str, int] = {}  # count cells repeat, so each text is parsed once
-    for jid, *cells in rdr:
-        jid = rdr.id_cell(jid, "journal_id")
-        if jid in ids:
-            raise rdr.error(f"duplicate journal_id {jid!r}")
-        ids[jid] = None
-        for name, cell in zip(SCORES_HEADER[1:4], cells):
-            cols[name].append(rdr.decimal_cell(cell, name))
-        for name, cell in zip(SCORES_HEADER[4:], cells[3:]):
-            if cell not in counts:
-                counts[cell] = rdr.int_cell(cell, name, minimum=0)
-            cols[name].append(counts[cell])
-    return MetricScores(None, tuple(ids), **cols)
+    return parse_rows(read_text(source), SCORES_HEADER, "scores.csv", _ScoreRows)
+
+
+class _ScoreRows:
+    """The reader of scores.csv rows for ``parse_rows``: the EF, AI and IF
+    columns as float64 and the count columns as int64, ``ids`` listing the
+    journals in order."""
+
+    dtypes = (float,) * 3 + (np.int64,) * 3
+
+    def __init__(self):
+        self.ids = _IdCodes()
+        self.counts: dict[str, int] = {}  # count cells repeat, so each text is parsed once
+
+    def kernel(self, chunk: str) -> list[np.ndarray] | None:
+        cells = _cells(chunk, len(SCORES_HEADER))
+        if cells is None:
+            return None
+        text, padded, starts, lengths = cells
+        raw = np.frombuffer(padded, dtype=np.uint8)
+        columns = [(_fixed_point_cells if k < 4 else _decimal_cells)(
+            raw, starts[:, k], lengths[:, k]) for k in range(1, len(SCORES_HEADER))]
+        if any(values is None for values in columns):
+            return None
+        known = len(self.ids.ids)
+        if self.ids.codes(text, padded, starts[:, 0], lengths[:, 0]) is None:
+            return None
+        if len(self.ids.ids) - known < len(starts):  # fewer new codes than rows: a repeated id
+            raise CsvFormatError("duplicate journal_id")
+        return columns
+
+    def rows(self, rdr: CsvRows) -> tuple[np.ndarray, ...]:
+        decimals: list[float] = []
+        counts: list[int] = []
+        for jid, *cells in rdr:
+            jid = rdr.id_cell(jid, "journal_id")
+            if jid in self.ids.index:
+                raise rdr.error(f"duplicate journal_id {jid!r}")
+            self.ids.code(jid)
+            decimals += [rdr.decimal_cell(cell, name)
+                         for name, cell in zip(SCORES_HEADER[1:4], cells)]
+            for name, cell in zip(SCORES_HEADER[4:], cells[3:]):
+                if cell not in self.counts:
+                    self.counts[cell] = rdr.int_cell(cell, name, minimum=0)
+                counts.append(self.counts[cell])
+        return (*np.array(decimals, dtype=float).reshape(-1, 3).T,
+                *np.array(counts, dtype=np.int64).reshape(-1, 3).T)
+
+    def result(self, columns) -> MetricScores:
+        return MetricScores(None, self.ids.ids, *columns)
+
+
+# 10**f for the f digits after a point: exact as float64 for f up to 22
+_POWERS_OF_TEN = np.array([float(10**f) for f in range(19)])
+
+
+def _fixed_point_cells(raw: np.ndarray, starts: np.ndarray,
+                       lengths: np.ndarray) -> np.ndarray | None:
+    """The cells of ``raw`` at ``starts`` as ``float()`` reads them, an empty
+    one as NaN, or None unless each is an optional ``-`` and 1-18 ASCII
+    digits with at most one point among them, their integer ``m`` below
+    2**53: then ``m`` and ``10**f`` (``f`` digits after the point) are exact
+    floats, and IEEE division rounds ``m / 10**f`` as ``float()`` rounds the
+    text.  ``raw`` holds at least ``_MAX_DIGITS`` bytes past the start of its
+    last cell."""
+    if lengths.max() > _MAX_DIGITS:
+        return None
+    negative = (raw[starts] == ord("-")) & (lengths > 0)
+    at, left = starts + negative, lengths - negative
+    mantissa = np.zeros(len(starts), dtype=np.int64)
+    points = np.zeros(len(starts), dtype=np.int64)
+    scale = np.zeros(len(starts), dtype=np.int64)  # digits after the point
+    for k in range(int(left.max())):
+        inside = left > k
+        byte = raw[at + k]
+        digit = byte - ord("0")  # uint8: a byte below '0' wraps past 9
+        point = inside & (byte == ord("."))
+        inside &= ~point
+        if (digit[inside] > 9).any():
+            return None
+        mantissa[inside] = mantissa[inside] * 10 + digit[inside]
+        scale += inside & (points > 0)
+        points += point
+    filled = lengths > 0
+    if (points > 1).any() or (left[filled] <= points[filled]).any() or mantissa.max() >= 2**53:
+        return None
+    values = mantissa / _POWERS_OF_TEN[scale]
+    np.negative(values, out=values, where=negative)
+    values[~filled] = np.nan
+    return values

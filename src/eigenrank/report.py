@@ -8,10 +8,11 @@ what makes golden-file testing of the figures possible.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -141,6 +142,15 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escaped(texts: Iterable[str]) -> Iterable[str]:
+    """``texts`` escaped for XML, checked as one string first: most need nothing."""
+    texts = list(texts)
+    joined = "".join(texts)
+    if joined.isprintable() and not any(c in joined for c in '&<>"'):
+        return texts
+    return map(_esc, texts)
+
+
 def _esc(text: str) -> str:
     if not text.isprintable():  # no character XML 1.0 forbids is printable; each becomes U+FFFD
         text = re.sub("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", "\ufffd", text)
@@ -161,17 +171,33 @@ def _open_svg(spec: FigureSpec) -> list[str]:
     return parts
 
 
+def _texts(xs: Iterable[float], ys: Iterable[float], contents: Iterable[str], anchor: str,
+           colors: Iterable[str], size: int = 11) -> list[str]:
+    """One ``<text>`` element a row of the columns ``xs``, ``ys``,
+    ``contents`` and ``colors`` (Python floats and strings)."""
+    style = f'text-anchor="{anchor}" font-size="{size}"'
+    return [f'<text x="{x:.2f}" y="{y:.2f}" {style} fill="{color}">{content}</text>'
+            for x, y, content, color in zip(xs, ys, _escaped(contents), colors)]
+
+
 def _text(x: float, y: float, content: str, anchor: str, size: int = 11,
           color: str = "#000000") -> str:
-    return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" text-anchor="{anchor}" '
-            f'font-size="{size}" fill="{color}">{_esc(content)}</text>')
+    return _texts((x,), (y,), (content,), anchor, (color,), size)[0]
+
+
+def _lines(x1s: Iterable[float], y1s: Iterable[float], x2s: Iterable[float],
+           y2s: Iterable[float], colors: Iterable[str], width: float = 1.2,
+           dashed: bool = False) -> list[str]:
+    """One ``<line>`` element a row of the columns (Python floats and strings)."""
+    style = f'stroke-width="{width}"' + (' stroke-dasharray="4 3"' if dashed else "")
+    return [f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            f'stroke="{color}" {style}/>'
+            for x1, y1, x2, y2, color in zip(x1s, y1s, x2s, y2s, colors)]
 
 
 def _line(x1: float, y1: float, x2: float, y2: float, color: str,
           width: float = 1.2, dashed: bool = False) -> str:
-    dash = ' stroke-dasharray="4 3"' if dashed else ""
-    return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{color}" stroke-width="{width}"{dash}/>')
+    return _lines((x1,), (y1,), (x2,), (y2,), (color,), width, dashed)[0]
 
 
 def _column_headers(cmp: RankComparison, x_left: float, x_right: float) -> list[str]:
@@ -183,8 +209,9 @@ def _column_headers(cmp: RankComparison, x_left: float, x_right: float) -> list[
 # renderers
 # ---------------------------------------------------------------------------
 
-def _movement_colors(delta: np.ndarray) -> list[str]:
-    return [DEFAULT_COLORS[(DOWN, SAME, UP)[s]] for s in (np.sign(delta) + 1).tolist()]
+def _movement_colors(delta: np.ndarray) -> np.ndarray:
+    palette = np.array([DEFAULT_COLORS[move] for move in (DOWN, SAME, UP)], dtype=object)
+    return palette[np.sign(delta) + 1]
 
 
 def render_slopegraph(cmp: RankComparison, spec: FigureSpec) -> str:
@@ -198,28 +225,28 @@ def render_slopegraph(cmp: RankComparison, spec: FigureSpec) -> str:
     if not len(cmp):
         raise ValueError("cannot render an empty comparison")
     k = math.ceil(len(cmp) * spec.top_fraction)
-    labels, shown_right = cmp.labels[:k], cmp.rank_right[:k]
+    labels, shown_right = np.array(cmp.labels[:k], dtype=object), cmp.rank_right[:k]
     right_order = np.argsort(shown_right)  # the right column, top to bottom
-    right_slot = np.searchsorted(shown_right[right_order], shown_right).tolist()
-    rank_right = shown_right.tolist()
+    right_slot = np.searchsorted(shown_right[right_order], shown_right)
     moves = _movement_colors(cmp.delta[:k])
-    colors = ["#000000" if r > k else c for r, c in zip(rank_right, moves)]
+    colors = np.where(shown_right > k, "#000000", moves)
     top, bottom = 56.0, 16.0
     row_h = (spec.height - top - bottom) / k
     x_left, x_right = 0.34 * spec.width, 0.66 * spec.width
-    y = [top + (slot + 0.5) * row_h for slot in range(k)]
+    y = top + (np.arange(k) + 0.5) * row_h
+    label_y = (y + 4).tolist()
+    connected = np.flatnonzero(shown_right <= k)
 
     parts = _open_svg(spec)
     parts += _column_headers(cmp, x_left, x_right)
-    for i in range(k):
-        parts.append(_text(x_left, y[i] + 4, f"{i + 1}. {labels[i]}", "end",
-                           color=colors[i]))
-    for slot, i in enumerate(right_order.tolist()):
-        parts.append(_text(x_right, y[slot] + 4, f"{rank_right[i]}. {labels[i]}", "start",
-                           color=colors[i]))
-    for i in range(k):
-        if rank_right[i] <= k:
-            parts.append(_line(x_left + 8, y[i], x_right - 8, y[right_slot[i]], moves[i]))
+    parts += _texts(itertools.repeat(x_left), label_y, map(
+        "{}. {}".format, range(1, k + 1), labels.tolist()), "end", colors.tolist())
+    parts += _texts(itertools.repeat(x_right), label_y, map(
+        "{}. {}".format, shown_right[right_order].tolist(), labels[right_order].tolist()),
+        "start", colors[right_order].tolist())
+    parts += _lines(itertools.repeat(x_left + 8), y[connected].tolist(),
+                    itertools.repeat(x_right - 8), y[right_slot[connected]].tolist(),
+                    moves[connected].tolist())
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -253,11 +280,11 @@ def render_cardinal_plot(cmp: RankComparison, spec: FigureSpec, top_k: int) -> s
 
     parts = _open_svg(spec)
     parts += _column_headers(cmp, x_left, x_right)
-    for label, yl, yr, color in zip(cmp.labels, y_left, y_right, colors):
+    for label, yl, yr, color in zip(cmp.labels, y_left, y_right, colors.tolist()):
         parts.append(_text(x_left, yl + 4, label, "end", color=color))
         parts.append(_text(x_right, yr + 4, label, "start", color=color))
-    for yl, yr, color in zip(y_left, y_right, colors):
-        parts.append(_line(x_left + 8, yl, x_right - 8, yr, color))
+    parts += _lines(itertools.repeat(x_left + 8), y_left, itertools.repeat(x_right - 8),
+                    y_right, colors.tolist())
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -309,7 +336,7 @@ def render_ratio_plot(ra: RatioAnalysis, spec: FigureSpec) -> str:
     base = top + plot_h
     ymax = max(float(ra.normalized.max()), 1.0) * 1.05
 
-    def y(value: float) -> float:
+    def y(value):  # a float, or an array of them
         return top + (1.0 - value / ymax) * plot_h
 
     parts = _open_svg(spec)
@@ -317,10 +344,11 @@ def render_ratio_plot(ra: RatioAnalysis, spec: FigureSpec) -> str:
     parts.append(_line(left, y(1.0), left + plot_w, y(1.0), _REF_COLOR,
                        width=1.0, dashed=True))
     step = plot_w / len(ra)
-    for i, (label, value) in enumerate(zip(ra.labels, ra.normalized)):
-        cx = left + (i + 0.5) * step
-        parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(y(float(value)))}" r="2.50" '
-                     f'fill="{_BAR_FILL}"><title>{_esc(label)}</title></circle>')
+    cx = left + (np.arange(len(ra)) + 0.5) * step
+    parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.50" fill="{_BAR_FILL}">'
+              f'<title>{label}</title></circle>'
+              for x, y, label in zip(cx.tolist(), y(ra.normalized).tolist(),
+                                     _escaped(ra.labels))]
     parts.append(_line(left, base, left + plot_w, base, _AXIS_COLOR, width=1.0))
     parts.append(_text(left - 6, base + 4, "0", "end"))
     parts.append(_text(left - 6, top + 4, _fmt(ymax), "end"))

@@ -14,6 +14,7 @@ variables from that stream in the order the simulator's signature lists them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -221,11 +222,14 @@ def logistic_map_correlation(r: float, x0: float, n: int, burn_in: int = 1000) -
     x = x0
     for _ in range(burn_in):
         x = r * x * (1.0 - x)
-    xs = np.empty(n + 1)
-    xs[0] = x
-    for k in range(1, n + 1):
-        x = r * x * (1.0 - x)
-        xs[k] = x
+
+    def orbit(x: float, r: float, steps: int):  # the iterates, from x on
+        yield x
+        for _ in itertools.repeat(None, steps):
+            x = r * x * (1.0 - x)
+            yield x
+
+    xs = np.fromiter(orbit(x, r, n), dtype=float, count=n + 1)
     if float(np.ptp(xs)) <= _CONSTANT_SPREAD:
         raise UndefinedCorrelationError(
             f"orbit is constant after burn-in (converged near {xs[0]:.6g})")

@@ -17,6 +17,8 @@ from scipy.stats import rankdata
 
 from eigenrank import CitationLedger, CsvFormatError, JournalTable, MetricScores
 from eigenrank.corpus import JOURNALS_HEADER
+from eigenrank.metrics import SCORES_HEADER
+from eigenrank.stats import pearson_r
 
 
 def _columns(rows, width):
@@ -172,6 +174,71 @@ def reference_journals(source):
     except csv.Error as exc:
         raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
     return journal_table((jid, name, fields[jid], years[jid]) for jid, name in names.items())
+
+
+def _reference_float(text, name, line):
+    """``text`` as ``float()`` reads it, an empty one as NaN: a finite
+    number in ASCII, without a leading ``+`` or a ``_``."""
+    if not text:
+        return math.nan
+    value = None
+    if text.isascii() and not text.startswith("+") and "_" not in text:
+        try:
+            value = float(text)
+        except ValueError:
+            pass
+    if value is None or not math.isfinite(value):
+        raise CsvFormatError(f"line {line}: malformed {name} {text!r}")
+    return value
+
+
+def reference_scores(source):
+    """scores.csv parsed by one plain ``csv.reader`` loop over the rows,
+    every decimal cell read by ``float()`` and every count cell on every row,
+    lines split as a file opened with ``newline=""`` splits them."""
+    reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
+    ids, decimals, counts = {}, [], []  # ids: insertion-ordered
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError("scores.csv: missing header row")
+        if [h.strip() for h in header] != list(SCORES_HEADER):
+            raise CsvFormatError(f"scores.csv: expected header {','.join(SCORES_HEADER)}, "
+                                 f"got {','.join(header)}")
+        for row in reader:
+            line = reader.line_num
+            if not row:
+                continue
+            if len(row) != len(SCORES_HEADER):
+                raise CsvFormatError(f"line {line}: expected {len(SCORES_HEADER)} columns, "
+                                     f"got {len(row)}")
+            jid, *cells = (c.strip() for c in row)
+            if not jid:
+                raise CsvFormatError(f"line {line}: empty journal_id")
+            if jid in ids:
+                raise CsvFormatError(f"line {line}: duplicate journal_id {jid!r}")
+            ids[jid] = None
+            decimals.append([_reference_float(cell, name, line)
+                             for name, cell in zip(SCORES_HEADER[1:4], cells)])
+            counts.append([_reference_int(cell, name, line, minimum=0)
+                           for name, cell in zip(SCORES_HEADER[4:], cells[3:])])
+    except csv.Error as exc:
+        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+    return MetricScores(None, tuple(ids), *_columns(decimals, 3), *_columns(counts, 3))
+
+
+def reference_logistic_correlation(r, x0, n, burn_in):
+    """The correlation of successive logistic-map iterates, the orbit filled
+    one iterate at a time by a plain loop."""
+    x = x0
+    for _ in range(burn_in):
+        x = r * x * (1.0 - x)
+    xs = np.empty(n + 1)
+    xs[0] = x
+    for k in range(1, n + 1):
+        x = r * x * (1.0 - x)
+        xs[k] = x
+    return pearson_r(xs[:-1], xs[1:])
 
 
 def random_corpus(rng, n_journals=None, census_year=2006, window=5):

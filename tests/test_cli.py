@@ -516,6 +516,35 @@ def test_ratio_with_a_failing_group_test_writes_nothing(capsys):
     assert not Path("ratio.csv").exists() and not Path("utest.txt").exists()
 
 
+def test_two_outputs_naming_one_file_are_a_usage_error(capsys, tmp_path):
+    compute_scores()
+    capsys.readouterr()
+    for argv, path in (
+            (["ratio", "--scores", "scores.csv", "--group-by", "medicine", "--journals",
+              JOURNALS, "--test", "mann-whitney", "--out", "r.csv", "--report", "./r.csv"],
+             "./r.csv"),
+            (["simulate", "yule", "--trials", "3", "--out", "P", "--summary", "P"], "P"),
+            (["simulate", "yule", "--trials", "3", "--summary", str(tmp_path / "simulation.csv")],
+             str(tmp_path / "simulation.csv"))):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: two outputs name one file: {path}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.csv"]
+
+
+def test_missing_output_directory_writes_nothing(capsys, tmp_path):
+    for missing in ("missing/dir/s.txt", "/missing/dir/s.txt"):
+        assert main(["simulate", "yule", "--trials", "3", "--summary", missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert captured.out == "" and not any(tmp_path.iterdir())
+    Path("file").write_text("")
+    assert main(["simulate", "yule", "--trials", "3", "--out", "file/sim.csv"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 20] Not a directory: 'file/sim.csv'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
 def test_cli_reads_through_module_attributes(monkeypatch):
     # a wrapper put on the module, as perfbench's tracer does, sees every read
     import eigenrank.corpus

@@ -567,8 +567,8 @@ def _outcome(parse, source):
 
 def _row_loop(source):
     """``source`` parsed by the csv row loop alone."""
-    return corpus._parse_citation_rows(
-        _util.csv_reader(_util.read_text(source), corpus.CITATIONS_HEADER, "citations.csv"))
+    return _util.row_loop(corpus._CitationRows, _util.csv_reader(
+        _util.read_text(source), corpus.CITATIONS_HEADER, "citations.csv"))
 
 
 def _stream(data):
@@ -694,10 +694,12 @@ def test_unseekable_stream_parses_as_its_text():
             == (CsvFormatError, "line 4: malformed cited_year '20x5'"))
 
 
+def _whole_file(*args):
+    raise AssertionError("the csv row loop read the whole file")
+
+
 def test_plain_citations_skip_the_row_loop(monkeypatch):
-    def row_loop(source):
-        raise AssertionError("the csv row loop parsed a plain file")
-    monkeypatch.setattr(corpus, "_parse_citation_rows", row_loop)
+    monkeypatch.setattr(_util, "row_loop", _whole_file)
     ids = ("0028-0836", "J1", "ABCDEFGHIJKL", "1476-4687", "Z" * 32, "A")
     small = citation_ledger((ids[i % 6], ids[(i * 7 + 1) % 6], 2000 + i % 9, 1990 + i % 17,
                              1 + i % 250) for i in range(300))
@@ -714,6 +716,46 @@ def test_plain_citations_skip_the_row_loop(monkeypatch):
     assert len(text) > 4 * _util._CHUNK_CHARS
     assert parse_citation_edges(text) == big
     assert parse_citation_edges(_stream(text)) == big
+
+
+def test_odd_cells_send_only_their_chunks_to_the_row_loop(monkeypatch):
+    """About 1% odd cells (quoted names holding a comma or a quote,
+    non-ASCII names and ids) at paper scale: each chunk holding one is read
+    by the row loop alone, never the whole file."""
+    monkeypatch.setattr(_util, "row_loop", _whole_file)
+    rng = np.random.default_rng(12)
+    n = 7611
+    names = [f"Journal of Synthetic Studies {j + 1}" for j in range(n)]
+    for k, j in enumerate(rng.choice(n, n // 100, replace=False).tolist()):
+        names[j] = ("Studies, Synthetic {}", "Revista Espa\u00f1ola {}",
+                    'The "Q" {}')[k % 3].format(j)
+    table = journal_table((
+        f"J{j + 1:05d}", names[j], {f"field-{k:03d}" for k in rng.integers(0, 200, 1 + j % 3)},
+        {year: int(rng.integers(0, 500)) for year in range(2000 + j % 2, 2007)})
+        for j in range(n))
+    assert parse_journal_metadata(write_journal_metadata(table)) == table
+    ids = [f"J{j + 1:05d}" for j in range(n)]
+    for k, j in enumerate(rng.choice(n, 40, replace=False).tolist()):
+        ids[j] = ("J\u00e9{}", "J,{}")[k % 2].format(j)
+    rows = 100_000
+    citing, cited = rng.integers(0, n, rows), rng.integers(0, n, rows)
+    odd = np.flatnonzero([jid != f"J{j + 1:05d}" for j, jid in enumerate(ids)])
+    picked = rng.random(rows) < 0.01
+    citing[picked] = rng.choice(odd, picked.sum())
+    ledger = citation_ledger((ids[a], ids[b], 2006, 2001 + b % 5, 1 + a % 7)
+                             for a, b in zip(citing.tolist(), cited.tolist()))
+    assert parse_citation_edges(write_citation_edges(ledger)) == ledger
+
+
+def test_quoted_cell_open_at_a_chunk_end_is_joined_to_the_next(monkeypatch):
+    monkeypatch.setattr(_util, "row_loop", _whole_file)
+    text = (JOURNALS_HEADER + "A,Alpha,bio,2005,1\n"
+            + "".join(f'B,"Beta\nReview, Letters",med,{year},2\n' for year in (2004, 2005))
+            + 'C,Gamma,"bio;\r\nmed",2006,3\nC,Gamma,stats,2005,3\n')
+    for chunk in (1, 7, 30, _util._CHUNK_CHARS):
+        with patch.object(_util, "_CHUNK_CHARS", chunk):
+            assert parse_journal_metadata(text) == reference_journals(text)
+            assert parse_journal_metadata(_stream(text)) == reference_journals(text)
 
 
 def _id_chunk(interner, cells):

@@ -1,8 +1,11 @@
 import hashlib
+import io
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eigenrank import _util
 from eigenrank import (CitationLedger, ConvergenceError, CsvFormatError,
@@ -13,9 +16,9 @@ from eigenrank import (CitationLedger, ConvergenceError, CsvFormatError,
                        parse_journal_metadata, power_iterate, read_scores_csv,
                        resolve_metric, total_citations, write_citation_edges,
                        write_scores_csv)
-from eigenrank.metrics import MetricScores
+from eigenrank.metrics import SCORES_HEADER, MetricScores
 from helpers import (citation_ledger, dense_reference_scores, journal_table, ledger_rows,
-                     random_corpus, reference_counts)
+                     random_corpus, reference_counts, reference_scores)
 
 
 def make_table(article_counts, year=2005):
@@ -526,3 +529,74 @@ def test_scores_csv_undefined_printed_empty():
         read_scores_csv("id,ef\nA,1\n")
     with pytest.raises(CsvFormatError, match="^scores.csv: missing header row$"):
         read_scores_csv("")
+
+
+# ---------------------------------------------------------------------------
+# the scores.csv reader against a plain reference row loop
+# ---------------------------------------------------------------------------
+
+_SCORES_LINE = ",".join(SCORES_HEADER) + "\n"
+# decimals the kernel reads, and ones it must leave to the row loop: signs,
+# exponents, mantissas of 16-17 digits around 2**53, points, odd characters
+_ODD_DECIMALS = ("-0.000000", "0.000000", "", "1e-3", "1E5", "+1", "-", ".", "5.", ".5", "-.5",
+                 "1.2.3", "00012.50", "1234567890123456", "9007199254740992",
+                 "9007199254740993", "12345678901234567", "0.1234567890123456",
+                 "0.12345678901234567", "-123456789.0123456", "nan", "inf", "1_0", "\u0661",
+                 " 2.5", "2.5 ", '"2.5"', "2.5\t")
+_ODD_COUNTS = ("0", "0007", "-1", "+2", "", "1.0", "9" * 18, "9" * 19, " 3", '"4"')
+
+
+@st.composite
+def _score_texts(draw):
+    """scores.csv texts of plain rows, some cells odd, some ids repeated."""
+    ids = [f"J{k:03d}" for k in range(draw(st.integers(0, 8)))]
+    if ids and draw(st.booleans()):
+        ids[draw(st.integers(0, len(ids) - 1))] = draw(st.sampled_from(
+            ids + ["0028-0836", "A" * 20, "\u00e9", '"A,1"', " B"]))
+    decimal = st.one_of(st.floats(-1e6, 1e6).map("{:.6f}".format),
+                        st.sampled_from(_ODD_DECIMALS))
+    count = st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(_ODD_COUNTS))
+    rows = [[jid, *(draw(decimal) for _ in range(3)), *(draw(count) for _ in range(3))]
+            for jid in ids]
+    end = draw(st.sampled_from(("\n", "\n", "\r\n")))
+    text = _SCORES_LINE.replace("\n", end) + "".join(",".join(r) + end for r in rows)
+    return draw(st.sampled_from((text, text, text.rstrip("\r\n"))))
+
+
+def _scores_outcome(parse, source):
+    """The ids and column bytes ``parse`` gives (-0.0 and 0.0 differ), or the
+    type and message of what it raises."""
+    try:
+        scores = parse(source)
+    except Exception as exc:  # the same failure is part of the contract
+        return type(exc), str(exc)
+    return scores.journal_ids, [getattr(scores, name).tobytes() for name in SCORES_HEADER[1:]]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=_score_texts(), chunk=st.sampled_from((1, 7, 30, _util._CHUNK_CHARS)))
+@example(text=_SCORES_LINE + "A,-0.000000,,0.5,0,0,0\nB,1234567890123456,.5,5.,1,2,3\n",
+         chunk=_util._CHUNK_CHARS)
+@example(text=_SCORES_LINE + "A,1,1,1,0,0,0\nB,1,1,1,0,0,0\nA,1,1,1,0,0,0\n",
+         chunk=7)  # a repeated id, chunks apart
+def test_scores_reader_equals_reference_row_loop(text, chunk):
+    with patch.object(_util, "_CHUNK_CHARS", chunk):
+        assert _scores_outcome(read_scores_csv, text) == _scores_outcome(reference_scores, text)
+        assert (_scores_outcome(read_scores_csv, io.StringIO(text, newline=""))
+                == _scores_outcome(reference_scores, io.StringIO(text, newline="")))
+
+
+def test_plain_scores_skip_the_row_loop(monkeypatch):
+    def whole_file(*args):
+        raise AssertionError("the csv row loop read a plain file")
+    monkeypatch.setattr(_util, "row_loop", whole_file)
+    rng = np.random.default_rng(7)
+    n = 7611
+    scores = MetricScores(None, tuple(f"J{j:05d}" for j in range(n)),
+                          rng.lognormal(-6, 2, n), np.where(
+                              rng.random(n) < 0.01, np.nan, rng.lognormal(0, 1, n)),
+                          rng.lognormal(0, 1, n), rng.integers(0, 10**5, n),
+                          rng.integers(0, 10**3, n), rng.integers(0, 400, n))
+    text = write_scores_csv(scores)
+    assert len(text) > _util._CHUNK_CHARS
+    assert _scores_outcome(read_scores_csv, text) == _scores_outcome(reference_scores, text)

@@ -8,7 +8,7 @@ from eigenrank import (DistributionSpec, UndefinedCorrelationError, lognormal_fr
                        simulate_ossuary, simulate_yule_products, spec_from_cv)
 from eigenrank.spurious import SimulationResult, format_summary, write_simulation_csv
 from eigenrank.stats import pearson_r
-from helpers import log_variance_share
+from helpers import log_variance_share, reference_logistic_correlation
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +250,14 @@ def test_simulation_csv_and_summary_are_deterministic():
 def test_logistic_map_chaos_is_uncorrelated():
     rho = logistic_map_correlation(4.0, 0.2, 200_000)
     assert abs(rho) <= 0.01
+
+
+@pytest.mark.parametrize("r, x0, n, burn_in", [
+    (4.0, 0.2, 1_000_000, 1000), (4.0, 0.713, 5000, 0), (3.7, 0.5, 20_000, 17),
+    (3.2, 0.3, 1000, 1000)])
+def test_logistic_map_equals_a_plain_loop_exactly(r, x0, n, burn_in):
+    assert logistic_map_correlation(r, x0, n, burn_in) == reference_logistic_correlation(
+        r, x0, n, burn_in)
 
 
 def test_logistic_map_fixed_point_is_undefined():
