@@ -233,15 +233,18 @@ def parse_rows(text: str, header: Sequence[str], what: str, reader: type):
       a time;
     * ``result(columns)``: what the file holds, its rows being ``columns``.
 
-    A text that starts with the exact header line is read in chunks: the
-    kernel answers or declines each, a declined chunk is read by ``rows``
-    alone, and one that leaves a quoted cell open is joined to the next.
-    Any error there, and any other text, goes to ``row_loop`` over the whole
-    text, which raises every error with its line.
+    A text longer than one chunk that starts with the exact header line is
+    read in chunks: the kernel answers or declines each, a declined chunk is
+    read by ``rows`` alone, and one that leaves a quoted cell open is joined
+    to the next.  Any error there, and any other text, goes to ``row_loop``
+    over the whole text, which raises every error with its line; for a
+    short text that is also the faster way, the kernels' numpy calls costing
+    more than its rows.
     """
     header_line = ",".join(header) + "\n"
     # the row loop fails on a header cell over the csv field size limit
-    if text.startswith(header_line) and max(map(len, header)) <= csv.field_size_limit():
+    if (len(text) > _CHUNK_CHARS and text.startswith(header_line)
+            and max(map(len, header)) <= csv.field_size_limit()):
         chunked = reader()
         try:
             return chunked.result(_chunk_columns(text, header, len(header_line), chunked))

@@ -450,11 +450,12 @@ class _JournalRows:
             raise CsvFormatError("a journal renamed")
         # only a journal's first row in the chunk, or a changed fields cell, reaches Python
         firsts = np.delete(order, later)  # in code order
-        new = journal[firsts] >= len(self.names)
-        self._add(*(_texts(text, starts[firsts[new], k], lengths[firsts[new], k]) for k in (1, 2)))
-        merged = np.concatenate((firsts[~new], np.sort(rows[~same_fields])))
+        known = journal[firsts] < len(self.names)
+        new = firsts[~known]
+        self._add(*(_slices(text, starts[new, k], lengths[new, k]) for k in (1, 2)))
+        merged = np.concatenate((firsts[known], np.sort(rows[~same_fields])))
         for j, name, field_list in zip(journal[merged].tolist(), *(
-                _texts(text, starts[merged, k], lengths[merged, k]) for k in (1, 2))):
+                _slices(text, starts[merged, k], lengths[merged, k]) for k in (1, 2))):
             self._merge(j, name, field_list, CsvFormatError)
         return journal, year, articles
 
@@ -616,7 +617,7 @@ def _cells(chunk: str, width: int) -> tuple[str, bytes, np.ndarray, np.ndarray] 
     return chunk, padded, starts.reshape(rows, width), lengths.reshape(rows, width)
 
 
-def _texts(text: str, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
+def _slices(text: str, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
     """The cells ``lengths`` characters from ``starts`` in ``text``."""
     return [text[i:i + n] for i, n in zip(starts.tolist(), lengths.tolist())]
 
@@ -698,8 +699,8 @@ class _IdCodes:
             by_position = np.argsort(first)
             first = first[by_position]
             new_codes = np.empty(len(new_keys), dtype=np.int64)
-            new_codes[by_position] = list(map(self.code, _texts(text, starts[first],
-                                                                lengths[first])))
+            new_codes[by_position] = list(map(self.code, _slices(text, starts[first],
+                                                                 lengths[first])))
             codes[unknown] = new_codes[inverse]
             if len(self._words) < len(self.ids):
                 self._words = np.concatenate((self._words, np.zeros(
