@@ -8,9 +8,10 @@ correlations.csv), ``ratio`` (ratio analysis and group tests), ``simulate``
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 failure (non-convergence, degenerate statistics).  A call that fails writes no
 file and prints nothing to stdout.  Two outputs naming one file are a usage
-error, and an output whose directory is missing a data error, both found
-before the first write; only a write that fails otherwise (a file that may
-not be written) can leave behind the files written before it.
+error, and an output that is a directory or whose directory is missing a
+data error, both found before the first write; only a write that fails
+otherwise (a file that may not be written) can leave behind the files
+written before it.
 
 ``EIGENRANK_SEED`` supplies a default simulation seed when ``--seed`` is
 absent; an explicit flag wins.  ``--config PATH`` reads a key=value file
@@ -413,16 +414,17 @@ def _cmd_bigmac(args):
 
 def _check_outputs(paths: list[str]) -> None:
     """A usage error where two of ``paths`` name one file, and the error
-    that writing would meet where a path's directory is missing, raised
-    before any output is written."""
+    that writing would meet where a path is a directory or its directory is
+    missing, raised before any output is written."""
     resolved = [Path(path).resolve() for path in paths]
     for k, path in enumerate(resolved):
         if path in resolved[:k]:
             raise _UsageError(f"two outputs name one file: {paths[k]}")
     for path in paths:
         parent = Path(path).parent
-        if not parent.is_dir():
-            code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        code = (errno.EISDIR if Path(path).is_dir() else None if parent.is_dir()
+                else errno.ENOTDIR if parent.exists() else errno.ENOENT)
+        if code is not None:
             raise OSError(code, os.strerror(code), path)
 
 

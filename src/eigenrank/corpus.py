@@ -683,32 +683,35 @@ class _IdCodes:
             mixed = np.bitwise_xor.reduce(words * _WORD_MIX[:n_words], axis=1) | _LONG_ID
             keys = np.where(words[:, 1:].any(axis=1), mixed, keys)
         codes = self._codes[self._find(keys)]
+        if n_words > 1:  # a long cell found must have the words of the id its key stands for
+            known = np.flatnonzero(((keys & _LONG_ID) != 0) & (codes >= 0))
+            stored = self._words[codes[known]]
+            if not (stored[:, :n_words] == words[known]).all() or stored[:, n_words:].any():
+                return None
         unknown = np.flatnonzero(codes < 0)
+        if not unknown.size:
+            return codes
         new_keys, first, inverse = np.unique(keys[unknown], return_index=True,
                                              return_inverse=True)
         first = unknown[first]
-        if n_words > 1:  # each long cell must have the words of the id its key stands for
-            long = (keys & _LONG_ID) != 0
-            known = np.flatnonzero(long & (codes >= 0))
-            stored = self._words[codes[known]]
-            new = long[unknown]
-            if not ((stored[:, :n_words] == words[known]).all() and not stored[:, n_words:].any()
-                    and (words[first[inverse[new]]] == words[unknown[new]]).all()):
-                return None
-        if unknown.size:
-            by_position = np.argsort(first)
-            first = first[by_position]
-            new_codes = np.empty(len(new_keys), dtype=np.int64)
-            new_codes[by_position] = list(map(self.code, _slices(text, starts[first],
-                                                                 lengths[first])))
-            codes[unknown] = new_codes[inverse]
-            if len(self._words) < len(self.ids):
-                self._words = np.concatenate((self._words, np.zeros(
-                    (len(self.ids) - len(self._words), _MAX_ID_WORDS), dtype=np.uint64)))
-            self._words[new_codes[by_position], :n_words] = words[first]
-            if 2 * len(self.ids) > len(self._keys):
-                self._grow()
-            self._insert(new_keys, new_codes)
+        if n_words > 1 and (words[first[inverse]] != words[unknown]).any():
+            return None  # the mixed keys of two new ids collide
+        by_position = np.argsort(first)
+        first = first[by_position]
+        names = _slices(text, starts[first], lengths[first])  # first seen first
+        fresh = [name for name in names if name not in self.index]
+        self.index.update(zip(fresh, itertools.count(len(self.ids))))
+        self.ids += fresh
+        new_codes = np.empty(len(new_keys), dtype=np.int64)
+        new_codes[by_position] = list(map(self.index.__getitem__, names))
+        codes[unknown] = new_codes[inverse]
+        if len(self._words) < len(self.ids):
+            self._words = np.concatenate((self._words, np.zeros(
+                (len(self.ids) - len(self._words), _MAX_ID_WORDS), dtype=np.uint64)))
+        self._words[new_codes[by_position], :n_words] = words[first]
+        if 2 * len(self.ids) > len(self._keys):
+            self._grow()
+        self._insert(new_keys, new_codes)
         return codes
 
     def _home(self, keys: np.ndarray) -> np.ndarray:

@@ -223,7 +223,8 @@ def logistic_map_correlation(r: float, x0: float, n: int, burn_in: int = 1000) -
     for _ in range(burn_in):
         x = r * x * (1.0 - x)
 
-    def orbit(x: float, r: float, steps: int):  # the iterates, from x on
+    # the iterates from x on; the loop reads r and steps fastest as its own locals
+    def orbit(x: float, r: float, steps: int):
         yield x
         for _ in itertools.repeat(None, steps):
             x = r * x * (1.0 - x)

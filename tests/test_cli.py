@@ -534,15 +534,19 @@ def test_two_outputs_naming_one_file_are_a_usage_error(capsys, tmp_path):
 
 
 def test_missing_output_directory_writes_nothing(capsys, tmp_path):
-    for missing in ("missing/dir/s.txt", "/missing/dir/s.txt"):
+    for missing in ("missing/dir/s.txt", "/missing/dir/s.txt", "./missing//s.txt"):
         assert main(["simulate", "yule", "--trials", "3", "--summary", missing]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
         assert captured.out == "" and not any(tmp_path.iterdir())
     Path("file").write_text("")
-    assert main(["simulate", "yule", "--trials", "3", "--out", "file/sim.csv"]) == 2
-    assert capsys.readouterr().err == "error: [Errno 20] Not a directory: 'file/sim.csv'\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    Path("dir").mkdir()
+    for out, error in (("file/sim.csv", "[Errno 20] Not a directory: 'file/sim.csv'"),
+                       ("dir", "[Errno 21] Is a directory: 'dir'")):
+        assert main(["simulate", "yule", "--trials", "3", "--summary", out]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert not any(Path("dir").iterdir())
 
 
 def test_cli_reads_through_module_attributes(monkeypatch):
