@@ -115,9 +115,9 @@ class CsvRows:
     lines as a file opened with ``newline=""`` is, at LF, CRLF or CR.
 
     With ``header`` given, ``source`` is a piece of a text: the rows after
-    that header row, read whole here, with lines counted from the piece's
-    start.  A last row that the piece's end cuts inside a quoted cell is
-    not yielded, and ``cut`` is set.
+    that header row, with lines counted from the piece's start.  A piece
+    holding a quote is read whole here: a last row that its end cuts inside
+    a quoted cell is not yielded, and ``cut`` is set.
     """
 
     def __init__(self, source: str | TextIO, header: Sequence[str] | None = None):
@@ -128,7 +128,7 @@ class CsvRows:
                                                   self._end()))
         self._rows = self._read(header)
         self.header: Sequence[str] | None = next(self._rows)
-        if header is not None:
+        if header is not None and '"' in source:  # only a quoted cell can run past its end
             self._rows = iter(list(self._rows))
 
     def __iter__(self) -> Iterator[list[str]]:
