@@ -305,13 +305,15 @@ class CitationLedger:
         return tuple(self._records(self.cited_year > self.citing_year))
 
     def windowed(self, table: JournalTable, census_year: int, window: int | None,
-                 exclude_self: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(cited, citing, count)`` of the citations given in ``census_year``.
+                 exclude_self: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, positions)`` for the citations given in ``census_year``.
 
-        Only articles published in the ``window`` years before the census
-        year count (any year when ``window`` is None); ``exclude_self`` drops
-        self-citations.  ``cited`` and ``citing`` are positions in ``table``;
-        unknown journal ids raise ``ValidationError`` listing all offenders.
+        ``rows`` indexes the records that count, in ledger order: articles
+        published in the ``window`` years before the census year (any year
+        when ``window`` is None), self-citations dropped when ``exclude_self``.
+        ``positions`` maps each ledger code to its journal's position in
+        ``table``; unknown journal ids raise ``ValidationError`` listing all
+        offenders.
         """
         positions = self._table_positions(table)
         keep = self.citing_year == census_year
@@ -319,9 +321,7 @@ class CitationLedger:
             keep &= (self.cited_year >= census_year - window) & (self.cited_year < census_year)
         if exclude_self:
             keep &= self.citing != self.cited
-        rows = np.flatnonzero(keep)  # one index gathers each column faster than the mask
-        return (positions.take(self.cited.take(rows)), positions.take(self.citing.take(rows)),
-                self.count.take(rows))
+        return np.flatnonzero(keep), positions
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,7 +350,8 @@ class CitationMatrix:
         if ((self.row < 0) | (self.row >= n) | (self.col < 0) | (self.col >= n)).any():
             raise ValidationError(f"matrix entry outside the {n} journals")
         # column-major order is what makes __matmul__ add up each row in a fixed order
-        if (np.diff(self.col * n + self.row) <= 0).any():
+        keys = self.col * n + self.row
+        if (keys[1:] <= keys[:-1]).any():
             raise ValidationError("matrix entries must be unique and sorted by column, then row")
         if not (self.value > 0).all():
             raise ValidationError("stored citation entries must be strictly positive")
@@ -815,12 +816,31 @@ def build_citation_matrix(ledger: CitationLedger, table: JournalTable, census_ye
     """
     if window <= 0:
         raise ValueError("window must be positive")
-    cited, citing, count = ledger.windowed(table, census_year, window, exclude_self)
     n = len(table)
-    # keys in column-major order; the inverse sums repeated (cited, citing) pairs
-    keys, inverse = np.unique(citing * n + cited, return_inverse=True)
-    value = np.bincount(inverse, weights=count, minlength=len(keys))
+    rows, positions = ledger.windowed(table, census_year, window, exclude_self)
+    # each record's entry key in column-major order, built in one array
+    keys = positions.take(ledger.citing.take(rows))
+    keys *= n
+    keys += positions.take(ledger.cited.take(rows))
+    count = ledger.count.take(rows)
+    del rows, positions
+    # one sort groups the keys; ``inverse`` numbers each record's entry, so
+    # bincount adds up every entry's counts in ledger order
+    order = np.argsort(keys)
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    group = np.cumsum(first)
+    group -= 1
+    inverse = np.empty_like(order)
+    inverse[order] = group
+    del order, group, first
+    value = np.bincount(inverse, weights=count)
+    del inverse, count
     col, row = np.divmod(keys, n)
+    del keys
     return CitationMatrix(table.ids, row, col, value, exclude_self)
 
 

@@ -241,8 +241,9 @@ def impact_factor(ledger: CitationLedger, table: JournalTable, census_year: int,
     years, divided by the article count of those two years.  Self-citations
     are included by default (the convention this metric imitates).
     """
-    cited, _, count = ledger.windowed(table, census_year, 2, exclude_self)
-    cites = np.bincount(cited, weights=count, minlength=len(table))
+    rows, positions = ledger.windowed(table, census_year, 2, exclude_self)
+    cites = np.bincount(positions.take(ledger.cited.take(rows)),
+                        weights=ledger.count.take(rows), minlength=len(table))
     n2 = table.article_counts(census_year, 2).astype(float)
     result = np.full(len(table), np.nan)
     has_articles = n2 > 0
@@ -254,7 +255,10 @@ def total_citations(ledger: CitationLedger, table: JournalTable, census_year: in
                     exclude_self: bool = False) -> np.ndarray:
     """Citations received in the census year, regardless of cited article age;
     a total past int64 raises ValidationError naming its journal."""
-    cited, _, count = ledger.windowed(table, census_year, None, exclude_self)
+    rows, positions = ledger.windowed(table, census_year, None, exclude_self)
+    cited = positions.take(ledger.cited.take(rows))
+    count = ledger.count.take(rows)
+    del rows
     return _int64_sums(cited, count, len(table), lambda j, total: (
         f"journal {table.ids[j]!r} received {total} citations in {census_year}, "
         "more than a 64-bit integer holds"))
@@ -302,8 +306,10 @@ def compute_metrics(table: JournalTable, ledger: CitationLedger, census_year: in
                               exclude_self=exclude_self_influence)
     a = article_vector(table, census_year, window)
     h, dangling = normalize_columns(z)
+    del z  # h shares its row and col; its own value is all it adds
     pi, report = power_iterate(h, dangling, a, alpha=alpha, tol=tol, max_iter=max_iter)
     ef = eigenfactor_scores(h, pi)
+    del h  # freed before IF and TC gather their columns
     ai = article_influence(ef, a)
     scores = MetricScores(
         census_year=census_year,

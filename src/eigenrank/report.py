@@ -200,6 +200,26 @@ def _line(x1: float, y1: float, x2: float, y2: float, color: str,
     return _lines((x1,), (y1,), (x2,), (y2,), (color,), width, dashed)[0]
 
 
+def _plot_size(spec: FigureSpec, left: float, right: float, top: float,
+               bottom: float) -> tuple[float, float]:
+    """Width and height of the plot area inside the margins; a ValueError
+    where ``spec`` leaves none."""
+    plot_w = spec.width - left - right
+    plot_h = spec.height - top - bottom
+    if plot_w <= 0 or plot_h <= 0:
+        raise ValueError(f"a {spec.width}x{spec.height} figure leaves no plot area "
+                         "inside its margins")
+    return plot_w, plot_h
+
+
+def _rank_columns(spec: FigureSpec) -> tuple[float, float, float]:
+    """``x_left``, ``x_right`` and plot height of the rank renderers, whose
+    connectors run 8 px inside the two name columns."""
+    x_left, x_right = 0.34 * spec.width, 0.66 * spec.width
+    _, plot_h = _plot_size(spec, x_left + 8, spec.width - x_right + 8, 56.0, 16.0)
+    return x_left, x_right, plot_h
+
+
 def _column_headers(cmp: RankComparison, x_left: float, x_right: float) -> list[str]:
     return [_text(x_left, 44, cmp.left_name, "end", size=12),
             _text(x_right, 44, cmp.right_name, "start", size=12)]
@@ -230,10 +250,9 @@ def render_slopegraph(cmp: RankComparison, spec: FigureSpec) -> str:
     right_slot = np.searchsorted(shown_right[right_order], shown_right)
     moves = _movement_colors(cmp.delta[:k])
     colors = np.where(shown_right > k, "#000000", moves)
-    top, bottom = 56.0, 16.0
-    row_h = (spec.height - top - bottom) / k
-    x_left, x_right = 0.34 * spec.width, 0.66 * spec.width
-    y = top + (np.arange(k) + 0.5) * row_h
+    x_left, x_right, plot_h = _rank_columns(spec)
+    row_h = plot_h / k
+    y = 56.0 + (np.arange(k) + 0.5) * row_h
     label_y = (y + 4).tolist()
     connected = np.flatnonzero(shown_right <= k)
 
@@ -272,11 +291,9 @@ def render_cardinal_plot(cmp: RankComparison, spec: FigureSpec, top_k: int) -> s
 
     lmax = scale_max(score_left, "left")
     rmax = scale_max(score_right, "right")
-    top, bottom = 56.0, 16.0
-    plot_h = spec.height - top - bottom
-    x_left, x_right = 0.34 * spec.width, 0.66 * spec.width
-    y_left = [top + (1.0 - v / lmax) * plot_h for v in score_left]
-    y_right = [top + (1.0 - v / rmax) * plot_h for v in score_right]
+    x_left, x_right, plot_h = _rank_columns(spec)
+    y_left = [56.0 + (1.0 - v / lmax) * plot_h for v in score_left]
+    y_right = [56.0 + (1.0 - v / rmax) * plot_h for v in score_right]
 
     parts = _open_svg(spec)
     parts += _column_headers(cmp, x_left, x_right)
@@ -296,14 +313,17 @@ def render_histogram(values, bins: int, spec: FigureSpec) -> str:
         raise ValueError("cannot render an empty histogram")
     if bins < 1:
         raise ValueError("bins must be at least 1")
+    left, top = 46.0, 56.0
+    plot_w, plot_h = _plot_size(spec, left, 16.0, top, 34.0)
+    # a bar narrower than 0.01 px prints as width 0.00
+    if bins > 100 * plot_w:
+        raise ValueError(f"bins must be at most {100 * plot_w:.0f}, 100 a pixel of the "
+                         f"plot width, got {bins}")
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:  # single-point data still gets one full bin
         lo, hi = lo - 0.5, hi + 0.5
     counts, _ = np.histogram(values, bins=bins, range=(lo, hi))
     cmax = counts.max()
-    left, right, top, bottom = 46.0, 16.0, 56.0, 34.0
-    plot_w = spec.width - left - right
-    plot_h = spec.height - top - bottom
     base = top + plot_h
     bar_w = plot_w / bins
 
@@ -330,9 +350,8 @@ def render_ratio_plot(ra: RatioAnalysis, spec: FigureSpec) -> str:
     """Median-normalized ratios, highest first, with a dashed line at 1.0."""
     if len(ra) == 0:
         raise ValueError("cannot render an empty ratio series")
-    left, right, top, bottom = 46.0, 16.0, 56.0, 34.0
-    plot_w = spec.width - left - right
-    plot_h = spec.height - top - bottom
+    left, top = 46.0, 56.0
+    plot_w, plot_h = _plot_size(spec, left, 16.0, top, 34.0)
     base = top + plot_h
     ymax = max(float(ra.normalized.max()), 1.0) * 1.05
 

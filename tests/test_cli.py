@@ -333,6 +333,19 @@ def test_exit_codes_usage_errors(capsys):
     assert not Path("p.svg").exists()
 
 
+def test_plot_sizes_past_the_figure_are_usage_errors(capsys):
+    Path("v.csv").write_text("rho\n0.1\n0.5\n0.9\n")
+    histogram = ["plot", "histogram", "--values", "v.csv", "--out", "h.svg"]
+    for argv, message in ((histogram + ["--width", "10", "--height", "10"],
+                           "a 10x10 figure leaves no plot area inside its margins"),
+                          (histogram + ["--bins", "1000000000000"],
+                           "bins must be at most 65800, 100 a pixel of the plot width, "
+                           "got 1000000000000")):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not Path("h.svg").exists()
+
+
 def test_nan_and_infinite_parameters_are_usage_errors(capsys):
     # NaN passes a `tol <= 0` or `cv <= 0` check; an infinite tolerance stops
     # after one iteration, and an infinite cv gives NaN draws

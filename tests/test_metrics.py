@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -363,6 +364,55 @@ def test_aggregations_equal_per_record_oracle(exclude_self):
         np.testing.assert_array_equal(
             total_citations(ledger, table, 2006, exclude_self=exclude_self), tc)
         assert np.isnan(iff[-1])
+
+
+def test_matrix_entries_add_up_in_ledger_order():
+    # 2**53 + 1 rounds back to 2**53 in float64, so an entry's sum shows the
+    # order of its counts: 2**53, 1, 1 gives 2**53 and 1, 1, 2**53 gives 2**53 + 2.
+    # Each of the twelve pairs among J00-J03 has three rows a thousand filler
+    # rows apart, so a sort that does not keep equal keys in row order moves some.
+    rng = np.random.default_rng(53)
+    table = make_table([5] * 20)
+    filler = [(f"J{a:02d}", f"J{b:02d}", 2006, 2005, 1)
+              for a, b in rng.integers(4, 20, (3000, 2)).tolist()]
+    pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+    counts = [(2**53, 1, 1) if k % 2 == 0 else (1, 1, 2**53) for k in range(len(pairs))]
+    records = [record for k in range(3) for record in filler[1000 * k:1000 * (k + 1)] + [
+        (f"J{a:02d}", f"J{b:02d}", 2006, 2004, count[k]) for (a, b), count in zip(pairs, counts)]]
+    ledger = citation_ledger(records)
+    z = build_citation_matrix(ledger, table, 2006, 5, exclude_self=True)
+    entries = dict(zip(zip(z.row.tolist(), z.col.tolist()), z.value.tolist()))
+    # J00 cites J01 with 2**53, 1, 1 and J02 with 1, 1, 2**53
+    assert entries[1, 0] == 9007199254740992.0 and entries[2, 0] == 9007199254740994.0
+    assert [entries[b, a] for a, b in pairs] == [2.0**53 + 2 * (k % 2) for k in range(12)]
+    # the same ledger in a census year it has no rows for, and a one-row ledger
+    for ledger, census_year, size in ((ledger, 2006, None), (ledger, 2007, 0),
+                                      (citation_ledger(records[1000:1001]), 2006, 1)):
+        z = build_citation_matrix(ledger, table, census_year, 5, exclude_self=True)
+        matrix, _, _ = reference_counts(ledger, table, census_year, 5, exclude_self=True)
+        assert (z.row.tolist(), z.col.tolist(), z.value.tolist()) == matrix
+        assert size is None or len(z.value) == size
+
+
+def test_compute_metrics_peak_memory_per_ledger_row():
+    # The matrix build and the IF/TC gathers each hold a few 8-byte columns
+    # of the in-window rows at a time: about 18 bytes a ledger row at this
+    # corpus's peak.  Holding three gathered columns while np.unique groups
+    # the keys took 33 bytes a row; the bound is 24.
+    table, text = _seeded_paper_like_corpus()
+    ledger = parse_citation_edges(text)
+    del text
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    try:
+        compute_metrics(table, ledger, 2006)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / len(ledger) < 24
 
 
 def test_aggregations_list_every_unknown_id():

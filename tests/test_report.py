@@ -1,5 +1,6 @@
 import hashlib
 import re
+from unittest.mock import patch
 from xml.etree import ElementTree
 
 import numpy as np
@@ -328,6 +329,42 @@ def test_ratio_plot_golden_snapshot():
     svg = render_ratio_plot(ra, spec)
     assert svg == render_ratio_plot(ra, spec)
     assert hashlib.sha256(svg.encode()).hexdigest() == GOLDEN_RATIO_SHA256
+
+
+def _render(kind: str, spec: FigureSpec, bins: int = 3) -> str:
+    cmp = rank_items(["A", "B", "C"], [3.0, 2.0, 1.0], [1.0, 3.0, 2.0])
+    if kind == "slopegraph":
+        return render_slopegraph(cmp, spec)
+    if kind == "cardinal":
+        return render_cardinal_plot(cmp, spec, 3)
+    if kind == "histogram":
+        return render_histogram([0.1, 0.5, 0.9], bins, spec)
+    return render_ratio_plot(ratio_analysis([2.0, 1.0, 3.0], [1.0, 1.0, 1.0], list("ABC")), spec)
+
+
+# the least width and height that leave a plot area: the rank renderers' connectors
+# run from 0.34 * width + 8 to 0.66 * width - 8, below 56 px and above 16 px;
+# the histogram and ratio plot keep 46 + 16 px at the sides and 56 + 34 px above and below
+@pytest.mark.parametrize("kind, least_width, least_height", [
+    ("slopegraph", 51, 73), ("cardinal", 51, 73), ("histogram", 63, 91), ("ratio", 63, 91)])
+def test_renderers_refuse_a_figure_without_plot_area(kind, least_width, least_height):
+    for width, height in ((10, 10), (least_width - 1, 960), (720, least_height - 1)):
+        with pytest.raises(ValueError, match=f"^a {width}x{height} figure leaves no plot area "
+                                             "inside its margins$"):
+            _render(kind, FigureSpec(width, height))
+    svg = _render(kind, FigureSpec(least_width, least_height))
+    assert not re.search('="-', svg)  # no negative coordinate or size
+
+
+def test_histogram_refuses_bars_narrower_than_a_hundredth_of_a_pixel():
+    spec = FigureSpec(width=162, height=200)  # plot width 100
+    assert 'width="0.01"' in _render("histogram", spec, bins=10_000)
+    # refused before np.histogram allocates the counts (10**12 bins would take 7.28 TiB)
+    with patch.object(np, "histogram", side_effect=AssertionError("np.histogram called")):
+        for bins in (10_001, 10**12):
+            with pytest.raises(ValueError, match="^bins must be at most 10000, 100 a pixel of "
+                                                 f"the plot width, got {bins}$"):
+                _render("histogram", spec, bins=bins)
 
 
 def test_figure_spec_validation():
