@@ -342,22 +342,25 @@ def _cmd_simulate(args):
         return [spurious.spec_from_cv(args.family, args.cv if cv is None else cv)
                 for cv in override_cvs]
 
-    if args.kind == "ossuary":
-        result = spurious.simulate_ossuary(
-            *specs(args.femur_cv, args.tibia_cv, args.humerus_cv),
-            n_bones=n, trials=args.trials, seed=seed)
-    elif args.kind == "yule":
-        result = spurious.simulate_yule_products(
-            *specs(args.z1_cv, args.z2_cv, args.x3_cv), n=n, trials=args.trials, seed=seed)
-    elif args.kind == "journal-size":
-        result = spurious.simulate_journal_sizes(
-            args.ai_cv, args.if_cv, args.n5_cv, n_journals=n, trials=args.trials, seed=seed)
-    else:  # logistic: deterministic, a single correlation
-        rho = spurious.logistic_map_correlation(args.r, args.x0, n, args.burn_in)
-        result = spurious.SimulationResult(
-            trials=1, rho=[rho], mean_rho=rho, sd_rho=0.0, seed=seed,
-            params={"simulation": "logistic", "r": args.r, "x0": args.x0,
-                    "n": n, "burn_in": args.burn_in})
+    try:
+        if args.kind == "ossuary":
+            result = spurious.simulate_ossuary(
+                *specs(args.femur_cv, args.tibia_cv, args.humerus_cv),
+                n_bones=n, trials=args.trials, seed=seed)
+        elif args.kind == "yule":
+            result = spurious.simulate_yule_products(
+                *specs(args.z1_cv, args.z2_cv, args.x3_cv), n=n, trials=args.trials, seed=seed)
+        elif args.kind == "journal-size":
+            result = spurious.simulate_journal_sizes(
+                args.ai_cv, args.if_cv, args.n5_cv, n_journals=n, trials=args.trials, seed=seed)
+        else:  # logistic: deterministic, a single correlation
+            rho = spurious.logistic_map_correlation(args.r, args.x0, n, args.burn_in)
+            result = spurious.SimulationResult(
+                trials=1, rho=[rho], mean_rho=rho, sd_rho=0.0, seed=seed,
+                params={"simulation": "logistic", "r": args.r, "x0": args.x0,
+                        "n": n, "burn_in": args.burn_in})
+    except MemoryError:  # numpy cannot allocate the draws of one trial, or the orbit
+        raise _UsageError(f"--n {n} is too large: not enough memory for its draws") from None
     return [(args.out, spurious.write_simulation_csv(result)),
             (args.summary, spurious.format_summary(result))], [
         f"{args.kind}: mean_rho={result.mean_rho:.6f} sd_rho={result.sd_rho:.6f} "

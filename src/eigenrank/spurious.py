@@ -23,7 +23,7 @@ import numpy as np
 
 from ._util import column, csv_text, set_fields
 from .errors import UndefinedCorrelationError
-from .stats import pearson_r
+from .stats import _centred_r, pearson_r
 
 FAMILIES = ("lognormal", "normal-truncated-positive", "uniform-positive")
 
@@ -234,7 +234,12 @@ def logistic_map_correlation(r: float, x0: float, n: int, burn_in: int = 1000) -
     if float(np.ptp(xs)) <= _CONSTANT_SPREAD:
         raise UndefinedCorrelationError(
             f"orbit is constant after burn-in (converged near {xs[0]:.6g})")
-    return pearson_r(xs[:-1], xs[1:])
+    # centre the earlier iterates into a new array first, as the later ones
+    # overlap them, then the later ones in place: the orbit and one copy
+    xc = xs[:-1] - xs[:-1].mean()
+    yc = xs[1:]
+    yc -= yc.mean()
+    return _centred_r(xc, yc)
 
 
 # ---------------------------------------------------------------------------

@@ -95,8 +95,11 @@ def pearson_r(x, y) -> float:
         raise ValueError("x and y must be 1-D arrays of equal length")
     if len(x) < 2:
         raise UndefinedCorrelationError("correlation needs at least two observations")
-    xc = x - x.mean()
-    yc = y - y.mean()
+    return _centred_r(x - x.mean(), y - y.mean())
+
+
+def _centred_r(xc: np.ndarray, yc: np.ndarray) -> float:
+    """``pearson_r`` of two series already centred on their means."""
     sxx = float(xc @ xc)
     syy = float(yc @ yc)
     if not (math.isfinite(sxx) and math.isfinite(syy)):

@@ -195,6 +195,38 @@ def test_simulate_logistic_reports_single_rho():
     assert "burn_in=1000" in Path("log.txt").read_text()
 
 
+def test_simulate_logistic_output_is_independent_of_blas_threads():
+    # OpenBLAS splits a long dot product across its threads, which moves the
+    # last bits of rho; the 12 digits written stay the same
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    written = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        subprocess.run([sys.executable, "-m", "eigenrank.cli", "simulate", "logistic",
+                        "--out", f"log{threads}.csv", "--summary", f"log{threads}.txt"],
+                       env=env, capture_output=True, timeout=120, check=True)
+        written.append((Path(f"log{threads}.csv").read_bytes(),
+                        Path(f"log{threads}.txt").read_bytes()))
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("kind, simulator", [
+    ("ossuary", "simulate_ossuary"), ("yule", "simulate_yule_products"),
+    ("journal-size", "simulate_journal_sizes"), ("logistic", "logistic_map_correlation")])
+def test_simulate_out_of_memory_is_a_usage_error(kind, simulator, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(spurious, simulator, out_of_memory)
+    assert main(["simulate", kind, "--n", "100000000000", "--trials", "1",
+                 "--out", "o.csv", "--summary", "o.txt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --n 100000000000 is too large: "
+                            "not enough memory for its draws\n")
+    assert not Path("o.csv").exists() and not Path("o.txt").exists()
+
+
 def test_config_file_supplies_defaults_and_flags_override(tmp_path):
     Path("sim.cfg").write_text("# trial budget\n\ntrials=4\nn=64\nseed=9\n")
     assert main(["simulate", "ossuary", "--config", "sim.cfg",

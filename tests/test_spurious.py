@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,24 @@ def test_logistic_map_chaos_is_uncorrelated():
 def test_logistic_map_equals_a_plain_loop_exactly(r, x0, n, burn_in):
     assert logistic_map_correlation(r, x0, n, burn_in) == reference_logistic_correlation(
         r, x0, n, burn_in)
+
+
+def test_logistic_map_peak_memory_per_iterate():
+    # the orbit (8 bytes an iterate) and one centred copy of its earlier
+    # iterates; the later ones are centred in place.  Two centred copies
+    # besides the orbit took 24 bytes an iterate.
+    n = 200_000
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    try:
+        logistic_map_correlation(4.0, 0.2, n)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / n < 17
 
 
 def test_logistic_map_fixed_point_is_undefined():
