@@ -22,15 +22,22 @@ from .errors import CsvFormatError, DataError, ValidationError
 
 
 def column(values, dtype, name: str = "", row: str = "") -> np.ndarray:
-    """``values`` as a read-only one-dimensional array of ``dtype`` (float or
-    int64): a one-dimensional array of ``dtype`` is the array itself, made
-    read-only in place, and anything else is converted once.  For int64, a
-    value that is not an integer (a float or a bool included) raises
-    ValidationError naming the column ``name``; one outside int64 names its
-    ``row`` and position too."""
-    if not (isinstance(values, np.ndarray) and values.dtype == dtype and values.ndim == 1):
-        values = (_int64_cells(values, name, row) if dtype == np.int64
-                  else np.array(values, dtype=dtype).reshape(-1))
+    """``values`` as a read-only one-dimensional array of ``dtype``: float,
+    int64, or ``np.signedinteger`` for a signed integer type of any width.
+    A one-dimensional array of ``dtype`` is the array itself, made read-only
+    in place; a narrower signed integer array is converted to int64, and
+    anything else is converted once, to int64 for an integer ``dtype``.  An
+    integer column is never truncated: a value that is not an integer (a
+    float or a bool included) raises ValidationError naming the column
+    ``name``, and one outside int64 names its ``row`` and position too."""
+    if not (isinstance(values, np.ndarray) and values.ndim == 1
+            and np.issubdtype(values.dtype, dtype)):
+        if not np.issubdtype(dtype, np.integer):
+            values = np.array(values, dtype=dtype).reshape(-1)
+        elif isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind == "i":
+            values = values.astype(np.int64)
+        else:
+            values = _int64_cells(values, name, row)
     values.setflags(write=False)
     return values
 
@@ -90,20 +97,24 @@ _CHUNK_CHARS = 1 << 18
 
 def read_text(source: str | TextIO) -> str:
     """``source`` as one string: an open file is read whole, once."""
+    return source if isinstance(source, str) else "".join(pieces(source))
+
+
+def pieces(source: str | TextIO) -> Iterator[str]:
+    """``source`` (text or an open file) in pieces of about ``_CHUNK_CHARS``
+    characters, each ending at a line end or at the end of the source: text
+    is sliced at a newline, and a file is read a piece and then the rest of
+    its line at a time, never whole."""
     if isinstance(source, str):
-        return source
-    # in pieces: freeing a file-sized buffer before the parse raises malloc's
-    # mmap threshold, and the heap the parse then grows is kept after it
-    return "".join(iter(lambda: source.read(_CHUNK_CHARS), ""))
-
-
-def text_chunks(text: str, start: int = 0) -> Iterator[str]:
-    """``text`` from ``start`` on, in pieces of about ``_CHUNK_CHARS``
-    characters, each ending at a newline or at the end of the text."""
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        yield text[start:end]
-        start = end
+        start = 0
+        while start < len(source):
+            end = source.find("\n", start + _CHUNK_CHARS) + 1 or len(source)
+            yield source[start:end]
+            start = end
+    else:
+        while piece := source.read(_CHUNK_CHARS):
+            piece += source.readline()
+            yield piece
 
 
 class CsvRows:
@@ -111,25 +122,36 @@ class CsvRows:
     file), and iterating yields each non-blank row after it.  A row not as
     wide as the header, a ``csv.Error`` (a cell over the csv field size
     limit) and a cell a ``*_cell`` method refuses are format errors naming
-    their line.  ``source`` (text, or an open file read whole) is split into
-    lines as a file opened with ``newline=""`` is, at LF, CRLF or CR.
+    their line.  ``source`` (text, or an open file read a piece at a time)
+    is split into lines as a file opened with ``newline=""`` is, at LF, CRLF
+    or CR.
 
-    With ``header`` given, ``source`` is a piece of a text: the rows after
-    that header row, with lines counted from the piece's start.  A piece
-    holding a quote is read whole here: a last row that its end cuts inside
-    a quoted cell is not yielded, and ``cut`` is set.
+    ``source`` may be a piece of a file that starts at line ``line``, and
+    with ``header`` given it holds the rows after that header row.  With
+    ``more``, the file goes on after the piece: a last row that the piece's
+    end cuts inside a quoted cell is not yielded, and ``cut`` is set.  Such
+    a piece holding a quote is read here whole, and an error met on the way
+    is raised when iteration reaches it.
     """
 
-    def __init__(self, source: str | TextIO, header: Sequence[str] | None = None):
-        # a chunk at a time: io.StringIO stores its text at 4 bytes a character
-        lines = (io.StringIO(chunk, newline="") for chunk in text_chunks(read_text(source)))
+    def __init__(self, source: str | TextIO, header: Sequence[str] | None = None,
+                 line: int = 1, more: bool = False):
+        # a piece at a time: io.StringIO stores its text at 4 bytes a character
+        lines = (io.StringIO(piece, newline="") for piece in pieces(source))
         self.cut = self._ended = False
+        self.line = self._before = line - 1  # ``line``: the line last read
         self._reader = csv.reader(itertools.chain(itertools.chain.from_iterable(lines),
                                                   self._end()))
-        self._rows = self._read(header)
+        self._rows = self._read(header, more)
         self.header: Sequence[str] | None = next(self._rows)
-        if header is not None and '"' in source:  # only a quoted cell can run past its end
-            self._rows = iter(list(self._rows))
+        if more and '"' in source:  # only a quoted cell can run past the piece's end
+            read, error = [], None
+            try:
+                for row in self._rows:
+                    read.append((self.line, row))
+            except CsvFormatError as exc:
+                error = exc
+            self._rows = self._replay(read, error)
 
     def __iter__(self) -> Iterator[list[str]]:
         return self._rows
@@ -140,15 +162,16 @@ class CsvRows:
         self._ended = True
         yield from ()
 
-    def _read(self, header: Sequence[str] | None) -> Iterator:
-        piece = header is not None
+    def _read(self, header: Sequence[str] | None, more: bool) -> Iterator:
         try:
-            if not piece:
+            if header is None:
                 header = next(self._reader, None)
+                self.cut = more and self._ended  # the piece ends inside the header row
             yield header
             width = len(header or ())
             for row in self._reader:
-                if piece and self._ended:  # the piece ends inside this row's quoted cell
+                self.line = self._before + self._reader.line_num
+                if more and self._ended:  # the piece ends inside this row's quoted cell
                     self.cut = True
                     return
                 if len(row) == width and row:
@@ -156,11 +179,20 @@ class CsvRows:
                 elif row:
                     raise self.error(f"expected {width} columns, got {len(row)}")
         except csv.Error as exc:
+            self.line = self._before + self._reader.line_num
             raise self.error(str(exc)) from None
+
+    def _replay(self, read: list, error: CsvFormatError | None) -> Iterator[list[str]]:
+        """The rows read ahead, each at its line, then the error that ended them."""
+        for line, row in read:
+            self.line = line
+            yield row
+        if error is not None:
+            raise error
 
     def error(self, message: str) -> CsvFormatError:
         """A format error naming the line last read."""
-        return CsvFormatError(f"line {self._reader.line_num}: {message}")
+        return CsvFormatError(f"line {self.line}: {message}")
 
     def id_cell(self, cell: str, name: str) -> str:
         """An id: ``cell`` stripped, which must not be empty."""
@@ -206,10 +238,15 @@ def _number(kind: type, text: str) -> int | float | None:
     return None
 
 
-def csv_reader(source: str | TextIO, header: Sequence[str], what: str) -> CsvRows:
+def csv_reader(source: str | TextIO, header: Sequence[str], what: str,
+               more: bool = False) -> CsvRows:
     """The rows of ``source`` (text or an open file) after its header row; a
-    missing or different header is a format error naming the file as ``what``."""
-    rows = CsvRows(source)
+    missing or different header is a format error naming the file as
+    ``what``.  With ``more``, ``source`` is the file's first piece, and is
+    not checked if ``cut`` (see ``CsvRows``)."""
+    rows = CsvRows(source, more=more)
+    if rows.cut:
+        return rows
     if rows.header is None:
         raise CsvFormatError(f"{what}: missing header row")
     if tuple(h.strip() for h in rows.header) != tuple(header):
@@ -218,70 +255,100 @@ def csv_reader(source: str | TextIO, header: Sequence[str], what: str) -> CsvRow
     return rows
 
 
-def parse_rows(text: str, header: Sequence[str], what: str, reader: type):
-    """``reader``'s result for ``text``, a file named ``what`` that must
-    start with the ``header`` row: the result and every error are those of
-    ``row_loop``.
+def parse_rows(source: str | TextIO, header: Sequence[str], what: str, reader: type):
+    """``reader``'s result for ``source`` (text or an open file), a file
+    named ``what`` that must start with the ``header`` row: the result and
+    every error are those of ``row_loop``.
 
-    A ``reader()`` holds what a file's rows have taught it, ``dtypes`` (those
-    of its columns) and three methods:
+    A ``reader()`` holds what a file's rows have taught it and three methods:
 
     * ``kernel(chunk)``: the columns of the rows of a newline-ended piece of
-      the text, or None, having learnt nothing, where it cannot show that
+      the file, or None, having learnt nothing, where it cannot show that
       the row loop reads the same;
     * ``rows(rows)``: the columns of the rows of a ``CsvRows``, read one at
       a time;
     * ``result(columns)``: what the file holds, its rows being ``columns``.
 
-    A text longer than one chunk that starts with the exact header line is
-    read in chunks: the kernel answers or declines each, a declined chunk is
-    read by ``rows`` alone, and one that leaves a quoted cell open is joined
-    to the next.  Any error there, and any other text, goes to ``row_loop``
-    over the whole text, which raises every error with its line; for a
-    short text that is also the faster way, the kernels' numpy calls costing
-    more than its rows.
+    A source of at most ``_CHUNK_CHARS`` characters goes to ``row_loop``,
+    where the kernels' numpy calls would cost more than its rows.  A longer
+    one is read a piece (``pieces``) at a time, never whole: after an exact
+    header line the kernel answers or declines each piece, ``rows`` reads a
+    declined one, and one that leaves a quoted cell open is joined to the
+    next.  An error is raised from the piece where it occurs, with its line,
+    once the rest of the source is read, so that a later byte that is not
+    UTF-8 is the error whatever row before it is faulty.  The integer
+    columns come in the narrowest signed type that holds them.
     """
-    header_line = ",".join(header) + "\n"
-    # the row loop fails on a header cell over the csv field size limit
-    if (len(text) > _CHUNK_CHARS and text.startswith(header_line)
-            and max(map(len, header)) <= csv.field_size_limit()):
-        chunked = reader()
-        try:
-            return chunked.result(_chunk_columns(text, header, len(header_line), chunked))
-        except DataError:
+    chunks = pieces(source)
+    taken = [next(chunks, ""), next(chunks, "")]
+    if len(taken[0]) <= _CHUNK_CHARS and not taken[1]:
+        return row_loop(reader, csv_reader(taken[0], header, what))
+    state = reader()
+    try:
+        return state.result(_chunk_columns(taken, chunks, header, what, state))
+    except DataError:
+        for _ in chunks:  # the rest of the source
             pass
-    rows = csv_reader(text, header, what)
-    del text  # the rows free the text once read, before their values are converted
-    return row_loop(reader, rows)
+        raise
 
 
 def row_loop(reader: type, rows: CsvRows):
     """``reader``'s result for ``rows``, a whole file read one row at a time."""
     state = reader()
-    return state.result(state.rows(rows))
+    return state.result([_narrow(values) for values in state.rows(rows)])
 
 
-def _chunk_columns(text: str, header: Sequence[str], start: int, reader) -> list[np.ndarray]:
-    """The columns ``reader`` reads from the rows of ``text`` after ``start``,
-    chunk by chunk, stored once in arrays sized to the lines of the text."""
-    lines = text.count("\n")
-    if "\r" in text:  # a line may end at a CR too
-        lines += text.count("\r") - text.count("\r\n")
-    columns = [np.empty(lines, dtype=dtype) for dtype in reader.dtypes]
-    filled = 0
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """Signed integer ``values`` in the narrowest signed type that holds
+    them; other values as they are."""
+    if values.dtype.kind != "i":
+        return values
+    lo, hi = (int(values.min()), int(values.max())) if len(values) else (0, 0)
+    dtype = next(dtype for dtype in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max)
+    return values.astype(dtype, copy=False)
+
+
+def _chunk_columns(taken: list[str], rest: Iterator[str], header: Sequence[str], what: str,
+                   reader) -> list[np.ndarray]:
+    """The columns ``reader`` reads from the pieces of a file, those in
+    ``taken`` and then ``rest``: each chunk's integer columns narrowed
+    (``_narrow``), then each column joined at once, which widens it to the
+    widest chunk's type."""
+    header_line = ",".join(header) + "\n"
+    head, line = None, 1  # the header row, once read, and the first line of the next chunk
+    # the row loop fails on a header cell over the csv field size limit
+    if taken[0].startswith(header_line) and max(map(len, header)) <= csv.field_size_limit():
+        head, line, taken[0] = header, 2, taken[0][len(header_line):]
+    blocks: list[list[np.ndarray]] = []
     cut = ""
-    for chunk in text_chunks(text, start):
-        chunk = cut + chunk
-        block = reader.kernel(chunk)
+    for piece in _then(taken, rest):
+        chunk, cut = cut + piece, ""
+        block = reader.kernel(chunk) if head else None
         if block is None:
-            rows = CsvRows(chunk, header)
-            cut = chunk if rows.cut else ""
-            if cut:
+            more = bool(piece)
+            rows = (CsvRows(chunk, head, line, more) if head
+                    else csv_reader(chunk, header, what, more))
+            if rows.cut:
+                cut = chunk
                 continue
+            head = header
             block = reader.rows(rows)
-        for values, stored in zip(block, columns):
-            stored[filled:filled + len(values)] = values
-        filled += len(block[0])
-    if cut:
-        raise CsvFormatError("the text ends inside a quoted cell")  # read by the row loop
-    return [stored[:filled] for stored in columns]
+        blocks.append([_narrow(values) for values in block])
+        line += chunk.count("\n")
+        if "\r" in chunk:  # a line may end at a CR too
+            line += chunk.count("\r") - chunk.count("\r\n")
+    columns = [list(parts) for parts in zip(*blocks)]
+    del blocks
+    # one column at a time, its blocks freed once joined
+    return [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
+
+
+def _then(taken: list[str], rest: Iterator[str]) -> Iterator[str]:
+    """The pieces in ``taken``, then those of ``rest``, then "" for the end
+    of the file: each popped from ``taken`` as it is yielded, so that no
+    piece is held once the next is read."""
+    while taken:
+        yield taken.pop(0)
+    yield from rest
+    yield ""

@@ -22,8 +22,8 @@ from typing import Callable, Collection, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from ._util import CsvRows, column, csv_text, parse_rows, read_text, set_fields
-from .errors import CsvFormatError, ValidationError
+from ._util import CsvRows, column, csv_text, parse_rows, set_fields
+from .errors import ValidationError
 
 JOURNALS_HEADER = ("journal_id", "name", "fields", "year", "articles")
 CITATIONS_HEADER = ("citing_id", "cited_id", "citing_year", "cited_year", "count")
@@ -70,7 +70,7 @@ def _check_ids(ids: tuple[str, ...]) -> None:
 
 
 def _check_codes(name: str, codes: np.ndarray, n: int, row: str) -> None:
-    """A ValidationError unless every one of the int64 ``codes`` is a
+    """A ValidationError unless every one of the integer ``codes`` is a
     position in ``n`` ids."""
     if len(codes) and (codes.min() < 0 or codes.max() >= n):
         i = int(np.flatnonzero((codes < 0) | (codes >= n))[0])
@@ -227,11 +227,12 @@ class CitationLedger:
 
     ``ids`` holds each journal id once (the parsers list them in first-seen
     order: citing id, then cited id, row by row); ``citing`` and ``cited``
-    are int64 codes into it, and ``citing_year``, ``cited_year`` and
-    ``count`` are int64.  Every column is read-only and has one entry per
-    record.  ``CitationLedger(ids, citing, cited, citing_year, cited_year,
-    count)`` checks and stores them; an int64 array is stored as it is, made
-    read-only in place.
+    are codes into it.  Every column is a read-only signed integer array
+    with one entry per record; the parsers store each in the narrowest
+    signed type that holds its values.  ``CitationLedger(ids, citing, cited,
+    citing_year, cited_year, count)`` checks and stores them: a signed
+    integer array of any width is stored as it is, made read-only in place,
+    and anything else is converted to int64.
     """
 
     ids: tuple[str, ...]
@@ -244,7 +245,7 @@ class CitationLedger:
     def __init__(self, ids: Iterable[str], citing, cited, citing_year, cited_year, count):
         ids = tuple(ids)
         _check_ids(ids)
-        columns = [column(values, np.int64, name, "record") for name, values
+        columns = [column(values, np.signedinteger, name, "record") for name, values
                    in zip(_LEDGER_COLUMNS, (citing, cited, citing_year, cited_year, count))]
         if len({len(values) for values in columns}) > 1:
             raise ValidationError(", ".join(_LEDGER_COLUMNS) + " must have equal lengths")
@@ -401,7 +402,7 @@ def parse_journal_metadata(source: str | TextIO) -> JournalTable:
     read in numpy columns (``_JournalRows.kernel``), the rest by the csv row
     loop, and the table and every error are the row loop's.
     """
-    return parse_rows(read_text(source), JOURNALS_HEADER, "journals.csv", _JournalRows)
+    return parse_rows(source, JOURNALS_HEADER, "journals.csv", _JournalRows)
 
 
 class _JournalRows:
@@ -411,10 +412,12 @@ class _JournalRows:
     ``names``, ``field_cells`` (the last fields cell) and ``labels`` hold
     one entry per journal.  Each distinct year, article and fields cell is
     parsed once, and a journal's fields cell is looked up again only where
-    it differs from the journal's previous one.
+    it differs from the journal's previous one.  ``pairs`` holds, sorted,
+    the key ``journal << 32 | code`` of every (journal, year) read, the
+    year's code taken from ``year_codes``, after -1, a key no row has; it
+    is the start of a buffer that doubles as it fills, since an array
+    allocated anew for each chunk fragments the heap that later parses use.
     """
-
-    dtypes = (np.int64,) * 3
 
     def __init__(self):
         self.ids = _IdCodes()
@@ -422,9 +425,9 @@ class _JournalRows:
         self.field_cells: list[str] = []
         self.labels: list[frozenset[str]] = []
         self.labels_of: dict[str, frozenset[str]] = {}  # each fields cell's labels
-        # each journal's years on rows that rows() read; JournalTable finds
-        # a year repeated on a row that a kernel read
-        self.years: dict[int, set[int]] = {}
+        self.year_codes: dict[int, int] = {}
+        self._buffer = np.full(1 << 10, -1, dtype=np.int64)
+        self.pairs = self._buffer[:1]
         self.year_of: dict[str, int] = {}
         self.articles_of: dict[str, int] = {}
 
@@ -437,6 +440,7 @@ class _JournalRows:
         year, articles = (_decimal_cells(raw, starts[:, k], lengths[:, k]) for k in (3, 4))
         if year is None or articles is None:
             return None
+        known_ids = len(self.ids.ids)
         journal = self.ids.codes(text, padded, starts[:, 0], lengths[:, 0])
         if journal is None:
             return None
@@ -447,21 +451,30 @@ class _JournalRows:
         same_name, same_fields = (_same_cells(padded, starts[rows, k], starts[before, k],
                                               lengths[rows, k], lengths[before, k])
                                   for k in (1, 2))
-        if not same_name.all():
-            raise CsvFormatError("a journal renamed")
         # only a journal's first row in the chunk, or a changed fields cell, reaches Python
         firsts = np.delete(order, later)  # in code order
         known = journal[firsts] < len(self.names)
+        merged = np.concatenate((firsts[known], np.sort(rows[~same_fields])))
+        updates = list(zip(journal[merged].tolist(), *(
+            _slices(text, starts[merged, k], lengths[merged, k]) for k in (1, 2))))
+        distinct, inverse = np.unique(year, return_inverse=True)
+        keys = np.sort(journal << 32 | np.array(
+            [self._year_code(y) for y in distinct.tolist()], dtype=np.int64)[inverse])
+        at = np.searchsorted(self.pairs, keys)
+        if (not same_name.all() or any(self._renamed(j, name) for j, name, _ in updates)
+                or (keys[1:] == keys[:-1]).any() or (self.pairs.take(at, mode="clip") == keys).any()):
+            self.ids.forget(known_ids)  # a renamed journal or a repeated year: rows() names its line
+            return None
         new = firsts[~known]
         self._add(*(_slices(text, starts[new, k], lengths[new, k]) for k in (1, 2)))
-        merged = np.concatenate((firsts[known], np.sort(rows[~same_fields])))
-        for j, name, field_list in zip(journal[merged].tolist(), *(
-                _slices(text, starts[merged, k], lengths[merged, k]) for k in (1, 2))):
-            self._merge(j, name, field_list, CsvFormatError)
+        for update in updates:
+            self._merge(*update)
+        self._pair(keys)
         return journal, year, articles
 
     def rows(self, rdr: CsvRows) -> np.ndarray:
         values: list[int] = []  # the journal, year and articles of each row, row after row
+        keys: set[int] = set()
         for jid, name, field_list, year_cell, articles_cell in rdr:
             jid, name = rdr.id_cell(jid, "journal_id"), name.strip()
             try:
@@ -471,13 +484,32 @@ class _JournalRows:
                 articles = self.articles_of[articles_cell] = rdr.int_cell(
                     articles_cell, "articles", minimum=0)
             j = self.ids.code(jid)
-            self._merge(j, name, field_list, rdr.error)
-            years = self.years.setdefault(j, set())
-            if year in years:
+            if self._renamed(j, name):
+                raise rdr.error(f"journal {jid!r} renamed ({self.names[j]!r} -> {name!r})")
+            self._merge(j, name, field_list)
+            key = j << 32 | self._year_code(year)
+            if key in keys or self.pairs[np.searchsorted(self.pairs, key, side="right") - 1] == key:
                 raise rdr.error(f"duplicate journal_id {jid!r} for year {year}")
-            years.add(year)
+            keys.add(key)
             values += j, year, articles
+        self._pair(np.fromiter(keys, dtype=np.int64, count=len(keys)))
         return np.array(values, dtype=np.int64).reshape(-1, 3).T
+
+    def _year_code(self, year: int) -> int:
+        return self.year_codes.setdefault(year, len(self.year_codes))
+
+    def _pair(self, keys: np.ndarray) -> None:
+        """Add to ``pairs`` the ``keys`` of rows read, none in it yet."""
+        held = len(self.pairs)
+        if held + len(keys) > len(self._buffer):
+            self._buffer = np.resize(self._buffer, 2 * (held + len(keys)))
+        self._buffer[held:held + len(keys)] = keys
+        self.pairs = self._buffer[:held + len(keys)]
+        self.pairs.sort(kind="stable")  # merges the two sorted runs
+
+    def _renamed(self, j: int, name: str) -> bool:
+        """Whether journal ``j`` is known by another name than ``name``."""
+        return j < len(self.names) and self.names[j] != name
 
     def _add(self, names: list[str], field_lists: list[str]) -> None:
         """Add journals, in code order, with their names and fields cells."""
@@ -485,13 +517,11 @@ class _JournalRows:
         self.field_cells += field_lists
         self.labels += map(self._labels, field_lists)
 
-    def _merge(self, j: int, name: str, field_list: str, error: Callable[[str], Exception]):
+    def _merge(self, j: int, name: str, field_list: str) -> None:
         """Add a row's name and fields cell to journal ``j``, new if ``j`` is
-        the next position; a name other than the journal's raises ``error``."""
+        the next position, and not ``_renamed``."""
         if j == len(self.names):
             self._add([name], [field_list])
-        elif self.names[j] != name:
-            raise error(f"journal {self.ids.ids[j]!r} renamed ({self.names[j]!r} -> {name!r})")
         elif field_list != self.field_cells[j]:
             self.field_cells[j] = field_list
             self.labels[j] |= self._labels(field_list)
@@ -516,19 +546,17 @@ def parse_citation_edges(source: str | TextIO) -> CitationLedger:
     (``_CitationRows.kernel``), the rest by the csv row loop, and the ledger
     and every error are the row loop's.
     """
-    return parse_rows(read_text(source), CITATIONS_HEADER, "citations.csv", _CitationRows)
+    return parse_rows(source, CITATIONS_HEADER, "citations.csv", _CitationRows)
 
 
 _COLUMNS = len(CITATIONS_HEADER)
 
 
 class _CitationRows:
-    """The reader of citations.csv rows for ``parse_rows``: five int64
+    """The reader of citations.csv rows for ``parse_rows``: five integer
     columns, ``ids`` coding the ids in first-seen order (the citing id, then
     the cited id, row by row).  The row loop checks each distinct id, year
     and count text once."""
-
-    dtypes = (np.int64,) * _COLUMNS
 
     def __init__(self):
         self.ids = _IdCodes()
@@ -744,14 +772,27 @@ class _IdCodes:
             rest[taken] = False
             keys, codes = keys[rest], codes[rest]
 
+    def forget(self, count: int) -> None:
+        """Forget every id after the first ``count``: a kernel that declines
+        a chunk after coding its ids learns nothing from it."""
+        for jid in self.ids[count:]:
+            del self.index[jid]
+        del self.ids[count:]
+        self._words[count:] = 0
+        self._store(len(self._keys), count)
+
     def _grow(self) -> None:
-        """Double the table until the ids fill at most half of it, then
-        store every key again."""
-        held = np.flatnonzero(self._codes >= 0)
-        keys, codes = self._keys[held], self._codes[held]
+        """Double the table until the ids fill at most half of it."""
         size = len(self._keys)
         while 2 * len(self.ids) > size:
             size *= 2
+        self._store(size, len(self.ids))
+
+    def _store(self, size: int, count: int) -> None:
+        """A table of ``size`` slots holding again the keys of the first
+        ``count`` codes."""
+        held = np.flatnonzero((self._codes >= 0) & (self._codes < count))
+        keys, codes = self._keys[held], self._codes[held]
         self._keys = np.zeros(size, dtype=np.uint64)
         self._codes = np.full(size, -1, dtype=np.int64)
         self._insert(keys, codes)
@@ -818,10 +859,11 @@ def build_citation_matrix(ledger: CitationLedger, table: JournalTable, census_ye
         raise ValueError("window must be positive")
     n = len(table)
     rows, positions = ledger.windowed(table, census_year, window, exclude_self)
-    # each record's entry key in column-major order, built in one array
-    keys = positions.take(ledger.citing.take(rows))
+    # each record's entry key in column-major order, built in one array; an
+    # index, not take, which would first copy the narrow codes to intp
+    keys = positions[ledger.citing.take(rows)]
     keys *= n
-    keys += positions.take(ledger.cited.take(rows))
+    keys += positions[ledger.cited.take(rows)]
     count = ledger.count.take(rows)
     del rows, positions
     # one sort groups the keys; ``inverse`` numbers each record's entry, so

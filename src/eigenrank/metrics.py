@@ -12,16 +12,17 @@ EF sums to 100 and the article-weighted mean AI is exactly 1.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
 
-from ._util import CsvRows, column, csv_text, parse_rows, read_text, set_fields
+from ._util import CsvRows, column, csv_text, parse_rows, set_fields
 from .corpus import (_MAX_DIGITS, CitationLedger, CitationMatrix, JournalTable, _cells,
                      _decimal_cells, _IdCodes, _int64_sums, build_citation_matrix)
-from .errors import ConvergenceError, CsvFormatError, DegenerateDataError, InconsistencyError
+from .errors import ConvergenceError, DegenerateDataError, InconsistencyError, ValidationError
 
 DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-12
@@ -154,7 +155,12 @@ def normalize_columns(z: CitationMatrix) -> tuple[CitationMatrix, np.ndarray]:
     dangling = np.flatnonzero(col_sums == 0)
     inv = np.zeros(len(z.ids))
     np.divide(1.0, col_sums, out=inv, where=col_sums > 0)
-    return replace(z, value=z.value * inv[z.col]), dangling
+    value = z.value * inv[z.col]
+    if not (value > 0).all():  # an entry so small against its column that it rounds to 0
+        raise ValidationError("stored citation entries must be strictly positive")
+    h = copy.copy(z)  # z's row and col, checked once, shared
+    set_fields(h, value=column(value, float))
+    return h, dangling
 
 
 def power_iterate(h: CitationMatrix, dangling: np.ndarray, a: np.ndarray,
@@ -242,7 +248,7 @@ def impact_factor(ledger: CitationLedger, table: JournalTable, census_year: int,
     are included by default (the convention this metric imitates).
     """
     rows, positions = ledger.windowed(table, census_year, 2, exclude_self)
-    cites = np.bincount(positions.take(ledger.cited.take(rows)),
+    cites = np.bincount(positions[ledger.cited.take(rows)],
                         weights=ledger.count.take(rows), minlength=len(table))
     n2 = table.article_counts(census_year, 2).astype(float)
     result = np.full(len(table), np.nan)
@@ -256,8 +262,8 @@ def total_citations(ledger: CitationLedger, table: JournalTable, census_year: in
     """Citations received in the census year, regardless of cited article age;
     a total past int64 raises ValidationError naming its journal."""
     rows, positions = ledger.windowed(table, census_year, None, exclude_self)
-    cited = positions.take(ledger.cited.take(rows))
-    count = ledger.count.take(rows)
+    cited = positions[ledger.cited.take(rows)]
+    count = ledger.count.take(rows).astype(np.int64, copy=False)  # np.add.at is slow across types
     del rows
     return _int64_sums(cited, count, len(table), lambda j, total: (
         f"journal {table.ids[j]!r} received {total} citations in {census_year}, "
@@ -352,15 +358,13 @@ def read_scores_csv(source: str | TextIO) -> MetricScores:
     the rest by the csv row loop, and the scores and every error are the
     row loop's.
     """
-    return parse_rows(read_text(source), SCORES_HEADER, "scores.csv", _ScoreRows)
+    return parse_rows(source, SCORES_HEADER, "scores.csv", _ScoreRows)
 
 
 class _ScoreRows:
     """The reader of scores.csv rows for ``parse_rows``: the EF, AI and IF
-    columns as float64 and the count columns as int64, ``ids`` listing the
-    journals in order."""
-
-    dtypes = (float,) * 3 + (np.int64,) * 3
+    columns as float64 and the count columns as integers, ``ids`` listing
+    the journals in order."""
 
     def __init__(self):
         self.ids = _IdCodes()
@@ -380,7 +384,8 @@ class _ScoreRows:
         if self.ids.codes(text, padded, starts[:, 0], lengths[:, 0]) is None:
             return None
         if len(self.ids.ids) - known < len(starts):  # fewer new codes than rows: a repeated id
-            raise CsvFormatError("duplicate journal_id")
+            self.ids.forget(known)  # rows() names its line
+            return None
         return columns
 
     def rows(self, rdr: CsvRows) -> tuple[np.ndarray, ...]:

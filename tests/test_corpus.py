@@ -15,11 +15,13 @@ from eigenrank import (CitationLedger, CitationMatrix, CsvFormatError, JournalTa
                        ValidationError, bigmac_csv, bigmac_fixture, build_citation_matrix,
                        compute_metrics, decomposition_check, impact_factor, normalize_columns,
                        parse_citation_edges, parse_journal_metadata, ratio_analysis,
-                       total_citations, write_citation_edges, write_journal_metadata)
+                       read_scores_csv, total_citations, write_citation_edges,
+                       write_journal_metadata)
 from eigenrank.cli import _parse_file
 from eigenrank.corpus import CitationRecord
 from eigenrank.metrics import SCORES_HEADER
-from helpers import citation_ledger, journal_table, random_corpus, reference_journals
+from helpers import (citation_ledger, journal_table, random_corpus, reference_journals,
+                     reference_scores)
 
 JOURNALS_HEADER = "journal_id,name,fields,year,articles\n"
 CITATIONS_HEADER = "citing_id,cited_id,citing_year,cited_year,count\n"
@@ -694,6 +696,130 @@ def test_unseekable_stream_parses_as_its_text():
             == (CsvFormatError, "line 4: malformed cited_year '20x5'"))
 
 
+def _narrowest(values):
+    """The narrowest signed integer type holding every one of ``values``."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if all(np.iinfo(t).min <= v <= np.iinfo(t).max for v in values))
+
+
+def test_parsed_ledger_columns_widen_to_the_narrowest_type_that_holds_them():
+    # the first chunk fits int8 in every column; later chunks need int32
+    # codes (more than 32,767 ids) and int64 for one year and one count
+    rows = [f"J{i % 50},J{(i + 7) % 50},100,99,{1 + i % 100}\n" for i in range(300)]
+    rows += [f"K{i},J{i % 50},100,{99 - i % 3},{1 + i % 9}\n" for i in range(33_000)]
+    rows[20_000] = "K20000,J1,100,-9223372036854775808,3\n"
+    rows[30_000] = "K30000,J2,100,98,9223372036854775807\n"
+    text = CITATIONS_HEADER + "".join(rows)
+    expected = _row_loop(text)
+    assert len(expected.ids) > 2**15
+    columns = [getattr(expected, name).tolist() for name in corpus._LEDGER_COLUMNS]
+    dtypes = [_narrowest(values) for values in columns]
+    assert dtypes == [np.int32, np.int8, np.int8, np.int64, np.int64]
+    with patch.object(_util, "_CHUNK_CHARS", 4096):
+        assert len(next(_util.pieces(text))) < 300 * len(rows[0])  # the first chunk: int8
+        for source in (text, _stream(text)):
+            ledger = parse_citation_edges(source)
+            assert ledger.ids == expected.ids
+            assert [getattr(ledger, name).tolist() for name in corpus._LEDGER_COLUMNS] == columns
+            assert [getattr(ledger, name).dtype for name in corpus._LEDGER_COLUMNS] == dtypes
+
+
+def test_parsed_journal_and_score_columns_skip_the_per_cell_check(monkeypatch):
+    # their narrowed integer columns reach int64 by one conversion each
+    def per_cell(*args):
+        raise AssertionError("a parsed column went through the per-cell check")
+    monkeypatch.setattr(_util, "_int64_cells", per_cell)
+    text = JOURNALS_HEADER + "".join(f"J{j},Journal {j},bio,{year},{j % 300}\n"
+                                     for j in range(200) for year in range(2000, 2007))
+    scores = "".join(f"J{j},1.5,0.5,,{j},{j * 1000},{j % 7}\n" for j in range(2000))
+    with patch.object(_util, "_CHUNK_CHARS", 2000):
+        table = parse_journal_metadata(text)
+        assert table.year.dtype == table.articles.dtype == np.int64 and len(table) == 200
+        read = read_scores_csv(",".join(SCORES_HEADER) + "\n" + scores)
+        assert read.n5.dtype == np.int64 and read.n5[-1] == 1_999_000
+
+
+# each case: a file of rows made from ``row``, up to line 99, with its
+# faults put on their lines; the first fault is on line 40, in the fifth
+# chunk of 120 characters or later
+_LATE_FAULTS = {
+    "citations cell": (parse_citation_edges, _row_loop, CITATIONS_HEADER,
+                       "J{i},J{j},2006,2005,{n}\n", {40: "J1,J2,2006,2005,x\n"},
+                       "line 40: malformed count 'x'"),
+    "journals cell": (parse_journal_metadata, reference_journals, JOURNALS_HEADER,
+                      "J{i},Journal {i},bio,{y},{n}\n", {40: "J1,Journal 1,bio,20x5,3\n"},
+                      "line 40: malformed year '20x5'"),
+    "scores cell": (read_scores_csv, reference_scores, ",".join(SCORES_HEADER) + "\n",
+                    "J{i},1.5,0.5,,{n},3,1\n", {40: "K1,zero,0.5,,1,3,1\n"},
+                    "line 40: malformed ef 'zero'"),
+    "journal renamed": (parse_journal_metadata, reference_journals, JOURNALS_HEADER,
+                        "J{i},Journal {i},bio,{y},{n}\n",
+                        {40: "J3,Journal 3 Review,bio,1990,3\n"},
+                        "line 40: journal 'J3' renamed ('Journal 3' -> 'Journal 3 Review')"),
+    # both rows kernel-read; a malformed cell after the repeat does not decide
+    "journal year repeated": (parse_journal_metadata, reference_journals, JOURNALS_HEADER,
+                              "J{i},Journal {i},bio,{y},{n}\n",
+                              {40: "J3,Journal 3,bio,2003,9\n", 70: "J1,Journal 1,bio,x,1\n"},
+                              "line 40: duplicate journal_id 'J3' for year 2003"),
+    "score id repeated": (read_scores_csv, reference_scores, ",".join(SCORES_HEADER) + "\n",
+                          "J{i},1.5,0.5,,{n},3,1\n", {40: "J5,1.5,0.5,,1,3,1\n"},
+                          "line 40: duplicate journal_id 'J5'"),
+    # a quoted id that runs to the end of the file
+    "quote open at the end": (parse_citation_edges, _row_loop, CITATIONS_HEADER,
+                              "J{i},J{j},2006,2005,{n}\n", {98: '"J1,J2,2006,2005,1\n'},
+                              "line 99: expected 5 columns, got 1"),
+}
+
+
+@pytest.mark.parametrize("parse, row_loop, header, row, faults, message", _LATE_FAULTS.values(),
+                         ids=_LATE_FAULTS)
+def test_fault_in_a_later_chunk_gives_the_row_loop_outcome(parse, row_loop, header, row, faults,
+                                                          message):
+    lines = [header] + [row.format(i=i, j=i * 7 % 11, y=2000 + i % 7, n=1 + i % 5)
+                        for i in range(2, 100)]
+    for line, text in faults.items():
+        lines[line - 1] = text
+    text = "".join(lines)
+    expected = (CsvFormatError, message)
+    assert _outcome(row_loop, text) == expected
+    with patch.object(_util, "_CHUNK_CHARS", 120):
+        assert len(list(_util.pieces("".join(lines[:min(faults)])))) >= 5
+        assert _outcome(parse, text) == expected
+        assert _outcome(parse, _Unseekable(text)) == expected
+
+
+def test_repeated_year_in_kernel_read_chunks_is_found_by_the_reader(monkeypatch):
+    # the kernel reads both rows' chunks; the later one is declined, and rows()
+    # raises at its line, before JournalTable is built
+    def built(*args):
+        raise AssertionError("JournalTable was built")
+    monkeypatch.setattr(corpus, "JournalTable", built)
+    read = []
+    rows = corpus._JournalRows.rows
+    monkeypatch.setattr(corpus._JournalRows, "rows", lambda self, rdr: read.append(1) or rows(
+        self, rdr))
+    text = JOURNALS_HEADER + "".join(f"J{i},Journal {i},bio,{2000 + i % 7},1\n"
+                                     for i in range(2, 100))
+    text = text.replace("J47,Journal 47,bio,2005,1\n", "J5,Journal 5,bio,2005,2\n")
+    with patch.object(_util, "_CHUNK_CHARS", 120):
+        assert (_outcome(parse_journal_metadata, text)
+                == (CsvFormatError, "line 47: duplicate journal_id 'J5' for year 2005"))
+    assert read == [1]
+
+
+def test_bytes_not_utf8_in_a_later_chunk_than_a_fault_report_the_byte(tmp_path):
+    # the zero count is in the first chunk and the byte past the third: the
+    # rest of the file is read before the zero count is raised
+    data = (CITATIONS_HEADER + "A,B,2006,2005,0\n"
+            + "A,B,2006,2005,1\n" * 6000).encode() + b"\xe9\n"
+    path = tmp_path / "citations.csv"
+    path.write_bytes(data)
+    with patch.object(_util, "_CHUNK_CHARS", 16384):
+        assert len(data) > 5 * 16384
+        assert (_outcome(lambda p: _parse_file(parse_citation_edges, p), str(path))
+                == (CsvFormatError, f"{path}: line 6003: not valid UTF-8"))
+
+
 def _whole_file(*args):
     raise AssertionError("the csv row loop read the whole file")
 
@@ -818,6 +944,21 @@ def test_id_interner_equals_first_seen_dict_across_doublings():
     # every id again, in one chunk, in another order
     ids = list(reference)
     feed([ids[k] for k in rng.permutation(len(ids))])
+
+
+def test_id_interner_forgets_the_ids_of_a_declined_chunk():
+    interner = corpus._IdCodes()
+    assert _id_chunk(interner, ["A", "B"]).tolist() == [0, 1]
+    long_id, short_id = "Journal-of-Long-Ids-000000000001", "Journal-of-Long1"  # 4 and 2 words
+    cells = [long_id, "C"] + [f"W{i}" for i in range(600)] + ["A"]
+    assert _id_chunk(interner, cells).tolist() == list(range(2, 604)) + [0]
+    assert len(interner._keys) == 2048  # grown
+    interner.forget(2)
+    assert interner.ids == ["A", "B"] and set(interner.index) == {"A", "B"}
+    assert np.count_nonzero(interner._keys) == 2
+    # forgotten ids are new again, coded in the order they come
+    assert _id_chunk(interner, [short_id, "W5", "B"]).tolist() == [2, 3, 1]
+    assert _id_chunk(interner, ["W5", short_id, long_id]).tolist() == [3, 2, 4]
 
 
 # ---------------------------------------------------------------------------

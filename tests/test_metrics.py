@@ -415,6 +415,32 @@ def test_compute_metrics_peak_memory_per_ledger_row():
     assert peak / len(ledger) < 24
 
 
+def test_citations_parse_peak_memory_per_row(tmp_path):
+    # An open file is read a chunk at a time, never whole, and each chunk's
+    # columns are kept in the narrowest signed type that holds them (int16
+    # codes and years, int8 counts here): about 45 bytes a row at the
+    # parse's peak.  The whole text and five int64 columns took about 105;
+    # the bound is 60.
+    _, text = _seeded_paper_like_corpus()
+    path = tmp_path / "citations.csv"
+    path.write_text(text, encoding="utf-8")
+    rows = text.count("\n") - 1
+    del text
+    tracing = tracemalloc.is_tracing()
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        try:
+            ledger = parse_citation_edges(fh)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    assert len(ledger) == rows
+    assert peak / rows < 60
+
+
 def test_aggregations_list_every_unknown_id():
     table = make_table([3, 4])
     ledger = citation_ledger((("J00", "Y", 2006, 2005, 1),
