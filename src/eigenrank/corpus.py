@@ -22,7 +22,7 @@ from typing import Callable, Collection, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from ._util import CsvRows, column, csv_text, parse_rows, set_fields
+from ._util import CsvRows, _narrow, column, csv_text, parse_rows, set_fields
 from .errors import ValidationError
 
 JOURNALS_HEADER = ("journal_id", "name", "fields", "year", "articles")
@@ -189,13 +189,42 @@ class JournalTable:
         return tuple(self.ids[j] for j in self.field_positions(k).tolist())
 
 
+_BLOCK = 1 << 16  # rows a block-wise pass holds index and cast temporaries for
+
+
+def _blocks(length: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``_BLOCK`` rows covering ``length`` rows."""
+    return (slice(start, start + _BLOCK) for start in range(0, length, _BLOCK))
+
+
+def _sums(groups: np.ndarray, values: np.ndarray, n: int, dtype) -> np.ndarray:
+    """``values`` summed by ``groups`` below ``n`` in row order, as bincount adds: np.add.at
+    a block at a time, each block cast to ``dtype`` (np.add.at is slow across types)."""
+    sums = np.zeros(n, dtype=dtype)
+    for block in _blocks(len(groups)):
+        np.add.at(sums, groups[block], values[block].astype(dtype, copy=False))
+    return sums
+
+
+def _compress(keep: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
+    """Each of ``columns`` at the rows where ``keep`` holds, gathered by ``take`` a block at a
+    time into preallocated arrays: a boolean mask gathers narrow columns several times slower."""
+    out = [np.empty(int(np.count_nonzero(keep)), values.dtype) for values in columns]
+    done = 0
+    for block in _blocks(len(keep)):
+        rows = np.flatnonzero(keep[block])
+        for values, kept in zip(columns, out):
+            kept[done:done + len(rows)] = values[block].take(rows)
+        done += len(rows)
+    return out
+
+
 def _int64_sums(groups: np.ndarray, values: np.ndarray, n: int,
                overflow: Callable[[int, int], str]) -> np.ndarray:
-    """Exact read-only int64 sums of the non-negative int64 ``values`` by
+    """Exact read-only int64 sums of the non-negative integer ``values`` by
     ``groups``, positions below ``n``.  A sum past int64 raises
     ValidationError with the message ``overflow(group, exact_sum)``."""
-    sums = np.zeros(n, dtype=np.int64)
-    np.add.at(sums, groups, values)  # exact, but wraps past int64 without a word
+    sums = _sums(groups, values, n, np.int64)  # exact, but wraps past int64 without a word
     if len(values) and int(values.max()) * len(values) >= 2**63:  # a sum may have wrapped
         # a float64 sum is within a relative 2**-20 of the exact one, so one
         # that wrapped reads at least 2**62 here
@@ -279,13 +308,13 @@ class CitationLedger:
             yield CitationRecord(ids[citing], ids[cited], citing_year, cited_year, count)
 
     def _table_positions(self, table: JournalTable) -> np.ndarray:
-        """Map each ledger code to its journal's position in ``table``.
+        """Map each ledger code to its journal's position in ``table`` (narrowed).
 
         Unknown journal ids that some record uses raise ``ValidationError``
         listing all offenders; an id no record uses maps to -1.
         """
         index = table.index
-        positions = np.array([index.get(jid, -1) for jid in self.ids], dtype=np.intp)
+        positions = _narrow(np.array([index.get(jid, -1) for jid in self.ids], dtype=np.int64))
         missing = positions < 0
         if missing.any():
             used = np.zeros(len(self.ids), dtype=bool)
@@ -306,15 +335,14 @@ class CitationLedger:
         return tuple(self._records(self.cited_year > self.citing_year))
 
     def windowed(self, table: JournalTable, census_year: int, window: int | None,
-                 exclude_self: bool) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, positions)`` for the citations given in ``census_year``.
+                 exclude_self: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(citing, cited, count)`` of the citations given in ``census_year``.
 
-        ``rows`` indexes the records that count, in ledger order: articles
-        published in the ``window`` years before the census year (any year
-        when ``window`` is None), self-citations dropped when ``exclude_self``.
-        ``positions`` maps each ledger code to its journal's position in
-        ``table``; unknown journal ids raise ``ValidationError`` listing all
-        offenders.
+        The records that count, in ledger order: articles published in the
+        ``window`` years before the census year (any year when ``window`` is
+        None), self-citations dropped when ``exclude_self``.  ``citing`` and
+        ``cited`` are narrowed positions in ``table``; unknown journal ids
+        raise ``ValidationError`` listing all offenders.
         """
         positions = self._table_positions(table)
         keep = self.citing_year == census_year
@@ -322,7 +350,8 @@ class CitationLedger:
             keep &= (self.cited_year >= census_year - window) & (self.cited_year < census_year)
         if exclude_self:
             keep &= self.citing != self.cited
-        return np.flatnonzero(keep), positions
+        citing, cited, count = _compress(keep, self.citing, self.cited, self.count)
+        return positions[citing], positions[cited], count
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,9 +360,10 @@ class CitationMatrix:
 
     Entry ``k`` says that journal ``col[k]`` gave ``value[k]`` citations in
     the census year to articles journal ``row[k]`` published during the
-    window before it.  ``row`` and ``col`` are int64 positions in ``ids``;
-    each position appears once, entries are sorted by column, then row, and
-    zeros are absent.  ``matrix @ x`` is the matrix-vector product.
+    window before it.  ``row`` and ``col`` are positions in ``ids`` stored
+    as the ledger stores its columns (any signed width); each position
+    appears once, entries are sorted by column, then row, and zeros are
+    absent.  ``matrix @ x`` is the matrix-vector product.
     """
 
     ids: tuple[str, ...]
@@ -343,20 +373,20 @@ class CitationMatrix:
     self_cites_excluded: bool
 
     def __post_init__(self):
-        set_fields(self, row=column(self.row, np.int64, "row", "entry"),
-                   col=column(self.col, np.int64, "col", "entry"), value=column(self.value, float))
+        row, col = (column(getattr(self, name), np.signedinteger, name, "entry")
+                    for name in ("row", "col"))
+        set_fields(self, row=row, col=col, value=column(self.value, float))
         n = len(self.ids)
-        if not len(self.row) == len(self.col) == len(self.value):
+        if not len(row) == len(col) == len(self.value):
             raise ValidationError("row, col and value must have equal lengths")
-        if ((self.row < 0) | (self.row >= n) | (self.col < 0) | (self.col >= n)).any():
+        if ((row < 0) | (row >= n) | (col < 0) | (col >= n)).any():
             raise ValidationError(f"matrix entry outside the {n} journals")
-        # column-major order is what makes __matmul__ add up each row in a fixed order
-        keys = self.col * n + self.row
-        if (keys[1:] <= keys[:-1]).any():
+        # column-major order makes __matmul__ add up each row in a fixed order
+        if ((col[1:] < col[:-1]) | ((col[1:] == col[:-1]) & (row[1:] <= row[:-1]))).any():
             raise ValidationError("matrix entries must be unique and sorted by column, then row")
         if not (self.value > 0).all():
             raise ValidationError("stored citation entries must be strictly positive")
-        if self.self_cites_excluded and (self.row == self.col).any():
+        if self.self_cites_excluded and (row == col).any():
             raise ValidationError("self-citations present despite exclusion flag")
 
     def __matmul__(self, x) -> np.ndarray:
@@ -364,7 +394,11 @@ class CitationMatrix:
         n = len(self.ids)
         if x.shape != (n,):
             raise ValueError(f"vector of shape {x.shape} does not match {n} journals")
-        return np.bincount(self.row, weights=self.value * x[self.col], minlength=n)
+        out = np.zeros(n)  # each row's products added in entry order, as bincount adds
+        for block in _blocks(len(self.value)):  # take and intp indices: the fast paths
+            np.add.at(out, self.row[block].astype(np.intp),
+                      x.take(self.col[block]) * self.value[block])
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -858,31 +892,30 @@ def build_citation_matrix(ledger: CitationLedger, table: JournalTable, census_ye
     if window <= 0:
         raise ValueError("window must be positive")
     n = len(table)
-    rows, positions = ledger.windowed(table, census_year, window, exclude_self)
-    # each record's entry key in column-major order, built in one array; an
-    # index, not take, which would first copy the narrow codes to intp
-    keys = positions[ledger.citing.take(rows)]
-    keys *= n
-    keys += positions[ledger.cited.take(rows)]
-    count = ledger.count.take(rows)
-    del rows, positions
-    # one sort groups the keys; ``inverse`` numbers each record's entry, so
-    # bincount adds up every entry's counts in ledger order
-    order = np.argsort(keys)
+    citing, cited, count = ledger.windowed(table, census_year, window, exclude_self)
+    m = len(count)
+    if n * n * m >= 2**63:
+        raise ValidationError(f"{n} journals and {m} in-window records overflow 64-bit keys")
+    # one in-place sort of the keys (col * n + row) * m + rank, a rank being a record's
+    # place among the m, groups the entries, each one's records in ledger order
+    keys = np.arange(m, dtype=np.int64)
+    for block in _blocks(m):
+        keys[block] += (citing[block] * np.int64(n) + cited[block]) * m
+    narrow = citing.dtype  # the table positions' type, kept for row and col
+    del citing, cited
     keys.sort()
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
+    counts = np.empty_like(count)  # each record's count, in sorted order
+    for block in _blocks(m):
+        keys[block], rank = np.divmod(keys[block], m)
+        counts[block] = count[rank]
+    del count
+    first = np.ones(m, dtype=bool)  # the records that start an entry
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys = keys[first]
-    group = np.cumsum(first)
-    group -= 1
-    inverse = np.empty_like(order)
-    inverse[order] = group
-    del order, group, first
-    value = np.bincount(inverse, weights=count)
-    del inverse, count
-    col, row = np.divmod(keys, n)
+    [keys] = _compress(first, keys)  # each entry's key, from its first record
+    col, row = np.divmod(keys, n, out=(np.empty(len(keys), narrow), np.empty(len(keys), narrow)))
     del keys
+    # each entry's counts added in ledger order; the cumsum numbers each record's entry from 1
+    value = _sums(np.cumsum(first, dtype=np.min_scalar_type(m)) - 1, counts, len(row), float)
     return CitationMatrix(table.ids, row, col, value, exclude_self)
 
 

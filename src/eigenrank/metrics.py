@@ -21,7 +21,7 @@ import numpy as np
 
 from ._util import CsvRows, column, csv_text, parse_rows, set_fields
 from .corpus import (_MAX_DIGITS, CitationLedger, CitationMatrix, JournalTable, _cells,
-                     _decimal_cells, _IdCodes, _int64_sums, build_citation_matrix)
+                     _decimal_cells, _IdCodes, _int64_sums, _sums, build_citation_matrix)
 from .errors import ConvergenceError, DegenerateDataError, InconsistencyError, ValidationError
 
 DEFAULT_ALPHA = 0.85
@@ -151,11 +151,12 @@ def normalize_columns(z: CitationMatrix) -> tuple[CitationMatrix, np.ndarray]:
     and ``dangling`` lists the indices of all-zero columns (journals that
     gave no in-window citations), which are left empty.
     """
-    col_sums = np.bincount(z.col, weights=z.value, minlength=len(z.ids))
+    col_sums = _sums(z.col, z.value, len(z.ids), float)
     dangling = np.flatnonzero(col_sums == 0)
     inv = np.zeros(len(z.ids))
     np.divide(1.0, col_sums, out=inv, where=col_sums > 0)
-    value = z.value * inv[z.col]
+    value = inv[z.col]
+    value *= z.value
     if not (value > 0).all():  # an entry so small against its column that it rounds to 0
         raise ValidationError("stored citation entries must be strictly positive")
     h = copy.copy(z)  # z's row and col, checked once, shared
@@ -247,9 +248,8 @@ def impact_factor(ledger: CitationLedger, table: JournalTable, census_year: int,
     years, divided by the article count of those two years.  Self-citations
     are included by default (the convention this metric imitates).
     """
-    rows, positions = ledger.windowed(table, census_year, 2, exclude_self)
-    cites = np.bincount(positions[ledger.cited.take(rows)],
-                        weights=ledger.count.take(rows), minlength=len(table))
+    _, cited, count = ledger.windowed(table, census_year, 2, exclude_self)
+    cites = _sums(cited, count, len(table), float)
     n2 = table.article_counts(census_year, 2).astype(float)
     result = np.full(len(table), np.nan)
     has_articles = n2 > 0
@@ -261,10 +261,7 @@ def total_citations(ledger: CitationLedger, table: JournalTable, census_year: in
                     exclude_self: bool = False) -> np.ndarray:
     """Citations received in the census year, regardless of cited article age;
     a total past int64 raises ValidationError naming its journal."""
-    rows, positions = ledger.windowed(table, census_year, None, exclude_self)
-    cited = positions[ledger.cited.take(rows)]
-    count = ledger.count.take(rows).astype(np.int64, copy=False)  # np.add.at is slow across types
-    del rows
+    _, cited, count = ledger.windowed(table, census_year, None, exclude_self)
     return _int64_sums(cited, count, len(table), lambda j, total: (
         f"journal {table.ids[j]!r} received {total} citations in {census_year}, "
         "more than a 64-bit integer holds"))

@@ -333,6 +333,44 @@ def test_citation_matrix_checks_its_triplets():
         matrix([1], [1], [1.0], exclude_self=True)
 
 
+def test_citation_matrix_keeps_narrow_positions(monkeypatch):
+    # row and col follow the ledger's rule: a signed array of any width is
+    # kept as it is and made read-only in place, a list becomes int64.  (The
+    # read-only test above builds its arrays from lists, so int64 only.)
+    row, col = np.array([1], np.int16), np.array([0], np.int16)
+    z = CitationMatrix(("A", "B"), row, col, [2.0], True)
+    assert z.row is row and z.col is col and not (row.flags.writeable or col.flags.writeable)
+    listed = CitationMatrix(("A", "B"), [1], [0], [2.0], True)
+    assert listed.row.dtype == listed.col.dtype == np.int64
+    # with 300 journals col * 300 + row passes 32767, so an order check that
+    # formed it in int16 would wrap: 110 * 300 reads as -32536 < 100 * 300
+    ids = tuple(f"J{k:03d}" for k in range(300))
+
+    def matrix(row, col):
+        return CitationMatrix(ids, np.array(row, np.int16), np.array(col, np.int16),
+                              np.ones(len(row)), False)
+
+    assert matrix([0, 0, 299], [100, 110, 299]).col.tolist() == [100, 110, 299]
+    for row, col in (([0, 0], [110, 100]), ([0, 0], [110, 110]), ([299, 0], [110, 110])):
+        with pytest.raises(ValidationError, match="sorted"):
+            matrix(row, col)
+    # matrix @ x adds each row's products in entry order, as bincount does,
+    # within a block and across the edges of 7-entry blocks alike
+    rng = np.random.default_rng(16)
+    for block in (corpus._BLOCK, 7):
+        monkeypatch.setattr(corpus, "_BLOCK", block)
+        for dtype in (np.int8, np.int16, np.int32, np.int64):
+            for _ in range(5):
+                n = int(rng.integers(1, 100))
+                col, row = np.nonzero(rng.random((n, n)) < rng.random())  # sorted, col first
+                value = rng.uniform(0.5, 1.5, len(row)) * 10.0 ** rng.integers(-9, 9, len(row))
+                x = rng.uniform(0.5, 1.5, n) * 10.0 ** rng.integers(-9, 9, n)
+                z = CitationMatrix(ids[:n], row.astype(dtype), col.astype(dtype), value, False)
+                assert z.row.dtype == dtype
+                want = np.bincount(row, weights=value * x[col], minlength=n)
+                assert (z @ x).tobytes() == want.tobytes()
+
+
 def test_build_matrix_excludes_census_year_citations():
     table = _two_journal_table()
     ledger = parse_citation_edges(CITATIONS_HEADER + "A,B,2006,2006,7\n")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eigenrank import _util
+from eigenrank import _util, corpus
 from eigenrank import (CitationLedger, ConvergenceError, CsvFormatError,
                        DegenerateDataError, InconsistencyError, JournalTable,
                        ValidationError, article_influence, article_vector,
@@ -394,11 +394,60 @@ def test_matrix_entries_add_up_in_ledger_order():
         assert size is None or len(z.value) == size
 
 
+@pytest.mark.parametrize("block", [3, 7])
+def test_block_wise_passes_equal_per_record_oracle_across_block_edges(monkeypatch, block):
+    # The matrix build, IF and TC gather, sort and add the rows a block at a
+    # time.  With blocks of 3 or 7 rows, the ledger's first block holds no
+    # in-window row, and the (J01, J02) rows 2**53, 1, 1 sort to places
+    # block - 1, block and block + 1, across a block edge, with the (J01, J03)
+    # rows 1, 1, 2**53 after them: the entries read 2**53 and 2**53 + 2 only
+    # when each one's counts are added in ledger order, as in
+    # test_matrix_entries_add_up_in_ledger_order.
+    monkeypatch.setattr(corpus, "_BLOCK", block)
+    table = make_table([5] * 6)
+    noise = ("J04", "J05", 2005, 2004, 1)  # another citing year
+    filler = [("J00", "J03", 2006, 2005, 1)] * (block - 1)  # sorts ahead of the pins
+    pins = [("J01", "J02", 2006, 2005, count) for count in (2**53, 1, 1)]
+    pins += [("J01", "J03", 2006, 2004, count) for count in (1, 1, 2**53)]
+    pinned = citation_ledger([noise] * block + filler + [r for pin in pins for r in (pin, noise)])
+    z = build_citation_matrix(pinned, table, 2006, 5, exclude_self=True)
+    entries = dict(zip(zip(z.row.tolist(), z.col.tolist()), z.value.tolist()))
+    assert entries == {(3, 0): block - 1.0, (2, 1): 2.0**53, (3, 1): 2.0**53 + 2}
+    # the pinned ledger, in a census year it has no rows for, an empty
+    # ledger and generated ones, each a block or more long
+    rng = np.random.default_rng(block)
+    cases = [(table, pinned, 2006), (table, pinned, 2007), (table, citation_ledger(()), 2006)]
+    cases += [(*_noisy_corpus(rng), 2006) for _ in range(10)]
+    for table, ledger, census_year in cases:
+        for exclude_self in (False, True):
+            matrix, iff, tc = reference_counts(ledger, table, census_year, 5, exclude_self)
+            z = build_citation_matrix(ledger, table, census_year, 5, exclude_self=exclude_self)
+            assert (z.row.tolist(), z.col.tolist(), z.value.tolist()) == matrix
+            np.testing.assert_array_equal(
+                impact_factor(ledger, table, census_year, exclude_self=exclude_self), iff)
+            np.testing.assert_array_equal(
+                total_citations(ledger, table, census_year, exclude_self=exclude_self), tc)
+
+
+def test_matrix_build_refuses_keys_past_64_bits(monkeypatch):
+    # The build sorts the keys (col * n + row) * m + rank, each below
+    # n * n * m for m in-window rows, so n * n * m >= 2**63 is refused before
+    # any key is formed.  No corpus a test can hold reaches that: here
+    # windowed hands over 2**61 rows of one broadcast zero.
+    rows = np.broadcast_to(np.int8(0), (2**61,))
+    monkeypatch.setattr(CitationLedger, "windowed", lambda *args: (rows, rows, rows))
+    with pytest.raises(ValidationError, match=f"^2 journals and {2**61} in-window records "):
+        build_citation_matrix(citation_ledger(()), make_table([5, 5]), 2006, 5, True)
+
+
 def test_compute_metrics_peak_memory_per_ledger_row():
-    # The matrix build and the IF/TC gathers each hold a few 8-byte columns
-    # of the in-window rows at a time: about 18 bytes a ledger row at this
-    # corpus's peak.  Holding three gathered columns while np.unique groups
-    # the keys took 33 bytes a row; the bound is 24.
+    # Every stage holds narrow columns of the in-window rows: the matrix
+    # build gathers int16 positions and int8 counts, sorts one int64 key a
+    # row in place, and stores int16 row and col; IF, TC and the matrix
+    # products add a block of rows at a time.  About 14 bytes a ledger row at
+    # this corpus's peak.  An argsort and its inverse beside the keys took
+    # 18.7 bytes a row, and np.unique over three gathered columns 33; the
+    # bound is 18.
     table, text = _seeded_paper_like_corpus()
     ledger = parse_citation_edges(text)
     del text
@@ -412,7 +461,7 @@ def test_compute_metrics_peak_memory_per_ledger_row():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak / len(ledger) < 24
+    assert peak / len(ledger) < 18
 
 
 def test_citations_parse_peak_memory_per_row(tmp_path):
