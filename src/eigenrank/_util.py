@@ -2,10 +2,13 @@
 (``column``) and the one CSV dialect every file shares.
 
 Every CSV this package writes has a header row, ``\\n`` line ends and
-quoting only where a cell needs it; every CSV it reads goes through
-``CsvRows``, which holds the one grammar of rows and cells, and the
-journals, citations and scores readers read theirs through ``parse_rows``,
-which hands each chunk of plain rows to a numpy kernel first.
+quoting only where a cell needs it.  Every CSV it reads follows one
+grammar of rows and cells, held here in two forms that must agree: the
+row loop (``CsvRows``) reads any row, and the numpy chunk kernels read a
+chunk of plain rows at once, ``_cells`` splitting it into byte cells that
+``_IdCodes``, ``_decimal_cells`` and ``_fixed_point_cells`` decode or
+decline.  The journals, citations and scores readers read theirs through
+``parse_rows``, which hands each chunk's cells to a kernel first.
 """
 
 from __future__ import annotations
@@ -93,11 +96,6 @@ def utf8_error_line(data: bytes) -> int | None:
 
 
 _CHUNK_CHARS = 1 << 18
-
-
-def read_text(source: str | TextIO) -> str:
-    """``source`` as one string: an open file is read whole, once."""
-    return source if isinstance(source, str) else "".join(pieces(source))
 
 
 def pieces(source: str | TextIO) -> Iterator[str]:
@@ -262,9 +260,9 @@ def parse_rows(source: str | TextIO, header: Sequence[str], what: str, reader: t
 
     A ``reader()`` holds what a file's rows have taught it and three methods:
 
-    * ``kernel(chunk)``: the columns of the rows of a newline-ended piece of
-      the file, or None, having learnt nothing, where it cannot show that
-      the row loop reads the same;
+    * ``kernel(text, padded, raw, starts, lengths)``: the columns of the
+      rows of a chunk of plain rows split by ``_cells``, or None, having
+      learnt nothing, where it cannot show that the row loop reads the same;
     * ``rows(rows)``: the columns of the rows of a ``CsvRows``, read one at
       a time;
     * ``result(columns)``: what the file holds, its rows being ``columns``.
@@ -272,12 +270,13 @@ def parse_rows(source: str | TextIO, header: Sequence[str], what: str, reader: t
     A source of at most ``_CHUNK_CHARS`` characters goes to ``row_loop``,
     where the kernels' numpy calls would cost more than its rows.  A longer
     one is read a piece (``pieces``) at a time, never whole: after an exact
-    header line the kernel answers or declines each piece, ``rows`` reads a
-    declined one, and one that leaves a quoted cell open is joined to the
-    next.  An error is raised from the piece where it occurs, with its line,
-    once the rest of the source is read, so that a later byte that is not
-    UTF-8 is the error whatever row before it is faulty.  The integer
-    columns come in the narrowest signed type that holds them.
+    header line the kernel answers or declines each piece that ``_cells``
+    splits, ``rows`` reads any other, and one that leaves a quoted cell open
+    is joined to the next.  An error is raised from the piece where it
+    occurs, with its line, once the rest of the source is read, so that a
+    later byte that is not UTF-8 is the error whatever row before it is
+    faulty.  The integer columns come in the narrowest signed type that
+    holds them.
     """
     chunks = pieces(source)
     taken = [next(chunks, ""), next(chunks, "")]
@@ -324,7 +323,8 @@ def _chunk_columns(taken: list[str], rest: Iterator[str], header: Sequence[str],
     cut = ""
     for piece in _then(taken, rest):
         chunk, cut = cut + piece, ""
-        block = reader.kernel(chunk) if head else None
+        cells = _cells(chunk, len(header)) if head else None
+        block = None if cells is None else reader.kernel(*cells)
         if block is None:
             more = bool(piece)
             rows = (CsvRows(chunk, head, line, more) if head
@@ -352,3 +352,264 @@ def _then(taken: list[str], rest: Iterator[str]) -> Iterator[str]:
         yield taken.pop(0)
     yield from rest
     yield ""
+
+
+# the numpy chunk kernels: the plain-chunk grammar and its decoders
+_MAX_DIGITS = 18  # every number of up to 18 digits fits int64
+_MAX_ID_WORDS = 4  # ids of up to 32 bytes, as 8-byte words
+# lets every cell be read as whole words, and every number as _MAX_DIGITS bytes
+_PAD = "\0" * max(8 * _MAX_ID_WORDS, _MAX_DIGITS)
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# odd multipliers are invertible mod 2**64: a change to one word of a longer id
+# changes the mixed key, bar its top bit
+_WORD_MIX = np.array([1, 0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9],
+                     dtype=np.uint64)
+_LONG_ID = np.uint64(1 << 63)
+
+
+def _cells(chunk: str, width: int) -> tuple[str, bytes, np.ndarray, np.ndarray,
+                                            np.ndarray] | None:
+    """``(text, padded, raw, starts, lengths)`` for a chunk of plain rows, or None.
+
+    A plain row has ``width`` ASCII cells within the csv field size limit: no
+    quote, no control character but the newline, no blank line, no cell
+    that starts or ends with a space (so every cell equals its
+    ``strip()``).  ``text`` is the chunk, newline-ended, ``padded`` its
+    bytes and ``_PAD``, and ``raw`` those bytes as uint8; the cell in row
+    ``i`` and column ``k`` is ``lengths[i, k]`` bytes from ``starts[i, k]``.
+    Each chunk is split at its commas and newlines in one pass.
+    """
+    if not chunk.isascii():
+        return None
+    if not chunk.endswith("\n"):
+        chunk += "\n"
+    padded = (chunk + _PAD).encode("ascii")
+    raw = np.frombuffer(padded, dtype=np.uint8)
+    body = raw[:len(chunk)]
+    if (((body < ord(" ")) & (body != ord("\n"))) | (body == ord('"'))).any():
+        return None
+    ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
+    rows = len(ends) // width
+    at_newline = raw[ends] == ord("\n")
+    if (len(ends) != rows * width or not at_newline[width - 1::width].all()
+            or np.count_nonzero(at_newline) != rows):
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts
+    # an empty cell's neighbours are a separator, or a cell that ends with the space
+    if (lengths.max() > csv.field_size_limit()
+            or (raw[starts] == ord(" ")).any() or (raw[ends - 1] == ord(" ")).any()):
+        return None
+    return chunk, padded, raw, starts.reshape(rows, width), lengths.reshape(rows, width)
+
+
+def _slices(text: str, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
+    """The cells ``lengths`` characters from ``starts`` in ``text``."""
+    return [text[i:i + n] for i, n in zip(starts.tolist(), lengths.tolist())]
+
+
+def _same_cells(padded: bytes, a: np.ndarray, b: np.ndarray, lengths_a: np.ndarray,
+                lengths_b: np.ndarray) -> np.ndarray:
+    """Whether each cell ``lengths_a`` bytes from ``a`` in ``padded`` equals
+    the one ``lengths_b`` bytes from ``b``, compared 8 bytes at a time."""
+    same = lengths_a == lengths_b
+    words = np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
+    last = len(words) - 1  # a cell shorter than k is masked whole, wherever it is read
+    for k in range(0, int(lengths_a.max(initial=0)), 8):
+        mask = _BYTE_MASKS[np.clip(lengths_a - k, 0, 8)]
+        same &= (words[np.minimum(a + k, last)] ^ words[np.minimum(b + k, last)]) & mask == 0
+    return same
+
+
+class _IdCodes:
+    """Codes for ids in first-seen order: ``ids`` lists them, ``index`` maps
+    each to its code.  The row loop adds one id at a time (``code``), a
+    kernel the id cells of a chunk at once (``codes``).
+
+    For a kernel, an id is read as little-endian uint64 words of 8 bytes,
+    the bytes past its end masked to zero, which no id byte is, so equal ids
+    have equal words.  A one-word id is its own key, with the top bit clear
+    (ASCII) and a non-zero first byte; a longer id's key mixes its words and
+    sets that bit, and since mixed keys may collide, each such cell is
+    checked against the words its key stands for.  So no key is 0, which
+    marks an empty slot of the hash table: a power of two of slots, at most
+    half full, probed linearly from each key's multiplicative hash.  Every
+    cell of a chunk probes at once, one slot a round, so Python code touches
+    only ids that no kernel has seen before, which ``index`` may know.
+    """
+
+    def __init__(self):
+        self.ids: list[str] = []
+        self.index: dict[str, int] = {}
+        self._keys = np.zeros(1 << 10, dtype=np.uint64)  # each slot's key, 0 if empty
+        self._codes = np.full(len(self._keys), -1, dtype=np.int64)  # each slot's id code
+        self._words = np.zeros((0, _MAX_ID_WORDS), dtype=np.uint64)  # each code's words
+
+    def code(self, jid: str) -> int:
+        """The code of ``jid``: the next one if it is new."""
+        code = self.index.setdefault(jid, len(self.ids))
+        if code == len(self.ids):
+            self.ids.append(jid)
+        return code
+
+    def codes(self, text: str, padded: bytes, starts: np.ndarray,
+              lengths: np.ndarray) -> np.ndarray | None:
+        """The codes of the ids at ``starts`` in ``text``, ``padded`` being its
+        ASCII bytes and ``_PAD``; None, having learnt nothing, for an
+        empty id, one over 32 bytes, or mixed keys that collide."""
+        if lengths.min() < 1 or lengths.max() > 8 * _MAX_ID_WORDS:
+            return None
+        n_words = -(-int(lengths.max()) // 8)
+        windows = np.ndarray((len(text), n_words), dtype="<u8", buffer=padded,
+                             strides=(1, 8))  # row i: the words from byte i on
+        words = windows[starts]
+        words &= _BYTE_MASKS[np.clip(lengths[:, None] - 8 * np.arange(n_words), 0, 8)]
+        keys = words[:, 0]
+        if n_words > 1:
+            mixed = np.bitwise_xor.reduce(words * _WORD_MIX[:n_words], axis=1) | _LONG_ID
+            keys = np.where(words[:, 1:].any(axis=1), mixed, keys)
+        codes = self._codes[self._find(keys)]
+        if n_words > 1:  # a long cell found must have the words of the id its key stands for
+            known = np.flatnonzero(((keys & _LONG_ID) != 0) & (codes >= 0))
+            stored = self._words[codes[known]]
+            if not (stored[:, :n_words] == words[known]).all() or stored[:, n_words:].any():
+                return None
+        unknown = np.flatnonzero(codes < 0)
+        if not unknown.size:
+            return codes
+        new_keys, first, inverse = np.unique(keys[unknown], return_index=True,
+                                             return_inverse=True)
+        first = unknown[first]
+        if n_words > 1 and (words[first[inverse]] != words[unknown]).any():
+            return None  # the mixed keys of two new ids collide
+        by_position = np.argsort(first)
+        first = first[by_position]
+        names = _slices(text, starts[first], lengths[first])  # first seen first
+        fresh = [name for name in names if name not in self.index]
+        self.index.update(zip(fresh, itertools.count(len(self.ids))))
+        self.ids += fresh
+        new_codes = np.empty(len(new_keys), dtype=np.int64)
+        new_codes[by_position] = list(map(self.index.__getitem__, names))
+        codes[unknown] = new_codes[inverse]
+        if len(self._words) < len(self.ids):
+            self._words = np.concatenate((self._words, np.zeros(
+                (len(self.ids) - len(self._words), _MAX_ID_WORDS), dtype=np.uint64)))
+        self._words[new_codes[by_position], :n_words] = words[first]
+        if 2 * len(self.ids) > len(self._keys):
+            self._grow()
+        self._insert(new_keys, new_codes)
+        return codes
+
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's first slot: the top bits of its product with an odd constant."""
+        shift = 64 - (len(self._keys).bit_length() - 1)
+        return ((keys * _WORD_MIX[1]) >> np.uint64(shift)).astype(np.intp)
+
+    def _find(self, keys: np.ndarray) -> np.ndarray:
+        """The slot holding each key, or the empty slot that ends its probe."""
+        mask = len(self._keys) - 1
+        slots = self._home(keys)
+        held = self._keys[slots]
+        probing = np.flatnonzero((held != keys) & (held != 0))
+        while probing.size:
+            slots[probing] = (slots[probing] + 1) & mask
+            held = self._keys[slots[probing]]
+            probing = probing[(held != keys[probing]) & (held != 0)]
+        return slots
+
+    def _insert(self, keys: np.ndarray, codes: np.ndarray) -> None:
+        """Store distinct keys that the table lacks, with their codes."""
+        while keys.size:
+            slots = self._find(keys)
+            # of the keys whose probes end at one empty slot, the first takes it
+            taken = np.unique(slots, return_index=True)[1]
+            self._keys[slots[taken]] = keys[taken]
+            self._codes[slots[taken]] = codes[taken]
+            rest = np.ones(len(keys), dtype=bool)
+            rest[taken] = False
+            keys, codes = keys[rest], codes[rest]
+
+    def forget(self, count: int) -> None:
+        """Forget every id after the first ``count``: a kernel that declines
+        a chunk after coding its ids learns nothing from it."""
+        for jid in self.ids[count:]:
+            del self.index[jid]
+        del self.ids[count:]
+        self._words[count:] = 0
+        self._store(len(self._keys), count)
+
+    def _grow(self) -> None:
+        """Double the table until the ids fill at most half of it."""
+        size = len(self._keys)
+        while 2 * len(self.ids) > size:
+            size *= 2
+        self._store(size, len(self.ids))
+
+    def _store(self, size: int, count: int) -> None:
+        """A table of ``size`` slots holding again the keys of the first
+        ``count`` codes."""
+        held = np.flatnonzero((self._codes >= 0) & (self._codes < count))
+        keys, codes = self._keys[held], self._codes[held]
+        self._keys = np.zeros(size, dtype=np.uint64)
+        self._codes = np.full(size, -1, dtype=np.int64)
+        self._insert(keys, codes)
+
+
+def _decimal_cells(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """The cells of ``raw`` at ``starts`` as int64, or None unless every one
+    is 1-18 ASCII digits: one Horner step per digit position.  ``raw`` holds
+    at least ``_MAX_DIGITS`` bytes past the start of its last cell."""
+    shortest, width = int(lengths.min()), int(lengths.max())
+    if shortest < 1 or width > _MAX_DIGITS:
+        return None
+    values = np.zeros(len(starts), dtype=np.int64)
+    for k in range(width):
+        digit = raw[starts + k] - ord("0")  # uint8: a byte below '0' wraps past 9
+        inside = slice(None) if k < shortest else lengths > k
+        if (digit[inside] > 9).any():
+            return None
+        values[inside] *= 10
+        values[inside] += digit[inside]
+    return values
+
+
+# 10**f for the f digits after a point: exact as float64 for f up to 22
+_POWERS_OF_TEN = np.array([float(10**f) for f in range(19)])
+
+
+def _fixed_point_cells(raw: np.ndarray, starts: np.ndarray,
+                       lengths: np.ndarray) -> np.ndarray | None:
+    """The cells of ``raw`` at ``starts`` as ``float()`` reads them, an empty
+    one as NaN, or None unless each is an optional ``-`` and 1-18 ASCII
+    digits with at most one point among them, their integer ``m`` below
+    2**53: then ``m`` and ``10**f`` (``f`` digits after the point) are exact
+    floats, and IEEE division rounds ``m / 10**f`` as ``float()`` rounds the
+    text.  ``raw`` holds at least ``_MAX_DIGITS`` bytes past the start of its
+    last cell."""
+    if lengths.max() > _MAX_DIGITS:
+        return None
+    negative = (raw[starts] == ord("-")) & (lengths > 0)
+    at, left = starts + negative, lengths - negative
+    mantissa = np.zeros(len(starts), dtype=np.int64)
+    points = np.zeros(len(starts), dtype=np.int64)
+    scale = np.zeros(len(starts), dtype=np.int64)  # digits after the point
+    for k in range(int(left.max())):
+        inside = left > k
+        byte = raw[at + k]
+        digit = byte - ord("0")  # uint8: a byte below '0' wraps past 9
+        point = inside & (byte == ord("."))
+        inside &= ~point
+        if (digit[inside] > 9).any():
+            return None
+        mantissa[inside] = mantissa[inside] * 10 + digit[inside]
+        scale += inside & (points > 0)
+        points += point
+    filled = lengths > 0
+    if (points > 1).any() or (left[filled] <= points[filled]).any() or mantissa.max() >= 2**53:
+        return None
+    values = mantissa / _POWERS_OF_TEN[scale]
+    np.negative(values, out=values, where=negative)
+    values[~filled] = np.nan
+    return values

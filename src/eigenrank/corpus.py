@@ -1,7 +1,8 @@
 """Journal and citation data model, CSV ingestion, and the burger fixture.
 
-All types are immutable after construction and all functions are pure, so
-everything here is safe to share across threads.
+The public types are immutable after construction and the public functions
+are pure, so their values are safe to share across threads; a reader class
+holds one parse's state.
 
 File formats (UTF-8, comma-delimited, required header row):
 
@@ -13,7 +14,6 @@ File formats (UTF-8, comma-delimited, required header row):
 from __future__ import annotations
 
 import bisect
-import csv
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -22,7 +22,8 @@ from typing import Callable, Collection, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from ._util import CsvRows, _narrow, column, csv_text, parse_rows, set_fields
+from ._util import (CsvRows, _decimal_cells, _IdCodes, _narrow, _same_cells, _slices, column,
+                    csv_text, parse_rows, set_fields)
 from .errors import ValidationError
 
 JOURNALS_HEADER = ("journal_id", "name", "fields", "year", "articles")
@@ -335,8 +336,9 @@ class CitationLedger:
         return tuple(self._records(self.cited_year > self.citing_year))
 
     def windowed(self, table: JournalTable, census_year: int, window: int | None,
-                 exclude_self: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(citing, cited, count)`` of the citations given in ``census_year``.
+                 exclude_self: bool, citing: bool = True) -> tuple[np.ndarray, ...]:
+        """``(citing, cited, count)`` of the citations given in ``census_year``,
+        or ``(cited, count)`` without ``citing``, which is then not gathered.
 
         The records that count, in ledger order: articles published in the
         ``window`` years before the census year (any year when ``window`` is
@@ -350,8 +352,9 @@ class CitationLedger:
             keep &= (self.cited_year >= census_year - window) & (self.cited_year < census_year)
         if exclude_self:
             keep &= self.citing != self.cited
-        citing, cited, count = _compress(keep, self.citing, self.cited, self.count)
-        return positions[citing], positions[cited], count
+        codes = (self.citing, self.cited) if citing else (self.cited,)
+        *codes, count = _compress(keep, *codes, self.count)
+        return (*(positions[c] for c in codes), count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,12 +468,8 @@ class _JournalRows:
         self.year_of: dict[str, int] = {}
         self.articles_of: dict[str, int] = {}
 
-    def kernel(self, chunk: str) -> tuple[np.ndarray, ...] | None:
-        cells = _cells(chunk, len(JOURNALS_HEADER))
-        if cells is None:
-            return None
-        text, padded, starts, lengths = cells
-        raw = np.frombuffer(padded, dtype=np.uint8)
+    def kernel(self, text: str, padded: bytes, raw: np.ndarray, starts: np.ndarray,
+               lengths: np.ndarray) -> tuple[np.ndarray, ...] | None:
         year, articles = (_decimal_cells(raw, starts[:, k], lengths[:, k]) for k in (3, 4))
         if year is None or articles is None:
             return None
@@ -598,12 +597,8 @@ class _CitationRows:
         self.years: dict[str, int] = {}
         self.counts: dict[str, int] = {}
 
-    def kernel(self, chunk: str) -> tuple[np.ndarray, ...] | None:
-        cells = _cells(chunk, _COLUMNS)
-        if cells is None:
-            return None
-        text, padded, starts, lengths = cells
-        raw = np.frombuffer(padded, dtype=np.uint8)
+    def kernel(self, text: str, padded: bytes, raw: np.ndarray, starts: np.ndarray,
+               lengths: np.ndarray) -> tuple[np.ndarray, ...] | None:
         numbers = [_decimal_cells(raw, starts[:, k], lengths[:, k]) for k in range(2, _COLUMNS)]
         if any(values is None for values in numbers) or numbers[-1].min() < 1:
             return None
@@ -629,225 +624,6 @@ class _CitationRows:
 
     def result(self, columns) -> CitationLedger:
         return CitationLedger(self.ids.ids, *columns)
-
-
-# the numpy chunk kernels
-_MAX_DIGITS = 18  # every number of up to 18 digits fits int64
-_MAX_ID_WORDS = 4  # ids of up to 32 bytes, as 8-byte words
-_PAD = "\0" * 8 * _MAX_ID_WORDS  # lets every cell be read as whole words
-_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-# odd multipliers are invertible mod 2**64: a change to one word of a longer id
-# changes the mixed key, bar its top bit
-_WORD_MIX = np.array([1, 0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9],
-                     dtype=np.uint64)
-_LONG_ID = np.uint64(1 << 63)
-
-
-def _cells(chunk: str, width: int) -> tuple[str, bytes, np.ndarray, np.ndarray] | None:
-    """``(text, padded, starts, lengths)`` for a chunk of plain rows, or None.
-
-    A plain row has ``width`` ASCII cells within the csv field size limit: no
-    quote, no control character but the newline, no blank line, no cell
-    that starts or ends with a space (so every cell equals its
-    ``strip()``).  ``text`` is the chunk, newline-ended, and ``padded`` its
-    bytes and 32 zero bytes; the cell in row ``i`` and column ``k`` is
-    ``lengths[i, k]`` bytes from ``starts[i, k]``.  Each chunk is split at
-    its commas and newlines in one pass.
-    """
-    if not chunk.isascii():
-        return None
-    if not chunk.endswith("\n"):
-        chunk += "\n"
-    padded = (chunk + _PAD).encode("ascii")
-    raw = np.frombuffer(padded, dtype=np.uint8)
-    body = raw[:len(chunk)]
-    if (((body < ord(" ")) & (body != ord("\n"))) | (body == ord('"'))).any():
-        return None
-    ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
-    rows = len(ends) // width
-    at_newline = raw[ends] == ord("\n")
-    if (len(ends) != rows * width or not at_newline[width - 1::width].all()
-            or np.count_nonzero(at_newline) != rows):
-        return None
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts
-    # an empty cell's neighbours are a separator, or a cell that ends with the space
-    if (lengths.max() > csv.field_size_limit()
-            or (raw[starts] == ord(" ")).any() or (raw[ends - 1] == ord(" ")).any()):
-        return None
-    return chunk, padded, starts.reshape(rows, width), lengths.reshape(rows, width)
-
-
-def _slices(text: str, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
-    """The cells ``lengths`` characters from ``starts`` in ``text``."""
-    return [text[i:i + n] for i, n in zip(starts.tolist(), lengths.tolist())]
-
-
-def _same_cells(padded: bytes, a: np.ndarray, b: np.ndarray, lengths_a: np.ndarray,
-                lengths_b: np.ndarray) -> np.ndarray:
-    """Whether each cell ``lengths_a`` bytes from ``a`` in ``padded`` equals
-    the one ``lengths_b`` bytes from ``b``, compared 8 bytes at a time."""
-    same = lengths_a == lengths_b
-    words = np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
-    last = len(words) - 1  # a cell shorter than k is masked whole, wherever it is read
-    for k in range(0, int(lengths_a.max(initial=0)), 8):
-        mask = _BYTE_MASKS[np.clip(lengths_a - k, 0, 8)]
-        same &= (words[np.minimum(a + k, last)] ^ words[np.minimum(b + k, last)]) & mask == 0
-    return same
-
-
-class _IdCodes:
-    """Codes for ids in first-seen order: ``ids`` lists them, ``index`` maps
-    each to its code.  The row loop adds one id at a time (``code``), a
-    kernel the id cells of a chunk at once (``codes``).
-
-    For a kernel, an id is read as little-endian uint64 words of 8 bytes,
-    the bytes past its end masked to zero, which no id byte is, so equal ids
-    have equal words.  A one-word id is its own key, with the top bit clear
-    (ASCII) and a non-zero first byte; a longer id's key mixes its words and
-    sets that bit, and since mixed keys may collide, each such cell is
-    checked against the words its key stands for.  So no key is 0, which
-    marks an empty slot of the hash table: a power of two of slots, at most
-    half full, probed linearly from each key's multiplicative hash.  Every
-    cell of a chunk probes at once, one slot a round, so Python code touches
-    only ids that no kernel has seen before, which ``index`` may know.
-    """
-
-    def __init__(self):
-        self.ids: list[str] = []
-        self.index: dict[str, int] = {}
-        self._keys = np.zeros(1 << 10, dtype=np.uint64)  # each slot's key, 0 if empty
-        self._codes = np.full(len(self._keys), -1, dtype=np.int64)  # each slot's id code
-        self._words = np.zeros((0, _MAX_ID_WORDS), dtype=np.uint64)  # each code's words
-
-    def code(self, jid: str) -> int:
-        """The code of ``jid``: the next one if it is new."""
-        code = self.index.setdefault(jid, len(self.ids))
-        if code == len(self.ids):
-            self.ids.append(jid)
-        return code
-
-    def codes(self, text: str, padded: bytes, starts: np.ndarray,
-              lengths: np.ndarray) -> np.ndarray | None:
-        """The codes of the ids at ``starts`` in ``text``, ``padded`` being its
-        ASCII bytes and 32 zero bytes; None, having learnt nothing, for an
-        empty id, one over 32 bytes, or mixed keys that collide."""
-        if lengths.min() < 1 or lengths.max() > 8 * _MAX_ID_WORDS:
-            return None
-        n_words = -(-int(lengths.max()) // 8)
-        windows = np.ndarray((len(text), n_words), dtype="<u8", buffer=padded,
-                             strides=(1, 8))  # row i: the words from byte i on
-        words = windows[starts]
-        words &= _BYTE_MASKS[np.clip(lengths[:, None] - 8 * np.arange(n_words), 0, 8)]
-        keys = words[:, 0]
-        if n_words > 1:
-            mixed = np.bitwise_xor.reduce(words * _WORD_MIX[:n_words], axis=1) | _LONG_ID
-            keys = np.where(words[:, 1:].any(axis=1), mixed, keys)
-        codes = self._codes[self._find(keys)]
-        if n_words > 1:  # a long cell found must have the words of the id its key stands for
-            known = np.flatnonzero(((keys & _LONG_ID) != 0) & (codes >= 0))
-            stored = self._words[codes[known]]
-            if not (stored[:, :n_words] == words[known]).all() or stored[:, n_words:].any():
-                return None
-        unknown = np.flatnonzero(codes < 0)
-        if not unknown.size:
-            return codes
-        new_keys, first, inverse = np.unique(keys[unknown], return_index=True,
-                                             return_inverse=True)
-        first = unknown[first]
-        if n_words > 1 and (words[first[inverse]] != words[unknown]).any():
-            return None  # the mixed keys of two new ids collide
-        by_position = np.argsort(first)
-        first = first[by_position]
-        names = _slices(text, starts[first], lengths[first])  # first seen first
-        fresh = [name for name in names if name not in self.index]
-        self.index.update(zip(fresh, itertools.count(len(self.ids))))
-        self.ids += fresh
-        new_codes = np.empty(len(new_keys), dtype=np.int64)
-        new_codes[by_position] = list(map(self.index.__getitem__, names))
-        codes[unknown] = new_codes[inverse]
-        if len(self._words) < len(self.ids):
-            self._words = np.concatenate((self._words, np.zeros(
-                (len(self.ids) - len(self._words), _MAX_ID_WORDS), dtype=np.uint64)))
-        self._words[new_codes[by_position], :n_words] = words[first]
-        if 2 * len(self.ids) > len(self._keys):
-            self._grow()
-        self._insert(new_keys, new_codes)
-        return codes
-
-    def _home(self, keys: np.ndarray) -> np.ndarray:
-        """Each key's first slot: the top bits of its product with an odd constant."""
-        shift = 64 - (len(self._keys).bit_length() - 1)
-        return ((keys * _WORD_MIX[1]) >> np.uint64(shift)).astype(np.intp)
-
-    def _find(self, keys: np.ndarray) -> np.ndarray:
-        """The slot holding each key, or the empty slot that ends its probe."""
-        mask = len(self._keys) - 1
-        slots = self._home(keys)
-        held = self._keys[slots]
-        probing = np.flatnonzero((held != keys) & (held != 0))
-        while probing.size:
-            slots[probing] = (slots[probing] + 1) & mask
-            held = self._keys[slots[probing]]
-            probing = probing[(held != keys[probing]) & (held != 0)]
-        return slots
-
-    def _insert(self, keys: np.ndarray, codes: np.ndarray) -> None:
-        """Store distinct keys that the table lacks, with their codes."""
-        while keys.size:
-            slots = self._find(keys)
-            # of the keys whose probes end at one empty slot, the first takes it
-            taken = np.unique(slots, return_index=True)[1]
-            self._keys[slots[taken]] = keys[taken]
-            self._codes[slots[taken]] = codes[taken]
-            rest = np.ones(len(keys), dtype=bool)
-            rest[taken] = False
-            keys, codes = keys[rest], codes[rest]
-
-    def forget(self, count: int) -> None:
-        """Forget every id after the first ``count``: a kernel that declines
-        a chunk after coding its ids learns nothing from it."""
-        for jid in self.ids[count:]:
-            del self.index[jid]
-        del self.ids[count:]
-        self._words[count:] = 0
-        self._store(len(self._keys), count)
-
-    def _grow(self) -> None:
-        """Double the table until the ids fill at most half of it."""
-        size = len(self._keys)
-        while 2 * len(self.ids) > size:
-            size *= 2
-        self._store(size, len(self.ids))
-
-    def _store(self, size: int, count: int) -> None:
-        """A table of ``size`` slots holding again the keys of the first
-        ``count`` codes."""
-        held = np.flatnonzero((self._codes >= 0) & (self._codes < count))
-        keys, codes = self._keys[held], self._codes[held]
-        self._keys = np.zeros(size, dtype=np.uint64)
-        self._codes = np.full(size, -1, dtype=np.int64)
-        self._insert(keys, codes)
-
-
-def _decimal_cells(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
-    """The cells of ``raw`` at ``starts`` as int64, or None unless every one
-    is 1-18 ASCII digits: one Horner step per digit position.  ``raw`` holds
-    at least ``_MAX_DIGITS`` bytes past the start of its last cell."""
-    shortest, width = int(lengths.min()), int(lengths.max())
-    if shortest < 1 or width > _MAX_DIGITS:
-        return None
-    values = np.zeros(len(starts), dtype=np.int64)
-    for k in range(width):
-        digit = raw[starts + k] - ord("0")  # uint8: a byte below '0' wraps past 9
-        inside = slice(None) if k < shortest else lengths > k
-        if (digit[inside] > 9).any():
-            return None
-        values[inside] *= 10
-        values[inside] += digit[inside]
-    return values
 
 
 def write_journal_metadata(table: JournalTable) -> str:

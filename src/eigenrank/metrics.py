@@ -19,9 +19,10 @@ from typing import TextIO
 
 import numpy as np
 
-from ._util import CsvRows, column, csv_text, parse_rows, set_fields
-from .corpus import (_MAX_DIGITS, CitationLedger, CitationMatrix, JournalTable, _cells,
-                     _decimal_cells, _IdCodes, _int64_sums, _sums, build_citation_matrix)
+from ._util import (CsvRows, _decimal_cells, _fixed_point_cells, _IdCodes, column, csv_text,
+                    parse_rows, set_fields)
+from .corpus import (CitationLedger, CitationMatrix, JournalTable, _int64_sums, _sums,
+                     build_citation_matrix)
 from .errors import ConvergenceError, DegenerateDataError, InconsistencyError, ValidationError
 
 DEFAULT_ALPHA = 0.85
@@ -248,7 +249,7 @@ def impact_factor(ledger: CitationLedger, table: JournalTable, census_year: int,
     years, divided by the article count of those two years.  Self-citations
     are included by default (the convention this metric imitates).
     """
-    _, cited, count = ledger.windowed(table, census_year, 2, exclude_self)
+    cited, count = ledger.windowed(table, census_year, 2, exclude_self, citing=False)
     cites = _sums(cited, count, len(table), float)
     n2 = table.article_counts(census_year, 2).astype(float)
     result = np.full(len(table), np.nan)
@@ -261,7 +262,7 @@ def total_citations(ledger: CitationLedger, table: JournalTable, census_year: in
                     exclude_self: bool = False) -> np.ndarray:
     """Citations received in the census year, regardless of cited article age;
     a total past int64 raises ValidationError naming its journal."""
-    _, cited, count = ledger.windowed(table, census_year, None, exclude_self)
+    cited, count = ledger.windowed(table, census_year, None, exclude_self, citing=False)
     return _int64_sums(cited, count, len(table), lambda j, total: (
         f"journal {table.ids[j]!r} received {total} citations in {census_year}, "
         "more than a 64-bit integer holds"))
@@ -367,12 +368,8 @@ class _ScoreRows:
         self.ids = _IdCodes()
         self.counts: dict[str, int] = {}  # count cells repeat, so each text is parsed once
 
-    def kernel(self, chunk: str) -> list[np.ndarray] | None:
-        cells = _cells(chunk, len(SCORES_HEADER))
-        if cells is None:
-            return None
-        text, padded, starts, lengths = cells
-        raw = np.frombuffer(padded, dtype=np.uint8)
+    def kernel(self, text: str, padded: bytes, raw: np.ndarray, starts: np.ndarray,
+               lengths: np.ndarray) -> list[np.ndarray] | None:
         columns = [(_fixed_point_cells if k < 4 else _decimal_cells)(
             raw, starts[:, k], lengths[:, k]) for k in range(1, len(SCORES_HEADER))]
         if any(values is None for values in columns):
@@ -404,43 +401,3 @@ class _ScoreRows:
 
     def result(self, columns) -> MetricScores:
         return MetricScores(None, self.ids.ids, *columns)
-
-
-# 10**f for the f digits after a point: exact as float64 for f up to 22
-_POWERS_OF_TEN = np.array([float(10**f) for f in range(19)])
-
-
-def _fixed_point_cells(raw: np.ndarray, starts: np.ndarray,
-                       lengths: np.ndarray) -> np.ndarray | None:
-    """The cells of ``raw`` at ``starts`` as ``float()`` reads them, an empty
-    one as NaN, or None unless each is an optional ``-`` and 1-18 ASCII
-    digits with at most one point among them, their integer ``m`` below
-    2**53: then ``m`` and ``10**f`` (``f`` digits after the point) are exact
-    floats, and IEEE division rounds ``m / 10**f`` as ``float()`` rounds the
-    text.  ``raw`` holds at least ``_MAX_DIGITS`` bytes past the start of its
-    last cell."""
-    if lengths.max() > _MAX_DIGITS:
-        return None
-    negative = (raw[starts] == ord("-")) & (lengths > 0)
-    at, left = starts + negative, lengths - negative
-    mantissa = np.zeros(len(starts), dtype=np.int64)
-    points = np.zeros(len(starts), dtype=np.int64)
-    scale = np.zeros(len(starts), dtype=np.int64)  # digits after the point
-    for k in range(int(left.max())):
-        inside = left > k
-        byte = raw[at + k]
-        digit = byte - ord("0")  # uint8: a byte below '0' wraps past 9
-        point = inside & (byte == ord("."))
-        inside &= ~point
-        if (digit[inside] > 9).any():
-            return None
-        mantissa[inside] = mantissa[inside] * 10 + digit[inside]
-        scale += inside & (points > 0)
-        points += point
-    filled = lengths > 0
-    if (points > 1).any() or (left[filled] <= points[filled]).any() or mantissa.max() >= 2**53:
-        return None
-    values = mantissa / _POWERS_OF_TEN[scale]
-    np.negative(values, out=values, where=negative)
-    values[~filled] = np.nan
-    return values

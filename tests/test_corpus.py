@@ -608,7 +608,7 @@ def _outcome(parse, source):
 def _row_loop(source):
     """``source`` parsed by the csv row loop alone."""
     return _util.row_loop(corpus._CitationRows, _util.csv_reader(
-        _util.read_text(source), corpus.CITATIONS_HEADER, "citations.csv"))
+        source, corpus.CITATIONS_HEADER, "citations.csv"))
 
 
 def _stream(data):
@@ -930,7 +930,7 @@ def _id_chunk(interner, cells):
     text = ",".join(cells) + "\n"
     lengths = np.array([len(c) for c in cells], dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(lengths[:-1] + 1)))
-    return interner.codes(text, (text + corpus._PAD).encode("ascii"), starts, lengths)
+    return interner.codes(text, (text + _util._PAD).encode("ascii"), starts, lengths)
 
 
 def _last_slot_ids(interner, count):
@@ -946,7 +946,7 @@ def _last_slot_ids(interner, count):
 
 def test_id_interner_equals_first_seen_dict_across_doublings():
     rng = np.random.default_rng(16)
-    interner, reference, sizes = corpus._IdCodes(), {}, set()
+    interner, reference, sizes = _util._IdCodes(), {}, set()
 
     def feed(cells):
         expected = [reference.setdefault(c, len(reference)) for c in cells]
@@ -985,7 +985,7 @@ def test_id_interner_equals_first_seen_dict_across_doublings():
 
 
 def test_id_interner_forgets_the_ids_of_a_declined_chunk():
-    interner = corpus._IdCodes()
+    interner = _util._IdCodes()
     assert _id_chunk(interner, ["A", "B"]).tolist() == [0, 1]
     long_id, short_id = "Journal-of-Long-Ids-000000000001", "Journal-of-Long1"  # 4 and 2 words
     cells = [long_id, "C"] + [f"W{i}" for i in range(600)] + ["A"]

@@ -684,8 +684,12 @@ def _score_texts(draw):
     rows = [[jid, *(draw(decimal) for _ in range(3)), *(draw(count) for _ in range(3))]
             for jid in ids]
     end = draw(st.sampled_from(("\n", "\n", "\r\n")))
-    text = _SCORES_LINE.replace("\n", end) + "".join(",".join(r) + end for r in rows)
-    return draw(st.sampled_from((text, text, text.rstrip("\r\n"))))
+    header, body = _SCORES_LINE.replace("\n", end), "".join(",".join(r) + end for r in rows)
+    text = header + body
+    # a header that is not the exact line sends the first chunk to the row loop, the rest
+    # to the kernel
+    return draw(st.sampled_from((text, text, text.rstrip("\r\n"), "\ufeff" + text,
+                                 header.replace(",", " , ") + body)))
 
 
 def _scores_outcome(parse, source):
