@@ -17,6 +17,7 @@ import csv
 import io
 import itertools
 import math
+import re
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -96,17 +97,18 @@ def utf8_error_line(data: bytes) -> int | None:
 
 
 _CHUNK_CHARS = 1 << 18
+_PIECE_END = re.compile(r"\r\n?|\n|\Z")  # a line end of a file opened with newline="", or the end
 
 
 def pieces(source: str | TextIO) -> Iterator[str]:
     """``source`` (text or an open file) in pieces of about ``_CHUNK_CHARS``
-    characters, each ending at a line end or at the end of the source: text
-    is sliced at a newline, and a file is read a piece and then the rest of
-    its line at a time, never whole."""
+    characters, each ending at a line end (LF, CRLF or CR) or at the end of
+    the source: a file is read a piece and then the rest of its line at a
+    time, never whole, and text is cut into the same pieces."""
     if isinstance(source, str):
         start = 0
         while start < len(source):
-            end = source.find("\n", start + _CHUNK_CHARS) + 1 or len(source)
+            end = _PIECE_END.search(source, start + _CHUNK_CHARS).end()
             yield source[start:end]
             start = end
     else:
@@ -127,9 +129,9 @@ class CsvRows:
     ``source`` may be a piece of a file that starts at line ``line``, and
     with ``header`` given it holds the rows after that header row.  With
     ``more``, the file goes on after the piece: a last row that the piece's
-    end cuts inside a quoted cell is not yielded, and ``cut`` is set.  Such
-    a piece holding a quote is read here whole, and an error met on the way
-    is raised when iteration reaches it.
+    end cuts inside a quoted cell is not yielded, and ``cut`` is set.
+    ``done`` counts the piece's lines that hold the rows read so far, the
+    header row included, so the cut row starts on line ``done`` of the piece.
     """
 
     def __init__(self, source: str | TextIO, header: Sequence[str] | None = None,
@@ -142,14 +144,6 @@ class CsvRows:
                                                   self._end()))
         self._rows = self._read(header, more)
         self.header: Sequence[str] | None = next(self._rows)
-        if more and '"' in source:  # only a quoted cell can run past the piece's end
-            read, error = [], None
-            try:
-                for row in self._rows:
-                    read.append((self.line, row))
-            except CsvFormatError as exc:
-                error = exc
-            self._rows = self._replay(read, error)
 
     def __iter__(self) -> Iterator[list[str]]:
         return self._rows
@@ -165,6 +159,7 @@ class CsvRows:
             if header is None:
                 header = next(self._reader, None)
                 self.cut = more and self._ended  # the piece ends inside the header row
+            self.done = 0 if self.cut else self._reader.line_num
             yield header
             width = len(header or ())
             for row in self._reader:
@@ -172,6 +167,7 @@ class CsvRows:
                 if more and self._ended:  # the piece ends inside this row's quoted cell
                     self.cut = True
                     return
+                self.done = self._reader.line_num
                 if len(row) == width and row:
                     yield row
                 elif row:
@@ -179,14 +175,6 @@ class CsvRows:
         except csv.Error as exc:
             self.line = self._before + self._reader.line_num
             raise self.error(str(exc)) from None
-
-    def _replay(self, read: list, error: CsvFormatError | None) -> Iterator[list[str]]:
-        """The rows read ahead, each at its line, then the error that ended them."""
-        for line, row in read:
-            self.line = line
-            yield row
-        if error is not None:
-            raise error
 
     def error(self, message: str) -> CsvFormatError:
         """A format error naming the line last read."""
@@ -240,8 +228,8 @@ def csv_reader(source: str | TextIO, header: Sequence[str], what: str,
                more: bool = False) -> CsvRows:
     """The rows of ``source`` (text or an open file) after its header row; a
     missing or different header is a format error naming the file as
-    ``what``.  With ``more``, ``source`` is the file's first piece, and is
-    not checked if ``cut`` (see ``CsvRows``)."""
+    ``what``.  With ``more``, ``source`` is the file's first piece, and a
+    header row that the piece's end cuts is not checked (``cut``)."""
     rows = CsvRows(source, more=more)
     if rows.cut:
         return rows
@@ -271,12 +259,12 @@ def parse_rows(source: str | TextIO, header: Sequence[str], what: str, reader: t
     where the kernels' numpy calls would cost more than its rows.  A longer
     one is read a piece (``pieces``) at a time, never whole: after an exact
     header line the kernel answers or declines each piece that ``_cells``
-    splits, ``rows`` reads any other, and one that leaves a quoted cell open
-    is joined to the next.  An error is raised from the piece where it
-    occurs, with its line, once the rest of the source is read, so that a
-    later byte that is not UTF-8 is the error whatever row before it is
-    faulty.  The integer columns come in the narrowest signed type that
-    holds them.
+    splits, ``rows`` reads any other, and a row that a piece's end cuts
+    inside a quoted cell is read with the next piece.  An error is raised
+    from the piece where it occurs, with its line, once the rest of the
+    source is read, so that a later byte that is not UTF-8 is the error
+    whatever row before it is faulty.  The integer columns come in the
+    narrowest signed type that holds them.
     """
     chunks = pieces(source)
     taken = [next(chunks, ""), next(chunks, "")]
@@ -313,7 +301,8 @@ def _chunk_columns(taken: list[str], rest: Iterator[str], header: Sequence[str],
     """The columns ``reader`` reads from the pieces of a file, those in
     ``taken`` and then ``rest``: each chunk's integer columns narrowed
     (``_narrow``), then each column joined at once, which widens it to the
-    widest chunk's type."""
+    widest chunk's type.  A chunk is a piece after the lines the one before
+    carried: those from the row its end cut, at ``CsvRows.done``."""
     header_line = ",".join(header) + "\n"
     head, line = None, 1  # the header row, once read, and the first line of the next chunk
     # the row loop fails on a header cell over the csv field size limit
@@ -329,15 +318,17 @@ def _chunk_columns(taken: list[str], rest: Iterator[str], header: Sequence[str],
             more = bool(piece)
             rows = (CsvRows(chunk, head, line, more) if head
                     else csv_reader(chunk, header, what, more))
-            if rows.cut:
+            if rows.cut:  # the piece ends inside the header row
                 cut = chunk
                 continue
             head = header
             block = reader.rows(rows)
+            if rows.cut:  # the piece ends inside a row: carry its lines to the next
+                cut = "".join(itertools.islice(io.StringIO(chunk, newline=""), rows.done, None))
+            line += rows.done
+        else:
+            line += len(cells[3])  # a plain row is one line
         blocks.append([_narrow(values) for values in block])
-        line += chunk.count("\n")
-        if "\r" in chunk:  # a line may end at a CR too
-            line += chunk.count("\r") - chunk.count("\r\n")
     columns = [list(parts) for parts in zip(*blocks)]
     del blocks
     # one column at a time, its blocks freed once joined

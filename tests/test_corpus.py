@@ -623,7 +623,7 @@ _NUMBER_CELLS = st.one_of(st.integers(1, 3000).map(str),
 _ROWS = st.lists(st.tuples(*[st.text(alphabet="ABJXZ0189-.", min_size=1, max_size=12)] * 2,
                            *[_NUMBER_CELLS] * 3).map(list), max_size=10)
 _ODD_IDS = ('"A,1"', '"Q"', "A,1", " A", "A ", "", "é", "Jé", "A\tB", "\ufeffA", "J\x00", "A B",
-            "J\x1f", "Z" * 33)
+            "J\x1f", "Z" * 33, '"A\nB"')
 _ODD_NUMBERS = ("0", "0007", "+5", "-3", "1_000", "9" * 18, "9" * 19, "12345678901234567890",
                 " 2003", "2003 ", "", "\u0663", "7\t")
 
@@ -671,6 +671,14 @@ def test_vectorised_reader_equals_row_loop(text, chunk):
     with patch.object(_util, "_CHUNK_CHARS", chunk):
         assert _outcome(parse_citation_edges, text) == expected
         assert _outcome(parse_citation_edges, _stream(text)) == from_file
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=st.text(alphabet='ab,"\r\n'), chunk=st.integers(1, 12))
+@example(text="a\ra", chunk=1)  # a CR-only line end
+def test_text_and_file_split_into_the_same_pieces(text, chunk):
+    with patch.object(_util, "_CHUNK_CHARS", chunk):
+        assert list(_util.pieces(text)) == list(_util.pieces(_stream(text)))
 
 
 def test_each_defect_alone_gives_the_row_loop_outcome():

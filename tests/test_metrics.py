@@ -677,7 +677,7 @@ def _score_texts(draw):
     ids = [f"J{k:03d}" for k in range(draw(st.integers(0, 8)))]
     if ids and draw(st.booleans()):
         ids[draw(st.integers(0, len(ids) - 1))] = draw(st.sampled_from(
-            ids + ["0028-0836", "A" * 20, "\u00e9", '"A,1"', " B"]))
+            ids + ["0028-0836", "A" * 20, "\u00e9", '"A,1"', " B", '"A\nB"']))
     decimal = st.one_of(st.floats(-1e6, 1e6).map("{:.6f}".format),
                         st.sampled_from(_ODD_DECIMALS))
     count = st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(_ODD_COUNTS))
