@@ -7,9 +7,9 @@ constructions that make naive comparisons misleading, and renders
 deterministic SVG rank-comparison figures.
 """
 
-from .corpus import (CitationLedger, CitationMatrix, JournalTable, PairedObservations,
-                     bigmac_csv, bigmac_fixture, build_citation_matrix, parse_citation_edges,
-                     parse_journal_metadata, write_citation_edges, write_journal_metadata)
+from .corpus import (CitationLedger, CitationMatrix, JournalTable, build_citation_matrix,
+                     parse_citation_edges, parse_journal_metadata, write_citation_edges,
+                     write_journal_metadata)
 from .errors import (ConvergenceError, CsvFormatError, DataError, DegenerateDataError,
                      DomainError, EigenrankError, InconsistencyError, NumericalError,
                      UndefinedCorrelationError, ValidationError)
@@ -23,9 +23,9 @@ from .report import (FigureSpec, RankComparison, rank_comparison,
 from .spurious import (DistributionSpec, SimulationResult, lognormal_from_cv,
                        logistic_map_correlation, simulate_journal_sizes,
                        simulate_ossuary, simulate_yule_products, spec_from_cv)
-from .stats import (CorrelationResult, FieldCorrelations, RatioAnalysis, UTestResult,
-                    coefficient_of_variation, mann_whitney_u, pearson,
-                    pearson_r, per_field_correlations, ratio_analysis, spearman,
-                    tercile_median_ratio)
+from .stats import (CorrelationResult, FieldCorrelations, PairedObservations, RatioAnalysis,
+                    UTestResult, bigmac_csv, bigmac_fixture, coefficient_of_variation,
+                    mann_whitney_u, pearson, pearson_r, per_field_correlations, ratio_analysis,
+                    spearman, tercile_median_ratio)
 
 __version__ = "0.1.0"

@@ -1,5 +1,6 @@
 """Small internal helpers, including the one rule for stored arrays
-(``column``) and the one CSV dialect every file shares.
+(``column``), the block-wise sums and gathers over long columns, and the
+one CSV dialect every file shares.
 
 Every CSV this package writes has a header row, ``\\n`` line ends and
 quoting only where a cell needs it.  Every CSV it reads follows one
@@ -18,7 +19,7 @@ import io
 import itertools
 import math
 import re
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -66,6 +67,55 @@ def _int64_cells(values, name: str, row: str) -> np.ndarray:
         # from Python ints: numpy holds uint64 cells mixed with signed ones as float64
         converted = np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
     return converted
+
+
+_BLOCK = 1 << 16  # rows a block-wise pass holds index and cast temporaries for
+
+
+def _blocks(length: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``_BLOCK`` rows covering ``length`` rows."""
+    return (slice(start, start + _BLOCK) for start in range(0, length, _BLOCK))
+
+
+def _sums(groups: np.ndarray, values: np.ndarray, n: int, dtype) -> np.ndarray:
+    """``values`` summed by ``groups`` below ``n`` in row order, as bincount adds: np.add.at
+    a block at a time, each block cast to ``dtype`` (np.add.at is slow across types)."""
+    sums = np.zeros(n, dtype=dtype)
+    for block in _blocks(len(groups)):
+        np.add.at(sums, groups[block], values[block].astype(dtype, copy=False))
+    return sums
+
+
+def _compress(keep: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
+    """Each of ``columns`` at the rows where ``keep`` holds, gathered by ``take`` a block at a
+    time into preallocated arrays: a boolean mask gathers narrow columns several times slower."""
+    out = [np.empty(int(np.count_nonzero(keep)), values.dtype) for values in columns]
+    done = 0
+    for block in _blocks(len(keep)):
+        rows = np.flatnonzero(keep[block])
+        for values, kept in zip(columns, out):
+            kept[done:done + len(rows)] = values[block].take(rows)
+        done += len(rows)
+    return out
+
+
+def _int64_sums(groups: np.ndarray, values: np.ndarray, n: int,
+               overflow: Callable[[int, int], str]) -> np.ndarray:
+    """Exact read-only int64 sums of the non-negative integer ``values`` by
+    ``groups``, positions below ``n``.  A sum past int64 raises
+    ValidationError with the message ``overflow(group, exact_sum)``."""
+    sums = _sums(groups, values, n, np.int64)  # exact, but wraps past int64 without a word
+    if len(values) and int(values.max()) * len(values) >= 2**63:  # a sum may have wrapped
+        # a float64 sum is within a relative 2**-20 of the exact one, so one
+        # that wrapped reads at least 2**62 here
+        suspect = (np.bincount(groups, weights=values, minlength=n) >= 2.0**62)[groups]
+        exact: dict[int, int] = {}
+        for group, value in zip(groups[suspect].tolist(), values[suspect].tolist()):
+            exact[group] = exact.get(group, 0) + value
+        for group in sorted(exact):
+            if exact[group] >= 2**63:
+                raise ValidationError(overflow(group, exact[group]))
+    return column(sums, np.int64)
 
 
 def write_text(path, text: str) -> None:

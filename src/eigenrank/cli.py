@@ -256,13 +256,13 @@ def _parse_file(parse, path: str):
 
 # readers are looked up on their modules at each call, so a wrapper put there sees it
 def _scores(args, why: str) -> metrics.MetricScores:
-    if not args.scores:
+    if args.scores is None:
         raise _UsageError(f"{why} requires --scores")
     return _parse_file(metrics.read_scores_csv, args.scores)
 
 
 def _journals(args, why: str) -> corpus.JournalTable:
-    if not args.journals:
+    if args.journals is None:
         raise _UsageError(f"{why} requires --journals")
     return _parse_file(corpus.parse_journal_metadata, args.journals)
 
@@ -300,9 +300,9 @@ def _cmd_correlate(args):
 
 
 def _cmd_ratio(args):
-    if args.test and not args.group_by:
+    if args.test and args.group_by is None:
         raise _UsageError(f"--test {args.test} requires --group-by")
-    if args.group_by and not args.journals:  # a usage error wins over a data error
+    if args.group_by is not None and args.journals is None:  # a usage error wins over a data error
         raise _UsageError("--group-by requires --journals")
     ra = _ratio_analysis(args, "ratio")
     outputs = [(args.out, csv_text(("label", "raw_ratio", "normalized"), (
@@ -311,7 +311,7 @@ def _cmd_ratio(args):
     lines = [f"{metrics.resolve_metric(args.numerator)}/"
              f"{metrics.resolve_metric(args.denominator)}: mean={ra.mean:.6g} "
              f"sd={ra.std_dev:.6g} cv={ra.cv:.4f} excluded={len(ra.excluded)}; wrote {args.out}"]
-    if not args.group_by:
+    if args.group_by is None:
         return outputs, lines
     members = set(_journals(args, "--group-by").members_of(args.group_by))
     in_group = [r for label, r in zip(ra.labels, ra.raw_ratios) if label in members]
@@ -389,7 +389,7 @@ def _cmd_plot(args):
         svg = (report.render_slopegraph(cmp, spec) if args.kind == "slopegraph"
                else report.render_cardinal_plot(cmp, spec, args.top_k))
     elif args.kind == "histogram":
-        if not args.values:
+        if args.values is None:
             raise _UsageError("plot histogram requires --values")
         svg = report.render_histogram(_read_value_column(args.values, args.column),
                                       args.bins, spec)
@@ -399,7 +399,7 @@ def _cmd_plot(args):
 
 
 def _cmd_bigmac(args):
-    obs = corpus.bigmac_fixture()
+    obs = stats.bigmac_fixture()
     real_wage = obs.y / obs.x
 
     def describe(name: str, series: np.ndarray) -> str:
@@ -411,7 +411,7 @@ def _cmd_bigmac(args):
              describe("hourly_wage", obs.y),
              describe("real_wage", real_wage),
              f"tercile_median_ratio={stats.tercile_median_ratio(real_wage):.2f}"]
-    outputs = [(args.export, corpus.bigmac_csv())] if args.export else []
+    outputs = [(args.export, stats.bigmac_csv())] if args.export is not None else []
     return outputs, lines + [f"wrote {path}" for path, _ in outputs]
 
 

@@ -1,4 +1,4 @@
-"""Journal and citation data model, CSV ingestion, and the burger fixture.
+"""Journal and citation data model, CSV ingestion, and the citation-matrix build.
 
 The public types are immutable after construction and the public functions
 are pure, so their values are safe to share across threads; a reader class
@@ -18,13 +18,14 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Iterator, TextIO
+from typing import Collection, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from ._util import (CsvRows, _decimal_cells, _IdCodes, _narrow, _same_cells, _slices, column,
-                    csv_text, parse_rows, set_fields)
+from ._util import (CsvRows, _blocks, _compress, _decimal_cells, _IdCodes, _int64_sums, _narrow,
+                    _same_cells, _slices, _sums, column, csv_text, parse_rows, set_fields)
 from .errors import ValidationError
+from .stats import PairedObservations  # noqa: F401  -- still read as corpus.PairedObservations
 
 JOURNALS_HEADER = ("journal_id", "name", "fields", "year", "articles")
 CITATIONS_HEADER = ("citing_id", "cited_id", "citing_year", "cited_year", "count")
@@ -34,25 +35,26 @@ CITATIONS_HEADER = ("citing_id", "cited_id", "citing_year", "cited_year", "count
 # domain types
 # ---------------------------------------------------------------------------
 
-def _check_writable(what: str, text: str) -> None:
-    """A ValidationError unless ``text`` reads back from a CSV cell as itself:
-    the readers strip every cell, and a carriage return is written unquoted."""
+def _check_writable(what: str, text: str, jid: str = "") -> None:
+    """A ValidationError naming ``text`` as ``what``, with ``{!r}`` standing for
+    ``jid``, unless ``text`` reads back from a CSV cell as itself: the readers
+    strip every cell, and a carriage return is written unquoted."""
     if text != text.strip() or "\r" in text:
-        raise ValidationError(f"{what} {text!r} cannot be written to CSV and read back "
+        raise ValidationError(f"{what.format(jid)} {text!r} cannot be written to CSV and read back "
                               "(it starts or ends with whitespace, or holds a carriage return)")
 
 
 def _check_journal(journal_id: str, name: str, labels: Collection[str]) -> None:
     """A ValidationError unless the journal's name and field labels can be
     written to journals.csv and read back as themselves."""
-    _check_writable(f"journal {journal_id!r} name", name)
+    _check_writable("journal {!r} name", name, journal_id)
     if isinstance(labels, str):
         raise ValidationError(f"journal {journal_id!r} fields must be a set of labels, "
                               f"not the string {labels!r}")
     if any(not f for f in labels):
         raise ValidationError(f"journal {journal_id!r} has an empty field label")
     for label in sorted(labels):
-        _check_writable(f"journal {journal_id!r} field label", label)
+        _check_writable("journal {!r} field label", label, journal_id)
         if ";" in label:
             raise ValidationError(f"journal {journal_id!r} field label {label!r} holds "
                                   "';', which separates labels in journals.csv")
@@ -188,55 +190,6 @@ class JournalTable:
         if self.labels[k:k + 1] != (field_label,):
             return ()
         return tuple(self.ids[j] for j in self.field_positions(k).tolist())
-
-
-_BLOCK = 1 << 16  # rows a block-wise pass holds index and cast temporaries for
-
-
-def _blocks(length: int) -> Iterator[slice]:
-    """Consecutive slices of at most ``_BLOCK`` rows covering ``length`` rows."""
-    return (slice(start, start + _BLOCK) for start in range(0, length, _BLOCK))
-
-
-def _sums(groups: np.ndarray, values: np.ndarray, n: int, dtype) -> np.ndarray:
-    """``values`` summed by ``groups`` below ``n`` in row order, as bincount adds: np.add.at
-    a block at a time, each block cast to ``dtype`` (np.add.at is slow across types)."""
-    sums = np.zeros(n, dtype=dtype)
-    for block in _blocks(len(groups)):
-        np.add.at(sums, groups[block], values[block].astype(dtype, copy=False))
-    return sums
-
-
-def _compress(keep: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
-    """Each of ``columns`` at the rows where ``keep`` holds, gathered by ``take`` a block at a
-    time into preallocated arrays: a boolean mask gathers narrow columns several times slower."""
-    out = [np.empty(int(np.count_nonzero(keep)), values.dtype) for values in columns]
-    done = 0
-    for block in _blocks(len(keep)):
-        rows = np.flatnonzero(keep[block])
-        for values, kept in zip(columns, out):
-            kept[done:done + len(rows)] = values[block].take(rows)
-        done += len(rows)
-    return out
-
-
-def _int64_sums(groups: np.ndarray, values: np.ndarray, n: int,
-               overflow: Callable[[int, int], str]) -> np.ndarray:
-    """Exact read-only int64 sums of the non-negative integer ``values`` by
-    ``groups``, positions below ``n``.  A sum past int64 raises
-    ValidationError with the message ``overflow(group, exact_sum)``."""
-    sums = _sums(groups, values, n, np.int64)  # exact, but wraps past int64 without a word
-    if len(values) and int(values.max()) * len(values) >= 2**63:  # a sum may have wrapped
-        # a float64 sum is within a relative 2**-20 of the exact one, so one
-        # that wrapped reads at least 2**62 here
-        suspect = (np.bincount(groups, weights=values, minlength=n) >= 2.0**62)[groups]
-        exact: dict[int, int] = {}
-        for group, value in zip(groups[suspect].tolist(), values[suspect].tolist()):
-            exact[group] = exact.get(group, 0) + value
-        for group in sorted(exact):
-            if exact[group] >= 2**63:
-                raise ValidationError(overflow(group, exact[group]))
-    return column(sums, np.int64)
 
 
 @dataclass(frozen=True)
@@ -402,28 +355,6 @@ class CitationMatrix:
             np.add.at(out, self.row[block].astype(np.intp),
                       x.take(self.col[block]) * self.value[block])
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class PairedObservations:
-    """Two aligned numeric series with labels; drives every correlation op."""
-
-    labels: tuple[str, ...]
-    x: np.ndarray
-    y: np.ndarray
-    x_name: str = "x"
-    y_name: str = "y"
-
-    def __post_init__(self):
-        set_fields(self, labels=tuple(self.labels), x=column(self.x, float),
-                   y=column(self.y, float))
-        if not (len(self.labels) == len(self.x) == len(self.y)):
-            raise ValidationError("labels, x and y must have equal lengths")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValidationError("labels must be unique")
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -693,52 +624,3 @@ def build_citation_matrix(ledger: CitationLedger, table: JournalTable, census_ye
     # each entry's counts added in ledger order; the cumsum numbers each record's entry from 1
     value = _sums(np.cumsum(first, dtype=np.min_scalar_type(m)) - 1, counts, len(row), float)
     return CitationMatrix(table.ids, row, col, value, exclude_self)
-
-
-# ---------------------------------------------------------------------------
-# embedded fixture: Big Mac price vs hourly wage, 22 countries
-# ---------------------------------------------------------------------------
-
-# (country, burger price, mean hourly wage), both in local currency,
-# ordered by purchasing power (wage / price), highest first.
-_BIGMAC_ROWS = (
-    ("Denmark", 24.75, 211.13),
-    ("Australia", 3.00, 19.86),
-    ("New Zealand", 3.60, 21.94),
-    ("Switzerland", 6.30, 37.85),
-    ("United States", 2.54, 14.32),
-    ("Britain/UK", 1.99, 11.15),
-    ("Germany", 2.61, 14.32),
-    ("Canada", 3.33, 16.78),
-    ("Singapore", 3.30, 15.65),
-    ("Sweden", 24.00, 110.90),
-    ("Hong Kong", 10.70, 44.26),
-    ("Spain", 2.37, 8.59),
-    ("South Africa", 9.70, 30.86),
-    ("France", 2.82, 8.50),
-    ("Poland", 5.90, 11.80),
-    ("Hungary", 399.00, 704.34),
-    ("Czech Rep.", 56.00, 85.34),
-    ("Brazil", 3.60, 4.58),
-    ("South Korea", 3000.00, 3134.00),
-    ("Mexico", 21.90, 17.61),
-    ("Thailand", 55.00, 31.69),
-    ("China", 9.90, 5.56),
-)
-
-
-def bigmac_fixture() -> PairedObservations:
-    """The 22-country burger-price / hourly-wage table as paired observations."""
-    return PairedObservations(
-        labels=tuple(r[0] for r in _BIGMAC_ROWS),
-        x=[r[1] for r in _BIGMAC_ROWS],
-        y=[r[2] for r in _BIGMAC_ROWS],
-        x_name="burger_price",
-        y_name="hourly_wage",
-    )
-
-
-def bigmac_csv() -> str:
-    """The fixture as CSV text with header ``country,burger_price,hourly_wage``."""
-    return csv_text(("country", "burger_price", "hourly_wage"), (
-        [country, f"{price:.2f}", f"{wage:.2f}"] for country, price, wage in _BIGMAC_ROWS))

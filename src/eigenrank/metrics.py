@@ -19,10 +19,8 @@ from typing import TextIO
 
 import numpy as np
 
-from ._util import (CsvRows, _decimal_cells, _fixed_point_cells, _IdCodes, column, csv_text,
-                    parse_rows, set_fields)
-from .corpus import (CitationLedger, CitationMatrix, JournalTable, _int64_sums, _sums,
-                     build_citation_matrix)
+from ._util import (CsvRows, _decimal_cells, _fixed_point_cells, _IdCodes, _int64_sums, _sums,
+                    column, csv_text, parse_rows, set_fields)
 from .errors import ConvergenceError, DegenerateDataError, InconsistencyError, ValidationError
 
 DEFAULT_ALPHA = 0.85
@@ -306,6 +304,7 @@ def compute_metrics(table: JournalTable, ledger: CitationLedger, census_year: in
     Self-citations are excluded from the EF/AI network and included in
     IF/TC by default; both policies are toggleable.
     """
+    from .corpus import build_citation_matrix  # here: of metrics, only compute needs corpus
     z = build_citation_matrix(ledger, table, census_year, window,
                               exclude_self=exclude_self_influence)
     a = article_vector(table, census_year, window)

@@ -19,7 +19,6 @@ import numpy as np
 from ._util import column, set_fields
 from .errors import DegenerateDataError
 from .metrics import resolve_metric
-from .stats import RatioAnalysis
 
 UP, DOWN, SAME = "up", "down", "same"
 DEFAULT_COLORS: Mapping[str, str] = {UP: "#2ca02c", DOWN: "#d62728", SAME: "#000000"}

@@ -1,4 +1,5 @@
-"""Correlation, dispersion, ratio, and rank-test machinery.
+"""Paired observations, the 22-country burger table, and the correlation,
+dispersion, ratio and rank-test machinery over them.
 
 Conventions used throughout: sample (n-1) standard deviations; mid-ranks
 (average ranks) for ties; two-sided tests.  Extremely small p-values are
@@ -13,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import column, csv_text
-from .corpus import JournalTable, PairedObservations
-from .errors import (DegenerateDataError, DomainError, UndefinedCorrelationError)
+from ._util import column, csv_text, set_fields
+from .errors import DegenerateDataError, DomainError, UndefinedCorrelationError, ValidationError
 
 _LN2 = math.log(2.0)
 _LN10 = math.log(10.0)
@@ -23,6 +23,28 @@ _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 CORRELATIONS_HEADER = ("field", "n", "rho", "kind", "log_transformed")
 POOLED_FIELD = "(pooled)"
+
+
+@dataclass(frozen=True, eq=False)
+class PairedObservations:
+    """Two aligned numeric series with labels; drives every correlation op."""
+
+    labels: tuple[str, ...]
+    x: np.ndarray
+    y: np.ndarray
+    x_name: str = "x"
+    y_name: str = "y"
+
+    def __post_init__(self):
+        set_fields(self, labels=tuple(self.labels), x=column(self.x, float),
+                   y=column(self.y, float))
+        if not (len(self.labels) == len(self.x) == len(self.y)):
+            raise ValidationError("labels, x and y must have equal lengths")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValidationError("labels must be unique")
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -359,3 +381,52 @@ def write_correlations_csv(fc: FieldCorrelations) -> str:
     return csv_text(CORRELATIONS_HEADER, (
         [field, r.n, f"{r.rho:.6f}", r.kind, str(r.log_transformed).lower()]
         for field, r in results))
+
+
+# ---------------------------------------------------------------------------
+# embedded fixture: Big Mac price vs hourly wage, 22 countries
+# ---------------------------------------------------------------------------
+
+# (country, burger price, mean hourly wage), both in local currency,
+# ordered by purchasing power (wage / price), highest first.
+_BIGMAC_ROWS = (
+    ("Denmark", 24.75, 211.13),
+    ("Australia", 3.00, 19.86),
+    ("New Zealand", 3.60, 21.94),
+    ("Switzerland", 6.30, 37.85),
+    ("United States", 2.54, 14.32),
+    ("Britain/UK", 1.99, 11.15),
+    ("Germany", 2.61, 14.32),
+    ("Canada", 3.33, 16.78),
+    ("Singapore", 3.30, 15.65),
+    ("Sweden", 24.00, 110.90),
+    ("Hong Kong", 10.70, 44.26),
+    ("Spain", 2.37, 8.59),
+    ("South Africa", 9.70, 30.86),
+    ("France", 2.82, 8.50),
+    ("Poland", 5.90, 11.80),
+    ("Hungary", 399.00, 704.34),
+    ("Czech Rep.", 56.00, 85.34),
+    ("Brazil", 3.60, 4.58),
+    ("South Korea", 3000.00, 3134.00),
+    ("Mexico", 21.90, 17.61),
+    ("Thailand", 55.00, 31.69),
+    ("China", 9.90, 5.56),
+)
+
+
+def bigmac_fixture() -> PairedObservations:
+    """The 22-country burger-price / hourly-wage table as paired observations."""
+    return PairedObservations(
+        labels=tuple(r[0] for r in _BIGMAC_ROWS),
+        x=[r[1] for r in _BIGMAC_ROWS],
+        y=[r[2] for r in _BIGMAC_ROWS],
+        x_name="burger_price",
+        y_name="hourly_wage",
+    )
+
+
+def bigmac_csv() -> str:
+    """The fixture as CSV text with header ``country,burger_price,hourly_wage``."""
+    return csv_text(("country", "burger_price", "hourly_wage"), (
+        [country, f"{price:.2f}", f"{wage:.2f}"] for country, price, wage in _BIGMAC_ROWS))

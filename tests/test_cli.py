@@ -1,3 +1,4 @@
+import ast
 import collections
 import csv
 import io
@@ -532,6 +533,30 @@ def test_ratio_usage_errors_write_nothing(capsys):
     assert not Path("ratio.csv").exists() and not Path("utest.txt").exists()
 
 
+_NO_FILE = "[Errno 2] No such file or directory: ''"
+
+
+@pytest.mark.parametrize("argv, status, message", [
+    (["bigmac", "--export", ""], 2, "[Errno 21] Is a directory: ''"),
+    (["ratio", "--scores", "scores.csv", "--group-by", "", "--journals", JOURNALS], 2,
+     "field '' does not split the journals (0 vs 6)"),
+    (["ratio", "--scores", "scores.csv", "--group-by", "", "--test", "mann-whitney"], 1,
+     "--group-by requires --journals"),
+    (["compute", "--journals", "", "--citations", CITATIONS, "--census-year", "2006"], 2,
+     _NO_FILE),
+    (["correlate", "--scores", "scores.csv", "--by-field", "--journals", ""], 2, _NO_FILE),
+    (["plot", "histogram", "--values", "", "--out", "h.svg"], 2, _NO_FILE),
+    (["plot", "ratio", "--scores", "", "--out", "r.svg"], 2, _NO_FILE),
+])
+def test_an_empty_value_is_given_not_absent(argv, status, message, capsys):
+    # an empty path or field label meets the error any other bad one meets
+    compute_scores()
+    capsys.readouterr()
+    assert main(argv) == status
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert [p.name for p in Path().iterdir()] == ["scores.csv"]
+
+
 def test_ratio_with_a_zero_median_is_a_numerical_error_and_writes_nothing(capsys):
     # three of four journals have EF 0, so the median EF/TC ratio is 0
     Path("scores.csv").write_text("journal_id,ef,ai,impact_factor,total_citations,n5,n2\n"
@@ -731,6 +756,41 @@ def test_cli_import_loads_no_scipy():
     for name in ("compute", "ratio", "correlate", "simulate", "plot", "bigmac"):
         assert probe[name] == 0, name
         assert probe["after_" + name] == [], name
+
+
+def _module_level(nodes):
+    """The nodes run when their module is imported: none inside a function."""
+    for node in nodes:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            yield from _module_level(ast.iter_child_nodes(node))
+
+
+def _package_imports(module: str) -> set[tuple[str, str]]:
+    """(module, name) for each name ``module`` imports from the package at
+    import time; ``*`` where it imports the module itself."""
+    tree = ast.parse((SRC / "eigenrank" / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in _module_level(tree.body):
+        if isinstance(node, ast.Import):
+            found |= {(alias.name.removeprefix("eigenrank."), "*") for alias in node.names
+                      if alias.name.startswith("eigenrank.")}
+        elif isinstance(node, ast.ImportFrom):
+            source = ("." * node.level + (node.module or "")).removeprefix("eigenrank")
+            if source in ("", "."):  # from eigenrank import corpus
+                found |= {(alias.name, "*") for alias in node.names}
+            elif source.startswith("."):  # from eigenrank.corpus import CitationLedger
+                found |= {(source[1:], alias.name) for alias in node.names}
+    return found
+
+
+def test_only_the_compute_path_imports_the_ledger_module():
+    for module in ("stats", "spurious", "report", "metrics"):
+        assert {source for source, _ in _package_imports(module)} <= {
+            "_util", "errors", "metrics", "stats"} - {module}, module
+    assert not any(source == "stats" for source, _ in _package_imports("report"))
+    assert {(source, name) for source, name in _package_imports("corpus")
+            if source == "stats"} == {("stats", "PairedObservations")}
 
 
 # ---------------------------------------------------------------------------

@@ -357,8 +357,8 @@ def test_citation_matrix_keeps_narrow_positions(monkeypatch):
     # matrix @ x adds each row's products in entry order, as bincount does,
     # within a block and across the edges of 7-entry blocks alike
     rng = np.random.default_rng(16)
-    for block in (corpus._BLOCK, 7):
-        monkeypatch.setattr(corpus, "_BLOCK", block)
+    for block in (_util._BLOCK, 7):
+        monkeypatch.setattr(_util, "_BLOCK", block)
         for dtype in (np.int8, np.int16, np.int32, np.int64):
             for _ in range(5):
                 n = int(rng.integers(1, 100))
@@ -665,6 +665,11 @@ def _citation_texts(draw):
          chunk=_util._CHUNK_CHARS)  # two 16-byte ids whose mixed uint64 keys are equal
 @example(text=CITATIONS_HEADER + "MocCRNN1fv%UylLw,A,2006,2005,1\nA,|{}X9w6QsY)I3>(J,2006,2005,1\n",
          chunk=1)  # the same two ids, in two chunks
+@example(text=CITATIONS_HEADER + "MocCRNN1fv%UylLw,|{}X9w6QsY)I3>(J,2006,2005,1\n",
+         chunk=7)  # the same two ids, new in one kernel chunk
+@example(text=CITATIONS_HEADER + "Z" * 33 + ",A,2006,2005,1\n", chunk=7)  # an id over 32 bytes
+@example(text='"citing_id\n"' + CITATIONS_HEADER[9:] + "A,B,2006,2005,1\n",
+         chunk=1)  # the first piece ends inside the header row's quoted cell
 def test_vectorised_reader_equals_row_loop(text, chunk):
     expected = _outcome(_row_loop, text)
     from_file = _outcome(_row_loop, _stream(text))
@@ -1054,6 +1059,7 @@ def _journal_texts(draw):
          chunk=_util._CHUNK_CHARS)  # one text, two columns
 @example(text=JOURNALS_HEADER + 'A,Alpha,"bio\rmed",2005,1\nA,Alpha,,2005,1\n',
          chunk=_util._CHUNK_CHARS)  # a quoted CR ends a line, so the repeat is on line 4
+@example(text=JOURNALS_HEADER + "Z" * 33 + ",Alpha,bio,2005,1\n", chunk=7)  # a 33-byte id
 def test_journal_reader_equals_reference_row_loop(text, chunk):
     with patch.object(_util, "_CHUNK_CHARS", chunk):
         assert _outcome(parse_journal_metadata, text) == _outcome(reference_journals, text)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eigenrank import _util, corpus
-from eigenrank import (CitationLedger, ConvergenceError, CsvFormatError,
+from eigenrank import _util
+from eigenrank import (CitationLedger, CitationMatrix, ConvergenceError, CsvFormatError,
                        DegenerateDataError, InconsistencyError, JournalTable,
                        ValidationError, article_influence, article_vector,
                        build_citation_matrix, compute_metrics, decomposition_check,
@@ -69,6 +69,15 @@ def test_normalize_columns_zero_column_is_dangling():
     z = _matrix_from_records([("J00", "J01", 2006, 2005, 2)], n=3)
     _, dangling = normalize_columns(z)
     assert dangling.tolist() == [1, 2]
+
+
+def test_normalize_columns_refuses_an_entry_that_rounds_to_zero():
+    # 5e-324 / 1e300 is below the least positive float
+    z = CitationMatrix(("A", "B", "C"), np.array([0, 2]), np.array([1, 1]),
+                       np.array([5e-324, 1e300]), False)
+    with pytest.raises(ValidationError,
+                       match="^stored citation entries must be strictly positive$"):
+        normalize_columns(z)
 
 
 def test_normalize_columns_random_matrix_sums_to_one():
@@ -403,7 +412,7 @@ def test_block_wise_passes_equal_per_record_oracle_across_block_edges(monkeypatc
     # rows 1, 1, 2**53 after them: the entries read 2**53 and 2**53 + 2 only
     # when each one's counts are added in ledger order, as in
     # test_matrix_entries_add_up_in_ledger_order.
-    monkeypatch.setattr(corpus, "_BLOCK", block)
+    monkeypatch.setattr(_util, "_BLOCK", block)
     table = make_table([5] * 6)
     noise = ("J04", "J05", 2005, 2004, 1)  # another citing year
     filler = [("J00", "J03", 2006, 2005, 1)] * (block - 1)  # sorts ahead of the pins
@@ -708,6 +717,8 @@ def _scores_outcome(parse, source):
          chunk=_util._CHUNK_CHARS)
 @example(text=_SCORES_LINE + "A,1,1,1,0,0,0\nB,1,1,1,0,0,0\nA,1,1,1,0,0,0\n",
          chunk=7)  # a repeated id, chunks apart
+@example(text=_SCORES_LINE + "A,0.12345678901234567,1,1,0,0,0\nB,9007199254740993,1,1,0,0,0\n"
+         + "Z" * 33 + ",1,1,1,0,0,0\n", chunk=7)  # 19 characters, 2**53 + 1, a 33-byte id
 def test_scores_reader_equals_reference_row_loop(text, chunk):
     with patch.object(_util, "_CHUNK_CHARS", chunk):
         assert _scores_outcome(read_scores_csv, text) == _scores_outcome(reference_scores, text)
