@@ -359,7 +359,9 @@ def _cmd_simulate(args):
                 trials=1, rho=[rho], mean_rho=rho, sd_rho=0.0, seed=seed,
                 params={"simulation": "logistic", "r": args.r, "x0": args.x0,
                         "n": n, "burn_in": args.burn_in})
-    except MemoryError:  # numpy cannot allocate the draws of one trial, or the orbit
+    # numpy cannot allocate the draws of one trial; the logistic orbit is made a
+    # block at a time, so its memory does not grow with --n (its time does)
+    except MemoryError:
         raise _UsageError(f"--n {n} is too large: not enough memory for its draws") from None
     return [(args.out, spurious.write_simulation_csv(result)),
             (args.summary, spurious.format_summary(result))], [

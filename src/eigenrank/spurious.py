@@ -23,7 +23,7 @@ import numpy as np
 
 from ._util import column, csv_text, set_fields
 from .errors import UndefinedCorrelationError
-from .stats import _centred_r, pearson_r
+from .stats import _MOMENT_BLOCK, _comoments, _r, pearson_r
 
 FAMILIES = ("lognormal", "normal-truncated-positive", "uniform-positive")
 
@@ -223,23 +223,31 @@ def logistic_map_correlation(r: float, x0: float, n: int, burn_in: int = 1000) -
     for _ in range(burn_in):
         x = r * x * (1.0 - x)
 
-    # the iterates from x on; the loop reads r and steps fastest as its own locals
+    # the iterates after x; the loop reads r and steps fastest as its own locals
     def orbit(x: float, r: float, steps: int):
-        yield x
         for _ in itertools.repeat(None, steps):
             x = r * x * (1.0 - x)
             yield x
 
-    xs = np.fromiter(orbit(x, r, n), dtype=float, count=n + 1)
-    if float(np.ptp(xs)) <= _CONSTANT_SPREAD:
+    iterates = orbit(x, r, n)
+    lo = hi = x
+
+    # the pairs (x_k, x_{k+1}) a block at a time, so the orbit is never held
+    # whole; a block's first earlier iterate is the last of the block before
+    def pairs():
+        nonlocal lo, hi
+        later = np.array([x])
+        for start in range(0, n, _MOMENT_BLOCK):
+            earlier = later[-1:]
+            later = np.fromiter(iterates, dtype=float, count=min(_MOMENT_BLOCK, n - start))
+            lo, hi = min(lo, float(later.min())), max(hi, float(later.max()))
+            yield np.concatenate((earlier, later[:-1])), later
+
+    moments = _comoments(pairs())
+    if hi - lo <= _CONSTANT_SPREAD:
         raise UndefinedCorrelationError(
-            f"orbit is constant after burn-in (converged near {xs[0]:.6g})")
-    # centre the earlier iterates into a new array first, as the later ones
-    # overlap them, then the later ones in place: the orbit and one copy
-    xc = xs[:-1] - xs[:-1].mean()
-    yc = xs[1:]
-    yc -= yc.mean()
-    return _centred_r(xc, yc)
+            f"orbit is constant after burn-in (converged near {x:.6g})")
+    return _r(*moments)
 
 
 # ---------------------------------------------------------------------------

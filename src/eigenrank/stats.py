@@ -109,6 +109,9 @@ class FieldCorrelations:
 # correlation coefficients
 # ---------------------------------------------------------------------------
 
+_MOMENT_BLOCK = 4096  # pairs a co-moment block holds: the logistic orbit's memory bound
+
+
 def pearson_r(x, y) -> float:
     """Product-moment correlation of two equal-length arrays."""
     x = np.asarray(x, dtype=float)
@@ -117,19 +120,58 @@ def pearson_r(x, y) -> float:
         raise ValueError("x and y must be 1-D arrays of equal length")
     if len(x) < 2:
         raise UndefinedCorrelationError("correlation needs at least two observations")
-    return _centred_r(x - x.mean(), y - y.mean())
+    return _r(*_comoments((x[start:start + _MOMENT_BLOCK], y[start:start + _MOMENT_BLOCK])
+                          for start in range(0, len(x), _MOMENT_BLOCK)))
 
 
-def _centred_r(xc: np.ndarray, yc: np.ndarray) -> float:
-    """``pearson_r`` of two series already centred on their means."""
-    sxx = float(xc @ xc)
-    syy = float(yc @ yc)
+def _comoments(blocks) -> tuple[float, float, float]:
+    """Centred sums of squares and cross products ``(sxx, syy, sxy)`` of the
+    consecutive ``(x, y)`` blocks, each of at most ``_MOMENT_BLOCK`` pairs.
+
+    The first block is centred on its own mean.  Each later block is shifted
+    by those means, centred on its own residual mean and merged by the pairwise
+    update of Chan, Golub & LeVeque (1979).  Without the shift, block means far
+    from zero would lose the merge's low digits to the offset.  Every sum is
+    numpy's pairwise ``add.reduce``, which calls no BLAS, so the result does
+    not depend on the CPU's BLAS kernel or thread count (only on the numpy
+    release).
+    """
+    blocks = iter(blocks)
+    x, y = next(blocks)
+    n = len(x)
+    x0, y0 = np.add.reduce(x) / n, np.add.reduce(y) / n  # x.mean() without its wrapper's cost
+    xc, yc = x - x0, y - y0
+    sxx = float(np.add.reduce(xc * xc))
+    syy = float(np.add.reduce(yc * yc))
+    sxy = float(np.add.reduce(xc * yc))
+    mx = my = None  # the running means past (x0, y0), needed once a second block comes
+    for x, y in blocks:
+        if mx is None:  # xc and yc are still the first block's
+            mx, my = float(np.add.reduce(xc)) / n, float(np.add.reduce(yc)) / n
+        k = len(x)
+        xc, yc = x - x0, y - y0
+        bx, by = float(np.add.reduce(xc)) / k, float(np.add.reduce(yc)) / k
+        xc -= bx
+        yc -= by
+        dx, dy, total = bx - mx, by - my, n + k
+        weight = n * k / total
+        sxx += float(np.add.reduce(xc * xc)) + dx * dx * weight
+        syy += float(np.add.reduce(yc * yc)) + dy * dy * weight
+        sxy += float(np.add.reduce(xc * yc)) + dx * dy * weight
+        mx += dx * k / total
+        my += dy * k / total
+        n = total
+    return sxx, syy, sxy
+
+
+def _r(sxx: float, syy: float, sxy: float) -> float:
+    """The correlation of centred sums of squares and cross products."""
     if not (math.isfinite(sxx) and math.isfinite(syy)):
         raise DomainError("a series holds a NaN or infinite value, or its variance overflows")
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError("a series has zero variance")
     # clamp: rounding can push |rho| a few ulp past 1
-    return float(min(1.0, max(-1.0, (xc @ yc) / math.sqrt(sxx * syy))))
+    return float(min(1.0, max(-1.0, sxy / math.sqrt(sxx * syy))))
 
 
 def midranks(values) -> np.ndarray:

@@ -197,8 +197,8 @@ def test_simulate_logistic_reports_single_rho():
 
 
 def test_simulate_logistic_output_is_independent_of_blas_threads():
-    # OpenBLAS splits a long dot product across its threads, which moves the
-    # last bits of rho; the 12 digits written stay the same
+    # rho is summed by numpy's pairwise add.reduce a block at a time, not by
+    # BLAS, so the OpenBLAS thread count cannot move even its last bit
     env = dict(os.environ, PYTHONPATH=str(SRC))
     written = []
     for threads in ("1", "2"):
@@ -208,6 +208,29 @@ def test_simulate_logistic_output_is_independent_of_blas_threads():
                        env=env, capture_output=True, timeout=120, check=True)
         written.append((Path(f"log{threads}.csv").read_bytes(),
                         Path(f"log{threads}.txt").read_bytes()))
+    assert written[0] == written[1]
+
+
+def test_simulate_ossuary_output_is_independent_of_the_blas_kernel():
+    # OPENBLAS_CORETYPE makes a DYNAMIC_ARCH OpenBLAS (numpy's wheels) use
+    # another CPU's kernels; summed by BLAS ddot, trial 480's rho changed in
+    # its 12th digit under Prescott
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_VERBOSE="2")
+    env.pop("OPENBLAS_CORETYPE", None)
+    cores, written = [], []
+    for name, kernel in (("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+        done = subprocess.run(
+            [sys.executable, "-m", "eigenrank.cli", "simulate", "ossuary", "--cv", "0.1",
+             "--n", "1000", "--trials", "1000", "--seed", "0",
+             "--out", f"{name}.csv", "--summary", f"{name}.txt"],
+            env=dict(env, **kernel), capture_output=True, text=True, timeout=120, check=True)
+        cores.append([line for line in done.stderr.splitlines() if line.startswith("Core:")])
+        written.append(Path(f"{name}.csv").read_bytes())
+    if cores[0] == cores[1]:
+        pytest.skip(f"OPENBLAS_CORETYPE did not change the OpenBLAS kernel ({cores[0]})")
+    default, prescott = (text.decode().splitlines() for text in written)
+    differ = [k + 1 for k, (a, b) in enumerate(zip(default, prescott)) if a != b]
+    assert not differ, f"ossuary.csv lines {differ} differ: {cores}"
     assert written[0] == written[1]
 
 

@@ -670,6 +670,9 @@ def _citation_texts(draw):
 @example(text=CITATIONS_HEADER + "Z" * 33 + ",A,2006,2005,1\n", chunk=7)  # an id over 32 bytes
 @example(text='"citing_id\n"' + CITATIONS_HEADER[9:] + "A,B,2006,2005,1\n",
          chunk=1)  # the first piece ends inside the header row's quoted cell
+@example(text=CITATIONS_HEADER + "A,B,2006,2005,1\nA,B," + "9" * 19 + ",2005,1\n",
+         chunk=20)  # a 19-digit year, past int64
+@example(text=CITATIONS_HEADER + "A,B,2006,2005,1\nA,B,2006," + "9" * 19 + ",1\n", chunk=20)
 def test_vectorised_reader_equals_row_loop(text, chunk):
     expected = _outcome(_row_loop, text)
     from_file = _outcome(_row_loop, _stream(text))
@@ -687,6 +690,7 @@ def test_text_and_file_split_into_the_same_pieces(text, chunk):
 
 
 def test_each_defect_alone_gives_the_row_loop_outcome():
+    # texts of one chunk go to the row loop; smaller chunks reach the kernels
     for header, plain, odd_cells, parse, row_loop in (
             (CITATIONS_HEADER, (["J1", "0028-0836", "2006", "2005", "3"],
                                 ["ABCDEFGHIJ", "J1", "2005", "2001", "12"]),
@@ -700,7 +704,10 @@ def test_each_defect_alone_gives_the_row_loop_outcome():
                 rows = [list(r) for r in plain]
                 rows[1][column] = value
                 text = header + "".join(",".join(r) + "\n" for r in rows)
-                assert _outcome(parse, text) == _outcome(row_loop, text), text
+                expected = _outcome(row_loop, text)
+                for chunk in (1, 7, 20, 40, 64, _util._CHUNK_CHARS):
+                    with patch.object(_util, "_CHUNK_CHARS", chunk):
+                        assert _outcome(parse, text) == expected, (chunk, text)
     # a cell over a lowered csv field size limit (the longest header cell has 11)
     limit = csv.field_size_limit(11)
     try:

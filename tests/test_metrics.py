@@ -672,8 +672,8 @@ def test_scores_csv_undefined_printed_empty():
 _SCORES_LINE = ",".join(SCORES_HEADER) + "\n"
 # decimals the kernel reads, and ones it must leave to the row loop: signs,
 # exponents, mantissas of 16-17 digits around 2**53, points, odd characters
-_ODD_DECIMALS = ("-0.000000", "0.000000", "", "1e-3", "1E5", "+1", "-", ".", "5.", ".5", "-.5",
-                 "1.2.3", "00012.50", "1234567890123456", "9007199254740992",
+_ODD_DECIMALS = ("-0.000000", "0.000000", "", "1e-3", "1E5", "+1", "-", ".", "-.", "5.", ".5",
+                 "-.5", "1.2.3", "00012.50", "1234567890123456", "9" * 19, "9007199254740992",
                  "9007199254740993", "12345678901234567", "0.1234567890123456",
                  "0.12345678901234567", "-123456789.0123456", "nan", "inf", "1_0", "\u0661",
                  " 2.5", "2.5 ", '"2.5"', "2.5\t")
@@ -719,6 +719,10 @@ def _scores_outcome(parse, source):
          chunk=7)  # a repeated id, chunks apart
 @example(text=_SCORES_LINE + "A,0.12345678901234567,1,1,0,0,0\nB,9007199254740993,1,1,0,0,0\n"
          + "Z" * 33 + ",1,1,1,0,0,0\n", chunk=7)  # 19 characters, 2**53 + 1, a 33-byte id
+@example(text=_SCORES_LINE + "A,1,1,1,0,0,0\nB,.,1,1,0,0,0\n", chunk=20)  # a point, no digit
+@example(text=_SCORES_LINE + "A,1,1,1,0,0,0\nB,-.,1,1,0,0,0\n", chunk=20)
+@example(text=_SCORES_LINE + "A,1,1,1,0,0,0\nB," + "9" * 19 + ",1,1,0,0,0\n",
+         chunk=20)  # 19 digits, past int64
 def test_scores_reader_equals_reference_row_loop(text, chunk):
     with patch.object(_util, "_CHUNK_CHARS", chunk):
         assert _scores_outcome(read_scores_csv, text) == _scores_outcome(reference_scores, text)

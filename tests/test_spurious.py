@@ -8,7 +8,7 @@ from eigenrank import (DistributionSpec, UndefinedCorrelationError, lognormal_fr
                        logistic_map_correlation, simulate_journal_sizes,
                        simulate_ossuary, simulate_yule_products, spec_from_cv)
 from eigenrank.spurious import SimulationResult, format_summary, write_simulation_csv
-from eigenrank.stats import pearson_r
+from eigenrank.stats import _MOMENT_BLOCK, pearson_r
 from helpers import log_variance_share, reference_logistic_correlation
 
 
@@ -255,17 +255,16 @@ def test_logistic_map_chaos_is_uncorrelated():
 
 @pytest.mark.parametrize("r, x0, n, burn_in", [
     (4.0, 0.2, 1_000_000, 1000), (4.0, 0.713, 5000, 0), (3.7, 0.5, 20_000, 17),
-    (3.2, 0.3, 1000, 1000)])
+    (3.2, 0.3, 1000, 1000), (4.0, 0.4, 2 * _MOMENT_BLOCK + 1, 3)])
 def test_logistic_map_equals_a_plain_loop_exactly(r, x0, n, burn_in):
     assert logistic_map_correlation(r, x0, n, burn_in) == reference_logistic_correlation(
         r, x0, n, burn_in)
 
 
-def test_logistic_map_peak_memory_per_iterate():
-    # the orbit (8 bytes an iterate) and one centred copy of its earlier
-    # iterates; the later ones are centred in place.  Two centred copies
-    # besides the orbit took 24 bytes an iterate.
-    n = 200_000
+@pytest.mark.parametrize("n", [200_000, 1_000_000])
+def test_logistic_map_peak_memory_does_not_grow_with_n(n):
+    # the orbit is made and correlated a block of iterates at a time; holding
+    # it whole took 8 bytes an iterate (7.6 MiB at n = 10**6)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -276,7 +275,7 @@ def test_logistic_map_peak_memory_per_iterate():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak / n < 17
+    assert peak < 2**20
 
 
 def test_logistic_map_fixed_point_is_undefined():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from eigenrank import (CorrelationResult, DegenerateDataError, DomainError, Pair
                        coefficient_of_variation, mann_whitney_u, pearson,
                        pearson_r, per_field_correlations, ratio_analysis, spearman,
                        tercile_median_ratio)
-from eigenrank.stats import (_log_normal_tail, format_utest_report, midranks,
+from eigenrank.stats import (_MOMENT_BLOCK, _log_normal_tail, format_utest_report, midranks,
                              write_correlations_csv)
 from helpers import exact_mwu_two_sided_p, journal_table, score_table
 
@@ -62,6 +63,34 @@ def test_pearson_symmetry_and_affine_invariance():
         assert pearson_r(y, x) == pytest.approx(base, abs=1e-9)
         assert pearson_r(3.5 * x + 11.0, y) == pytest.approx(base, abs=1e-9)
         assert pearson_r(x, -2.0 * y + 4.0) == pytest.approx(-base, abs=1e-9)
+
+
+def _exact_pearson_r(x, y):
+    """Pearson's r of the float arrays from exact sums, rounded only by the
+    last division and square root."""
+    def scaled(values):  # the values as integers over one power of two
+        ratios = [value.as_integer_ratio() for value in values.tolist()]
+        scale = max(den for _, den in ratios)
+        return [num * (scale // den) for num, den in ratios]
+    xs, ys, n = scaled(x), scaled(y), len(x)
+    sx, sy = sum(xs), sum(ys)
+    cxy = n * sum(a * b for a, b in zip(xs, ys)) - sx * sy
+    cxx = n * sum(a * a for a in xs) - sx * sx
+    cyy = n * sum(b * b for b in ys) - sy * sy
+    return math.copysign(math.sqrt(Fraction(cxy * cxy, cxx * cyy)), cxy)
+
+
+@pytest.mark.parametrize("n", [2, _MOMENT_BLOCK - 1, _MOMENT_BLOCK, _MOMENT_BLOCK + 1,
+                               2 * _MOMENT_BLOCK + 1])
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
+def test_pearson_r_matches_an_exact_oracle(n, offset):
+    # the blocks after the first are merged into the running sums; far from
+    # zero, a merge of unshifted block means loses up to 7e-10 here.  x is a
+    # shuffled grid from 0 to 1 past the offset, so even two values stay 1 apart.
+    rng = np.random.default_rng(n)
+    u, v = rng.permutation(n) / (n - 1), rng.random(n)
+    x, y = offset + u, offset + u + 0.5 * v
+    assert pearson_r(x, y) == pytest.approx(_exact_pearson_r(x, y), rel=1e-12, abs=0)
 
 
 def test_spearman_monotone_invariance():
