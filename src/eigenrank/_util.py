@@ -18,6 +18,7 @@ import csv
 import io
 import itertools
 import math
+import os
 import re
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -314,7 +315,8 @@ def parse_rows(source: str | TextIO, header: Sequence[str], what: str, reader: t
     from the piece where it occurs, with its line, once the rest of the
     source is read, so that a later byte that is not UTF-8 is the error
     whatever row before it is faulty.  The integer columns come in the
-    narrowest signed type that holds them.
+    narrowest signed type that holds them, written a chunk at a time into
+    arrays sized from the source's length (``_size``).
     """
     chunks = pieces(source)
     taken = [next(chunks, ""), next(chunks, "")]
@@ -322,11 +324,22 @@ def parse_rows(source: str | TextIO, header: Sequence[str], what: str, reader: t
         return row_loop(reader, csv_reader(taken[0], header, what))
     state = reader()
     try:
-        return state.result(_chunk_columns(taken, chunks, header, what, state))
+        return state.result(_chunk_columns(taken, chunks, header, what, state, _size(source)))
     except DataError:
         for _ in chunks:  # the rest of the source
             pass
         raise
+
+
+def _size(source: str | TextIO) -> int:
+    """The length of text, the size of the file an open file reads, or 0
+    for a source with no size (``io.StringIO``)."""
+    if isinstance(source, str):
+        return len(source)
+    try:
+        return os.fstat(source.fileno()).st_size
+    except OSError:  # io.UnsupportedOperation
+        return 0
 
 
 def row_loop(reader: type, rows: CsvRows):
@@ -347,20 +360,26 @@ def _narrow(values: np.ndarray) -> np.ndarray:
 
 
 def _chunk_columns(taken: list[str], rest: Iterator[str], header: Sequence[str], what: str,
-                   reader) -> list[np.ndarray]:
+                   reader, size: int) -> list[np.ndarray]:
     """The columns ``reader`` reads from the pieces of a file, those in
     ``taken`` and then ``rest``: each chunk's integer columns narrowed
-    (``_narrow``), then each column joined at once, which widens it to the
-    widest chunk's type.  A chunk is a piece after the lines the one before
-    carried: those from the row its end cut, at ``CsvRows.done``."""
+    (``_narrow``) and written into one array a column, of the widest chunk's
+    type.  The arrays are allocated for the rows of the file's ``size``
+    characters (0 where not known), or of twice the characters read where
+    that is more, at the rows a character read so far, and allocated again
+    only where a chunk does not fit, so the columns are not held twice.  A
+    chunk is a piece after the lines the one before carried: those from the
+    row its end cut, at ``CsvRows.done``."""
     header_line = ",".join(header) + "\n"
     head, line = None, 1  # the header row, once read, and the first line of the next chunk
     # the row loop fails on a header cell over the csv field size limit
     if taken[0].startswith(header_line) and max(map(len, header)) <= csv.field_size_limit():
         head, line, taken[0] = header, 2, taken[0][len(header_line):]
-    blocks: list[list[np.ndarray]] = []
+    columns: list[np.ndarray] = []
+    held = chars = 0  # the rows written, and the characters of the pieces read
     cut = ""
     for piece in _then(taken, rest):
+        chars += len(piece)
         chunk, cut = cut + piece, ""
         cells = _cells(chunk, len(header)) if head else None
         block = None if cells is None else reader.kernel(*cells)
@@ -378,11 +397,29 @@ def _chunk_columns(taken: list[str], rest: Iterator[str], header: Sequence[str],
             line += rows.done
         else:
             line += len(cells[3])  # a plain row is one line
-        blocks.append([_narrow(values) for values in block])
-    columns = [list(parts) for parts in zip(*blocks)]
-    del blocks
-    # one column at a time, its blocks freed once joined
-    return [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
+        block = [_narrow(values) for values in block]
+        columns = columns or [values[:0] for values in block]
+        end, room = held + len(block[0]), len(columns[0])
+        if end > room:
+            room = end * max(size, 2 * chars) // chars
+            room += room >> 7  # a first estimate a little short would copy every row at the end
+        columns = [_room(values, held, room, part.dtype) for values, part in zip(columns, block)]
+        for values, part in zip(columns, block):
+            values[held:end] = part
+        held = end
+    return [values[:held] for values in columns]
+
+
+def _room(values: np.ndarray, held: int, room: int, dtype) -> np.ndarray:
+    """``values``, if it has ``room`` rows of a type that holds ``dtype``'s
+    values; else a new array of ``room`` rows of the wider of the two types,
+    its first ``held`` rows those of ``values``."""
+    dtype = np.promote_types(values.dtype, dtype)
+    if len(values) == room and values.dtype == dtype:
+        return values
+    wider = np.empty(room, dtype)
+    wider[:held] = values[:held]
+    return wider
 
 
 def _then(taken: list[str], rest: Iterator[str]) -> Iterator[str]:

@@ -243,7 +243,8 @@ def logistic_map_correlation(r: float, x0: float, n: int, burn_in: int = 1000) -
             lo, hi = min(lo, float(later.min())), max(hi, float(later.max()))
             yield np.concatenate((earlier, later[:-1])), later
 
-    moments = _comoments(pairs())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised by _r
+        moments = _comoments(pairs())
     if hi - lo <= _CONSTANT_SPREAD:
         raise UndefinedCorrelationError(
             f"orbit is constant after burn-in (converged near {x:.6g})")

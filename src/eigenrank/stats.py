@@ -120,8 +120,10 @@ def pearson_r(x, y) -> float:
         raise ValueError("x and y must be 1-D arrays of equal length")
     if len(x) < 2:
         raise UndefinedCorrelationError("correlation needs at least two observations")
-    return _r(*_comoments((x[start:start + _MOMENT_BLOCK], y[start:start + _MOMENT_BLOCK])
-                          for start in range(0, len(x), _MOMENT_BLOCK)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised by _r
+        moments = _comoments((x[start:start + _MOMENT_BLOCK], y[start:start + _MOMENT_BLOCK])
+                             for start in range(0, len(x), _MOMENT_BLOCK))
+    return _r(*moments)
 
 
 def _comoments(blocks) -> tuple[float, float, float]:

@@ -544,6 +544,23 @@ def test_table_invariants_rejected():
     assert table.year.tolist() == [-1, 2**63 - 1]
 
 
+def test_table_raises_the_first_journals_name_or_label_error():
+    # names are checked before labels over all journals, but the error is
+    # the one the journals checked in order give first
+    ids, rows = ("A", "B", "C"), dict(journal=(0, 1, 2), year=(2005,) * 3, articles=(1,) * 3)
+    for names, fields, message in (
+            (("Alpha", "Beta ", "Gamma"), ({"bio"}, {"med;x"}, set()),
+             "journal 'B' name 'Beta '"),
+            (("Alpha", "Beta", "Gamma\r"), ({"bio"}, {"med;x"}, set()),
+             "journal 'B' field label 'med;x' holds ';'"),
+            (("Alpha", "Beta", "Gamma\r"), ({"bio"}, {" med", "bio"}, {""}),
+             "journal 'B' field label ' med' cannot be written"),
+            (("Alpha", "Beta", "Gamma"), ({"bio"}, {"med"}, "stats"),
+             "journal 'C' fields must be a set of labels, not the string 'stats'")):
+        with pytest.raises(ValidationError, match="^" + re.escape(message)):
+            _table(ids=ids, names=names, fields=fields, **rows)
+
+
 @pytest.mark.parametrize("window, counted", [(5, (2001, 2002, 2003, 2004, 2005)),
                                               (2, (2004, 2005))])
 def test_article_counts_window_bounds(window, counted):
@@ -780,6 +797,52 @@ def test_parsed_ledger_columns_widen_to_the_narrowest_type_that_holds_them():
             assert ledger.ids == expected.ids
             assert [getattr(ledger, name).tolist() for name in corpus._LEDGER_COLUMNS] == columns
             assert [getattr(ledger, name).dtype for name in corpus._LEDGER_COLUMNS] == dtypes
+
+
+def _new_arrays(monkeypatch):
+    """(rows held, rows of room, type) for each array ``_util._room`` makes."""
+    made, room = [], _util._room
+
+    def recorded(values, held, rows, dtype):
+        out = room(values, held, rows, dtype)
+        if out is not values:
+            made.append((held, len(out), out.dtype))
+        return out
+    monkeypatch.setattr(_util, "_room", recorded)
+    return made
+
+
+@pytest.mark.parametrize("case", ("no size", "short estimate", "wider count"))
+def test_chunk_columns_grow_and_widen_into_the_row_loop_ledger(case, tmp_path, monkeypatch):
+    # the chunk columns go into arrays sized from the source's length at the
+    # rows a character read so far: a source with no size doubles them, a
+    # first chunk of long rows sizes them short and a later chunk grows
+    # them, and a count past int8 after they are made widens that column
+    rows = [f"J{i % 300},K{i % 7},2006,2005,{1 + i % 9}\n" for i in range(3000)]
+    if case == "short estimate":
+        rows[:100] = [f"{'L' * 30}{i},{'M' * 30}{i},2006,2005,1\n" for i in range(100)]
+    elif case == "wider count":
+        rows[-1] = "J1,K1,2006,2005,300\n"
+    text = CITATIONS_HEADER + "".join(rows)
+    expected = _row_loop(text)
+    path = tmp_path / "citations.csv"
+    path.write_text(text, encoding="utf-8")
+    made = _new_arrays(monkeypatch)
+    with patch.object(_util, "_CHUNK_CHARS", 4096), open(path, encoding="utf-8", newline="") as fh:
+        ledger = parse_citation_edges(io.StringIO(text, newline="") if case == "no size" else fh)
+    assert ledger.ids == expected.ids
+    assert ([(getattr(ledger, name).dtype, getattr(ledger, name).tolist())
+             for name in corpus._LEDGER_COLUMNS]
+            == [(getattr(expected, name).dtype, getattr(expected, name).tolist())
+                for name in corpus._LEDGER_COLUMNS])
+    first, last = made[0][1], made[-1][1]  # the rows of the first and the last arrays made
+    later = [(held, dtype) for held, _, dtype in made if held]  # arrays made after the first
+    if case == "no size":
+        assert len(later) >= 2 * len(corpus._LEDGER_COLUMNS)  # doubled twice at least
+    elif case == "short estimate":
+        assert first < len(rows) <= last
+    else:
+        assert first >= len(rows) and later == [(later[0][0], np.dtype(np.int16))]
 
 
 def test_parsed_journal_and_score_columns_skip_the_per_cell_check(monkeypatch):

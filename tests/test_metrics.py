@@ -1,7 +1,11 @@
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -497,6 +501,46 @@ def test_citations_parse_peak_memory_per_row(tmp_path):
                 tracemalloc.stop()
     assert len(ledger) == rows
     assert peak / rows < 60
+
+
+_PARSE_RSS_PROBE = """
+import re, sys
+from eigenrank import parse_citation_edges
+def peak():  # this process's peak resident size, in bytes
+    with open("/proc/self/status") as fh:
+        return 1024 * int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+with open(sys.argv[1], encoding="utf-8", newline="") as fh:
+    before = peak()
+    ledger = parse_citation_edges(fh)
+    grown = peak() - before
+print(grown, sum(getattr(ledger, name).nbytes
+                 for name in ("citing", "cited", "citing_year", "cited_year", "count")))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_citations_parse_resident_growth_per_ledger_byte(tmp_path):
+    # tracemalloc sees only live blocks, not the freed heap that stays
+    # resident, so a child reads its own peak resident size (VmHWM: its
+    # ru_maxrss would start from this process's size).  Chunk columns
+    # written straight into arrays sized from the file grow it by about 1.3
+    # times the ledger (3 * 10^6 rows, 9 bytes a row); per-chunk blocks
+    # joined at the end held the ledger twice and grew it by about 2.3
+    # times.  The bound is 1.6 times and 4 MiB.
+    _, text = _seeded_paper_like_corpus()
+    header, body = text.split("\n", 1)
+    path = tmp_path / "citations.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for _ in range(30):
+            fh.write(body)
+    del text, body
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", _PARSE_RSS_PROBE, str(path)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    grown, ledger = map(int, done.stdout.split())
+    assert ledger == 30 * 100_000 * 9
+    assert grown < 1.6 * ledger + 4 * 2**20, (grown / 2**20, ledger / 2**20)
 
 
 def test_aggregations_list_every_unknown_id():

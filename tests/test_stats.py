@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,16 @@ def test_pearson_and_spearman_reject_nan_instead_of_clamping_it():
         pearson_r([1.0, 2.0, 3.0], [1.0, math.inf, 3.0])
     with pytest.raises(DomainError):
         spearman(obs([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("x", [[1e200, -1e200, 0.0], [1.0, math.inf, 3.0]])
+def test_pearson_overflow_is_a_domain_error_with_no_warning(x):
+    # numpy's overflow and invalid warnings are off while the sums are taken,
+    # so under -W error too the caller sees the DomainError, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^a series holds a NaN or infinite value"):
+            pearson_r(x, [1.0, 2.0, 3.0])
 
 
 def test_pearson_symmetry_and_affine_invariance():
