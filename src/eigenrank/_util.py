@@ -338,7 +338,9 @@ def _size(source: str | TextIO) -> int:
         return len(source)
     try:
         return os.fstat(source.fileno()).st_size
-    except OSError:  # io.UnsupportedOperation
+    # no fileno (a stream with only read and readline), io.UnsupportedOperation,
+    # or a closed file
+    except (AttributeError, OSError, ValueError):
         return 0
 
 
@@ -365,11 +367,11 @@ def _chunk_columns(taken: list[str], rest: Iterator[str], header: Sequence[str],
     ``taken`` and then ``rest``: each chunk's integer columns narrowed
     (``_narrow``) and written into one array a column, of the widest chunk's
     type.  The arrays are allocated for the rows of the file's ``size``
-    characters (0 where not known), or of twice the characters read where
-    that is more, at the rows a character read so far, and allocated again
-    only where a chunk does not fit, so the columns are not held twice.  A
-    chunk is a piece after the lines the one before carried: those from the
-    row its end cut, at ``CsvRows.done``."""
+    characters (0 where not known) at the rows a character read so far,
+    allocated again only where a chunk does not fit, and cut to the rows
+    read at the end, so the columns are not held twice.  A chunk is a piece
+    after the lines the one before carried: those from the row its end
+    cut, at ``CsvRows.done``."""
     header_line = ",".join(header) + "\n"
     head, line = None, 1  # the header row, once read, and the first line of the next chunk
     # the row loop fails on a header cell over the csv field size limit
@@ -401,12 +403,19 @@ def _chunk_columns(taken: list[str], rest: Iterator[str], header: Sequence[str],
         columns = columns or [values[:0] for values in block]
         end, room = held + len(block[0]), len(columns[0])
         if end > room:
-            room = end * max(size, 2 * chars) // chars
+            # the rows of ``size`` characters at the rows a character read so
+            # far, or twice the rows where the size is not known or is passed
+            # (a gzip file's is its compressed size)
+            room = end * size // chars if chars <= size else 2 * end
             room += room >> 7  # a first estimate a little short would copy every row at the end
-        columns = [_room(values, held, room, part.dtype) for values, part in zip(columns, block)]
+        for k, part in enumerate(block):  # each old column freed once copied
+            columns[k] = _room(columns[k], held, room, part.dtype)
         for values, part in zip(columns, block):
             values[held:end] = part
         held = end
+    for values in columns:
+        if values.flags.owndata:  # in place: the room not used is given back
+            values.resize(held, refcheck=False)
     return [values[:held] for values in columns]
 
 

@@ -60,19 +60,6 @@ def _check_journal(journal_id: str, name: str, labels: Collection[str]) -> None:
                                   "';', which separates labels in journals.csv")
 
 
-def _check_journals(ids: tuple[str, ...], names: tuple[str, ...],
-                    fields: tuple[Collection[str], ...]) -> None:
-    """``_check_journal`` for every journal: the names, then each distinct
-    label once, and the journals one at a time only where a check fails, so
-    that the first journal's error is raised."""
-    if (any(name != name.strip() or "\r" in name for name in names)
-            or any(isinstance(labels, str) for labels in fields)
-            or not all(label and label == label.strip() and "\r" not in label and ";" not in label
-                       for label in set().union(*fields))):
-        for jid, name, labels in zip(ids, names, fields):
-            _check_journal(jid, name, labels)
-
-
 def _check_ids(ids: tuple[str, ...]) -> None:
     """A ValidationError unless each of ``ids`` is non-empty, listed once and
     can be written to CSV and read back as itself."""
@@ -129,7 +116,8 @@ class JournalTable:
         if not len(ids) == len(names) == len(fields):
             raise ValidationError("ids, names and fields must have equal lengths")
         _check_ids(ids)
-        _check_journals(ids, names, fields)
+        for jid, name, labels in zip(ids, names, fields):
+            _check_journal(jid, name, labels)
         rows = [column(values, np.int64, name, "row")
                 for name, values in zip(_TABLE_ROWS, (journal, year, articles))]
         if len({len(values) for values in rows}) > 1:

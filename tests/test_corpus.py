@@ -1,4 +1,5 @@
 import csv
+import gzip
 import io
 import itertools
 import re
@@ -812,12 +813,31 @@ def _new_arrays(monkeypatch):
     return made
 
 
-@pytest.mark.parametrize("case", ("no size", "short estimate", "wider count"))
+class _ReadLines:
+    """Text with only ``read`` and ``readline``, as a text wrapper over a tar
+    member, which has no ``fileno``."""
+
+    def __init__(self, text):
+        self._text = io.StringIO(text, newline="")
+
+    def read(self, size=-1):
+        return self._text.read(size)
+
+    def readline(self):
+        return self._text.readline()
+
+
+_GROWN = ("no size", "no fileno", "compressed size")  # sources whose arrays double
+
+
+@pytest.mark.parametrize("case", _GROWN + ("short estimate", "wider count"))
 def test_chunk_columns_grow_and_widen_into_the_row_loop_ledger(case, tmp_path, monkeypatch):
     # the chunk columns go into arrays sized from the source's length at the
-    # rows a character read so far: a source with no size doubles them, a
-    # first chunk of long rows sizes them short and a later chunk grows
-    # them, and a count past int8 after they are made widens that column
+    # rows a character read so far: a source with no size, or a size that the
+    # characters read pass (a gzip file's), doubles them; a first chunk of
+    # long rows sizes them short and a later chunk grows them; and a count
+    # past int8 after they are made widens that column.  Each array is cut
+    # to the rows read at the end.
     rows = [f"J{i % 300},K{i % 7},2006,2005,{1 + i % 9}\n" for i in range(3000)]
     if case == "short estimate":
         rows[:100] = [f"{'L' * 30}{i},{'M' * 30}{i},2006,2005,1\n" for i in range(100)]
@@ -827,17 +847,28 @@ def test_chunk_columns_grow_and_widen_into_the_row_loop_ledger(case, tmp_path, m
     expected = _row_loop(text)
     path = tmp_path / "citations.csv"
     path.write_text(text, encoding="utf-8")
+    with gzip.open(tmp_path / "citations.csv.gz", "wt", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    source = {"no size": lambda: io.StringIO(text, newline=""),
+              "no fileno": lambda: _ReadLines(text),
+              "compressed size": lambda: gzip.open(tmp_path / "citations.csv.gz", "rt",
+                                                   encoding="utf-8", newline="")}.get(
+        case, lambda: open(path, encoding="utf-8", newline=""))()
     made = _new_arrays(monkeypatch)
-    with patch.object(_util, "_CHUNK_CHARS", 4096), open(path, encoding="utf-8", newline="") as fh:
-        ledger = parse_citation_edges(io.StringIO(text, newline="") if case == "no size" else fh)
+    with patch.object(_util, "_CHUNK_CHARS", 4096):
+        ledger = parse_citation_edges(source)
+    getattr(source, "close", lambda: None)()
     assert ledger.ids == expected.ids
     assert ([(getattr(ledger, name).dtype, getattr(ledger, name).tolist())
              for name in corpus._LEDGER_COLUMNS]
             == [(getattr(expected, name).dtype, getattr(expected, name).tolist())
                 for name in corpus._LEDGER_COLUMNS])
+    for name in corpus._LEDGER_COLUMNS:  # no room past the rows is kept
+        values = getattr(ledger, name)
+        assert (values if values.base is None else values.base).nbytes == values.nbytes
     first, last = made[0][1], made[-1][1]  # the rows of the first and the last arrays made
     later = [(held, dtype) for held, _, dtype in made if held]  # arrays made after the first
-    if case == "no size":
+    if case in _GROWN:
         assert len(later) >= 2 * len(corpus._LEDGER_COLUMNS)  # doubled twice at least
     elif case == "short estimate":
         assert first < len(rows) <= last
