@@ -7,7 +7,7 @@ quoting only where a cell needs it.  Every CSV it reads follows one
 grammar of rows and cells, held here in two forms that must agree: the
 row loop (``CsvRows``) reads any row, and the numpy chunk kernels read a
 chunk of plain rows at once, ``_cells`` splitting it into byte cells that
-``_IdCodes``, ``_decimal_cells`` and ``_fixed_point_cells`` decode or
+``_IdCodes``, ``_decimal_cells`` and ``_six_place_cells`` decode or
 decline.  The journals, citations and scores readers read theirs through
 ``parse_rows``, which hands each chunk's cells to a kernel first.
 """
@@ -662,41 +662,27 @@ def _decimal_cells(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> 
     return values
 
 
-# 10**f for the f digits after a point: exact as float64 for f up to 22
-_POWERS_OF_TEN = np.array([float(10**f) for f in range(19)])
-
-
-def _fixed_point_cells(raw: np.ndarray, starts: np.ndarray,
-                       lengths: np.ndarray) -> np.ndarray | None:
+def _six_place_cells(raw: np.ndarray, starts: np.ndarray,
+                     lengths: np.ndarray) -> np.ndarray | None:
     """The cells of ``raw`` at ``starts`` as ``float()`` reads them, an empty
-    one as NaN, or None unless each is an optional ``-`` and 1-18 ASCII
-    digits with at most one point among them, their integer ``m`` below
-    2**53: then ``m`` and ``10**f`` (``f`` digits after the point) are exact
-    floats, and IEEE division rounds ``m / 10**f`` as ``float()`` rounds the
-    text.  ``raw`` holds at least ``_MAX_DIGITS`` bytes past the start of its
-    last cell."""
-    if lengths.max() > _MAX_DIGITS:
+    one as NaN, or None unless each is empty or as ``write_scores_csv``
+    writes it: an optional ``-``, 1-9 ASCII digits, a point and six digits.
+    Their integer ``m`` is below 10**15 < 2**53, so ``m`` and 10**6 are
+    exact floats, and IEEE division rounds ``m / 10**6`` as ``float()``
+    rounds the text."""
+    values = np.full(len(starts), np.nan)
+    filled = np.flatnonzero(lengths)
+    if not filled.size:  # _decimal_cells needs a cell
+        return values
+    starts, lengths = starts[filled], lengths[filled]
+    negative = raw[starts] == ord("-")
+    whole = lengths - 7 - negative  # digits before the point: _decimal_cells declines < 1
+    if whole.max() > 9 or (raw[starts + lengths - 7] != ord(".")).any():
         return None
-    negative = (raw[starts] == ord("-")) & (lengths > 0)
-    at, left = starts + negative, lengths - negative
-    mantissa = np.zeros(len(starts), dtype=np.int64)
-    points = np.zeros(len(starts), dtype=np.int64)
-    scale = np.zeros(len(starts), dtype=np.int64)  # digits after the point
-    for k in range(int(left.max())):
-        inside = left > k
-        byte = raw[at + k]
-        digit = byte - ord("0")  # uint8: a byte below '0' wraps past 9
-        point = inside & (byte == ord("."))
-        inside &= ~point
-        if (digit[inside] > 9).any():
-            return None
-        mantissa[inside] = mantissa[inside] * 10 + digit[inside]
-        scale += inside & (points > 0)
-        points += point
-    filled = lengths > 0
-    if (points > 1).any() or (left[filled] <= points[filled]).any() or mantissa.max() >= 2**53:
+    units = _decimal_cells(raw, starts + negative, whole)
+    millionths = _decimal_cells(raw, starts + lengths - 6, np.full(len(starts), 6))
+    if units is None or millionths is None:
         return None
-    values = mantissa / _POWERS_OF_TEN[scale]
-    np.negative(values, out=values, where=negative)
-    values[~filled] = np.nan
+    read = (units * 10**6 + millionths) / 10**6
+    values[filled] = np.where(negative, -read, read)
     return values

@@ -19,7 +19,7 @@ from typing import TextIO
 
 import numpy as np
 
-from ._util import (CsvRows, _decimal_cells, _fixed_point_cells, _IdCodes, _int64_sums, _sums,
+from ._util import (CsvRows, _decimal_cells, _IdCodes, _int64_sums, _six_place_cells, _sums,
                     column, csv_text, parse_rows, set_fields)
 from .errors import ConvergenceError, DegenerateDataError, InconsistencyError, ValidationError
 
@@ -351,9 +351,10 @@ def read_scores_csv(source: str | TextIO) -> MetricScores:
     The printed values are rounded, so the exact metric invariants are not
     re-checked; empty EF/AI/IF fields become NaN.  The count columns must
     hold nonnegative integers, and a journal_id may appear only once.
-    Chunks of plain rows are read in numpy columns (``_ScoreRows.kernel``),
-    the rest by the csv row loop, and the scores and every error are the
-    row loop's.
+    Chunks of plain rows whose decimals are as ``write_scores_csv`` writes
+    them (six places, at most nine digits before the point) are read in
+    numpy columns (``_ScoreRows.kernel``), the rest by the csv row loop,
+    and the scores and every error are the row loop's.
     """
     return parse_rows(source, SCORES_HEADER, "scores.csv", _ScoreRows)
 
@@ -369,7 +370,7 @@ class _ScoreRows:
 
     def kernel(self, text: str, padded: bytes, raw: np.ndarray, starts: np.ndarray,
                lengths: np.ndarray) -> list[np.ndarray] | None:
-        columns = [(_fixed_point_cells if k < 4 else _decimal_cells)(
+        columns = [(_six_place_cells if k < 4 else _decimal_cells)(
             raw, starts[:, k], lengths[:, k]) for k in range(1, len(SCORES_HEADER))]
         if any(values is None for values in columns):
             return None

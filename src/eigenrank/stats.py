@@ -172,8 +172,12 @@ def _r(sxx: float, syy: float, sxy: float) -> float:
         raise DomainError("a series holds a NaN or infinite value, or its variance overflows")
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError("a series has zero variance")
+    product = sxx * syy
+    # the product of two finite sums can overflow or underflow where their roots do not;
+    # one in range keeps the bits of sqrt(sxx * syy), which the golden outputs hold
+    scale = math.sqrt(product) if 0.0 < product < math.inf else math.sqrt(sxx) * math.sqrt(syy)
     # clamp: rounding can push |rho| a few ulp past 1
-    return float(min(1.0, max(-1.0, sxy / math.sqrt(sxx * syy))))
+    return float(min(1.0, max(-1.0, sxy / scale)))
 
 
 def midranks(values) -> np.ndarray:

@@ -21,7 +21,7 @@ from eigenrank import (CitationLedger, CitationMatrix, ConvergenceError, CsvForm
                        parse_journal_metadata, power_iterate, read_scores_csv,
                        resolve_metric, total_citations, write_citation_edges,
                        write_scores_csv)
-from eigenrank.metrics import SCORES_HEADER, MetricScores
+from eigenrank.metrics import SCORES_HEADER, MetricScores, _ScoreRows
 from helpers import (citation_ledger, dense_reference_scores, journal_table, ledger_rows,
                      random_corpus, reference_counts, reference_scores)
 
@@ -715,12 +715,14 @@ def test_scores_csv_undefined_printed_empty():
 
 _SCORES_LINE = ",".join(SCORES_HEADER) + "\n"
 # decimals the kernel reads, and ones it must leave to the row loop: signs,
-# exponents, mantissas of 16-17 digits around 2**53, points, odd characters
+# exponents, mantissas of 16-17 digits around 2**53, points, odd characters,
+# the widest whole parts it reads and 10 and 11 digits that m / 10**6 misreads
 _ODD_DECIMALS = ("-0.000000", "0.000000", "", "1e-3", "1E5", "+1", "-", ".", "-.", "5.", ".5",
                  "-.5", "1.2.3", "00012.50", "1234567890123456", "9" * 19, "9007199254740992",
                  "9007199254740993", "12345678901234567", "0.1234567890123456",
                  "0.12345678901234567", "-123456789.0123456", "nan", "inf", "1_0", "\u0661",
-                 " 2.5", "2.5 ", '"2.5"', "2.5\t")
+                 " 2.5", "2.5 ", '"2.5"', "2.5\t", "999999999.999999", "-999999999.999999",
+                 "9007199254.740993", "52218896736.499748", "12345678")
 _ODD_COUNTS = ("0", "0007", "-1", "+2", "", "1.0", "9" * 18, "9" * 19, " 3", '"4"')
 
 
@@ -767,6 +769,13 @@ def _scores_outcome(parse, source):
 @example(text=_SCORES_LINE + "A,1,1,1,0,0,0\nB,-.,1,1,0,0,0\n", chunk=20)
 @example(text=_SCORES_LINE + "A,1,1,1,0,0,0\nB," + "9" * 19 + ",1,1,0,0,0\n",
          chunk=20)  # 19 digits, past int64
+# the six-place decoder's edges, a row a chunk: the widest whole parts it reads; 2**53 + 1
+# and an 11-digit whole part, which m / 10**6 misreads; other points and places; a point
+# that is a digit; a chunk whose ef column is all empty
+@example(text=_SCORES_LINE + "".join(f"J{k},{cell},,1.000000,0,0,0\n" for k, cell in enumerate((
+    "999999999.999999", "-999999999.999999", "9007199254.740993", "52218896736.499748",
+    "-0.000000", ".000000", "-.000000", "1.00000", "1.0000000", "0001.000000", "12345678",
+    ""))), chunk=7)
 def test_scores_reader_equals_reference_row_loop(text, chunk):
     with patch.object(_util, "_CHUNK_CHARS", chunk):
         assert _scores_outcome(read_scores_csv, text) == _scores_outcome(reference_scores, text)
@@ -778,13 +787,25 @@ def test_plain_scores_skip_the_row_loop(monkeypatch):
     def whole_file(*args):
         raise AssertionError("the csv row loop read a plain file")
     monkeypatch.setattr(_util, "row_loop", whole_file)
+    rows = _ScoreRows.rows
+
+    def no_row(self, rdr):  # a chunk the kernel declines
+        columns = rows(self, rdr)
+        assert not len(columns[0]), "the csv row loop read a plain row"
+        return columns
+    monkeypatch.setattr(_ScoreRows, "rows", no_row)
     rng = np.random.default_rng(7)
     n = 7611
+    # negative cells, -0.000000 and 9-digit whole parts: the writer's whole range
+    impact = rng.lognormal(0, 1, n) * rng.choice((-1.0, 1.0), n)
+    impact[::50] = -0.0
+    impact[1::50] = rng.uniform(1 - 1e9, 1e9 - 1, len(impact[1::50]))
     scores = MetricScores(None, tuple(f"J{j:05d}" for j in range(n)),
                           rng.lognormal(-6, 2, n), np.where(
                               rng.random(n) < 0.01, np.nan, rng.lognormal(0, 1, n)),
-                          rng.lognormal(0, 1, n), rng.integers(0, 10**5, n),
+                          impact, rng.integers(0, 10**5, n),
                           rng.integers(0, 10**3, n), rng.integers(0, 400, n))
     text = write_scores_csv(scores)
+    assert ",-0.000000," in text
     assert len(text) > _util._CHUNK_CHARS
     assert _scores_outcome(read_scores_csv, text) == _scores_outcome(reference_scores, text)

@@ -65,6 +65,12 @@ def test_pearson_overflow_is_a_domain_error_with_no_warning(x):
             pearson_r(x, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("v", [1e100, 1e-100])
+def test_pearson_of_a_series_with_itself_is_one_where_its_variance_squared_is_out_of_range(v):
+    # the sums of squares are 2 v**2, in range; their product 4 v**4 overflows or underflows
+    assert pearson_r([v, -v, 0.0], [v, -v, 0.0]) == 1.0
+
+
 def test_pearson_symmetry_and_affine_invariance():
     rng = np.random.default_rng(2)
     for _ in range(10):
