@@ -295,36 +295,31 @@ def csv_reader(source: str | TextIO, header: Sequence[str], what: str,
 def parse_rows(source: str | TextIO, header: Sequence[str], what: str, reader: type):
     """``reader``'s result for ``source`` (text or an open file), a file
     named ``what`` that must start with the ``header`` row: the result and
-    every error are those of ``row_loop``.
+    every error are those of the reader's ``rows`` over the whole source.
 
     A ``reader()`` holds what a file's rows have taught it and three methods:
 
     * ``kernel(text, padded, raw, starts, lengths)``: the columns of the
       rows of a chunk of plain rows split by ``_cells``, or None, having
-      learnt nothing, where it cannot show that the row loop reads the same;
+      learnt nothing, where it cannot show that ``rows`` reads the same;
     * ``rows(rows)``: the columns of the rows of a ``CsvRows``, read one at
       a time;
     * ``result(columns)``: what the file holds, its rows being ``columns``.
 
-    A source of at most ``_CHUNK_CHARS`` characters goes to ``row_loop``,
-    where the kernels' numpy calls would cost more than its rows.  A longer
-    one is read a piece (``pieces``) at a time, never whole: after an exact
-    header line the kernel answers or declines each piece that ``_cells``
-    splits, ``rows`` reads any other, and a row that a piece's end cuts
-    inside a quoted cell is read with the next piece.  An error is raised
-    from the piece where it occurs, with its line, once the rest of the
-    source is read, so that a later byte that is not UTF-8 is the error
-    whatever row before it is faulty.  The integer columns come in the
-    narrowest signed type that holds them, written a chunk at a time into
-    arrays sized from the source's length (``_size``).
+    Every source, whatever its length, is read a piece (``pieces``) at a
+    time, never whole: after an exact header line the kernel answers or
+    declines each piece that ``_cells`` splits, ``rows`` reads any other,
+    and a row that a piece's end cuts inside a quoted cell is read with the
+    next piece.  An error is raised from the piece where it occurs, with its
+    line, once the rest of the source is read, so that a later byte that is
+    not UTF-8 is the error whatever row before it is faulty.  The integer
+    columns come in the narrowest signed type that holds them, written a
+    chunk at a time into arrays sized from the source's length (``_size``).
     """
     chunks = pieces(source)
-    taken = [next(chunks, ""), next(chunks, "")]
-    if len(taken[0]) <= _CHUNK_CHARS and not taken[1]:
-        return row_loop(reader, csv_reader(taken[0], header, what))
     state = reader()
     try:
-        return state.result(_chunk_columns(taken, chunks, header, what, state, _size(source)))
+        return state.result(_chunk_columns(chunks, header, what, state, _size(source)))
     except DataError:
         for _ in chunks:  # the rest of the source
             pass
@@ -344,12 +339,6 @@ def _size(source: str | TextIO) -> int:
         return 0
 
 
-def row_loop(reader: type, rows: CsvRows):
-    """``reader``'s result for ``rows``, a whole file read one row at a time."""
-    state = reader()
-    return state.result([_narrow(values) for values in state.rows(rows)])
-
-
 def _narrow(values: np.ndarray) -> np.ndarray:
     """Signed integer ``values`` in the narrowest signed type that holds
     them; other values as they are."""
@@ -361,10 +350,10 @@ def _narrow(values: np.ndarray) -> np.ndarray:
     return values.astype(dtype, copy=False)
 
 
-def _chunk_columns(taken: list[str], rest: Iterator[str], header: Sequence[str], what: str,
-                   reader, size: int) -> list[np.ndarray]:
-    """The columns ``reader`` reads from the pieces of a file, those in
-    ``taken`` and then ``rest``: each chunk's integer columns narrowed
+def _chunk_columns(chunks: Iterator[str], header: Sequence[str], what: str, reader,
+                   size: int) -> list[np.ndarray]:
+    """The columns ``reader`` reads from the pieces of a file, ``chunks``,
+    and then "" for its end: each chunk's integer columns narrowed
     (``_narrow``) and written into one array a column, of the widest chunk's
     type.  The arrays are allocated for the rows of the file's ``size``
     characters (0 where not known) at the rows a character read so far,
@@ -374,15 +363,16 @@ def _chunk_columns(taken: list[str], rest: Iterator[str], header: Sequence[str],
     cut, at ``CsvRows.done``."""
     header_line = ",".join(header) + "\n"
     head, line = None, 1  # the header row, once read, and the first line of the next chunk
-    # the row loop fails on a header cell over the csv field size limit
-    if taken[0].startswith(header_line) and max(map(len, header)) <= csv.field_size_limit():
-        head, line, taken[0] = header, 2, taken[0][len(header_line):]
     columns: list[np.ndarray] = []
     held = chars = 0  # the rows written, and the characters of the pieces read
     cut = ""
-    for piece in _then(taken, rest):
+    for piece in itertools.chain(chunks, ("",)):
         chars += len(piece)
         chunk, cut = cut + piece, ""
+        # ``rows`` fails on a header cell over the csv field size limit
+        if (line == 1 and chunk.startswith(header_line)
+                and max(map(len, header)) <= csv.field_size_limit()):
+            head, line, chunk = header, 2, chunk[len(header_line):]
         cells = _cells(chunk, len(header)) if head else None
         block = None if cells is None else reader.kernel(*cells)
         if block is None:
@@ -429,16 +419,6 @@ def _room(values: np.ndarray, held: int, room: int, dtype) -> np.ndarray:
     wider = np.empty(room, dtype)
     wider[:held] = values[:held]
     return wider
-
-
-def _then(taken: list[str], rest: Iterator[str]) -> Iterator[str]:
-    """The pieces in ``taken``, then those of ``rest``, then "" for the end
-    of the file: each popped from ``taken`` as it is yielded, so that no
-    piece is held once the next is read."""
-    while taken:
-        yield taken.pop(0)
-    yield from rest
-    yield ""
 
 
 # the numpy chunk kernels: the plain-chunk grammar and its decoders

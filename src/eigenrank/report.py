@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._util import column, set_fields
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, DomainError
 from .metrics import resolve_metric
 
 UP, DOWN, SAME = "up", "down", "same"
@@ -306,7 +306,11 @@ def render_cardinal_plot(cmp: RankComparison, spec: FigureSpec, top_k: int) -> s
 
 
 def render_histogram(values, bins: int, spec: FigureSpec) -> str:
-    """Equal-width count histogram over [min, max], annotated with n/mean/sd."""
+    """Equal-width count histogram over [min, max], annotated with n/mean/sd.
+
+    Values of one distinct value get one full bar.  A range, sum or
+    variance past the float range, or a range too narrow for ``bins``
+    distinct bin edges, raises DomainError."""
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
         raise ValueError("cannot render an empty histogram")
@@ -319,15 +323,30 @@ def render_histogram(values, bins: int, spec: FigureSpec) -> str:
         raise ValueError(f"bins must be at most {100 * plot_w:.0f}, 100 a pixel of the "
                          f"plot width, got {bins}")
     lo, hi = float(values.min()), float(values.max())
-    if lo == hi:  # single-point data still gets one full bin
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("cannot render a histogram of non-finite values")
+    single = lo == hi
+    if single:  # single-point data still gets one full bin
         lo, hi = lo - 0.5, hi + 0.5
-    counts, _ = np.histogram(values, bins=bins, range=(lo, hi))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        mean = float(values.mean())
+        sd = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+        edges = np.linspace(lo, hi, bins + 1)  # as np.histogram makes them
+    if not (math.isfinite(hi - lo) and math.isfinite(mean) and math.isfinite(sd)):
+        raise DomainError("histogram overflows: the values' range, sum or variance is past "
+                          "the float range")
+    if (edges[1:] > edges[:-1]).all():
+        counts, _ = np.histogram(values, bins=bins, range=(lo, hi))
+    elif single:  # from about 1e15, 0.5 either side holds too few floats for the edges
+        counts = np.zeros(bins, dtype=np.int64)
+        counts[bins // 2] = len(values)
+    else:
+        raise DomainError(f"the values' range {lo!r} to {hi!r} is too narrow for {bins} "
+                          "bins with distinct edges")
     cmax = counts.max()
     base = top + plot_h
     bar_w = plot_w / bins
 
-    mean = float(values.mean())
-    sd = float(values.std(ddof=1)) if len(values) > 1 else 0.0
     parts = _open_svg(spec)
     parts.append(_text(left, top - 8, f"n={len(values)} mean={mean:.3f} sd={sd:.3f}",
                        "start"))

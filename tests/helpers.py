@@ -16,7 +16,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from eigenrank import CitationLedger, CsvFormatError, JournalTable, MetricScores
-from eigenrank.corpus import JOURNALS_HEADER
+from eigenrank.corpus import CITATIONS_HEADER, JOURNALS_HEADER
 from eigenrank.metrics import SCORES_HEADER
 from eigenrank.stats import pearson_r
 
@@ -174,6 +174,39 @@ def reference_journals(source):
     except csv.Error as exc:
         raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
     return journal_table((jid, name, fields[jid], years[jid]) for jid, name in names.items())
+
+
+def reference_citations(source):
+    """citations.csv parsed by one plain ``csv.reader`` loop over the rows:
+    every cell stripped and checked on every row, and the ledger built
+    through ``citation_ledger``.  Text is read as a file opened with
+    ``newline=""``: a line ends at LF, CRLF or CR."""
+    reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
+    records = []
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError("citations.csv: missing header row")
+        if [h.strip() for h in header] != list(CITATIONS_HEADER):
+            raise CsvFormatError(f"citations.csv: expected header {','.join(CITATIONS_HEADER)}, "
+                                 f"got {','.join(header)}")
+        for row in reader:
+            line = reader.line_num
+            if not row:
+                continue
+            if len(row) != len(CITATIONS_HEADER):
+                raise CsvFormatError(f"line {line}: expected {len(CITATIONS_HEADER)} columns, "
+                                     f"got {len(row)}")
+            cells = [c.strip() for c in row]
+            for name, jid in zip(CITATIONS_HEADER[:2], cells):
+                if not jid:
+                    raise CsvFormatError(f"line {line}: empty {name}")
+            numbers = [_reference_int(cell, name, line, minimum=1 if name == "count" else None)
+                       for name, cell in zip(CITATIONS_HEADER[2:], cells[2:])]
+            records.append((*cells[:2], *numbers))
+    except csv.Error as exc:
+        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+    return citation_ledger(records)
 
 
 def _reference_float(text, name, line):

@@ -680,6 +680,31 @@ def test_empty_histogram_input_is_a_data_error(capsys):
         assert not Path("h.svg").exists()
 
 
+_OVERFLOW = "histogram overflows: the values' range, sum or variance is past the float range"
+
+
+@pytest.mark.parametrize("values, code, message", [
+    # 0.5 either side of a value this far from 0 holds too few floats for 20 bin edges
+    ("rho\n1e15\n", 0, None), ("rho\n-1e300\n", 0, None),
+    ("rho\n1e300\n1e300\n5\n", 3, _OVERFLOW), ("rho\n1e308\n-1e308\n", 3, _OVERFLOW),
+    ("rho\n1e15\n1.000000000000000125e15\n", 3, "the values' range 1000000000000000.0 to "
+     "1000000000000000.1 is too narrow for 20 bins with distinct edges")],
+    ids=("one value of 1e15", "one value of -1e300", "variance past the float range",
+         "range past the float range", "range too narrow for the bins"))
+def test_histogram_of_extreme_values_is_one_bar_or_a_domain_error(values, code, message, capsys):
+    Path("v.csv").write_text(values)
+    assert main(["plot", "histogram", "--values", "v.csv", "--out", "h.svg"]) == code
+    if message is None:  # the one full bar of any single value
+        Path("plain.csv").write_text("rho\n0.7\n")
+        assert main(["plot", "histogram", "--values", "plain.csv", "--out", "plain.svg"]) == 0
+        assert ([line for line in Path("h.svg").read_text().splitlines() if "<rect" in line]
+                == [line for line in Path("plain.svg").read_text().splitlines()
+                    if "<rect" in line])
+    else:
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not Path("h.svg").exists()
+
+
 def test_out_of_range_year_exits_with_data_error(capsys):
     Path("huge.csv").write_text("citing_id,cited_id,citing_year,cited_year,count\n"
                                 "A,B,2006,99999999999999999999999,3\n")

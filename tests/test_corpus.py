@@ -21,8 +21,8 @@ from eigenrank import (CitationLedger, CitationMatrix, CsvFormatError, JournalTa
 from eigenrank.cli import _parse_file
 from eigenrank.corpus import CitationRecord
 from eigenrank.metrics import SCORES_HEADER
-from helpers import (citation_ledger, journal_table, random_corpus, reference_journals,
-                     reference_scores)
+from helpers import (citation_ledger, journal_table, random_corpus, reference_citations,
+                     reference_journals, reference_scores)
 
 JOURNALS_HEADER = "journal_id,name,fields,year,articles\n"
 CITATIONS_HEADER = "citing_id,cited_id,citing_year,cited_year,count\n"
@@ -186,6 +186,12 @@ def test_parse_citations_quoted_id_with_comma():
     ledger = parse_citation_edges(CITATIONS_HEADER + '"A,1",B,2006,2005,3\n')
     assert ledger == citation_ledger([("A,1", "B", 2006, 2005, 3)])
     assert ledger.ids == ("A,1", "B")
+
+
+def test_table_and_ledger_never_equal_another_type():
+    table, ledger = random_corpus(np.random.default_rng(0))
+    for value in (table, ledger):
+        assert value != tuple(value.ids) and not value == 0
 
 
 def test_parse_citations_from_open_file_equals_text(tmp_path):
@@ -623,12 +629,6 @@ def _outcome(parse, source):
         return type(exc), str(exc)
 
 
-def _row_loop(source):
-    """``source`` parsed by the csv row loop alone."""
-    return _util.row_loop(corpus._CitationRows, _util.csv_reader(
-        source, corpus.CITATIONS_HEADER, "citations.csv"))
-
-
 def _stream(data):
     """``data`` (text or bytes) as a file opened the way the CLI opens an input."""
     raw = data.encode("utf-8") if isinstance(data, str) else data
@@ -692,8 +692,8 @@ def _citation_texts(draw):
          chunk=20)  # a 19-digit year, past int64
 @example(text=CITATIONS_HEADER + "A,B,2006,2005,1\nA,B,2006," + "9" * 19 + ",1\n", chunk=20)
 def test_vectorised_reader_equals_row_loop(text, chunk):
-    expected = _outcome(_row_loop, text)
-    from_file = _outcome(_row_loop, _stream(text))
+    expected = _outcome(reference_citations, text)
+    from_file = _outcome(reference_citations, _stream(text))
     with patch.object(_util, "_CHUNK_CHARS", chunk):
         assert _outcome(parse_citation_edges, text) == expected
         assert _outcome(parse_citation_edges, _stream(text)) == from_file
@@ -708,12 +708,12 @@ def test_text_and_file_split_into_the_same_pieces(text, chunk):
 
 
 def test_each_defect_alone_gives_the_row_loop_outcome():
-    # texts of one chunk go to the row loop; smaller chunks reach the kernels
+    # every chunk size reaches the kernels, from a row a chunk to the whole text in one
     for header, plain, odd_cells, parse, row_loop in (
             (CITATIONS_HEADER, (["J1", "0028-0836", "2006", "2005", "3"],
                                 ["ABCDEFGHIJ", "J1", "2005", "2001", "12"]),
              (_ODD_IDS, _ODD_IDS) + (_ODD_NUMBERS,) * 3,
-             parse_citation_edges, _row_loop),
+             parse_citation_edges, reference_citations),
             (JOURNALS_HEADER, (["J1", "Alpha", "bio;med", "2005", "3"],
                                ["ABCDEFGHIJ", "Beta", "", "2006", "12"]),
              _ODD_JOURNAL_CELLS, parse_journal_metadata, reference_journals)):
@@ -786,7 +786,7 @@ def test_parsed_ledger_columns_widen_to_the_narrowest_type_that_holds_them():
     rows[20_000] = "K20000,J1,100,-9223372036854775808,3\n"
     rows[30_000] = "K30000,J2,100,98,9223372036854775807\n"
     text = CITATIONS_HEADER + "".join(rows)
-    expected = _row_loop(text)
+    expected = reference_citations(text)
     assert len(expected.ids) > 2**15
     columns = [getattr(expected, name).tolist() for name in corpus._LEDGER_COLUMNS]
     dtypes = [_narrowest(values) for values in columns]
@@ -844,7 +844,7 @@ def test_chunk_columns_grow_and_widen_into_the_row_loop_ledger(case, tmp_path, m
     elif case == "wider count":
         rows[-1] = "J1,K1,2006,2005,300\n"
     text = CITATIONS_HEADER + "".join(rows)
-    expected = _row_loop(text)
+    expected = reference_citations(text)
     path = tmp_path / "citations.csv"
     path.write_text(text, encoding="utf-8")
     with gzip.open(tmp_path / "citations.csv.gz", "wt", encoding="utf-8", newline="") as fh:
@@ -859,10 +859,10 @@ def test_chunk_columns_grow_and_widen_into_the_row_loop_ledger(case, tmp_path, m
         ledger = parse_citation_edges(source)
     getattr(source, "close", lambda: None)()
     assert ledger.ids == expected.ids
+    columns = [getattr(expected, name).tolist() for name in corpus._LEDGER_COLUMNS]
     assert ([(getattr(ledger, name).dtype, getattr(ledger, name).tolist())
              for name in corpus._LEDGER_COLUMNS]
-            == [(getattr(expected, name).dtype, getattr(expected, name).tolist())
-                for name in corpus._LEDGER_COLUMNS])
+            == [(_narrowest(values), values) for values in columns])
     for name in corpus._LEDGER_COLUMNS:  # no room past the rows is kept
         values = getattr(ledger, name)
         assert (values if values.base is None else values.base).nbytes == values.nbytes
@@ -895,7 +895,7 @@ def test_parsed_journal_and_score_columns_skip_the_per_cell_check(monkeypatch):
 # faults put on their lines; the first fault is on line 40, in the fifth
 # chunk of 120 characters or later
 _LATE_FAULTS = {
-    "citations cell": (parse_citation_edges, _row_loop, CITATIONS_HEADER,
+    "citations cell": (parse_citation_edges, reference_citations, CITATIONS_HEADER,
                        "J{i},J{j},2006,2005,{n}\n", {40: "J1,J2,2006,2005,x\n"},
                        "line 40: malformed count 'x'"),
     "journals cell": (parse_journal_metadata, reference_journals, JOURNALS_HEADER,
@@ -917,7 +917,7 @@ _LATE_FAULTS = {
                           "J{i},1.5,0.5,,{n},3,1\n", {40: "J5,1.5,0.5,,1,3,1\n"},
                           "line 40: duplicate journal_id 'J5'"),
     # a quoted id that runs to the end of the file
-    "quote open at the end": (parse_citation_edges, _row_loop, CITATIONS_HEADER,
+    "quote open at the end": (parse_citation_edges, reference_citations, CITATIONS_HEADER,
                               "J{i},J{j},2006,2005,{n}\n", {98: '"J1,J2,2006,2005,1\n'},
                               "line 99: expected 5 columns, got 1"),
 }
@@ -972,20 +972,47 @@ def test_bytes_not_utf8_in_a_later_chunk_than_a_fault_report_the_byte(tmp_path):
                 == (CsvFormatError, f"{path}: line 6003: not valid UTF-8"))
 
 
-def _whole_file(*args):
-    raise AssertionError("the csv row loop read the whole file")
+class _Recorded:
+    """A ``CsvRows`` that appends each row to ``read`` as it is read."""
+
+    def __init__(self, rows, read):
+        self._rows, self._read = rows, read
+
+    def __iter__(self):
+        for row in self._rows:
+            self._read.append(row)
+            yield row
+
+    def __getattr__(self, name):
+        return getattr(self._rows, name)
+
+
+def _rows_read(monkeypatch, *readers):
+    """The rows that each call of a ``reader.rows`` reads, one list a call."""
+    calls = []
+    for reader in readers:
+        def recorded(self, rdr, rows=reader.rows):
+            calls.append(read := [])
+            return rows(self, _Recorded(rdr, read))
+        monkeypatch.setattr(reader, "rows", recorded)
+    return calls
+
+
+def _odd(row):
+    """Whether ``row`` has a cell that is not ASCII or needs quotes."""
+    return any(not cell.isascii() or any(c in cell for c in ',"\r\n') for cell in row)
 
 
 def test_plain_citations_skip_the_row_loop(monkeypatch):
-    monkeypatch.setattr(_util, "row_loop", _whole_file)
+    # rows() may read the empty end chunk, but no plain row, whatever the file's size
+    calls = _rows_read(monkeypatch, corpus._CitationRows)
     ids = ("0028-0836", "J1", "ABCDEFGHIJKL", "1476-4687", "Z" * 32, "A")
     small = citation_ledger((ids[i % 6], ids[(i * 7 + 1) % 6], 2000 + i % 9, 1990 + i % 17,
                              1 + i % 250) for i in range(300))
-    with pytest.raises(AssertionError, match="read the whole file"):
-        parse_citation_edges(write_citation_edges(small))  # one chunk: the row loop is faster
-    with patch.object(_util, "_CHUNK_CHARS", 1000):
-        assert parse_citation_edges(write_citation_edges(small)) == small
-        assert parse_citation_edges(write_citation_edges(small).rstrip("\n")) == small
+    for chunk in (1000, _util._CHUNK_CHARS):  # many chunks, and one
+        with patch.object(_util, "_CHUNK_CHARS", chunk):
+            assert parse_citation_edges(write_citation_edges(small)) == small
+            assert parse_citation_edges(write_citation_edges(small).rstrip("\n")) == small
     # a file of many chunks
     rng = np.random.default_rng(3)
     columns = (rng.integers(0, 2000, 70_000), rng.integers(0, 2000, 70_000),
@@ -997,13 +1024,14 @@ def test_plain_citations_skip_the_row_loop(monkeypatch):
     assert len(text) > 4 * _util._CHUNK_CHARS
     assert parse_citation_edges(text) == big
     assert parse_citation_edges(_stream(text)) == big
+    assert calls and not any(calls)
 
 
 def test_odd_cells_send_only_their_chunks_to_the_row_loop(monkeypatch):
     """About 1% odd cells (quoted names holding a comma or a quote,
     non-ASCII names and ids) at paper scale: each chunk holding one is read
-    by the row loop alone, never the whole file."""
-    monkeypatch.setattr(_util, "row_loop", _whole_file)
+    by the row loop alone, and no chunk without one."""
+    calls = _rows_read(monkeypatch, corpus._JournalRows, corpus._CitationRows)
     rng = np.random.default_rng(12)
     n = 7611
     names = [f"Journal of Synthetic Studies {j + 1}" for j in range(n)]
@@ -1026,10 +1054,11 @@ def test_odd_cells_send_only_their_chunks_to_the_row_loop(monkeypatch):
     ledger = citation_ledger((ids[a], ids[b], 2006, 2001 + b % 5, 1 + a % 7)
                              for a, b in zip(citing.tolist(), cited.tolist()))
     assert parse_citation_edges(write_citation_edges(ledger)) == ledger
+    assert any(calls) and all(any(map(_odd, read)) for read in calls if read)
 
 
 def test_quoted_cell_open_at_a_chunk_end_is_joined_to_the_next(monkeypatch):
-    monkeypatch.setattr(_util, "row_loop", _whole_file)
+    calls = _rows_read(monkeypatch, corpus._JournalRows)
     text = (JOURNALS_HEADER + "A,Alpha,bio,2005,1\n"
             + "".join(f'B,"Beta\nReview, Letters",med,{year},2\n' for year in (2004, 2005))
             + 'C,Gamma,"bio;\r\nmed",2006,3\nC,Gamma,stats,2005,3\n')
@@ -1037,6 +1066,7 @@ def test_quoted_cell_open_at_a_chunk_end_is_joined_to_the_next(monkeypatch):
         with patch.object(_util, "_CHUNK_CHARS", chunk):
             assert parse_journal_metadata(text) == reference_journals(text)
             assert parse_journal_metadata(_stream(text)) == reference_journals(text)
+    assert any(calls) and all(any(map(_odd, read)) for read in calls if read)
 
 
 def _id_chunk(interner, cells):

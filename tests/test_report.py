@@ -299,6 +299,8 @@ def test_histogram_validation():
         render_histogram([], 3, FigureSpec())
     with pytest.raises(ValueError):
         render_histogram([1.0], 0, FigureSpec())
+    with pytest.raises(ValueError, match="non-finite"):
+        render_histogram([1.0, np.nan], 3, FigureSpec())
 
 
 # ---------------------------------------------------------------------------
