@@ -134,7 +134,7 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return out.getvalue()
 
 
-def out_of_range(name: str, value: int) -> str:
+def out_of_range(name: str, value: int | str) -> str:
     return f"{name} {value} out of range (not a 64-bit integer)"
 
 
@@ -240,13 +240,17 @@ class CsvRows:
 
     def int_cell(self, cell: str, name: str, minimum: int | None = None) -> int:
         """An integer: an optional ``-``, then ASCII digits, within int64
-        and at least ``minimum``; surrounding whitespace is ignored."""
+        and at least ``minimum``; surrounding whitespace and leading zeros
+        are ignored, at any length."""
         text = cell.strip()
-        value = _number(int, text)
-        if value is None:
+        digits = text.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
             raise self.error(f"malformed {name} {text!r}")
+        sign, digits = text[:-len(digits)], digits.lstrip("0") or "0"
+        # int64 holds at most 19 digits, and int() refuses over 4,300
+        value = int(sign + digits) if len(digits) < 20 else 2**63
         if not -2**63 <= value < 2**63:
-            raise self.error(out_of_range(name, value))
+            raise self.error(out_of_range(name, sign + digits))
         if minimum is not None and value < minimum:
             raise self.error(f"{name} must be >= {minimum}, got {value}")
         return value
@@ -258,21 +262,15 @@ class CsvRows:
         text = cell.strip()
         if not text:
             return math.nan
-        value = _number(float, text)
-        if value is None or not math.isfinite(value):
-            raise self.error(f"malformed {name} {text!r}")
-        return value
-
-
-def _number(kind: type, text: str) -> int | float | None:
-    """``kind(text)`` for int or float; None where that fails or ``text`` has
-    what both read beyond this grammar: a leading ``+``, ``_``, non-ASCII."""
-    if text.isascii() and text[:1] != "+" and "_" not in text:
-        try:
-            return kind(text)
-        except ValueError:  # malformed, or more digits than int() converts
-            pass
-    return None
+        # float() also reads a leading ``+``, ``_`` and non-ASCII digits
+        if text.isascii() and text[:1] != "+" and "_" not in text:
+            try:
+                value = float(text)
+                if math.isfinite(value):
+                    return value
+            except ValueError:
+                pass
+        raise self.error(f"malformed {name} {text!r}")
 
 
 def csv_reader(source: str | TextIO, header: Sequence[str], what: str,

@@ -44,22 +44,6 @@ def _check_writable(what: str, text: str, jid: str = "") -> None:
                               "(it starts or ends with whitespace, or holds a carriage return)")
 
 
-def _check_journal(journal_id: str, name: str, labels: Collection[str]) -> None:
-    """A ValidationError unless the journal's name and field labels can be
-    written to journals.csv and read back as themselves."""
-    _check_writable("journal {!r} name", name, journal_id)
-    if isinstance(labels, str):
-        raise ValidationError(f"journal {journal_id!r} fields must be a set of labels, "
-                              f"not the string {labels!r}")
-    if any(not f for f in labels):
-        raise ValidationError(f"journal {journal_id!r} has an empty field label")
-    for label in sorted(labels):
-        _check_writable("journal {!r} field label", label, journal_id)
-        if ";" in label:
-            raise ValidationError(f"journal {journal_id!r} field label {label!r} holds "
-                                  "';', which separates labels in journals.csv")
-
-
 def _check_ids(ids: tuple[str, ...]) -> None:
     """A ValidationError unless each of ``ids`` is non-empty, listed once and
     can be written to CSV and read back as itself."""
@@ -116,8 +100,24 @@ class JournalTable:
         if not len(ids) == len(names) == len(fields):
             raise ValidationError("ids, names and fields must have equal lengths")
         _check_ids(ids)
-        for jid, name, labels in zip(ids, names, fields):
-            _check_journal(jid, name, labels)
+        # each journal's name, then its labels in sorted order, each checked
+        # where it first appears: a label already in by_label has passed
+        by_label: dict[str, list[int]] = {}
+        for j, (jid, name, journal_labels) in enumerate(zip(ids, names, fields)):
+            _check_writable("journal {!r} name", name, jid)
+            if isinstance(journal_labels, str):
+                raise ValidationError(f"journal {jid!r} fields must be a set of labels, "
+                                      f"not the string {journal_labels!r}")
+            for label in sorted(journal_labels):
+                if label not in by_label:
+                    if not label:
+                        raise ValidationError(f"journal {jid!r} has an empty field label")
+                    _check_writable("journal {!r} field label", label, jid)
+                    if ";" in label:
+                        raise ValidationError(f"journal {jid!r} field label {label!r} holds "
+                                              "';', which separates labels in journals.csv")
+                    by_label[label] = []
+                by_label[label].append(j)
         rows = [column(values, np.int64, name, "row")
                 for name, values in zip(_TABLE_ROWS, (journal, year, articles))]
         if len({len(values) for values in rows}) > 1:
@@ -135,10 +135,6 @@ class JournalTable:
         if repeated.size:
             i = repeated[0]
             raise ValidationError(f"duplicate journal_id {ids[journal[i]]!r} for year {year[i]}")
-        by_label: dict[str, list[int]] = {}
-        for j, journal_labels in enumerate(fields):
-            for label in journal_labels:
-                by_label.setdefault(label, []).append(j)
         labels = tuple(sorted(by_label))
         set_fields(self, ids=ids, names=names, journal=journal, year=year, articles=articles,
                    labels=labels,

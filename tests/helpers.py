@@ -15,7 +15,8 @@ from itertools import combinations
 import numpy as np
 from scipy.stats import rankdata
 
-from eigenrank import CitationLedger, CsvFormatError, JournalTable, MetricScores
+from eigenrank import (CitationLedger, CsvFormatError, JournalTable, MetricScores,
+                       ValidationError)
 from eigenrank.corpus import CITATIONS_HEADER, JOURNALS_HEADER
 from eigenrank.metrics import SCORES_HEADER
 from eigenrank.stats import pearson_r
@@ -33,6 +34,46 @@ def journal_table(journals) -> JournalTable:
     rows = [(j, year, articles) for j, (*_, by_year) in enumerate(journals)
             for year, articles in by_year.items()]
     return JournalTable(*_columns(journals, 4)[:3], *_columns(rows, 3))
+
+
+def _refuse_unwritable(jid, what, text):
+    """A ValidationError unless ``text``, journal ``jid``'s ``what``, reads
+    back from a CSV cell as itself: the readers strip every cell, and a
+    carriage return ends a line."""
+    if text != text.strip() or "\r" in text:
+        raise ValidationError(f"journal {jid!r} {what} {text!r} cannot be written to CSV and "
+                              "read back (it starts or ends with whitespace, or holds a "
+                              "carriage return)")
+
+
+def reference_label_index(ids, names, fields):
+    """The ``(labels, offsets, members)`` of the JournalTable of journals
+    ``ids`` with these ``names`` and ``fields``, as lists, gathered in one
+    dict of sets.  Before that, each journal in turn is checked in full: its
+    name, a string in place of a set of labels, any empty label, then each
+    label in sorted order for whitespace or a carriage return, then for
+    ``;``.  The first failure raises the ValidationError JournalTable gives."""
+    for jid, name, labels in zip(ids, names, fields):
+        _refuse_unwritable(jid, "name", name)
+        if isinstance(labels, str):
+            raise ValidationError(f"journal {jid!r} fields must be a set of labels, "
+                                  f"not the string {labels!r}")
+        if "" in labels:
+            raise ValidationError(f"journal {jid!r} has an empty field label")
+        for label in sorted(labels):
+            _refuse_unwritable(jid, "field label", label)
+            if ";" in label:
+                raise ValidationError(f"journal {jid!r} field label {label!r} holds ';', "
+                                      "which separates labels in journals.csv")
+    carriers = {}
+    for j, labels in enumerate(fields):
+        for label in labels:
+            carriers.setdefault(label, set()).add(j)
+    labels, offsets, members = sorted(carriers), [0], []
+    for label in labels:
+        members += sorted(carriers[label])
+        offsets.append(len(members))
+    return labels, offsets, members
 
 
 def citation_ledger(records) -> CitationLedger:
@@ -123,14 +164,19 @@ def reference_counts(ledger, table, census_year, window=5, exclude_self=True):
 
 
 def _reference_int(text, name, line, minimum=None):
-    """``text`` as an integer: an optional minus sign, then ASCII digits,
-    within the signed 64-bit range and at least ``minimum``."""
+    """``text`` as an integer: an optional minus sign, then ASCII digits of
+    any length, leading zeros not counted, within the signed 64-bit range
+    and at least ``minimum``."""
     digits = text[1:] if text.startswith("-") else text
     if not digits or any(c not in "0123456789" for c in digits):
         raise CsvFormatError(f"line {line}: malformed {name} {text!r}")
-    value = int(text)
+    magnitude = 0
+    for c in digits:  # held at 2**64 once past int64, however many digits follow
+        magnitude = min(magnitude * 10 + "0123456789".index(c), 2**64)
+    value = -magnitude if text.startswith("-") else magnitude
     if not -2**63 <= value < 2**63:
-        raise CsvFormatError(f"line {line}: {name} {value} out of range (not a 64-bit integer)")
+        shown = text[:len(text) - len(digits)] + digits.lstrip("0")
+        raise CsvFormatError(f"line {line}: {name} {shown} out of range (not a 64-bit integer)")
     if minimum is not None and value < minimum:
         raise CsvFormatError(f"line {line}: {name} must be >= {minimum}, got {value}")
     return value

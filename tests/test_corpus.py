@@ -22,7 +22,7 @@ from eigenrank.cli import _parse_file
 from eigenrank.corpus import CitationRecord
 from eigenrank.metrics import SCORES_HEADER
 from helpers import (citation_ledger, journal_table, random_corpus, reference_citations,
-                     reference_journals, reference_scores)
+                     reference_journals, reference_label_index, reference_scores)
 
 JOURNALS_HEADER = "journal_id,name,fields,year,articles\n"
 CITATIONS_HEADER = "citing_id,cited_id,citing_year,cited_year,count\n"
@@ -525,6 +525,13 @@ def test_table_invariants_rejected():
             (_table, dict(year=(2005, 2006)), "^journal, year and articles must have equal"),
             (_table, dict(journal=(0, 0), year=(2005, 2005), articles=(1, 2)),
              "^duplicate journal_id 'A' for year 2005$"),
+            # the first offending row is named: in the order given, and in (journal, year) order
+            (_table, dict(ids=("A", "B"), names=("a", "b"), fields=((), ()), journal=(1, 0),
+                          year=(2005, 2005), articles=(-1, -2)),
+             "^journal 'B' has a negative article count$"),
+            (_table, dict(ids=("A", "B"), names=("a", "b"), fields=((), ()), journal=(1, 1, 0, 0),
+                          year=(2006, 2006, 2005, 2005), articles=(1,) * 4),
+             "^duplicate journal_id 'A' for year 2005$"),
             (_table, dict(fields=("bio",)), "fields must be a set of labels, not the string"),
             (_table, dict(fields=({"bio", ""},)), "^journal 'A' has an empty field label$"),
             (_table, dict(ids=("",)), "^journal_id must be non-empty$"),
@@ -566,6 +573,42 @@ def test_table_raises_the_first_journals_name_or_label_error():
              "journal 'C' fields must be a set of labels, not the string 'stats'")):
         with pytest.raises(ValidationError, match="^" + re.escape(message)):
             _table(ids=ids, names=names, fields=fields, **rows)
+
+
+# names and labels that read back from journals.csv as themselves, and ones that do not
+_GOOD_NAMES, _BAD_NAMES = ("Alpha", "Beta", ""), ("Beta ", "Ga\rmma", " med")
+_GOOD_LABELS, _BAD_LABELS = ("bio", "med", "stats"), ("", " med", "a;b", "x\r", "bio ")
+
+
+@st.composite
+def _journal_columns(draw):
+    """The ids, names and fields of 1-5 journals, drawn from pools of good
+    and bad names and labels; labels are often shared, and a fields value
+    is sometimes a string."""
+    names = _GOOD_NAMES + (_BAD_NAMES if draw(st.booleans()) else ())
+    labels = _GOOD_LABELS + (_BAD_LABELS if draw(st.booleans()) else ())
+    journals = draw(st.lists(st.tuples(
+        st.sampled_from(names),
+        st.one_of(st.sets(st.sampled_from(labels), max_size=3), st.sampled_from(labels))),
+        min_size=1, max_size=5))
+    return [f"J{j}" for j in range(len(journals))], *zip(*journals)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(columns=_journal_columns())
+@example(columns=(("A", "B"), ("Alpha", "Beta"), ({"a;b"}, {"a;b"})))  # named at its first carrier
+@example(columns=(("A", "B"), ("Alpha", "Beta "), ({"bio"}, {"bio", ""})))  # name before label
+def test_table_raises_the_reference_first_error_or_builds_its_label_index(columns):
+    ids = columns[0]
+    rows = dict(journal=range(len(ids)), year=(2005,) * len(ids), articles=(1,) * len(ids))
+    try:
+        expected = reference_label_index(*columns)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match="^" + re.escape(str(exc)) + "$"):
+            JournalTable(*columns, **rows)
+    else:
+        table = JournalTable(*columns, **rows)
+        assert (list(table.labels), table.offsets.tolist(), table.members.tolist()) == expected
 
 
 @pytest.mark.parametrize("window, counted", [(5, (2001, 2002, 2003, 2004, 2005)),
@@ -691,6 +734,12 @@ def _citation_texts(draw):
 @example(text=CITATIONS_HEADER + "A,B,2006,2005,1\nA,B," + "9" * 19 + ",2005,1\n",
          chunk=20)  # a 19-digit year, past int64
 @example(text=CITATIONS_HEADER + "A,B,2006,2005,1\nA,B,2006," + "9" * 19 + ",1\n", chunk=20)
+@example(text=CITATIONS_HEADER + "A,B,2006,2005,1\nA,B,2006,-" + "9" * 19 + ",1\n",
+         chunk=20)  # 19 digits, below int64
+# integers at any length: leading zeros, and past int64 where int() refuses the text
+@example(text=CITATIONS_HEADER + "A,B,2006,2005,1\nA,B,2006," + "0" * 5000 + "7,1\n", chunk=20)
+@example(text=CITATIONS_HEADER + "A,B,2006,2005,1\nA,B,2006,2005," + "9" * 5000 + "\n", chunk=20)
+@example(text=CITATIONS_HEADER + "A,B,2006,2005,1\nA,B,-" + "9" * 4301 + ",2005,1\n", chunk=20)
 def test_vectorised_reader_equals_row_loop(text, chunk):
     expected = _outcome(reference_citations, text)
     from_file = _outcome(reference_citations, _stream(text))
@@ -1191,6 +1240,13 @@ def _journal_texts(draw):
 @example(text=JOURNALS_HEADER + 'A,Alpha,"bio\rmed",2005,1\nA,Alpha,,2005,1\n',
          chunk=_util._CHUNK_CHARS)  # a quoted CR ends a line, so the repeat is on line 4
 @example(text=JOURNALS_HEADER + "Z" * 33 + ",Alpha,bio,2005,1\n", chunk=7)  # a 33-byte id
+# integers at any length: leading zeros, and past int64 where int() refuses the text
+@example(text=JOURNALS_HEADER + "A,Alpha,bio,2004,1\nA,Alpha,bio," + "0" * 5000 + "2005,3\n",
+         chunk=20)
+@example(text=JOURNALS_HEADER + "A,Alpha,bio,2004,1\nA,Alpha,bio,2005," + "9" * 5000 + "\n",
+         chunk=20)
+@example(text=JOURNALS_HEADER + "A,Alpha,bio,2004,1\nA,Alpha,bio,-" + "9" * 4301 + ",3\n",
+         chunk=20)
 def test_journal_reader_equals_reference_row_loop(text, chunk):
     with patch.object(_util, "_CHUNK_CHARS", chunk):
         assert _outcome(parse_journal_metadata, text) == _outcome(reference_journals, text)

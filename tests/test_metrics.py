@@ -769,6 +769,10 @@ def _scores_outcome(parse, source):
 @example(text=_SCORES_LINE + "A,1,1,1,0,0,0\nB,-.,1,1,0,0,0\n", chunk=20)
 @example(text=_SCORES_LINE + "A,1,1,1,0,0,0\nB," + "9" * 19 + ",1,1,0,0,0\n",
          chunk=20)  # 19 digits, past int64
+# count cells at any length: leading zeros, and past int64 where int() refuses the text
+@example(text=_SCORES_LINE + "A,1,1,1,0,0,0\nB,1,1,1," + "0" * 5000 + "7,0,0\n", chunk=20)
+@example(text=_SCORES_LINE + "A,1,1,1,0,0,0\nB,1,1,1,0," + "9" * 5000 + ",0\n", chunk=20)
+@example(text=_SCORES_LINE + "A,1,1,1,0,0,0\nB,1,1,1,0,0,-" + "9" * 4301 + "\n", chunk=20)
 # the six-place decoder's edges, a row a chunk: the widest whole parts it reads; 2**53 + 1
 # and an 11-digit whole part, which m / 10**6 misreads; other points and places; a point
 # that is a digit; a chunk whose ef column is all empty
