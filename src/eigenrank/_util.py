@@ -273,27 +273,11 @@ class CsvRows:
         raise self.error(f"malformed {name} {text!r}")
 
 
-def csv_reader(source: str | TextIO, header: Sequence[str], what: str,
-               more: bool = False) -> CsvRows:
-    """The rows of ``source`` (text or an open file) after its header row; a
-    missing or different header is a format error naming the file as
-    ``what``.  With ``more``, ``source`` is the file's first piece, and a
-    header row that the piece's end cuts is not checked (``cut``)."""
-    rows = CsvRows(source, more=more)
-    if rows.cut:
-        return rows
-    if rows.header is None:
-        raise CsvFormatError(f"{what}: missing header row")
-    if tuple(h.strip() for h in rows.header) != tuple(header):
-        raise CsvFormatError(f"{what}: expected header {','.join(header)}, "
-                             f"got {','.join(rows.header)}")
-    return rows
-
-
-def parse_rows(source: str | TextIO, header: Sequence[str], what: str, reader: type):
-    """``reader``'s result for ``source`` (text or an open file), a file
-    named ``what`` that must start with the ``header`` row: the result and
-    every error are those of the reader's ``rows`` over the whole source.
+def parse_rows(source: str | TextIO, header: Sequence[str], reader: type):
+    """``reader``'s result for ``source`` (text or an open file), which must
+    start with the ``header`` row: the result and every error are those of
+    the reader's ``rows`` over the whole source.  A missing or different
+    header row is a format error on line 1.
 
     A ``reader()`` holds what a file's rows have taught it and three methods:
 
@@ -317,7 +301,7 @@ def parse_rows(source: str | TextIO, header: Sequence[str], what: str, reader: t
     chunks = pieces(source)
     state = reader()
     try:
-        return state.result(_chunk_columns(chunks, header, what, state, _size(source)))
+        return state.result(_chunk_columns(chunks, header, state, _size(source)))
     except DataError:
         for _ in chunks:  # the rest of the source
             pass
@@ -348,7 +332,7 @@ def _narrow(values: np.ndarray) -> np.ndarray:
     return values.astype(dtype, copy=False)
 
 
-def _chunk_columns(chunks: Iterator[str], header: Sequence[str], what: str, reader,
+def _chunk_columns(chunks: Iterator[str], header: Sequence[str], reader,
                    size: int) -> list[np.ndarray]:
     """The columns ``reader`` reads from the pieces of a file, ``chunks``,
     and then "" for its end: each chunk's integer columns narrowed
@@ -374,13 +358,17 @@ def _chunk_columns(chunks: Iterator[str], header: Sequence[str], what: str, read
         cells = _cells(chunk, len(header)) if head else None
         block = None if cells is None else reader.kernel(*cells)
         if block is None:
-            more = bool(piece)
-            rows = (CsvRows(chunk, head, line, more) if head
-                    else csv_reader(chunk, header, what, more))
+            rows = CsvRows(chunk, head, line, more=bool(piece))
             if rows.cut:  # the piece ends inside the header row
                 cut = chunk
                 continue
-            head = header
+            if head is None:  # the header row just read
+                if rows.header is None:
+                    raise CsvFormatError("line 1: missing header row")
+                if tuple(h.strip() for h in rows.header) != tuple(header):
+                    raise CsvFormatError(f"line 1: expected header {','.join(header)}, "
+                                         f"got {','.join(rows.header)}")
+                head = header
             block = reader.rows(rows)
             if rows.cut:  # the piece ends inside a row: carry its lines to the next
                 cut = "".join(itertools.islice(io.StringIO(chunk, newline=""), rows.done, None))

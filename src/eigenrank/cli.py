@@ -236,7 +236,8 @@ def _apply_config(argv: list[str], by_name: dict[str, _Parser]) -> None:
 # ---------------------------------------------------------------------------
 
 def _parse_file(parse, path: str):
-    """``parse`` an input CSV streamed from ``path``.
+    """``parse`` an input CSV streamed from ``path``; a data error is raised
+    again as its own type with ``path`` before its message.
 
     ``utf-8-sig`` drops the byte-order mark spreadsheet exports start with;
     ``newline=""`` hands CRLF line ends to the csv module.  Bytes that are
@@ -252,6 +253,8 @@ def _parse_file(parse, path: str):
             if line is None:
                 raise
             raise CsvFormatError(f"{path}: line {line}: not valid UTF-8") from None
+        except DataError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
 
 # readers are looked up on their modules at each call, so a wrapper put there sees it
@@ -276,11 +279,27 @@ def _ratio_analysis(args, why: str) -> stats.RatioAnalysis:
 def _cmd_compute(args):
     table = _journals(args, "compute")
     ledger = _parse_file(corpus.parse_citation_edges, args.citations)
-    scores, solver = metrics.compute_metrics(
-        table, ledger, args.census_year, window=args.window, alpha=args.alpha,
-        tol=args.tol, max_iter=args.max_iter,
-        exclude_self_influence=not args.include_self_cites,
-        exclude_self_counts=args.exclude_self_cites_counts)
+    try:
+        scores, solver = metrics.compute_metrics(
+            table, ledger, args.census_year, window=args.window, alpha=args.alpha,
+            tol=args.tol, max_iter=args.max_iter,
+            exclude_self_influence=not args.include_self_cites,
+            exclude_self_counts=args.exclude_self_cites_counts)
+    except ValidationError as exc:
+        # the ledger's ids are those its rows use, and unknown ones are the
+        # first check compute_metrics makes, so with any this error lists them
+        unknown = {jid for jid in ledger.ids if jid not in table.index}
+        if not unknown:
+            raise
+
+        def first_use(fh) -> None:  # the ledger keeps no lines, so the file is read again
+            rows = CsvRows(fh)
+            for row in rows:
+                if {row[0].strip(), row[1].strip()} & unknown:
+                    raise ValidationError(f"line {rows.line}: {exc}")
+
+        _parse_file(first_use, args.citations)
+        raise  # no row uses one now: the file changed after the parse
     return [(args.out, metrics.write_scores_csv(scores))], [
         f"wrote {len(scores)} journals to {args.out} "
         f"({solver.iterations} iterations, {solver.dangling_count} dangling)"]
@@ -374,13 +393,13 @@ def _read_value_column(path: str, column: str) -> list[float]:
         rows = CsvRows(fh)
         k = {name: i for i, name in enumerate(rows.header or ())}.get(column)
         if k is None:
-            raise CsvFormatError(f"{path}: no column {column!r}")
-        return [rows.decimal_cell(row[k], column) for row in rows if row[k].strip()]
+            raise CsvFormatError(f"line 1: no column {column!r}")
+        values = [rows.decimal_cell(row[k], column) for row in rows if row[k].strip()]
+        if not values:
+            raise CsvFormatError(f"no values in column {column!r}")
+        return values
 
-    values = _parse_file(parse, path)
-    if not values:
-        raise CsvFormatError(f"{path}: no values in column {column!r}")
-    return values
+    return _parse_file(parse, path)
 
 
 def _cmd_plot(args):

@@ -108,7 +108,7 @@ class JournalTable:
             if isinstance(journal_labels, str):
                 raise ValidationError(f"journal {jid!r} fields must be a set of labels, "
                                       f"not the string {journal_labels!r}")
-            for label in sorted(journal_labels):
+            for label in sorted(set(journal_labels)):  # a label listed twice is one
                 if label not in by_label:
                     if not label:
                         raise ValidationError(f"journal {jid!r} has an empty field label")
@@ -271,7 +271,8 @@ class CitationLedger:
             used[self.citing] = used[self.cited] = True
             unknown = sorted(jid for jid, bad in zip(self.ids, (missing & used).tolist()) if bad)
             if unknown:
-                raise ValidationError("unknown journal ids in ledger: " + ", ".join(unknown))
+                raise ValidationError("unknown journal ids in ledger: "
+                                      + ", ".join(map(repr, unknown)))
         return positions
 
     def validate(self, table: JournalTable) -> tuple[CitationRecord, ...]:
@@ -366,7 +367,7 @@ def parse_journal_metadata(source: str | TextIO) -> JournalTable:
     read in numpy columns (``_JournalRows.kernel``), the rest by the csv row
     loop, and the table and every error are the row loop's.
     """
-    return parse_rows(source, JOURNALS_HEADER, "journals.csv", _JournalRows)
+    return parse_rows(source, JOURNALS_HEADER, _JournalRows)
 
 
 class _JournalRows:
@@ -506,7 +507,7 @@ def parse_citation_edges(source: str | TextIO) -> CitationLedger:
     (``_CitationRows.kernel``), the rest by the csv row loop, and the ledger
     and every error are the row loop's.
     """
-    return parse_rows(source, CITATIONS_HEADER, "citations.csv", _CitationRows)
+    return parse_rows(source, CITATIONS_HEADER, _CitationRows)
 
 
 _COLUMNS = len(CITATIONS_HEADER)

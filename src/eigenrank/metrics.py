@@ -356,7 +356,7 @@ def read_scores_csv(source: str | TextIO) -> MetricScores:
     numpy columns (``_ScoreRows.kernel``), the rest by the csv row loop,
     and the scores and every error are the row loop's.
     """
-    return parse_rows(source, SCORES_HEADER, "scores.csv", _ScoreRows)
+    return parse_rows(source, SCORES_HEADER, _ScoreRows)
 
 
 class _ScoreRows:

@@ -192,9 +192,9 @@ def reference_journals(source):
     try:
         header = next(reader, None)
         if header is None:
-            raise CsvFormatError("journals.csv: missing header row")
+            raise CsvFormatError("line 1: missing header row")
         if [h.strip() for h in header] != list(JOURNALS_HEADER):
-            raise CsvFormatError(f"journals.csv: expected header {','.join(JOURNALS_HEADER)}, "
+            raise CsvFormatError(f"line 1: expected header {','.join(JOURNALS_HEADER)}, "
                                  f"got {','.join(header)}")
         for row in reader:
             line = reader.line_num
@@ -232,9 +232,9 @@ def reference_citations(source):
     try:
         header = next(reader, None)
         if header is None:
-            raise CsvFormatError("citations.csv: missing header row")
+            raise CsvFormatError("line 1: missing header row")
         if [h.strip() for h in header] != list(CITATIONS_HEADER):
-            raise CsvFormatError(f"citations.csv: expected header {','.join(CITATIONS_HEADER)}, "
+            raise CsvFormatError(f"line 1: expected header {','.join(CITATIONS_HEADER)}, "
                                  f"got {','.join(header)}")
         for row in reader:
             line = reader.line_num
@@ -280,9 +280,9 @@ def reference_scores(source):
     try:
         header = next(reader, None)
         if header is None:
-            raise CsvFormatError("scores.csv: missing header row")
+            raise CsvFormatError("line 1: missing header row")
         if [h.strip() for h in header] != list(SCORES_HEADER):
-            raise CsvFormatError(f"scores.csv: expected header {','.join(SCORES_HEADER)}, "
+            raise CsvFormatError(f"line 1: expected header {','.join(SCORES_HEADER)}, "
                                  f"got {','.join(header)}")
         for row in reader:
             line = reader.line_num

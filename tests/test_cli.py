@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigenrank import spurious
+from eigenrank import corpus, spurious
 from eigenrank import (CorrelationResult, FieldCorrelations, parse_citation_edges,
                        parse_journal_metadata, read_scores_csv, write_citation_edges,
                        write_journal_metadata, write_scores_csv)
@@ -251,6 +251,35 @@ def test_simulate_out_of_memory_is_a_usage_error(kind, simulator, monkeypatch, c
     assert not Path("o.csv").exists() and not Path("o.txt").exists()
 
 
+# each simulator's leading arguments when simulate has no flag but --cv 0.3
+# (ossuary and yule draw every variable from it, journal-size has its own cvs)
+_SIMULATOR_DEFAULTS = {
+    "simulate_ossuary": [spurious.spec_from_cv("lognormal", 0.3)] * 3,
+    "simulate_yule_products": [spurious.spec_from_cv("lognormal", 0.3)] * 3,
+    "simulate_journal_sizes": [1.785, 1.548, 1.910],
+    "logistic_map_correlation": [4.0, 0.2, 1000, 1000],  # r, x0, --n, --burn-in
+}
+
+
+@pytest.mark.parametrize("kind, simulator, flag, position", [
+    *(("ossuary", "simulate_ossuary", flag, k)
+      for k, flag in enumerate(("--femur-cv", "--tibia-cv", "--humerus-cv"))),
+    *(("yule", "simulate_yule_products", flag, k)
+      for k, flag in enumerate(("--z1-cv", "--z2-cv", "--x3-cv"))),
+    *(("journal-size", "simulate_journal_sizes", flag, k)
+      for k, flag in enumerate(("--ai-cv", "--if-cv", "--n5-cv"))),
+    ("logistic", "logistic_map_correlation", "--burn-in", 3)])
+def test_each_simulate_flag_reaches_its_simulator(kind, simulator, flag, position, monkeypatch):
+    calls = []
+    run = getattr(spurious, simulator)
+    monkeypatch.setattr(spurious, simulator, lambda *args, **kwargs: (
+        calls.append(args), run(*args, **kwargs))[1])
+    assert main(["simulate", kind, flag, "7", "--cv", "0.3", "--n", "1000", "--trials", "2"]) == 0
+    expected = list(_SIMULATOR_DEFAULTS[simulator])
+    expected[position] = spurious.spec_from_cv("lognormal", 7) if kind in ("ossuary", "yule") else 7
+    assert [list(args[:len(expected)]) for args in calls] == [expected]
+
+
 def test_config_file_supplies_defaults_and_flags_override(tmp_path):
     Path("sim.cfg").write_text("# trial budget\n\ntrials=4\nn=64\nseed=9\n")
     assert main(["simulate", "ossuary", "--config", "sim.cfg",
@@ -469,7 +498,7 @@ def test_every_reader_rejects_a_cell_outside_the_grammar_by_line(reader, rows, m
     header, argv = _READERS[reader]
     Path("in.csv").write_text(f"{header}\n{rows}\n", encoding="utf-8")
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: in.csv: {message}\n"
 
 
 def test_exit_codes_data_errors(tmp_path, capsys):
@@ -484,8 +513,8 @@ def test_exit_codes_data_errors(tmp_path, capsys):
     assert main(["compute", "--journals", "missing.csv", "--citations", CITATIONS,
                  "--census-year", "2006"]) == 2
     Path("v.csv").write_text("trial,rho\n0,0.5\n1,abc\n")
-    for column, message in (("nope", "v.csv: no column 'nope'"),
-                            ("rho", "line 3: malformed rho 'abc'")):
+    for column, message in (("nope", "v.csv: line 1: no column 'nope'"),
+                            ("rho", "v.csv: line 3: malformed rho 'abc'")):
         assert main(["plot", "histogram", "--values", "v.csv", "--column", column,
                      "--out", "h.svg"]) == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -514,18 +543,53 @@ def test_exit_codes_data_errors(tmp_path, capsys):
     journal_lines = len(Path(JOURNALS).read_text().splitlines())
     for argv, message in (
             (["compute", "--journals", JOURNALS, "--citations", "long_c.csv",
-              "--census-year", "2006"], "line 2: field larger than field limit (131072)"),
+              "--census-year", "2006"],
+             "long_c.csv: line 2: field larger than field limit (131072)"),
             (["compute", "--journals", "long_j.csv", "--citations", CITATIONS,
               "--census-year", "2006"],
-             f"line {journal_lines + 1}: field larger than field limit (131072)"),
+             f"long_j.csv: line {journal_lines + 1}: field larger than field limit (131072)"),
             (["correlate", "--scores", "long_s.csv"],
-             "line 2: field larger than field limit (131072)"),
+             "long_s.csv: line 2: field larger than field limit (131072)"),
             (["plot", "histogram", "--values", "long_v.csv", "--out", "h.svg"],
-             "line 3: field larger than field limit (131072)")):
+             "long_v.csv: line 3: field larger than field limit (131072)")):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
     assert not Path("scores.csv").exists() and not Path("correlations.csv").exists()
     assert not Path("h.svg").exists()
+
+
+def test_unknown_journal_ids_name_the_line_of_their_first_row(capsys):
+    # a blank line and a known id quoted over two lines come before the first
+    # row with an unknown id, on line 6; the ids are escaped as the cells are
+    Path("j.csv").write_text(Path(JOURNALS).read_text() + '"X\nY",Split,,2005,3\n')
+    Path("c.csv").write_text("citing_id,cited_id,citing_year,cited_year,count\n"
+                             'A,B,2006,2005,1\n\n"X\nY",A,2006,2005,2\n'
+                             "A, \x1a ,2006,2005,3\nZed,B,2006,2005,1\n\ufeffC,A,2006,2005,1\n",
+                            encoding="utf-8")
+    assert main(["compute", "--journals", "j.csv", "--citations", "c.csv",
+                 "--census-year", "2006"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: c.csv: line 6: unknown journal ids in ledger: "
+                            "'\\x1a', 'Zed', '\\ufeffC'\n")
+    assert not Path("scores.csv").exists()
+
+
+def test_unknown_ids_not_found_again_keep_the_library_message(monkeypatch, capsys):
+    # the file changes between the parse and the read that looks for the line
+    parse = corpus.parse_citation_edges
+
+    def parse_then_replace(fh):
+        ledger = parse(fh)
+        Path("c.csv").write_text(Path(CITATIONS).read_text())
+        return ledger
+
+    monkeypatch.setattr(corpus, "parse_citation_edges", parse_then_replace)
+    Path("c.csv").write_text("citing_id,cited_id,citing_year,cited_year,count\n"
+                             "A,Zed,2006,2005,3\n")
+    assert main(["compute", "--journals", JOURNALS, "--citations", "c.csv",
+                 "--census-year", "2006"]) == 2
+    assert capsys.readouterr().err == "error: unknown journal ids in ledger: 'Zed'\n"
 
 
 def test_duplicate_journal_id_in_scores_is_a_data_error(capsys):
@@ -673,8 +737,8 @@ def test_empty_histogram_input_is_a_data_error(capsys):
     Path("nan.csv").write_text("trial,rho\n0,0.5\n1,nan\n")
     Path("inf.csv").write_text("trial,rho\n0,inf\n1,0.5\n")
     for name, message in (("empty.csv", "empty.csv: no values in column 'rho'"),
-                          ("nan.csv", "line 3: malformed rho 'nan'"),
-                          ("inf.csv", "line 2: malformed rho 'inf'")):
+                          ("nan.csv", "nan.csv: line 3: malformed rho 'nan'"),
+                          ("inf.csv", "inf.csv: line 2: malformed rho 'inf'")):
         assert main(["plot", "histogram", "--values", name, "--out", "h.svg"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not Path("h.svg").exists()

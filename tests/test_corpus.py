@@ -285,7 +285,7 @@ def test_validate_rejects_unknown_ids_and_flags_noisy_records():
     # tracer (perfbench/tracing.py), which wraps validate and __iter__
     table = parse_journal_metadata(JOURNALS_HEADER + "A,Alpha,,2005,10\nB,Beta,,2005,3\n")
     ledger = parse_citation_edges(CITATIONS_HEADER + "A,X,2006,2005,1\nY,B,2006,2005,2\n")
-    with pytest.raises(ValidationError, match="X, Y"):
+    with pytest.raises(ValidationError, match="'X', 'Y'"):
         ledger.validate(table)
     ledger = parse_citation_edges(CITATIONS_HEADER + "A,B,2006,2005,1\nA,B,2004,2007,2\n")
     assert list(ledger) == [CitationRecord("A", "B", 2006, 2005, 1),
@@ -583,13 +583,14 @@ _GOOD_LABELS, _BAD_LABELS = ("bio", "med", "stats"), ("", " med", "a;b", "x\r", 
 @st.composite
 def _journal_columns(draw):
     """The ids, names and fields of 1-5 journals, drawn from pools of good
-    and bad names and labels; labels are often shared, and a fields value
-    is sometimes a string."""
+    and bad names and labels; labels are often shared, a fields value is
+    sometimes a list that may repeat a label, and sometimes a string."""
     names = _GOOD_NAMES + (_BAD_NAMES if draw(st.booleans()) else ())
     labels = _GOOD_LABELS + (_BAD_LABELS if draw(st.booleans()) else ())
     journals = draw(st.lists(st.tuples(
         st.sampled_from(names),
-        st.one_of(st.sets(st.sampled_from(labels), max_size=3), st.sampled_from(labels))),
+        st.one_of(st.sets(st.sampled_from(labels), max_size=3),
+                  st.lists(st.sampled_from(labels), max_size=4), st.sampled_from(labels))),
         min_size=1, max_size=5))
     return [f"J{j}" for j in range(len(journals))], *zip(*journals)
 
@@ -598,6 +599,7 @@ def _journal_columns(draw):
 @given(columns=_journal_columns())
 @example(columns=(("A", "B"), ("Alpha", "Beta"), ({"a;b"}, {"a;b"})))  # named at its first carrier
 @example(columns=(("A", "B"), ("Alpha", "Beta "), ({"bio"}, {"bio", ""})))  # name before label
+@example(columns=(("A", "B"), ("Alpha", "Beta"), (["bio", "bio"], ["med", "bio", "med"])))
 def test_table_raises_the_reference_first_error_or_builds_its_label_index(columns):
     ids = columns[0]
     rows = dict(journal=range(len(ids)), year=(2005,) * len(ids), articles=(1,) * len(ids))
@@ -609,6 +611,15 @@ def test_table_raises_the_reference_first_error_or_builds_its_label_index(column
     else:
         table = JournalTable(*columns, **rows)
         assert (list(table.labels), table.offsets.tolist(), table.members.tolist()) == expected
+
+
+def test_a_repeated_label_is_indexed_once():
+    table = JournalTable(("A",), ("a",), (["bio", "bio"],), (0,), (2005,), (1,))
+    assert table.members_of("bio") == ("A",)
+    assert table.offsets.tolist() == [0, 1]
+    text = write_journal_metadata(table)
+    assert text.splitlines()[1] == "A,a,bio,2005,1"
+    assert parse_journal_metadata(text) == table
 
 
 @pytest.mark.parametrize("window, counted", [(5, (2001, 2002, 2003, 2004, 2005)),
@@ -919,8 +930,14 @@ def test_chunk_columns_grow_and_widen_into_the_row_loop_ledger(case, tmp_path, m
     later = [(held, dtype) for held, _, dtype in made if held]  # arrays made after the first
     if case in _GROWN:
         assert len(later) >= 2 * len(corpus._LEDGER_COLUMNS)  # doubled twice at least
+        if case != "compressed size":  # with no size, the first are twice the first chunk's rows
+            with patch.object(_util, "_CHUNK_CHARS", 4096):
+                end = next(_util.pieces(text)).count("\n") - 1  # after the header
+            assert first == 2 * end + (2 * end >> 7)
     elif case == "short estimate":
-        assert first < len(rows) <= last
+        # the last, made for the last chunk once every character is read: the
+        # rows at the size's estimate, exact by then, and its 1/128 slack
+        assert first < len(rows) and last == len(rows) + (len(rows) >> 7)
     else:
         assert first >= len(rows) and later == [(later[0][0], np.dtype(np.int16))]
 

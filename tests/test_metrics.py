@@ -548,7 +548,7 @@ def test_aggregations_list_every_unknown_id():
     ledger = citation_ledger((("J00", "Y", 2006, 2005, 1),
                               ("X", "J01", 2001, 2000, 1)))
     for aggregate in (impact_factor, total_citations):
-        with pytest.raises(ValidationError, match="unknown journal ids in ledger: X, Y$"):
+        with pytest.raises(ValidationError, match="unknown journal ids in ledger: 'X', 'Y'$"):
             aggregate(ledger, table, 2006)
 
 
@@ -702,10 +702,10 @@ def test_scores_csv_undefined_printed_empty():
     # the column count and header messages match the other readers
     with pytest.raises(CsvFormatError, match="^line 3: expected 7 columns, got 6$"):
         read_scores_csv(text.replace("\nB,0.000000,,,0,0,0\n", "\nB,0.000000,,,0,0\n"))
-    with pytest.raises(CsvFormatError, match="^scores.csv: expected header journal_id,ef,ai,"
+    with pytest.raises(CsvFormatError, match="^line 1: expected header journal_id,ef,ai,"
                                              "impact_factor,total_citations,n5,n2, got id,ef$"):
         read_scores_csv("id,ef\nA,1\n")
-    with pytest.raises(CsvFormatError, match="^scores.csv: missing header row$"):
+    with pytest.raises(CsvFormatError, match="^line 1: missing header row$"):
         read_scores_csv("")
 
 
