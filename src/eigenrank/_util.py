@@ -8,8 +8,10 @@ grammar of rows and cells, held here in two forms that must agree: the
 row loop (``CsvRows``) reads any row, and the numpy chunk kernels read a
 chunk of plain rows at once, ``_cells`` splitting it into byte cells that
 ``_IdCodes``, ``_decimal_cells`` and ``_six_place_cells`` decode or
-decline.  The journals, citations and scores readers read theirs through
-``parse_rows``, which hands each chunk's cells to a kernel first.
+decline.  The journals, citations and scores readers get their columns
+from ``parse_rows``, which hands each chunk's cells to a kernel first, and
+build their results from them.  A row error names the line where the row
+starts.
 """
 
 from __future__ import annotations
@@ -173,9 +175,9 @@ class CsvRows:
     file), and iterating yields each non-blank row after it.  A row not as
     wide as the header, a ``csv.Error`` (a cell over the csv field size
     limit) and a cell a ``*_cell`` method refuses are format errors naming
-    their line.  ``source`` (text, or an open file read a piece at a time)
-    is split into lines as a file opened with ``newline=""`` is, at LF, CRLF
-    or CR.
+    ``line``, the line where their row starts.  ``source`` (text, or an
+    open file read a piece at a time) is split into lines as a file opened
+    with ``newline=""`` is, at LF, CRLF or CR.
 
     ``source`` may be a piece of a file that starts at line ``line``, and
     with ``header`` given it holds the rows after that header row.  With
@@ -190,7 +192,7 @@ class CsvRows:
         # a piece at a time: io.StringIO stores its text at 4 bytes a character
         lines = (io.StringIO(piece, newline="") for piece in pieces(source))
         self.cut = self._ended = False
-        self.line = self._before = line - 1  # ``line``: the line last read
+        self._before, self.done = line - 1, 0
         self._reader = csv.reader(itertools.chain(itertools.chain.from_iterable(lines),
                                                   self._end()))
         self._rows = self._read(header, more)
@@ -214,7 +216,7 @@ class CsvRows:
             yield header
             width = len(header or ())
             for row in self._reader:
-                self.line = self._before + self._reader.line_num
+                self.line = self._before + self.done + 1
                 if more and self._ended:  # the piece ends inside this row's quoted cell
                     self.cut = True
                     return
@@ -224,11 +226,11 @@ class CsvRows:
                 elif row:
                     raise self.error(f"expected {width} columns, got {len(row)}")
         except csv.Error as exc:
-            self.line = self._before + self._reader.line_num
+            self.line = self._before + self.done + 1
             raise self.error(str(exc)) from None
 
     def error(self, message: str) -> CsvFormatError:
-        """A format error naming the line last read."""
+        """A format error naming ``line``."""
         return CsvFormatError(f"line {self.line}: {message}")
 
     def id_cell(self, cell: str, name: str) -> str:
@@ -273,20 +275,21 @@ class CsvRows:
         raise self.error(f"malformed {name} {text!r}")
 
 
-def parse_rows(source: str | TextIO, header: Sequence[str], reader: type):
-    """``reader``'s result for ``source`` (text or an open file), which must
-    start with the ``header`` row: the result and every error are those of
-    the reader's ``rows`` over the whole source.  A missing or different
-    header row is a format error on line 1.
+def parse_rows(source: str | TextIO, header: Sequence[str], reader) -> list[np.ndarray]:
+    """The columns ``reader`` reads from ``source`` (text or an open file),
+    which must start with the ``header`` row: the columns and every error
+    are those of the reader's ``rows`` over the whole source.  A missing or
+    different header row is a format error on line 1.
 
-    A ``reader()`` holds what a file's rows have taught it and three methods:
+    ``reader`` holds what a file's rows have taught it, and two methods:
 
     * ``kernel(text, padded, raw, starts, lengths)``: the columns of the
-      rows of a chunk of plain rows split by ``_cells``, or None, having
-      learnt nothing, where it cannot show that ``rows`` reads the same;
+      rows of a chunk of plain rows split by ``_cells``, or None where it
+      cannot show that ``rows`` reads the same.  It may decline after
+      coding the chunk's ids only where ``rows`` fails on the chunk, which
+      codes them again in the same order, so a kernel has nothing to undo;
     * ``rows(rows)``: the columns of the rows of a ``CsvRows``, read one at
-      a time;
-    * ``result(columns)``: what the file holds, its rows being ``columns``.
+      a time.
 
     Every source, whatever its length, is read a piece (``pieces``) at a
     time, never whole: after an exact header line the kernel answers or
@@ -299,9 +302,8 @@ def parse_rows(source: str | TextIO, header: Sequence[str], reader: type):
     chunk at a time into arrays sized from the source's length (``_size``).
     """
     chunks = pieces(source)
-    state = reader()
     try:
-        return state.result(_chunk_columns(chunks, header, state, _size(source)))
+        return _chunk_columns(chunks, header, reader, _size(source))
     except DataError:
         for _ in chunks:  # the rest of the source
             pass
@@ -584,26 +586,13 @@ class _IdCodes:
             rest[taken] = False
             keys, codes = keys[rest], codes[rest]
 
-    def forget(self, count: int) -> None:
-        """Forget every id after the first ``count``: a kernel that declines
-        a chunk after coding its ids learns nothing from it."""
-        for jid in self.ids[count:]:
-            del self.index[jid]
-        del self.ids[count:]
-        self._words[count:] = 0
-        self._store(len(self._keys), count)
-
     def _grow(self) -> None:
-        """Double the table until the ids fill at most half of it."""
+        """Double the table until the ids fill at most half of it, holding
+        again every key it holds."""
         size = len(self._keys)
         while 2 * len(self.ids) > size:
             size *= 2
-        self._store(size, len(self.ids))
-
-    def _store(self, size: int, count: int) -> None:
-        """A table of ``size`` slots holding again the keys of the first
-        ``count`` codes."""
-        held = np.flatnonzero((self._codes >= 0) & (self._codes < count))
+        held = np.flatnonzero(self._keys)
         keys, codes = self._keys[held], self._codes[held]
         self._keys = np.zeros(size, dtype=np.uint64)
         self._codes = np.full(size, -1, dtype=np.int64)

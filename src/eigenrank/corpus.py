@@ -367,7 +367,9 @@ def parse_journal_metadata(source: str | TextIO) -> JournalTable:
     read in numpy columns (``_JournalRows.kernel``), the rest by the csv row
     loop, and the table and every error are the row loop's.
     """
-    return parse_rows(source, JOURNALS_HEADER, _JournalRows)
+    reader = _JournalRows()
+    columns = parse_rows(source, JOURNALS_HEADER, reader)
+    return JournalTable(reader.ids.ids, reader.names, reader.labels, *columns)
 
 
 class _JournalRows:
@@ -401,7 +403,6 @@ class _JournalRows:
         year, articles = (_decimal_cells(raw, starts[:, k], lengths[:, k]) for k in (3, 4))
         if year is None or articles is None:
             return None
-        known_ids = len(self.ids.ids)
         journal = self.ids.codes(text, padded, starts[:, 0], lengths[:, 0])
         if journal is None:
             return None
@@ -424,8 +425,7 @@ class _JournalRows:
         at = np.searchsorted(self.pairs, keys)
         if (not same_name.all() or any(self._renamed(j, name) for j, name, _ in updates)
                 or (keys[1:] == keys[:-1]).any() or (self.pairs.take(at, mode="clip") == keys).any()):
-            self.ids.forget(known_ids)  # a renamed journal or a repeated year: rows() names its line
-            return None
+            return None  # a renamed journal or a repeated year: rows() names its line
         new = firsts[~known]
         self._add(*(_slices(text, starts[new, k], lengths[new, k]) for k in (1, 2)))
         for update in updates:
@@ -495,9 +495,6 @@ class _JournalRows:
                 f.strip() for f in field_list.split(";") if f.strip())
         return labels
 
-    def result(self, columns) -> JournalTable:
-        return JournalTable(self.ids.ids, self.names, self.labels, *columns)
-
 
 def parse_citation_edges(source: str | TextIO) -> CitationLedger:
     """Parse ``citations.csv`` content into a CitationLedger (input order kept).
@@ -507,7 +504,9 @@ def parse_citation_edges(source: str | TextIO) -> CitationLedger:
     (``_CitationRows.kernel``), the rest by the csv row loop, and the ledger
     and every error are the row loop's.
     """
-    return parse_rows(source, CITATIONS_HEADER, _CitationRows)
+    reader = _CitationRows()
+    columns = parse_rows(source, CITATIONS_HEADER, reader)
+    return CitationLedger(reader.ids.ids, *columns)
 
 
 _COLUMNS = len(CITATIONS_HEADER)
@@ -549,9 +548,6 @@ class _CitationRows:
                                        rdr.int_cell(cell, name, minimum=1 if k == 4 else None))
                 values += map(dict.__getitem__, caches, row)
         return np.array(values, dtype=np.int64).reshape(-1, _COLUMNS).T
-
-    def result(self, columns) -> CitationLedger:
-        return CitationLedger(self.ids.ids, *columns)
 
 
 def write_journal_metadata(table: JournalTable) -> str:

@@ -224,19 +224,25 @@ def article_influence(ef: np.ndarray, a: np.ndarray) -> np.ndarray:
     The article-weighted mean of the defined entries is exactly 1.  A
     journal with no in-window articles but a positive EF means the corpus
     is corrupted (it received citations it could not have earned), which
-    raises InconsistencyError rather than being silently repaired.
+    raises InconsistencyError naming its position rather than being
+    silently repaired.
     """
     ef = np.asarray(ef, dtype=float)
     a = np.asarray(a, dtype=float)
-    bad = (a == 0) & (ef > 0)
-    if bad.any():
-        raise InconsistencyError(
-            f"{int(bad.sum())} journal(s) received citations but published no articles "
-            f"in the window (indices {np.flatnonzero(bad).tolist()})")
+    _check_earned(ef, a, range(len(ef)))
     ai = np.full(len(ef), np.nan)
     pos = a > 0
     ai[pos] = 0.01 * ef[pos] / a[pos]
     return column(ai, float)
+
+
+def _check_earned(ef: np.ndarray, a: np.ndarray, ids) -> None:
+    """An InconsistencyError naming, by ``ids``, each journal with a positive
+    EF but no article share ``a``."""
+    bad = np.flatnonzero((a == 0) & (ef > 0)).tolist()
+    if bad:
+        raise InconsistencyError(f"{len(bad)} journal(s) received citations but published no "
+                                 "articles in the window: " + ", ".join(repr(ids[j]) for j in bad))
 
 
 def impact_factor(ledger: CitationLedger, table: JournalTable, census_year: int,
@@ -313,6 +319,7 @@ def compute_metrics(table: JournalTable, ledger: CitationLedger, census_year: in
     pi, report = power_iterate(h, dangling, a, alpha=alpha, tol=tol, max_iter=max_iter)
     ef = eigenfactor_scores(h, pi)
     del h  # freed before IF and TC gather their columns
+    _check_earned(ef, a, table.ids)  # named by id, which article_influence does not know
     ai = article_influence(ef, a)
     scores = MetricScores(
         census_year=census_year,
@@ -356,16 +363,20 @@ def read_scores_csv(source: str | TextIO) -> MetricScores:
     numpy columns (``_ScoreRows.kernel``), the rest by the csv row loop,
     and the scores and every error are the row loop's.
     """
-    return parse_rows(source, SCORES_HEADER, _ScoreRows)
+    reader = _ScoreRows()
+    columns = parse_rows(source, SCORES_HEADER, reader)
+    return MetricScores(None, reader.ids.ids, *columns)
 
 
 class _ScoreRows:
     """The reader of scores.csv rows for ``parse_rows``: the EF, AI and IF
     columns as float64 and the count columns as integers, ``ids`` listing
-    the journals in order."""
+    the journals in order.  ``held`` counts the rows read: while no id
+    repeats, the next row's id is new and gets code ``held``."""
 
     def __init__(self):
         self.ids = _IdCodes()
+        self.held = 0
         self.counts: dict[str, int] = {}  # count cells repeat, so each text is parsed once
 
     def kernel(self, text: str, padded: bytes, raw: np.ndarray, starts: np.ndarray,
@@ -374,12 +385,11 @@ class _ScoreRows:
             raw, starts[:, k], lengths[:, k]) for k in range(1, len(SCORES_HEADER))]
         if any(values is None for values in columns):
             return None
-        known = len(self.ids.ids)
         if self.ids.codes(text, padded, starts[:, 0], lengths[:, 0]) is None:
             return None
-        if len(self.ids.ids) - known < len(starts):  # fewer new codes than rows: a repeated id
-            self.ids.forget(known)  # rows() names its line
-            return None
+        if len(self.ids.ids) < self.held + len(starts):  # fewer ids than rows: an id repeats
+            return None  # rows() names its line
+        self.held += len(starts)
         return columns
 
     def rows(self, rdr: CsvRows) -> tuple[np.ndarray, ...]:
@@ -387,9 +397,9 @@ class _ScoreRows:
         counts: list[int] = []
         for jid, *cells in rdr:
             jid = rdr.id_cell(jid, "journal_id")
-            if jid in self.ids.index:
+            if self.ids.code(jid) != self.held:
                 raise rdr.error(f"duplicate journal_id {jid!r}")
-            self.ids.code(jid)
+            self.held += 1
             decimals += [rdr.decimal_cell(cell, name)
                          for name, cell in zip(SCORES_HEADER[1:4], cells)]
             for name, cell in zip(SCORES_HEADER[4:], cells[3:]):
@@ -398,6 +408,3 @@ class _ScoreRows:
                 counts.append(self.counts[cell])
         return (*np.array(decimals, dtype=float).reshape(-1, 3).T,
                 *np.array(counts, dtype=np.int64).reshape(-1, 3).T)
-
-    def result(self, columns) -> MetricScores:
-        return MetricScores(None, self.ids.ids, *columns)

@@ -189,6 +189,7 @@ def reference_journals(source):
     file opened with ``newline=""``: a line ends at LF, CRLF or CR."""
     reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
     names, fields, years = {}, {}, {}
+    start = 1  # the line where the next row starts: an error names its row's first line
     try:
         header = next(reader, None)
         if header is None:
@@ -196,8 +197,9 @@ def reference_journals(source):
         if [h.strip() for h in header] != list(JOURNALS_HEADER):
             raise CsvFormatError(f"line 1: expected header {','.join(JOURNALS_HEADER)}, "
                                  f"got {','.join(header)}")
+        start = reader.line_num + 1
         for row in reader:
-            line = reader.line_num
+            line, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != len(JOURNALS_HEADER):
@@ -218,7 +220,7 @@ def reference_journals(source):
             years[jid][year] = articles
             fields[jid] |= {f.strip() for f in field_list.split(";") if f.strip()}
     except csv.Error as exc:
-        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+        raise CsvFormatError(f"line {start}: {exc}") from None
     return journal_table((jid, name, fields[jid], years[jid]) for jid, name in names.items())
 
 
@@ -229,6 +231,7 @@ def reference_citations(source):
     ``newline=""``: a line ends at LF, CRLF or CR."""
     reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
     records = []
+    start = 1  # the line where the next row starts: an error names its row's first line
     try:
         header = next(reader, None)
         if header is None:
@@ -236,8 +239,9 @@ def reference_citations(source):
         if [h.strip() for h in header] != list(CITATIONS_HEADER):
             raise CsvFormatError(f"line 1: expected header {','.join(CITATIONS_HEADER)}, "
                                  f"got {','.join(header)}")
+        start = reader.line_num + 1
         for row in reader:
-            line = reader.line_num
+            line, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != len(CITATIONS_HEADER):
@@ -251,7 +255,7 @@ def reference_citations(source):
                        for name, cell in zip(CITATIONS_HEADER[2:], cells[2:])]
             records.append((*cells[:2], *numbers))
     except csv.Error as exc:
-        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+        raise CsvFormatError(f"line {start}: {exc}") from None
     return citation_ledger(records)
 
 
@@ -277,6 +281,7 @@ def reference_scores(source):
     lines split as a file opened with ``newline=""`` splits them."""
     reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
     ids, decimals, counts = {}, [], []  # ids: insertion-ordered
+    start = 1  # the line where the next row starts: an error names its row's first line
     try:
         header = next(reader, None)
         if header is None:
@@ -284,8 +289,9 @@ def reference_scores(source):
         if [h.strip() for h in header] != list(SCORES_HEADER):
             raise CsvFormatError(f"line 1: expected header {','.join(SCORES_HEADER)}, "
                                  f"got {','.join(header)}")
+        start = reader.line_num + 1
         for row in reader:
-            line = reader.line_num
+            line, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != len(SCORES_HEADER):
@@ -302,7 +308,7 @@ def reference_scores(source):
             counts.append([_reference_int(cell, name, line, minimum=0)
                            for name, cell in zip(SCORES_HEADER[4:], cells[3:])])
     except csv.Error as exc:
-        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+        raise CsvFormatError(f"line {start}: {exc}") from None
     return MetricScores(None, tuple(ids), *_columns(decimals, 3), *_columns(counts, 3))
 
 

@@ -572,6 +572,13 @@ def test_unknown_journal_ids_name_the_line_of_their_first_row(capsys):
     assert captured.out == ""
     assert captured.err == ("error: c.csv: line 6: unknown journal ids in ledger: "
                             "'\\x1a', 'Zed', '\\ufeffC'\n")
+    # an unknown id quoted over lines 3 and 4 is named at its row's first line
+    Path("c.csv").write_text("citing_id,cited_id,citing_year,cited_year,count\n"
+                             'A,B,2006,2005,1\n"Z\ned",A,2006,2005,2\n')
+    assert main(["compute", "--journals", "j.csv", "--citations", "c.csv",
+                 "--census-year", "2006"]) == 2
+    assert capsys.readouterr().err == ("error: c.csv: line 3: unknown journal ids in ledger: "
+                                       "'Z\\ned'\n")
     assert not Path("scores.csv").exists()
 
 
@@ -590,6 +597,19 @@ def test_unknown_ids_not_found_again_keep_the_library_message(monkeypatch, capsy
     assert main(["compute", "--journals", JOURNALS, "--citations", "c.csv",
                  "--census-year", "2006"]) == 2
     assert capsys.readouterr().err == "error: unknown journal ids in ledger: 'Zed'\n"
+
+
+def test_journals_cited_without_articles_in_the_window_are_named_by_id(capsys):
+    # B and C's publish only in 1990, outside the window, and are cited in it
+    Path("j.csv").write_text("journal_id,name,fields,year,articles\n"
+                             "A,Alpha,,2005,3\nB,Beta,,1990,2\nC's,Gamma,,1990,1\n")
+    Path("c.csv").write_text("citing_id,cited_id,citing_year,cited_year,count\n"
+                             "A,B,2006,2005,4\nA,C's,2006,2004,1\nB,A,2006,2005,1\n")
+    assert main(["compute", "--journals", "j.csv", "--citations", "c.csv",
+                 "--census-year", "2006"]) == 2
+    assert capsys.readouterr().err == ("error: 2 journal(s) received citations but published "
+                                       "no articles in the window: 'B', \"C's\"\n")
+    assert not Path("scores.csv").exists()
 
 
 def test_duplicate_journal_id_in_scores_is_a_data_error(capsys):

@@ -739,6 +739,8 @@ def _citation_texts(draw):
          chunk=1)  # the same two ids, in two chunks
 @example(text=CITATIONS_HEADER + "MocCRNN1fv%UylLw,|{}X9w6QsY)I3>(J,2006,2005,1\n",
          chunk=7)  # the same two ids, new in one kernel chunk
+@example(text=CITATIONS_HEADER + "0028-0836,A,2006,2005,1\n0028-0837,A,2006,2005,1\n",
+         chunk=7)  # two 9-byte ids that share their first word, in two chunks
 @example(text=CITATIONS_HEADER + "Z" * 33 + ",A,2006,2005,1\n", chunk=7)  # an id over 32 bytes
 @example(text='"citing_id\n"' + CITATIONS_HEADER[9:] + "A,B,2006,2005,1\n",
          chunk=1)  # the first piece ends inside the header row's quoted cell
@@ -751,6 +753,8 @@ def _citation_texts(draw):
 @example(text=CITATIONS_HEADER + "A,B,2006,2005,1\nA,B,2006," + "0" * 5000 + "7,1\n", chunk=20)
 @example(text=CITATIONS_HEADER + "A,B,2006,2005,1\nA,B,2006,2005," + "9" * 5000 + "\n", chunk=20)
 @example(text=CITATIONS_HEADER + "A,B,2006,2005,1\nA,B,-" + "9" * 4301 + ",2005,1\n", chunk=20)
+@example(text=CITATIONS_HEADER + "A,B,2006,2005,1\n\"A\nB\",B,2006,2005,x\n",
+         chunk=_util._CHUNK_CHARS)  # a fault named at its row's first line, 3
 def test_vectorised_reader_equals_row_loop(text, chunk):
     expected = _outcome(reference_citations, text)
     from_file = _outcome(reference_citations, _stream(text))
@@ -982,10 +986,10 @@ _LATE_FAULTS = {
     "score id repeated": (read_scores_csv, reference_scores, ",".join(SCORES_HEADER) + "\n",
                           "J{i},1.5,0.5,,{n},3,1\n", {40: "J5,1.5,0.5,,1,3,1\n"},
                           "line 40: duplicate journal_id 'J5'"),
-    # a quoted id that runs to the end of the file
+    # a quoted id that runs to the end of the file: named at its row's first line
     "quote open at the end": (parse_citation_edges, reference_citations, CITATIONS_HEADER,
                               "J{i},J{j},2006,2005,{n}\n", {98: '"J1,J2,2006,2005,1\n'},
-                              "line 99: expected 5 columns, got 1"),
+                              "line 98: expected 5 columns, got 1"),
 }
 
 
@@ -1163,7 +1167,9 @@ def test_id_interner_equals_first_seen_dict_across_doublings():
         assert _id_chunk(interner, cells).tolist() == expected
         assert interner.ids[-len(cells):] == list(reference)[-len(cells):]
         held = np.flatnonzero(interner._keys)
-        assert len(held) == len(reference) and 2 * len(held) <= len(interner._keys)
+        # the smallest table of at least 1,024 slots that the ids fill at most half of
+        assert len(held) == len(reference)
+        assert len(interner._keys) == max(1 << 10, 1 << (2 * len(held) - 1).bit_length())
         sizes.add(len(interner._keys))
         return held
 
@@ -1175,6 +1181,7 @@ def test_id_interner_equals_first_seen_dict_across_doublings():
         feed(ends[::-1] + list(reference)[:5])  # found again by probes that wrap
 
     feed_past_the_end()
+    feed([f"H{i}" for i in range(1024 - len(reference))])  # ids that fill exactly half of 2,048
     # one-word ids, two-word ISSN-like ids and ids of up to 32 bytes
     pool = [(f"J{i:05d}", f"{i // 7:04d}-{i % 7 * 1111:04d}", f"Journal-of-Long-Ids-{i:012d}",
              f"Q{i}")[i % 4] for i in range(24_000)]
@@ -1187,26 +1194,11 @@ def test_id_interner_equals_first_seen_dict_across_doublings():
         fed += len(new)
         feed([cells[k] for k in rng.permutation(len(cells))])
     feed_past_the_end()
-    assert sizes == {1 << k for k in range(10, 17)} and len(reference) == 24_006
+    assert sizes == {1 << k for k in range(10, 17)} and len(reference) == 25_027
     assert interner.ids == list(reference)
     # every id again, in one chunk, in another order
     ids = list(reference)
     feed([ids[k] for k in rng.permutation(len(ids))])
-
-
-def test_id_interner_forgets_the_ids_of_a_declined_chunk():
-    interner = _util._IdCodes()
-    assert _id_chunk(interner, ["A", "B"]).tolist() == [0, 1]
-    long_id, short_id = "Journal-of-Long-Ids-000000000001", "Journal-of-Long1"  # 4 and 2 words
-    cells = [long_id, "C"] + [f"W{i}" for i in range(600)] + ["A"]
-    assert _id_chunk(interner, cells).tolist() == list(range(2, 604)) + [0]
-    assert len(interner._keys) == 2048  # grown
-    interner.forget(2)
-    assert interner.ids == ["A", "B"] and set(interner.index) == {"A", "B"}
-    assert np.count_nonzero(interner._keys) == 2
-    # forgotten ids are new again, coded in the order they come
-    assert _id_chunk(interner, [short_id, "W5", "B"]).tolist() == [2, 3, 1]
-    assert _id_chunk(interner, ["W5", short_id, long_id]).tolist() == [3, 2, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -1264,6 +1256,14 @@ def _journal_texts(draw):
          chunk=20)
 @example(text=JOURNALS_HEADER + "A,Alpha,bio,2004,1\nA,Alpha,bio,-" + "9" * 4301 + ",3\n",
          chunk=20)
+# a chunk the kernel codes the ids of, a new journal among them, before it finds a rename
+# or a repeated year: in one chunk, and in a chunk of two rows after the one before
+@example(text=JOURNALS_HEADER + "A,Alpha,bio,2004,1\nB,Beta,med,2005,2\nA,Alpha,bio,2004,3\n",
+         chunk=_util._CHUNK_CHARS)
+@example(text=JOURNALS_HEADER + "A,Alpha,bio,2004,1\nB,Beta,med,2005,2\nC,Gamma,,2005,3\n"
+         "A,Alpha Review,bio,2005,4\n", chunk=25)
+@example(text=JOURNALS_HEADER + 'A,Alpha,bio,2004,1\nB,"Be\nta",med,2005,x\n',
+         chunk=_util._CHUNK_CHARS)  # a fault named at its row's first line, 3
 def test_journal_reader_equals_reference_row_loop(text, chunk):
     with patch.object(_util, "_CHUNK_CHARS", chunk):
         assert _outcome(parse_journal_metadata, text) == _outcome(reference_journals, text)

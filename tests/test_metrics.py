@@ -257,8 +257,8 @@ def test_article_influence_halves_through_the_pipeline_for_a_small_journal():
 
 
 def test_article_influence_flags_inconsistent_corpus():
-    with pytest.raises(InconsistencyError):
-        article_influence(np.array([60.0, 40.0]), np.array([0.0, 1.0]))
+    with pytest.raises(InconsistencyError, match=r"^1 journal\(s\) .* in the window: 0$"):
+        article_influence(np.array([60.0, 40.0]), np.array([0.0, 1.0]))  # named by position
 
 
 def test_article_influence_undefined_when_no_articles_and_no_ef():
@@ -780,6 +780,14 @@ def _scores_outcome(parse, source):
     "999999999.999999", "-999999999.999999", "9007199254.740993", "52218896736.499748",
     "-0.000000", ".000000", "-.000000", "1.00000", "1.0000000", "0001.000000", "12345678",
     ""))), chunk=7)
+# six-place cells, so the kernel codes a chunk's ids before it finds the repeat: within
+# one chunk, after a new id; and in a chunk of two rows, a new id and one of the chunk before
+@example(text=_SCORES_LINE + "".join(f"{jid},1.000000,1.000000,1.000000,0,0,0\n"
+                                     for jid in "ABA"), chunk=_util._CHUNK_CHARS)
+@example(text=_SCORES_LINE + "".join(f"{jid},1.000000,1.000000,1.000000,0,0,0\n"
+                                     for jid in "ABCA"), chunk=40)
+@example(text=_SCORES_LINE + 'A,1,1,1,0,0,0\n"B\nC",1,1,1,x,0,0\n',
+         chunk=_util._CHUNK_CHARS)  # a fault named at its row's first line, 3
 def test_scores_reader_equals_reference_row_loop(text, chunk):
     with patch.object(_util, "_CHUNK_CHARS", chunk):
         assert _scores_outcome(read_scores_csv, text) == _scores_outcome(reference_scores, text)
