@@ -28,6 +28,9 @@ import numpy as np
 
 from .errors import CsvFormatError, DataError, ValidationError
 
+# spurious' sampling families, here so that the CLI's parser need not import it
+FAMILIES = ("lognormal", "normal-truncated-positive", "uniform-positive")
+
 
 def column(values, dtype, name: str = "", row: str = "") -> np.ndarray:
     """``values`` as a read-only one-dimensional array of ``dtype``: float,

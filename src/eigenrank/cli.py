@@ -3,7 +3,8 @@
 Subcommands: ``compute`` (corpus -> scores.csv), ``correlate`` (scores ->
 correlations.csv), ``ratio`` (ratio analysis and group tests), ``simulate``
 (spurious-correlation constructions), ``plot`` (SVG figures) and ``bigmac``
-(the embedded fixture's statistics).
+(the embedded fixture's statistics), each importing the modules it runs
+when called: at import this module loads only ``metrics`` of the library.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 failure (non-convergence, degenerate statistics).  A call that fails writes no
@@ -29,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import corpus, metrics, report, spurious, stats
-from ._util import CsvRows, csv_text, utf8_error_line, write_text
+from . import metrics
+from ._util import FAMILIES, CsvRows, csv_text, utf8_error_line, write_text
 from .errors import CsvFormatError, DataError, NumericalError, ValidationError
 
 EXIT_OK = 0
@@ -117,7 +118,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
     p.add_argument("--n", type=int, default=None,
                    help="draws per trial (default depends on the kind)")
-    p.add_argument("--family", choices=list(spurious.FAMILIES), default="lognormal")
+    p.add_argument("--family", choices=list(FAMILIES), default="lognormal")
     p.add_argument("--cv", type=float, default=0.1,
                    help="coefficient of variation for all ossuary/yule variables")
     p.add_argument("--femur-cv", type=float, default=None)
@@ -146,7 +147,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--right", default="ef", help="right metric")
     p.add_argument("--top-fraction", type=float, default=1.0,
                    help="slopegraph: show this share of the left ranking")
-    p.add_argument("--top-k", type=int, default=10, help="cardinal: items shown")
+    p.add_argument("--top-k", type=int, help="cardinal: items shown (default 10, or all if fewer)")
     p.add_argument("--values", help="histogram: CSV file with the value column")
     p.add_argument("--column", default="rho", help="histogram: column to read")
     p.add_argument("--bins", type=int, default=20)
@@ -265,18 +266,21 @@ def _scores(args, why: str) -> metrics.MetricScores:
 
 
 def _journals(args, why: str) -> corpus.JournalTable:
+    from . import corpus
     if args.journals is None:
         raise _UsageError(f"{why} requires --journals")
     return _parse_file(corpus.parse_journal_metadata, args.journals)
 
 
 def _ratio_analysis(args, why: str) -> stats.RatioAnalysis:
+    from . import stats
     scores = _scores(args, why)
     return stats.ratio_analysis(scores.metric(args.numerator),
                                 scores.metric(args.denominator), scores.journal_ids)
 
 
 def _cmd_compute(args):
+    from . import corpus
     table = _journals(args, "compute")
     ledger = _parse_file(corpus.parse_citation_edges, args.citations)
     try:
@@ -306,6 +310,7 @@ def _cmd_compute(args):
 
 
 def _cmd_correlate(args):
+    from . import corpus, stats
     scores = _scores(args, "correlate")
     x_metric = metrics.resolve_metric(args.x)
     y_metric = metrics.resolve_metric(args.y)
@@ -319,6 +324,7 @@ def _cmd_correlate(args):
 
 
 def _cmd_ratio(args):
+    from . import stats
     if args.test and args.group_by is None:
         raise _UsageError(f"--test {args.test} requires --group-by")
     if args.group_by is not None and args.journals is None:  # a usage error wins over a data error
@@ -350,6 +356,7 @@ def _cmd_ratio(args):
 
 
 def _cmd_simulate(args):
+    from . import spurious
     text = str(args.seed) if args.seed is not None else os.environ.get(SEED_ENV_VAR, "0")
     if not (text.isascii() and text.isdigit()):  # checked here for every kind
         source = "--seed" if args.seed is not None else SEED_ENV_VAR
@@ -403,12 +410,14 @@ def _read_value_column(path: str, column: str) -> list[float]:
 
 
 def _cmd_plot(args):
+    from . import report
     spec = report.FigureSpec(width=args.width, height=args.height,
                              top_fraction=args.top_fraction, title=args.title)
     if args.kind in ("slopegraph", "cardinal"):
         cmp = report.rank_comparison(_scores(args, f"plot {args.kind}"), args.left, args.right)
+        top_k = min(10, len(cmp)) if args.top_k is None else args.top_k
         svg = (report.render_slopegraph(cmp, spec) if args.kind == "slopegraph"
-               else report.render_cardinal_plot(cmp, spec, args.top_k))
+               else report.render_cardinal_plot(cmp, spec, top_k))
     elif args.kind == "histogram":
         if args.values is None:
             raise _UsageError("plot histogram requires --values")
@@ -420,6 +429,7 @@ def _cmd_plot(args):
 
 
 def _cmd_bigmac(args):
+    from . import stats
     obs = stats.bigmac_fixture()
     real_wage = obs.y / obs.x
 

@@ -25,10 +25,16 @@ import numpy as np
 from ._util import (CsvRows, _blocks, _compress, _decimal_cells, _IdCodes, _int64_sums, _narrow,
                     _same_cells, _slices, _sums, column, csv_text, parse_rows, set_fields)
 from .errors import ValidationError
-from .stats import PairedObservations  # noqa: F401  -- still read as corpus.PairedObservations
 
 JOURNALS_HEADER = ("journal_id", "name", "fields", "year", "articles")
 CITATIONS_HEADER = ("citing_id", "cited_id", "citing_year", "cited_year", "count")
+
+
+def __getattr__(name: str):  # perfbench/analysis.py still reads corpus.PairedObservations
+    if name != "PairedObservations":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .stats import PairedObservations
+    return PairedObservations
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._util import column, csv_text, set_fields
+from ._util import FAMILIES, column, csv_text, set_fields
 from .errors import UndefinedCorrelationError
 from .stats import _MOMENT_BLOCK, _comoments, _r, pearson_r
-
-FAMILIES = ("lognormal", "normal-truncated-positive", "uniform-positive")
 
 # a series whose spread is this small is treated as constant (the logistic
 # map near a fixed point settles into a last-ulp two-cycle, never exactly flat)

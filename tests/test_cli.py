@@ -366,6 +366,24 @@ def test_plot_slopegraph_respects_top_fraction():
     assert svg.count('text-anchor="end"') == 3 + 1  # 3 of 6 journals + header
 
 
+def test_plot_cardinal_shows_ten_journals_or_every_one_by_default(capsys):
+    compute_scores()
+    Path("twelve.csv").write_text(write_scores_csv(score_table(
+        [f"J{k:02d}" for k in range(12)], ef=np.linspace(12.0, 1.0, 12),
+        total_citations=np.arange(12, 0, -1) * 3)))
+    for scores, k in (("scores.csv", "6"), ("twelve.csv", "10")):
+        cardinal = ["plot", "cardinal", "--scores", scores, "--out"]
+        assert main(cardinal + ["default.svg"]) == 0
+        assert main(cardinal + ["explicit.svg", "--top-k", k]) == 0
+        assert Path("default.svg").read_bytes() == Path("explicit.svg").read_bytes(), scores
+    capsys.readouterr()
+    # an explicit --top-k past the journals stays a usage error
+    assert main(["plot", "cardinal", "--scores", "scores.csv", "--top-k", "7",
+                 "--out", "seven.svg"]) == 1
+    assert capsys.readouterr().err == "error: top_k must lie between 1 and the number of items\n"
+    assert not Path("seven.svg").exists()
+
+
 # ---------------------------------------------------------------------------
 # bigmac
 # ---------------------------------------------------------------------------
@@ -890,6 +908,62 @@ def test_cli_import_loads_no_scipy():
         assert probe["after_" + name] == [], name
 
 
+# the bundled calls of perfbench's cli-bundled workload, in its order, each
+# with the package modules it loads besides _util and errors
+_CALL_MODULES = (
+    (["compute", "--journals", JOURNALS, "--citations", CITATIONS, "--census-year", "2006"],
+     {"corpus", "metrics"}),
+    (["correlate", "--scores", "scores.csv", "--by-field", "--journals", JOURNALS],
+     {"corpus", "metrics", "stats"}),
+    (["ratio", "--scores", "scores.csv", "--group-by", "public-health", "--journals", JOURNALS,
+      "--test", "mann-whitney"], {"corpus", "metrics", "stats"}),
+    (["simulate", "journal-size"], {"metrics", "spurious", "stats"}),
+    (["plot", "slopegraph", "--scores", "scores.csv", "--out", "slopegraph.svg"],
+     {"metrics", "report"}),
+    (["plot", "cardinal", "--scores", "scores.csv", "--top-k", "5", "--out", "cardinal.svg"],
+     {"metrics", "report"}),
+    (["plot", "histogram", "--values", "simulation.csv", "--out", "histogram.svg"],
+     {"metrics", "report"}),
+    (["plot", "ratio", "--scores", "scores.csv", "--out", "ratio.svg"],
+     {"metrics", "report", "stats"}),
+    (["bigmac"], {"metrics", "stats"}),
+)
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv, modules in _CALL_MODULES:
+        # -X importtime writes one stderr line for each module the call imports
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "eigenrank.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120, check=True)
+        loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert {name for name in loaded if name.startswith("eigenrank.")} == {
+            f"eigenrank.{name}" for name in modules | {"_util", "errors"}}, argv[:2]
+
+
+def test_the_package_imports_each_name_from_its_module_on_first_use():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = ("import sys, eigenrank\n"
+             "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('eigenrank', 'numpy')))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["eigenrank"]
+    import eigenrank
+    namespace = {}
+    exec("from eigenrank import *", namespace)
+    for name in eigenrank.__all__:
+        value = getattr(eigenrank, name)
+        assert vars(sys.modules[value.__module__])[name] is value is namespace[name], name
+    assert set(eigenrank.__all__) < set(dir(eigenrank))
+    assert set(namespace) - set(eigenrank.__all__) == {"__builtins__"}
+    # perfbench reads corpus.PairedObservations
+    assert corpus.PairedObservations is eigenrank.PairedObservations
+    for module in (eigenrank, corpus):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            module.no_such_name
+
+
 def _module_level(nodes):
     """The nodes run when their module is imported: none inside a function."""
     for node in nodes:
@@ -920,9 +994,10 @@ def test_only_the_compute_path_imports_the_ledger_module():
     for module in ("stats", "spurious", "report", "metrics"):
         assert {source for source, _ in _package_imports(module)} <= {
             "_util", "errors", "metrics", "stats"} - {module}, module
-    assert not any(source == "stats" for source, _ in _package_imports("report"))
-    assert {(source, name) for source, name in _package_imports("corpus")
-            if source == "stats"} == {("stats", "PairedObservations")}
+    for module in ("report", "corpus"):
+        assert not any(source == "stats" for source, _ in _package_imports(module)), module
+    # each subcommand imports the rest of what it runs
+    assert {source for source, _ in _package_imports("cli")} == {"_util", "errors", "metrics"}
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ _CALLS = (
     ["plot", "slopegraph", "--scores", "{scores.csv}", "--out", "{out.svg}"],
     ["plot", "histogram", "--values", "{simulation.csv}", "--out", "{out.svg}"],
     ["correlate", "--scores", "{scores.csv}", "--out", "{out.csv}"],
-    # the default --top-k 10 passes the 6 bundled journals, a usage error (exit 1);
     # every scores.csv that rank_comparison accepts has 2 journals
     ["plot", "cardinal", "--scores", "{scores.csv}", "--top-k", "2", "--out", "{out.svg}"],
     ["plot", "ratio", "--scores", "{scores.csv}", "--out", "{out.svg}"],

@@ -697,7 +697,7 @@ _ROWS = st.lists(st.tuples(*[st.text(alphabet="ABJXZ0189-.", min_size=1, max_siz
 _ODD_IDS = ('"A,1"', '"Q"', "A,1", " A", "A ", "", "é", "Jé", "A\tB", "\ufeffA", "J\x00", "A B",
             "J\x1f", "Z" * 33, '"A\nB"')
 _ODD_NUMBERS = ("0", "0007", "+5", "-3", "1_000", "9" * 18, "9" * 19, "12345678901234567890",
-                " 2003", "2003 ", "", "\u0663", "7\t")
+                " 2003", "2003 ", "", "\u0663", "7\t", "1:")  # ':' is the byte after '9'
 
 _ODD_JOURNAL_CELLS = (
     _ODD_IDS,
