@@ -9,9 +9,9 @@ row loop (``CsvRows``) reads any row, and the numpy chunk kernels read a
 chunk of plain rows at once, ``_cells`` splitting it into byte cells that
 ``_IdCodes``, ``_decimal_cells`` and ``_six_place_cells`` decode or
 decline.  The journals, citations and scores readers get their columns
-from ``parse_rows``, which hands each chunk's cells to a kernel first, and
-build their results from them.  A row error names the line where the row
-starts.
+from ``parse_rows``, which reads a file's header row as any row (as RFC
+4180 writes it) and hands each chunk's cells to a kernel first, and build
+their results from them.  A row error names the line where the row starts.
 """
 
 from __future__ import annotations
@@ -173,6 +173,12 @@ def pieces(source: str | TextIO) -> Iterator[str]:
             yield piece
 
 
+def _past_end(asked: list[bool]) -> Iterator[str]:
+    """No line, but True added to ``asked``: the csv reader asked past the last."""
+    asked.append(True)
+    yield from ()
+
+
 class CsvRows:
     """The rows of a CSV file: ``header`` is the first (None for an empty
     file), and iterating yields each non-blank row after it.  A row not as
@@ -187,49 +193,40 @@ class CsvRows:
     ``more``, the file goes on after the piece: a last row that the piece's
     end cuts inside a quoted cell is not yielded, and ``cut`` is set.
     ``done`` counts the piece's lines that hold the rows read so far, the
-    header row included, so the cut row starts on line ``done`` of the piece.
+    header row included, so a row cut after it starts on line ``done``.
     """
 
     def __init__(self, source: str | TextIO, header: Sequence[str] | None = None,
                  line: int = 1, more: bool = False):
         # a piece at a time: io.StringIO stores its text at 4 bytes a character
         lines = (io.StringIO(piece, newline="") for piece in pieces(source))
-        self.cut = self._ended = False
-        self._before, self.done = line - 1, 0
+        self._past: list[bool] = []  # _past_end holds this, not self: no cycle keeps a reader
         self._reader = csv.reader(itertools.chain(itertools.chain.from_iterable(lines),
-                                                  self._end()))
-        self._rows = self._read(header, more)
-        self.header: Sequence[str] | None = next(self._rows)
+                                                  _past_end(self._past) if more else ()))
+        self.header, self.line, self.cut, self._before = header, line, False, line - 1
+        if header is None:
+            try:
+                self.header = next(self._reader, None)
+            except csv.Error as exc:
+                raise self.error(str(exc)) from None
+            self.cut = bool(self._past)  # the piece ends inside the header row
+        self.done = self._reader.line_num
+        self.line += self.done
 
     def __iter__(self) -> Iterator[list[str]]:
-        return self._rows
-
-    def _end(self) -> Iterator[str]:
-        """No line: the csv reader asks for one past the last only to end a
-        row, or to find that there is none."""
-        self._ended = True
-        yield from ()
-
-    def _read(self, header: Sequence[str] | None, more: bool) -> Iterator:
+        width = len(self.header or ())
         try:
-            if header is None:
-                header = next(self._reader, None)
-                self.cut = more and self._ended  # the piece ends inside the header row
-            self.done = 0 if self.cut else self._reader.line_num
-            yield header
-            width = len(header or ())
             for row in self._reader:
-                self.line = self._before + self.done + 1
-                if more and self._ended:  # the piece ends inside this row's quoted cell
+                if self._past:  # asked past the last line only to end this row: it is cut
                     self.cut = True
                     return
-                self.done = self._reader.line_num
-                if len(row) == width and row:
-                    yield row
-                elif row:
+                if row and len(row) != width:
                     raise self.error(f"expected {width} columns, got {len(row)}")
+                self.done = self._reader.line_num
+                if row:
+                    yield row
+                self.line = self._before + self.done + 1
         except csv.Error as exc:
-            self.line = self._before + self.done + 1
             raise self.error(str(exc)) from None
 
     def error(self, message: str) -> CsvFormatError:
@@ -237,10 +234,12 @@ class CsvRows:
         return CsvFormatError(f"line {self.line}: {message}")
 
     def id_cell(self, cell: str, name: str) -> str:
-        """An id: ``cell`` stripped, which must not be empty."""
+        """An id: ``cell`` stripped, which must not be empty or hold a carriage return."""
         jid = cell.strip()
         if not jid:
             raise self.error(f"empty {name}")
+        if "\r" in jid:
+            raise self.error(f"{name} {jid!r} holds a carriage return")
         return jid
 
     def int_cell(self, cell: str, name: str, minimum: int | None = None) -> int:
@@ -295,12 +294,12 @@ def parse_rows(source: str | TextIO, header: Sequence[str], reader) -> list[np.n
       a time.
 
     Every source, whatever its length, is read a piece (``pieces``) at a
-    time, never whole: after an exact header line the kernel answers or
-    declines each piece that ``_cells`` splits, ``rows`` reads any other,
-    and a row that a piece's end cuts inside a quoted cell is read with the
-    next piece.  An error is raised from the piece where it occurs, with its
-    line, once the rest of the source is read, so that a later byte that is
-    not UTF-8 is the error whatever row before it is faulty.  The integer
+    time, never whole: the header row as any row, then each piece by the
+    kernel where ``_cells`` splits it and the kernel answers, or else by
+    ``rows``, and a row that a piece's end cuts inside a quoted cell with
+    the next piece.  An error is raised from the piece where it occurs, with
+    its line, once the rest of the source is read, so that a later byte that
+    is not UTF-8 is the error whatever row before it is faulty.  The integer
     columns come in the narrowest signed type that holds them, written a
     chunk at a time into arrays sized from the source's length (``_size``).
     """
@@ -346,37 +345,34 @@ def _chunk_columns(chunks: Iterator[str], header: Sequence[str], reader,
     characters (0 where not known) at the rows a character read so far,
     allocated again only where a chunk does not fit, and cut to the rows
     read at the end, so the columns are not held twice.  A chunk is a piece
-    after the lines the one before carried: those from the row its end
-    cut, at ``CsvRows.done``."""
-    header_line = ",".join(header) + "\n"
-    head, line = None, 1  # the header row, once read, and the first line of the next chunk
+    after the lines that the one before carried (from the row its end cut,
+    at ``CsvRows.done``), less a header row, which is read as any row."""
+    line = 1  # the first line of the next chunk: the header row's while it is 1
     columns: list[np.ndarray] = []
     held = chars = 0  # the rows written, and the characters of the pieces read
     cut = ""
     for piece in itertools.chain(chunks, ("",)):
         chars += len(piece)
         chunk, cut = cut + piece, ""
-        # ``rows`` fails on a header cell over the csv field size limit
-        if (line == 1 and chunk.startswith(header_line)
-                and max(map(len, header)) <= csv.field_size_limit()):
-            head, line, chunk = header, 2, chunk[len(header_line):]
-        cells = _cells(chunk, len(header)) if head else None
-        block = None if cells is None else reader.kernel(*cells)
-        if block is None:
-            rows = CsvRows(chunk, head, line, more=bool(piece))
+        if line == 1:  # the header row, read as any row
+            rows = CsvRows(chunk, more=bool(piece))
             if rows.cut:  # the piece ends inside the header row
                 cut = chunk
                 continue
-            if head is None:  # the header row just read
-                if rows.header is None:
-                    raise CsvFormatError("line 1: missing header row")
-                if tuple(h.strip() for h in rows.header) != tuple(header):
-                    raise CsvFormatError(f"line 1: expected header {','.join(header)}, "
-                                         f"got {','.join(rows.header)}")
-                head = header
+            if rows.header is None:
+                raise CsvFormatError("line 1: missing header row")
+            if tuple(h.strip() for h in rows.header) != tuple(header):
+                raise CsvFormatError(f"line 1: expected header {','.join(header)}, "
+                                     f"got {','.join(rows.header)}")
+            line, chunk = 1 + rows.done, _after(chunk, rows.done)
+            del rows  # its piece is freed before the kernel runs
+        cells = _cells(chunk, len(header))
+        block = None if cells is None else reader.kernel(*cells)
+        if block is None:
+            rows = CsvRows(chunk, header, line, more=bool(piece))
             block = reader.rows(rows)
             if rows.cut:  # the piece ends inside a row: carry its lines to the next
-                cut = "".join(itertools.islice(io.StringIO(chunk, newline=""), rows.done, None))
+                cut = _after(chunk, rows.done)
             line += rows.done
         else:
             line += len(cells[3])  # a plain row is one line
@@ -398,6 +394,11 @@ def _chunk_columns(chunks: Iterator[str], header: Sequence[str], reader,
         if values.flags.owndata:  # in place: the room not used is given back
             values.resize(held, refcheck=False)
     return [values[:held] for values in columns]
+
+
+def _after(chunk: str, lines: int) -> str:
+    """``chunk`` after its first ``lines`` lines, split as ``CsvRows`` splits them."""
+    return chunk[sum(map(len, itertools.islice(io.StringIO(chunk, newline=""), lines))):]
 
 
 def _room(values: np.ndarray, held: int, room: int, dtype) -> np.ndarray:

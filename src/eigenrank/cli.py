@@ -32,7 +32,7 @@ import numpy as np
 
 from . import metrics
 from ._util import FAMILIES, CsvRows, csv_text, utf8_error_line, write_text
-from .errors import CsvFormatError, DataError, NumericalError, ValidationError
+from .errors import CsvFormatError, DataError, InconsistencyError, NumericalError, ValidationError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -289,6 +289,8 @@ def _cmd_compute(args):
             tol=args.tol, max_iter=args.max_iter,
             exclude_self_influence=not args.include_self_cites,
             exclude_self_counts=args.exclude_self_cites_counts)
+    except InconsistencyError as exc:  # the two files disagree
+        raise InconsistencyError(f"{args.journals}, {args.citations}: {exc}") from None
     except ValidationError as exc:
         # the ledger's ids are those its rows use, and unknown ones are the
         # first check compute_metrics makes, so with any this error lists them
@@ -342,8 +344,8 @@ def _cmd_ratio(args):
     in_group = [r for label, r in zip(ra.labels, ra.raw_ratios) if label in members]
     out_group = [r for label, r in zip(ra.labels, ra.raw_ratios) if label not in members]
     if not in_group or not out_group:
-        raise ValidationError(f"field {args.group_by!r} does not split the journals "
-                              f"({len(in_group)} vs {len(out_group)})")
+        raise ValidationError(f"{args.scores}, {args.journals}: field {args.group_by!r} does not "
+                              f"split the journals ({len(in_group)} vs {len(out_group)})")
     lines.append(f"group {args.group_by!r}: n={len(in_group)} mean={np.mean(in_group):.6g}; "
                  f"rest: n={len(out_group)} mean={np.mean(out_group):.6g}")
     if args.test == "mann-whitney":
@@ -398,7 +400,7 @@ def _cmd_simulate(args):
 def _read_value_column(path: str, column: str) -> list[float]:
     def parse(fh) -> list[float]:
         rows = CsvRows(fh)
-        k = {name: i for i, name in enumerate(rows.header or ())}.get(column)
+        k = {name.strip(): i for i, name in enumerate(rows.header or ())}.get(column)
         if k is None:
             raise CsvFormatError(f"line 1: no column {column!r}")
         values = [rows.decimal_cell(row[k], column) for row in rows if row[k].strip()]

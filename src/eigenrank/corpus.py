@@ -444,6 +444,11 @@ class _JournalRows:
         keys: set[int] = set()
         for jid, name, field_list, year_cell, articles_cell in rdr:
             jid, name = rdr.id_cell(jid, "journal_id"), name.strip()
+            if "\r" in name or "\r" in field_list:  # one at a label's edge is stripped
+                for what, text in [("name", name)] + [
+                        ("field label", label) for label in sorted(self._labels(field_list))]:
+                    if "\r" in text:
+                        raise rdr.error(f"journal {jid!r} {what} {text!r} holds a carriage return")
             try:
                 year, articles = self.year_of[year_cell], self.articles_of[articles_cell]
             except KeyError:  # a cell not seen before

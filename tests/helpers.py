@@ -184,7 +184,8 @@ def _reference_int(text, name, line, minimum=None):
 
 def reference_journals(source):
     """journals.csv parsed by one plain ``csv.reader`` loop over the rows:
-    every cell stripped and parsed on every row, the journals merged in
+    every cell stripped and parsed on every row, an id, name or field label
+    that holds a carriage return refused on its row, the journals merged in
     dicts and sets and built through ``journal_table``.  Text is read as a
     file opened with ``newline=""``: a line ends at LF, CRLF or CR."""
     reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
@@ -208,6 +209,13 @@ def reference_journals(source):
             jid, name, field_list, year_s, articles_s = (c.strip() for c in row)
             if not jid:
                 raise CsvFormatError(f"line {line}: empty journal_id")
+            if "\r" in jid:
+                raise CsvFormatError(f"line {line}: journal_id {jid!r} holds a carriage return")
+            labels = {f.strip() for f in field_list.split(";") if f.strip()}
+            for what, text in [("name", name)] + [("field label", f) for f in sorted(labels)]:
+                if "\r" in text:
+                    raise CsvFormatError(f"line {line}: journal {jid!r} {what} {text!r} holds a "
+                                         "carriage return")
             year = _reference_int(year_s, "year", line)
             articles = _reference_int(articles_s, "articles", line, minimum=0)
             if jid not in names:
@@ -218,7 +226,7 @@ def reference_journals(source):
             if year in years[jid]:
                 raise CsvFormatError(f"line {line}: duplicate journal_id {jid!r} for year {year}")
             years[jid][year] = articles
-            fields[jid] |= {f.strip() for f in field_list.split(";") if f.strip()}
+            fields[jid] |= labels
     except csv.Error as exc:
         raise CsvFormatError(f"line {start}: {exc}") from None
     return journal_table((jid, name, fields[jid], years[jid]) for jid, name in names.items())
@@ -226,8 +234,8 @@ def reference_journals(source):
 
 def reference_citations(source):
     """citations.csv parsed by one plain ``csv.reader`` loop over the rows:
-    every cell stripped and checked on every row, and the ledger built
-    through ``citation_ledger``.  Text is read as a file opened with
+    every cell stripped and checked on every row, an id that holds a
+    carriage return refused, and the ledger built through ``citation_ledger``.  Text is read as a file opened with
     ``newline=""``: a line ends at LF, CRLF or CR."""
     reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
     records = []
@@ -251,6 +259,8 @@ def reference_citations(source):
             for name, jid in zip(CITATIONS_HEADER[:2], cells):
                 if not jid:
                     raise CsvFormatError(f"line {line}: empty {name}")
+                if "\r" in jid:
+                    raise CsvFormatError(f"line {line}: {name} {jid!r} holds a carriage return")
             numbers = [_reference_int(cell, name, line, minimum=1 if name == "count" else None)
                        for name, cell in zip(CITATIONS_HEADER[2:], cells[2:])]
             records.append((*cells[:2], *numbers))
@@ -278,7 +288,7 @@ def _reference_float(text, name, line):
 def reference_scores(source):
     """scores.csv parsed by one plain ``csv.reader`` loop over the rows,
     every decimal cell read by ``float()`` and every count cell on every row,
-    lines split as a file opened with ``newline=""`` splits them."""
+    an id that holds a carriage return refused, lines split as a file opened with ``newline=""`` splits them."""
     reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
     ids, decimals, counts = {}, [], []  # ids: insertion-ordered
     start = 1  # the line where the next row starts: an error names its row's first line
@@ -300,6 +310,8 @@ def reference_scores(source):
             jid, *cells = (c.strip() for c in row)
             if not jid:
                 raise CsvFormatError(f"line {line}: empty journal_id")
+            if "\r" in jid:
+                raise CsvFormatError(f"line {line}: journal_id {jid!r} holds a carriage return")
             if jid in ids:
                 raise CsvFormatError(f"line {line}: duplicate journal_id {jid!r}")
             ids[jid] = None

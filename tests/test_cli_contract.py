@@ -1,8 +1,8 @@
 """The CLI's input contract under mutation fuzzing: each subcommand that
 reads a file gets the bundled inputs with 1-3 byte edits, and every call
 must keep the documented exit codes, leave no file and no stdout behind
-when it fails, and name the file (and, but for the whole-file messages
-below, the line) of every data error."""
+when it fails, and name the file (and, but for the whole-file message
+below, the line) of every data error, or both files of a cross-file one."""
 
 import contextlib
 import io
@@ -58,13 +58,9 @@ _INSERTS = (b'"', b"\r", b"\n", b",", b"\xff", b"\xef\xbb\xbf", b"\0", b"9" * 25
 _WHOLE_FILE = (
     # the column holds no value at all, so no one line is at fault
     r"no values in column 'rho'$",
-    # JournalTable checks the parsed table, which keeps no lines: a field
-    # label that a quoted CR makes unwritable (a name with one is a rename,
-    # on its line, as every journal has more than one row)
-    r"journal '.*' field label '.*' cannot be written to CSV",
 )
 
-# messages that name no file: two files are at fault together
+# messages that name both input files and no line: the two are at fault together
 _CROSS_FILE = (
     # journals.csv gives a journal no articles in the window, and
     # citations.csv cites it in the window
@@ -100,12 +96,16 @@ _JOURNALS = _INPUTS["journals.csv"]
 
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(call=_edited_calls())
-# each message that names no line, reached by the edits above: three
-# insertions that put a CR into a quoted label; a truncation after F's first
+# a quoted CR in a field label (three insertions above), in an id, and in the
+# name of a journal with one row, which the parsed table would refuse with no
+# line; then each message that names no line: a truncation after F's first
 # row and a deletion that moves its year out of the window; and truncations
 # before the first public-health journal and after "0,"
 @example(call=_with(_CALLS[1], "journals.csv", _JOURNALS.replace(
     b"medicine;public-health,2001,18", b'"medicine;public\r-health",2001,18', 1)))
+@example(call=_with(_CALLS[0], "citations.csv", _INPUTS["citations.csv"].replace(
+    b"A,B,2006,2005,12", b'"A\rX",B,2006,2005,12', 1)))
+@example(call=_with(_CALLS[0], "journals.csv", _JOURNALS + b'G,"Ga\rmma",medicine,2005,1\n'))
 @example(call=_with(_CALLS[0], "journals.csv", _JOURNALS[:_JOURNALS.index(b"2001,8\n") + 7]
                     .replace(b"2001,8", b"200,8")))
 @example(call=_with(_CALLS[2], "journals.csv", _JOURNALS[:_JOURNALS.index(b"\nC,") + 1]))
@@ -129,8 +129,11 @@ def test_edited_inputs_keep_the_cli_contract(call):
     if code == 2:
         path = next((paths[name] for name in files if message.startswith(paths[name] + ": ")),
                     None)
-        if path is None:
-            assert any(re.match(pattern, message) for pattern in _CROSS_FILE), message
+        if path is None:  # both inputs, in the order the call names them
+            lead = ", ".join(paths[m[1]] for arg in argv
+                             if (m := re.fullmatch(r"\{(.*)\}", arg)) and m[1] in files) + ": "
+            assert message.startswith(lead), message
+            assert any(re.match(pattern, message[len(lead):]) for pattern in _CROSS_FILE), message
         else:
             rest = message[len(path) + 2:]
             assert (re.match(r"line \d+: ", rest)

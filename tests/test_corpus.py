@@ -1,8 +1,10 @@
 import csv
+import gc
 import gzip
 import io
 import itertools
 import re
+import weakref
 from pathlib import Path
 from unittest.mock import patch
 
@@ -695,7 +697,7 @@ _NUMBER_CELLS = st.one_of(st.integers(1, 3000).map(str),
 _ROWS = st.lists(st.tuples(*[st.text(alphabet="ABJXZ0189-.", min_size=1, max_size=12)] * 2,
                            *[_NUMBER_CELLS] * 3).map(list), max_size=10)
 _ODD_IDS = ('"A,1"', '"Q"', "A,1", " A", "A ", "", "é", "Jé", "A\tB", "\ufeffA", "J\x00", "A B",
-            "J\x1f", "Z" * 33, '"A\nB"')
+            "J\x1f", "Z" * 33, '"A\nB"', '"A\rB"')
 _ODD_NUMBERS = ("0", "0007", "+5", "-3", "1_000", "9" * 18, "9" * 19, "12345678901234567890",
                 " 2003", "2003 ", "", "\u0663", "7\t", "1:")  # ':' is the byte after '9'
 
@@ -986,6 +988,23 @@ _LATE_FAULTS = {
     "score id repeated": (read_scores_csv, reference_scores, ",".join(SCORES_HEADER) + "\n",
                           "J{i},1.5,0.5,,{n},3,1\n", {40: "J5,1.5,0.5,,1,3,1\n"},
                           "line 40: duplicate journal_id 'J5'"),
+    # a quoted CR in an id, a name or a field label: refused on its row, before
+    # a later malformed cell and before the table is built
+    "citations id CR": (parse_citation_edges, reference_citations, CITATIONS_HEADER,
+                        "J{i},J{j},2006,2005,{n}\n", {40: '"J1\rX",J2,2006,2005,1\n',
+                                                      70: "J1,J2,2006,2005,x\n"},
+                        "line 40: citing_id 'J1\\rX' holds a carriage return"),
+    "journals label CR": (parse_journal_metadata, reference_journals, JOURNALS_HEADER,
+                          "J{i},Journal {i},bio,{y},{n}\n", {40: 'K1,Kappa,"bio\rmed",2005,3\n',
+                                                             70: "J1,Journal 1,bio,20x5,3\n"},
+                          "line 40: journal 'K1' field label 'bio\\rmed' holds a carriage "
+                          "return"),
+    "journals name CR": (parse_journal_metadata, reference_journals, JOURNALS_HEADER,
+                         "J{i},Journal {i},bio,{y},{n}\n", {40: 'K1,"Ga\rmma",bio,2005,3\n'},
+                         "line 40: journal 'K1' name 'Ga\\rmma' holds a carriage return"),
+    "scores id CR": (read_scores_csv, reference_scores, ",".join(SCORES_HEADER) + "\n",
+                     "J{i},1.5,0.5,,{n},3,1\n", {40: '"K\r1",1.5,0.5,,1,3,1\n'},
+                     "line 40: journal_id 'K\\r1' holds a carriage return"),
     # a quoted id that runs to the end of the file: named at its row's first line
     "quote open at the end": (parse_citation_edges, reference_citations, CITATIONS_HEADER,
                               "J{i},J{j},2006,2005,{n}\n", {98: '"J1,J2,2006,2005,1\n'},
@@ -1095,6 +1114,49 @@ def test_plain_citations_skip_the_row_loop(monkeypatch):
     assert parse_citation_edges(text) == big
     assert parse_citation_edges(_stream(text)) == big
     assert calls and not any(calls)
+
+
+def test_a_padded_or_quoted_header_row_leaves_its_chunk_to_the_kernel(monkeypatch):
+    # the header row is read as any row, so a header that is not the exact
+    # line costs no chunk to the row loop
+    calls = _rows_read(monkeypatch, corpus._CitationRows)
+    ledger = citation_ledger((f"J{i % 7}", f"J{i % 5}", 2006, 2001 + i % 5, 1 + i % 9)
+                             for i in range(400))
+    rows = write_citation_edges(ledger).split("\n", 1)[1]
+    for header in ("citing_id , cited_id ,citing_year,  cited_year,count\n",
+                   '"citing_id","cited_id" ,citing_year,cited_year,count\r\n',
+                   '"citing_id\n",cited_id,citing_year,cited_year,count\n'):  # on lines 1-2
+        for chunk in (1000, _util._CHUNK_CHARS):  # many chunks, and one
+            with patch.object(_util, "_CHUNK_CHARS", chunk):
+                assert parse_citation_edges(header + rows) == ledger
+                assert parse_citation_edges(_stream(header + rows)) == ledger
+    assert calls and not any(calls)
+    bad = header + rows + "J1,J2,2006,x,1\n"  # the header row on lines 1-2, this row on 403
+    for chunk in (1000, _util._CHUNK_CHARS):
+        with patch.object(_util, "_CHUNK_CHARS", chunk):
+            assert (_outcome(parse_citation_edges, bad)
+                    == (CsvFormatError, "line 403: malformed cited_year 'x'"))
+
+
+def test_a_dropped_reader_is_freed_without_the_collector():
+    # no reference cycle holds a CsvRows, so a dropped one frees its piece
+    # at once: one that read its header row alone, one read to its end, and
+    # one whose piece ends inside a quoted cell
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for text, more, read in ((CITATIONS_HEADER + "A,B,2006,2005,1\n", False, None),
+                                 (CITATIONS_HEADER + "A,B,2006,2005,1\n", False,
+                                  [["A", "B", "2006", "2005", "1"]]),
+                                 ('a,b\n1,2\n"3\n', True, [["1", "2"]])):
+            rows = _util.CsvRows(text, more=more)
+            assert (read is None or list(rows) == read) and rows.cut == more
+            dropped = weakref.ref(rows)
+            del rows
+            assert dropped() is None, text
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_odd_cells_send_only_their_chunks_to_the_row_loop(monkeypatch):
