@@ -325,14 +325,18 @@ def _size(source: str | TextIO) -> int:
         return 0
 
 
+# each signed integer type with its bounds, narrowest first: np.iinfo is slow
+_RANGES = [(t, int(np.iinfo(t).min), int(np.iinfo(t).max))
+           for t in (np.int8, np.int16, np.int32, np.int64)]
+
+
 def _narrow(values: np.ndarray) -> np.ndarray:
     """Signed integer ``values`` in the narrowest signed type that holds
     them; other values as they are."""
     if values.dtype.kind != "i":
         return values
     lo, hi = (int(values.min()), int(values.max())) if len(values) else (0, 0)
-    dtype = next(dtype for dtype in (np.int8, np.int16, np.int32, np.int64)
-                 if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max)
+    dtype = next(dtype for dtype, least, most in _RANGES if least <= lo and hi <= most)
     return values.astype(dtype, copy=False)
 
 
@@ -436,16 +440,18 @@ def _cells(chunk: str, width: int) -> tuple[str, bytes, np.ndarray, np.ndarray,
     ``strip()``).  ``text`` is the chunk, newline-ended, ``padded`` its
     bytes and ``_PAD``, and ``raw`` those bytes as uint8; the cell in row
     ``i`` and column ``k`` is ``lengths[i, k]`` bytes from ``starts[i, k]``.
-    Each chunk is split at its commas and newlines in one pass.
+    Each chunk is split at its commas and newlines in one pass.  The quote
+    and the space are found by string searches, which cost a chunk a few
+    microseconds, so only a chunk that holds a space has its cell edges read.
     """
-    if not chunk.isascii():
+    if not chunk.isascii() or '"' in chunk:
         return None
     if not chunk.endswith("\n"):
         chunk += "\n"
     padded = (chunk + _PAD).encode("ascii")
     raw = np.frombuffer(padded, dtype=np.uint8)
     body = raw[:len(chunk)]
-    if (((body < ord(" ")) & (body != ord("\n"))) | (body == ord('"'))).any():
+    if ((body < ord(" ")) & (body != ord("\n"))).any():
         return None
     ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
     rows = len(ends) // width
@@ -457,9 +463,11 @@ def _cells(chunk: str, width: int) -> tuple[str, bytes, np.ndarray, np.ndarray,
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
     lengths = ends - starts
-    # an empty cell's neighbours are a separator, or a cell that ends with the space
-    if (lengths.max() > csv.field_size_limit()
-            or (raw[starts] == ord(" ")).any() or (raw[ends - 1] == ord(" ")).any()):
+    # a row of one empty cell is a blank line; an empty cell's neighbours are
+    # a separator, or a cell that ends with the space
+    if (lengths.max() > csv.field_size_limit() or width == 1 and lengths.min() == 0
+            or " " in chunk and ((raw[starts] == ord(" ")).any()
+                                 or (raw[ends - 1] == ord(" ")).any())):
         return None
     return chunk, padded, raw, starts.reshape(rows, width), lengths.reshape(rows, width)
 
@@ -524,12 +532,13 @@ class _IdCodes:
         windows = np.ndarray((len(text), n_words), dtype="<u8", buffer=padded,
                              strides=(1, 8))  # row i: the words from byte i on
         words = windows[starts]
-        words &= _BYTE_MASKS[np.clip(lengths[:, None] - 8 * np.arange(n_words), 0, 8)]
+        words &= _BYTE_MASKS.take(np.minimum(np.maximum(
+            lengths[:, None] - 8 * np.arange(n_words), 0), 8))
         keys = words[:, 0]
         if n_words > 1:
             mixed = np.bitwise_xor.reduce(words * _WORD_MIX[:n_words], axis=1) | _LONG_ID
             keys = np.where(words[:, 1:].any(axis=1), mixed, keys)
-        codes = self._codes[self._find(keys)]
+        codes = self._codes.take(self._find(keys))
         if n_words > 1:  # a long cell found must have the words of the id its key stands for
             known = np.flatnonzero(((keys & _LONG_ID) != 0) & (codes >= 0))
             stored = self._words[codes[known]]
@@ -570,11 +579,11 @@ class _IdCodes:
         """The slot holding each key, or the empty slot that ends its probe."""
         mask = len(self._keys) - 1
         slots = self._home(keys)
-        held = self._keys[slots]
+        held = self._keys.take(slots)
         probing = np.flatnonzero((held != keys) & (held != 0))
         while probing.size:
             slots[probing] = (slots[probing] + 1) & mask
-            held = self._keys[slots[probing]]
+            held = self._keys.take(slots[probing])
             probing = probing[(held != keys[probing]) & (held != 0)]
         return slots
 
@@ -611,10 +620,11 @@ def _decimal_cells(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> 
     if shortest < 1 or width > _MAX_DIGITS:
         return None
     values = np.zeros(len(starts), dtype=np.int64)
+    starts = np.ascontiguousarray(starts)  # often a column: each gather then reads it in order
     for k in range(width):
-        digit = raw[starts + k] - ord("0")  # uint8: a byte below '0' wraps past 9
+        digit = raw[k:].take(starts) - ord("0")  # uint8: a byte below '0' wraps past 9
         inside = slice(None) if k < shortest else lengths > k
-        if (digit[inside] > 9).any():
+        if digit[inside].max() > 9:
             return None
         values[inside] *= 10
         values[inside] += digit[inside]

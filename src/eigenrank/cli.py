@@ -405,7 +405,7 @@ def _read_value_column(path: str, column: str) -> list[float]:
             raise CsvFormatError(f"line 1: no column {column!r}")
         values = [rows.decimal_cell(row[k], column) for row in rows if row[k].strip()]
         if not values:
-            raise CsvFormatError(f"no values in column {column!r}")
+            raise CsvFormatError(f"line 1: no values in column {column!r}")
         return values
 
     return _parse_file(parse, path)

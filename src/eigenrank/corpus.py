@@ -540,7 +540,8 @@ class _CitationRows:
         numbers = [_decimal_cells(raw, starts[:, k], lengths[:, k]) for k in range(2, _COLUMNS)]
         if any(values is None for values in numbers) or numbers[-1].min() < 1:
             return None
-        codes = self.ids.codes(text, padded, starts[:, :2].ravel(), lengths[:, :2].ravel())
+        codes = self.ids.codes(text, padded, *(  # numpy copies a 2-wide strided slice slowly
+            np.stack((c[:, 0], c[:, 1]), axis=1).ravel() for c in (starts, lengths)))
         if codes is None:
             return None
         return (*codes.reshape(-1, 2).T, *numbers)

@@ -163,6 +163,19 @@ def reference_counts(ledger, table, census_year, window=5, exclude_self=True):
     return matrix, impact, totals
 
 
+def plain_chunk(chunk, width):
+    """Whether ``chunk``, read as ending with a newline, is all plain rows
+    of ``width`` cells: ASCII, no quote, no control character but the
+    newline, ``width`` cells a line, no blank line, no cell that starts or
+    ends with a space, and no cell over the csv field size limit."""
+    if not chunk.isascii() or any(c == '"' or c < " " and c != "\n" for c in chunk):
+        return False
+    lines = (chunk[:-1] if chunk.endswith("\n") else chunk).split("\n")
+    return all(line != "" and len(line.split(",")) == width for line in lines) and all(
+        len(cell) <= csv.field_size_limit() and not cell.startswith(" ")
+        and not cell.endswith(" ") for line in lines for cell in line.split(","))
+
+
 def _reference_int(text, name, line, minimum=None):
     """``text`` as an integer: an optional minus sign, then ASCII digits of
     any length, leading zeros not counted, within the signed 64-bit range

@@ -786,7 +786,7 @@ def test_empty_histogram_input_is_a_data_error(capsys):
     Path("empty.csv").write_text("trial,rho\n0,\n")
     Path("nan.csv").write_text("trial,rho\n0,0.5\n1,nan\n")
     Path("inf.csv").write_text("trial,rho\n0,inf\n1,0.5\n")
-    for name, message in (("empty.csv", "empty.csv: no values in column 'rho'"),
+    for name, message in (("empty.csv", "empty.csv: line 1: no values in column 'rho'"),
                           ("nan.csv", "nan.csv: line 3: malformed rho 'nan'"),
                           ("inf.csv", "inf.csv: line 2: malformed rho 'inf'")):
         assert main(["plot", "histogram", "--values", name, "--out", "h.svg"]) == 2

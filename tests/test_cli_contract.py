@@ -1,8 +1,8 @@
 """The CLI's input contract under mutation fuzzing: each subcommand that
 reads a file gets the bundled inputs with 1-3 byte edits, and every call
 must keep the documented exit codes, leave no file and no stdout behind
-when it fails, and name the file (and, but for the whole-file message
-below, the line) of every data error, or both files of a cross-file one."""
+when it fails, and name the file and the line of every data error, or
+both files of a cross-file one."""
 
 import contextlib
 import io
@@ -54,12 +54,6 @@ _CALLS = (
 # a byte-order mark, NUL, a number past int64, an exponent and a point
 _INSERTS = (b'"', b"\r", b"\n", b",", b"\xff", b"\xef\xbb\xbf", b"\0", b"9" * 25, b"e5", b".")
 
-# messages that name their file but no line, each for the reason given
-_WHOLE_FILE = (
-    # the column holds no value at all, so no one line is at fault
-    r"no values in column 'rho'$",
-)
-
 # messages that name both input files and no line: the two are at fault together
 _CROSS_FILE = (
     # journals.csv gives a journal no articles in the window, and
@@ -98,9 +92,10 @@ _JOURNALS = _INPUTS["journals.csv"]
 @given(call=_edited_calls())
 # a quoted CR in a field label (three insertions above), in an id, and in the
 # name of a journal with one row, which the parsed table would refuse with no
-# line; then each message that names no line: a truncation after F's first
-# row and a deletion that moves its year out of the window; and truncations
-# before the first public-health journal and after "0,"
+# line; then each cross-file message, which names no line: a truncation after
+# F's first row and a deletion that moves its year out of the window, and a
+# truncation before the first public-health journal; and a histogram column
+# with no values, cut after "0,", which names the header row's line
 @example(call=_with(_CALLS[1], "journals.csv", _JOURNALS.replace(
     b"medicine;public-health,2001,18", b'"medicine;public\r-health",2001,18', 1)))
 @example(call=_with(_CALLS[0], "citations.csv", _INPUTS["citations.csv"].replace(
@@ -136,5 +131,4 @@ def test_edited_inputs_keep_the_cli_contract(call):
             assert any(re.match(pattern, message[len(lead):]) for pattern in _CROSS_FILE), message
         else:
             rest = message[len(path) + 2:]
-            assert (re.match(r"line \d+: ", rest)
-                    or any(re.match(pattern, rest) for pattern in _WHOLE_FILE)), message
+            assert re.match(r"line \d+: ", rest), message

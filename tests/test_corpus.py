@@ -23,8 +23,9 @@ from eigenrank import (CitationLedger, CitationMatrix, CsvFormatError, JournalTa
 from eigenrank.cli import _parse_file
 from eigenrank.corpus import CitationRecord
 from eigenrank.metrics import SCORES_HEADER
-from helpers import (citation_ledger, journal_table, random_corpus, reference_citations,
-                     reference_journals, reference_label_index, reference_scores)
+from helpers import (citation_ledger, journal_table, plain_chunk, random_corpus,
+                     reference_citations, reference_journals, reference_label_index,
+                     reference_scores)
 
 JOURNALS_HEADER = "journal_id,name,fields,year,articles\n"
 CITATIONS_HEADER = "citing_id,cited_id,citing_year,cited_year,count\n"
@@ -1102,6 +1103,9 @@ def test_plain_citations_skip_the_row_loop(monkeypatch):
         with patch.object(_util, "_CHUNK_CHARS", chunk):
             assert parse_citation_edges(write_citation_edges(small)) == small
             assert parse_citation_edges(write_citation_edges(small).rstrip("\n")) == small
+    # numbers of 18 digits: every one fits int64
+    wide = citation_ledger(("A", "B", 10**17 + i, 2005, 10**18 - 1 - i) for i in range(50))
+    assert parse_citation_edges(write_citation_edges(wide)) == wide
     # a file of many chunks
     rng = np.random.default_rng(3)
     columns = (rng.integers(0, 2000, 70_000), rng.integers(0, 2000, 70_000),
@@ -1189,6 +1193,64 @@ def test_odd_cells_send_only_their_chunks_to_the_row_loop(monkeypatch):
     assert any(calls) and all(any(map(_odd, read)) for read in calls if read)
 
 
+def test_inner_spaces_leave_their_chunks_to_the_kernel(monkeypatch):
+    # a cell that holds a space, but not at its edge, is plain
+    calls = _rows_read(monkeypatch, corpus._JournalRows, corpus._CitationRows)
+    ids = [f"J {j:02d}" for j in range(60)]
+    table = journal_table((jid, f"Journal of X {j}", {"field a", "b"}, {2005: j, 2006: 1})
+                          for j, jid in enumerate(ids))
+    ledger = citation_ledger((ids[i % 60], ids[i * 7 % 60], 2006, 2001 + i % 5, 1 + i % 9)
+                             for i in range(2000))
+    for chunk in (1000, _util._CHUNK_CHARS):  # many chunks, and one
+        with patch.object(_util, "_CHUNK_CHARS", chunk):
+            assert parse_journal_metadata(write_journal_metadata(table)) == table
+            assert parse_citation_edges(write_citation_edges(ledger)) == ledger
+    assert calls and not any(calls)
+
+
+_CHUNK_CHARACTERS = 'ab ,"\n\t\ré'
+
+
+@st.composite
+def _chunks(draw):
+    """A width of 1-5 and a chunk of rows of that many cells, with 0-2
+    characters of ``_CHUNK_CHARACTERS`` inserted or deleted, and its last
+    newline kept or cut."""
+    width = draw(st.integers(1, 5))
+    cell = st.sampled_from(("", "a", "ab", "a b", "b", "ba", " b", "a "))
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=4))
+    chunk = "".join(",".join(row) + "\n" for row in rows)
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        at = draw(st.integers(0, len(chunk)))
+        inserted = draw(st.sampled_from(("", *_CHUNK_CHARACTERS)))
+        chunk = chunk[:at] + inserted + chunk[at + (not inserted):]
+    return draw(st.sampled_from((chunk, chunk.removesuffix("\n")))), width
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(chunk=_chunks(), limit=st.sampled_from((None, None, None, 1, 2)))
+@example(chunk=("a\n\nb\n", 1), limit=None)  # a blank line is no row of one empty cell
+@example(chunk=("", 1), limit=None)
+@example(chunk=(",\n", 2), limit=1)  # but empty cells at width 2 are plain
+@example(chunk=("a ,b\n", 2), limit=None)
+def test_cells_split_a_chunk_exactly_when_it_is_plain(chunk, limit):
+    chunk, width = chunk
+    before = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        cells = _util._cells(chunk, width)
+        assert (cells is not None) == plain_chunk(chunk, width), (chunk, width, limit)
+    finally:
+        csv.field_size_limit(before)
+    if cells is not None:
+        text, padded, raw, starts, lengths = cells
+        assert text == chunk.removesuffix("\n") + "\n" and padded == (text + _util._PAD).encode()
+        assert bytes(raw) == padded
+        assert ([_util._slices(text, *row) for row in zip(starts, lengths)]
+                == [line.split(",") for line in text[:-1].split("\n")])
+
+
 def test_quoted_cell_open_at_a_chunk_end_is_joined_to_the_next(monkeypatch):
     calls = _rows_read(monkeypatch, corpus._JournalRows)
     text = (JOURNALS_HEADER + "A,Alpha,bio,2005,1\n"
@@ -1261,6 +1323,19 @@ def test_id_interner_equals_first_seen_dict_across_doublings():
     # every id again, in one chunk, in another order
     ids = list(reference)
     feed([ids[k] for k in rng.permutation(len(ids))])
+
+
+def test_id_probes_step_one_slot_at_a_time():
+    # a table half full of keys whose probes all start at even slots: a new
+    # key that starts at one still finds an empty slot, as probes step one slot
+    interner = _util._IdCodes()
+    size = len(interner._keys)
+    cells = [f"E{i}" for i in range(8 * size)]
+    keys = np.array([int.from_bytes(c.encode(), "little") for c in cells], dtype=np.uint64)
+    even = [cells[k] for k in np.flatnonzero(interner._home(keys) % 2 == 0)]
+    assert _id_chunk(interner, even[:size // 2]).tolist() == list(range(size // 2))
+    assert len(interner._keys) == size
+    assert _id_chunk(interner, even[size // 2:size // 2 + 1]).tolist() == [size // 2]
 
 
 # ---------------------------------------------------------------------------

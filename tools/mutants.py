@@ -8,10 +8,12 @@ body each comparison operator is flipped (``<`` and ``<=``, ``>`` and
 constant is moved by +1 and by -1: one change, one mutant.  The mutated
 function is written back in place of the original (``ast.unparse``), one
 mutant at a time, in a temporary copy of ``src``, ``tests`` and
-``pyproject.toml``, and the test files run there with ``-x``.  A failing
-run (or one over the time limit) kills the mutant.  For each mutant it
-prints the line, the change and killed or survived, then the totals.  The
-unmutated function, written back the same way, must pass first.
+``pyproject.toml`` made when the run starts (so an edit to the working
+tree during a run changes no mutant), and the test files run there with
+``-x``.  A failing run (or one over the time limit) kills the mutant.
+For each mutant it prints the line, the change and killed or survived,
+then the totals.  The unmutated function, written back the same way,
+must pass first.
 
 Usage, from the repository root::
 
@@ -110,7 +112,7 @@ def main(argv: list[str]) -> int:
         for name in args.functions:
             module, qualname = name.split(".", 1)
             path = PACKAGE / f"{module}.py"
-            original = (ROOT / path).read_text(encoding="utf-8")
+            original = (work / path).read_text(encoding="utf-8")
             lines = original.splitlines(keepends=True)
             function = find(ast.parse(original), qualname)
             (work / path).write_text(splice(lines, function), encoding="utf-8")
